@@ -4,8 +4,6 @@ from .config import EngineConfig
 from .engine import MsmsEngine, MsmsResult, msms_max_flow
 from .flow import (
     FlowStore,
-    ResidualView,
-    accumulate,
     decompose_acyclic,
     flow_value,
     inflow,
@@ -28,10 +26,8 @@ __all__ = [
     "MsmsResult",
     "Piece",
     "PlanarGraph",
-    "ResidualView",
     "Separator",
     "TerminalSets",
-    "accumulate",
     "attach_apex",
     "build_graph",
     "decompose_acyclic",

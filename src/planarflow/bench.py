@@ -22,7 +22,7 @@ from .solvers import oracle_max_flow
 BALANCE_CONSTANT = (1.0 / 3.0) ** 1.5 + (2.0 / 3.0) ** 1.5
 
 SCOPE_NOTE = ("asymptotic bound of the underlying algorithm is out of scope: "
-              "subroutine backends here have relaxed asymptotics; the exponent "
+              "substituted subroutines here have relaxed asymptotics; the exponent "
               "below is measured, not asserted")
 
 CSV_HEADER = ("kind,n,seed,value,seconds,depth,max_boundary,"

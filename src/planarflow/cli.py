@@ -12,6 +12,7 @@ from .config import EngineConfig, parse_config_file, with_overrides
 from .engine import MsmsEngine
 from .errors import AuditFailure, PlanarFlowError
 from .generate import generate
+from .graph import build_graph
 from .instance import (
     import_dimacs_max,
     parse_instance_file,
@@ -58,67 +59,73 @@ def cmd_solve(args) -> int:
     try:
         inst = parse_instance_file(Path(args.file).read_text())
         if args.per_component:
-            return _solve_per_component(inst, cfg)
-        g, ts = inst.build()
+            problems = _build_components(inst)
+        else:
+            g, ts = inst.build()
+            problems = [(g, ts.sources, ts.sinks, range(g.n))]
     except PlanarFlowError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
     trace, fh = _trace_writer(args.trace)
     try:
-        eng = MsmsEngine(g, ts.sources, ts.sinks, cfg, trace=trace)
-        res = eng.run()
+        results = [MsmsEngine(g, sources, sinks, cfg, trace=trace).run()
+                   for g, sources, sinks, _ in problems]
     except AuditFailure as e:
         print(f"audit failure: {e}", file=sys.stderr)
         return EXIT_AUDIT
     finally:
         if fh:
             fh.close()
-    print(f"value {res.value}")
+    print(f"value {sum(res.value for res in results)}")
     if args.dump_flow:
-        for a, f in enumerate(res.arc_flows):
-            if f:
-                print(f"f {g.tails[a] + 1} {g.heads[a] + 1} {f}")
+        for (g, _, _, nodes), res in zip(problems, results):
+            for a, f in enumerate(res.arc_flows):
+                if f:
+                    print(f"f {nodes[g.tails[a]] + 1} {nodes[g.heads[a]] + 1} {f}")
     return 0
 
 
-def _solve_per_component(inst, cfg) -> int:
-    """Convenience wrapper: solve each connected component separately."""
-    try:
-        g, ts = inst.build(allow_disconnected=True)
-    except PlanarFlowError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    comp = [-1] * g.n
-    comps = 0
-    for start in range(g.n):
+def _build_components(inst):
+    """Validate every connected component as an instance of its own;
+    return (graph, sources, sinks, nodes) for those with both terminal
+    kinds, where nodes maps the graph's node ids back to the instance's.
+
+    Components join the nodes linked by an arc or by a rotation entry, so
+    a rotation that names a node outside its arcs' component is rejected
+    by build_graph like any other mismatch.
+    """
+    n = inst.num_nodes
+    nbrs = [[] for _ in range(n)]
+    links = [(t, h) for t, h, _ in inst.arcs]
+    links += [(v, u) for v, r in enumerate(inst.rotations) for u in r]
+    for u, v in links:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    comp = [-1] * n
+    members = []
+    for start in range(n):
         if comp[start] >= 0:
             continue
-        stack = [start]
-        comp[start] = comps
-        while stack:
-            v = stack.pop()
-            for d in g.rot[v]:
-                w = g.dart_head(d)
+        c = len(members)
+        comp[start] = c
+        nodes = [start]
+        for v in nodes:
+            for w in nbrs[v]:
                 if comp[w] < 0:
-                    comp[w] = comps
-                    stack.append(w)
-        comps += 1
-    total = 0
-    for c in range(comps):
-        nodes = [v for v in range(g.n) if comp[v] == c]
+                    comp[w] = c
+                    nodes.append(w)
+        members.append(sorted(nodes))
+    out = []
+    for c, nodes in enumerate(members):
         local = {v: i for i, v in enumerate(nodes)}
-        arcs = [(local[inst.arcs[a][0]], local[inst.arcs[a][1]], inst.arcs[a][2])
-                for a in range(g.m) if comp[inst.arcs[a][0]] == c]
+        arcs = [(local[t], local[h], cap) for t, h, cap in inst.arcs if comp[t] == c]
         rotations = [[local[u] for u in inst.rotations[v]] for v in nodes]
+        sub = build_graph(len(nodes), arcs, rotations)
         sources = {local[v] for v in inst.sources if comp[v] == c}
         sinks = {local[v] for v in inst.sinks if comp[v] == c}
-        if not sources or not sinks:
-            continue
-        from .graph import build_graph
-        sub = build_graph(len(nodes), arcs, rotations)
-        total += MsmsEngine(sub, sources, sinks, cfg).run().value
-    print(f"value {total}")
-    return 0
+        if sources and sinks:
+            out.append((sub, sources, sinks, nodes))
+    return out
 
 
 def cmd_check(args) -> int:

@@ -1,4 +1,4 @@
-"""Run configuration: backend selection, base case, audit level, seed."""
+"""Run configuration: base case size and audit level."""
 
 from __future__ import annotations
 
@@ -9,11 +9,8 @@ AUDIT_LEVELS = ("none", "final", "full")
 
 @dataclass(frozen=True)
 class EngineConfig:
-    msss_backend: str = "supersource-dinic"
-    limited_backend: str = "capped-dinic"
     base_case: int = 32
     audit: str = "none"
-    seed: int = 0
 
     def __post_init__(self):
         if self.audit not in AUDIT_LEVELS:
@@ -32,9 +29,9 @@ def parse_config_file(text: str) -> EngineConfig:
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
         key, value = (x.strip() for x in line.split("=", 1))
-        if key in ("base_case", "seed"):
+        if key == "base_case":
             fields[key] = int(value)
-        elif key in ("msss_backend", "limited_backend", "audit"):
+        elif key == "audit":
             fields[key] = value
         else:
             raise ValueError(f"unknown config key {key!r}")

@@ -24,7 +24,6 @@ from .config import EngineConfig
 from .errors import AuditFailure, SettlementStuck
 from .flow import (
     FlowStore,
-    accumulate,
     decompose_acyclic,
     flow_value,
     inflow,
@@ -35,10 +34,9 @@ from .flow import (
 from .graph import NO_KEY, PlanarGraph, TerminalSets
 from .separator import find_cycle_separator, split_into_pieces
 from .solvers import (
-    LIMITED_BACKENDS,
-    MSSS_BACKENDS,
-    get_backend,
     graph_arcs,
+    limited_max_flow,
+    msss_max_flow,
     solve_msms_residual,
     ssms_max_flow,
 )
@@ -105,12 +103,14 @@ class MsmsEngine:
         self.trace = trace
         self.stats = RecursionStats()
         self.audits = 0
-        self._msss = get_backend(MSSS_BACKENDS, self.cfg.msss_backend).fn
-        self._limited = get_backend(LIMITED_BACKENDS, self.cfg.limited_backend).fn
+        self._ran = False
 
     # -- public entry --------------------------------------------------------
 
     def run(self) -> MsmsResult:
+        if self._ran:
+            raise RuntimeError("MsmsEngine.run() may be called only once")
+        self._ran = True
         self._solve(self.root, self.sources, self.sinks, 0)
         if self.cfg.audit != "none":
             self._check(is_feasible(self.root, self.store, self.sources, self.sinks),
@@ -183,7 +183,7 @@ class MsmsEngine:
         self.stats.record(LevelRecord(depth, g.n, kind))
         value, deltas = solve_msms_residual(g.n, graph_arcs(g), self.store,
                                             sources, sinks)
-        accumulate(self.store, deltas)
+        self.store.apply(deltas)
         self._emit({"op": "solve_leaf", "depth": depth, "n": g.n, "value": value})
         if self.cfg.audit == "full":
             reach = residual_reachable(g, self.store, sources)
@@ -228,16 +228,16 @@ class MsmsEngine:
         ga, apex = attach_apex(piece.graph, piece.boundary_local,
                                self.store, self.inf)
         arcs = graph_arcs(ga)
-        value_in, deltas = self._msss(ga.n, arcs, self.store, sub_sources, apex) \
+        value_in, deltas = msss_max_flow(ga.n, arcs, self.store, sub_sources, apex) \
             if sub_sources else (0, [])
-        accumulate(self.store, deltas)
+        self.store.apply(deltas)
         self._emit({"op": "push_sources_to_boundary", "depth": depth,
                     "piece": side, "value": value_in})
         self._audit_piece_sources_blocked(ga, piece, apex, sub_sources, sub_sinks)
 
         value_out, deltas = ssms_max_flow(ga.n, arcs, self.store, apex, sub_sinks) \
             if sub_sinks else (0, [])
-        accumulate(self.store, deltas)
+        self.store.apply(deltas)
         self._emit({"op": "push_boundary_to_sinks", "depth": depth,
                     "piece": side, "value": value_out})
         # apex and its arcs are dropped here; flow on them is discarded,
@@ -249,27 +249,29 @@ class MsmsEngine:
     def _redistribute_boundary(self, gd, boundary, sources, sinks, depth):
         """Walk the boundary in cyclic order; move each node's imbalance
         onto the unwalked suffix through temporary infinite-capacity
-        chain arcs, so conservation violations drain toward the end."""
+        chain links, so conservation violations drain toward the end.
+
+        The links are scratch arcs of the limited-flow call: their flow
+        is never stored."""
         k = len(boundary)
         base_arcs = graph_arcs(gd)
+        links = []
+        for j in range(k - 1):
+            u, v = boundary[j], boundary[j + 1]
+            links.append((u, v, self.inf, 0))
+            links.append((v, u, self.inf, 0))
         for i in range(k - 1):
             node = boundary[i]
             imbalance = inflow(gd, self.store, node)
             pushed = 0
             if imbalance != 0:
-                view = list(base_arcs)
-                for j in range(i + 1, k - 1):
-                    u, v = boundary[j], boundary[j + 1]
-                    view.append((u, v, self.inf, self.store.new_key(self.inf)))
-                    view.append((v, u, self.inf, self.store.new_key(self.inf)))
-                if imbalance > 0:
-                    pushed, deltas = self._limited(
-                        gd.n, view, self.store, node, boundary[i + 1], imbalance)
-                else:
-                    pushed, deltas = self._limited(
-                        gd.n, view, self.store, boundary[i + 1], node, -imbalance)
-                accumulate(self.store, deltas)
-                # chain arcs are dropped; their keys go stale with their flow
+                src, dst = node, boundary[i + 1]
+                if imbalance < 0:
+                    src, dst = dst, src
+                pushed, deltas = limited_max_flow(
+                    gd.n, base_arcs, self.store, src, dst, abs(imbalance),
+                    links[2 * (i + 1):])
+                self.store.apply(deltas)
             if self.trace is not None:
                 self._emit({
                     "op": "redistribute", "depth": depth, "index": i,
@@ -287,7 +289,7 @@ class MsmsEngine:
         forward toward where they were headed."""
         circulation, _ = decompose_acyclic(gd, self.store)
         if circulation:
-            accumulate(self.store, [(key, -d) for key, d in sorted(circulation.items())])
+            self.store.apply([(key, -d) for key, d in sorted(circulation.items())])
 
         store = self.store
         pos_out = [[] for _ in range(gd.n)]

@@ -77,15 +77,6 @@ class FlowStore:
                     f"key {key}: flow {vals[key]}+{delta} outside [0, {caps[key]}]")
             vals[key] = nv
 
-    def snapshot(self):
-        return list(self.vals)
-
-
-def accumulate(store: FlowStore, deltas) -> None:
-    """Add a computed flow into the global assignment, dart-map applied
-    through the keys carried by the deltas."""
-    store.apply(deltas)
-
 
 def inflow(g: PlanarGraph, store: FlowStore, v: int) -> int:
     """Net inflow at v: flow on arcs into v minus flow on arcs out of v."""
@@ -170,17 +161,6 @@ def residual_reachable(g: PlanarGraph, store: FlowStore, start) -> set:
                     seen[w] = 1
                     queue.append(w)
     return {v for v in range(g.n) if seen[v]}
-
-
-class ResidualView:
-    """Read-only residual capacities of a graph under the current flow."""
-
-    def __init__(self, g: PlanarGraph, store: FlowStore):
-        self.g = g
-        self.store = store
-
-    def cap(self, d: int) -> int:
-        return self.store.residual(self.g, d)
 
 
 def decompose_acyclic(g: PlanarGraph, store: FlowStore):

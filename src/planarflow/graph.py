@@ -27,14 +27,6 @@ from .errors import (
     TerminalOverlap,
 )
 
-# Arc kinds.  ORIGINAL arcs come from the input instance; the others are
-# created by embedding surgery and are always distinguishable from them.
-ORIGINAL = 0
-CHORD = 1   # zero-capacity triangulation/biconnection/twin arc
-DETACH = 2  # infinite-capacity arc joining a detached terminal to its base
-APEX = 3    # infinite-capacity arc joining a boundary node to an apex
-LINK = 4    # infinite-capacity boundary-chain arc used during redistribution
-
 NO_KEY = -1
 
 
@@ -43,12 +35,33 @@ def rev(d: int) -> int:
     return d ^ 1
 
 
-def arc_of(d: int) -> int:
-    return d >> 1
+def walk_faces(tails, heads, rot):
+    """Face walks of a rotation system, plus the face index of every dart.
 
-
-def is_forward(d: int) -> bool:
-    return (d & 1) == 0
+    Walks start at their lowest-index dart and are listed in that order.
+    The successor of dart d is the dart after rev(d) in the clockwise
+    rotation at the head of d.
+    """
+    num_darts = 2 * len(tails)
+    pos = [0] * num_darts
+    for r in rot:
+        for i, d in enumerate(r):
+            pos[d] = i
+    face_of = [-1] * num_darts
+    faces = []
+    for d0 in range(num_darts):
+        if face_of[d0] >= 0:
+            continue
+        f = len(faces)
+        walk = []
+        d = d0
+        while face_of[d] < 0:
+            face_of[d] = f
+            walk.append(d)
+            r = rot[tails[d >> 1] if d & 1 else heads[d >> 1]]
+            d = r[(pos[d ^ 1] + 1) % len(r)]
+        faces.append(walk)
+    return faces, face_of
 
 
 class PlanarGraph:
@@ -59,11 +72,11 @@ class PlanarGraph:
     """
 
     __slots__ = (
-        "n", "m", "tails", "heads", "caps", "keys", "kinds",
-        "rot", "_pos", "_faces", "_face_of",
+        "n", "m", "tails", "heads", "caps", "keys",
+        "rot", "_faces", "_face_of",
     )
 
-    def __init__(self, tails, heads, caps, rot, keys=None, kinds=None):
+    def __init__(self, tails, heads, caps, rot, keys=None):
         self.tails = list(tails)
         self.heads = list(heads)
         self.caps = list(caps)
@@ -71,8 +84,6 @@ class PlanarGraph:
         self.n = len(self.rot)
         self.m = len(self.tails)
         self.keys = list(keys) if keys is not None else list(range(self.m))
-        self.kinds = list(kinds) if kinds is not None else [ORIGINAL] * self.m
-        self._pos = None
         self._faces = None
         self._face_of = None
 
@@ -91,50 +102,12 @@ class PlanarGraph:
     def darts(self):
         return range(2 * self.m)
 
-    def out_darts(self, v: int):
-        """All darts leaving v, in clockwise order (this is the adjacency)."""
-        return self.rot[v]
-
     # -- embedding ---------------------------------------------------------
 
-    def _positions(self):
-        if self._pos is None:
-            pos = [0] * (2 * self.m)
-            for v in range(self.n):
-                for i, d in enumerate(self.rot[v]):
-                    pos[d] = i
-            self._pos = pos
-        return self._pos
-
-    def next_in_face(self, d: int) -> int:
-        """Successor of d along its face walk."""
-        pos = self._positions()
-        w = self.dart_head(d)
-        r = self.rot[w]
-        return r[(pos[d ^ 1] + 1) % len(r)]
-
     def faces(self):
-        """All face walks, each a list of darts closed under next_in_face."""
+        """All face walks, each a list of darts (see walk_faces)."""
         if self._faces is None:
-            pos = self._positions()
-            seen = [False] * (2 * self.m)
-            faces = []
-            face_of = [0] * (2 * self.m)
-            for d0 in range(2 * self.m):
-                if seen[d0]:
-                    continue
-                walk = []
-                d = d0
-                while not seen[d]:
-                    seen[d] = True
-                    face_of[d] = len(faces)
-                    walk.append(d)
-                    w = self.dart_head(d)
-                    r = self.rot[w]
-                    d = r[(pos[d ^ 1] + 1) % len(r)]
-                faces.append(walk)
-            self._faces = faces
-            self._face_of = face_of
+            self._faces, self._face_of = walk_faces(self.tails, self.heads, self.rot)
         return self._faces
 
     def face_of_dart(self, d: int) -> int:
@@ -194,6 +167,14 @@ class PlanarGraph:
 
     def total_capacity(self) -> int:
         return sum(self.caps)
+
+
+def is_triangulated_biconnected(g: PlanarGraph) -> bool:
+    """Every face is a triangle on three distinct nodes."""
+    for walk in g.faces():
+        if len(walk) != 3 or len({g.dart_head(d) for d in walk}) != 3:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .graph import PlanarGraph, TerminalSets, build_graph
+from .graph import TerminalSets, build_graph
 
 
 @dataclass
@@ -46,34 +46,10 @@ class InstanceFile:
             lines.append(f"t {t + 1}")
         return "\n".join(lines) + "\n"
 
-    def build(self, allow_disconnected=False):
+    def build(self):
         """Validate and build the (PlanarGraph, TerminalSets) pair."""
         terminals = TerminalSets(frozenset(self.sources), frozenset(self.sinks))
-        if allow_disconnected:
-            g = PlanarGraph(
-                [a[0] for a in self.arcs],
-                [a[1] for a in self.arcs],
-                [a[2] for a in self.arcs],
-                _rotations_to_darts(self.num_nodes, self.arcs, self.rotations),
-            )
-            return g, terminals
         return build_graph(self.num_nodes, self.arcs, self.rotations), terminals
-
-
-def _rotations_to_darts(n, arcs, rotations):
-    from .errors import EmbeddingInvalid
-
-    incident = [{} for _ in range(n)]
-    for a, (t, h, c) in enumerate(arcs):
-        incident[t][h] = 2 * a
-        incident[h][t] = 2 * a + 1
-    out = []
-    for v in range(n):
-        try:
-            out.append([incident[v][u] for u in rotations[v]])
-        except KeyError:
-            raise EmbeddingInvalid(f"node {v}: rotation lists a non-neighbor")
-    return out
 
 
 def parse_instance_file(text: str) -> InstanceFile:
@@ -164,9 +140,9 @@ def parse_instance_file(text: str) -> InstanceFile:
     )
 
 
-def parse_instance(text: str, allow_disconnected=False):
+def parse_instance(text: str):
     """Parse and validate, returning (PlanarGraph, TerminalSets)."""
-    return parse_instance_file(text).build(allow_disconnected=allow_disconnected)
+    return parse_instance_file(text).build()
 
 
 def serialize_instance(inst: InstanceFile) -> str:
@@ -199,16 +175,24 @@ def import_dimacs_max(text: str) -> InstanceFile:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "max":
                 raise ParseError(lineno, "expected 'p max <nodes> <arcs>'")
-            num_nodes = int(parts[2])
+            num_nodes = _int_field(lineno, parts[2])
         elif parts[0] == "n":
+            if len(parts) != 3:
+                raise ParseError(lineno, "expected 'n <node> s|t'")
+            node = _int_field(lineno, parts[1]) - 1
+            if num_nodes is None or not 0 <= node < num_nodes:
+                raise ParseError(lineno, "node descriptor outside the problem line's nodes")
             if parts[2] == "s":
-                source = int(parts[1]) - 1
+                source = node
             elif parts[2] == "t":
-                sink = int(parts[1]) - 1
+                sink = node
             else:
                 raise ParseError(lineno, "node descriptor must be s or t")
         elif parts[0] == "a":
-            arcs.append((int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3])))
+            if len(parts) != 4:
+                raise ParseError(lineno, "expected 'a <tail> <head> <capacity>'")
+            t, h, c = (_int_field(lineno, x) for x in parts[1:])
+            arcs.append((t - 1, h - 1, c))
     if num_nodes is None or source is None or sink is None:
         raise ParseError(1, "missing problem line or terminal descriptors")
 
@@ -244,3 +228,10 @@ def import_dimacs_max(text: str) -> InstanceFile:
                 comments=["imported from DIMACS max"],
             )
     raise ParseError(1, "arc set is not grid-recognizable; cannot synthesize an embedding")
+
+
+def _int_field(lineno, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(lineno, f"expected an integer, got {text!r}") from None

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import PreconditionNotTriangulated
-from .graph import CHORD, NO_KEY, PlanarGraph
+from .graph import NO_KEY, PlanarGraph, is_triangulated_biconnected
 
 # Documented boundary-size constant: every separator this module returns
 # on the supported instance families satisfies k <= BOUNDARY_CONSTANT *
@@ -67,7 +67,6 @@ def _bfs_tree(g: PlanarGraph):
     parent = [-1] * g.n
     parent_arc = [-1] * g.n
     depth = [0] * g.n
-    order = [0]
     seen = bytearray(g.n)
     seen[0] = 1
     queue = deque([0])
@@ -80,13 +79,12 @@ def _bfs_tree(g: PlanarGraph):
                 parent[w] = v
                 parent_arc[w] = d >> 1
                 depth[w] = depth[v] + 1
-                order.append(w)
                 queue.append(w)
-    return parent, parent_arc, depth, order
+    return parent, parent_arc, depth
 
 
 class _Lca:
-    def __init__(self, parent, depth, order):
+    def __init__(self, parent, depth):
         n = len(parent)
         self.depth = depth
         levels = max(1, max(depth).bit_length())
@@ -118,18 +116,17 @@ class _Lca:
 
 def find_cycle_separator(g: PlanarGraph) -> Separator:
     """Balanced simple-cycle separator of a two-connected triangulation."""
+    if not is_triangulated_biconnected(g):
+        raise PreconditionNotTriangulated(
+            "separator requires a two-connected triangulation")
     faces = g.faces()
-    for walk in faces:
-        if len(walk) != 3 or len({g.dart_head(d) for d in walk}) != 3:
-            raise PreconditionNotTriangulated(
-                "separator requires a two-connected triangulation")
 
     n = g.n
     if n == 3:
         boundary, darts = _cycle_of_face(g, faces[0])
         return Separator(boundary, darts, frozenset(), frozenset(), n)
 
-    parent, parent_arc, depth, order = _bfs_tree(g)
+    parent, parent_arc, depth = _bfs_tree(g)
     in_tree = bytearray(g.m)
     for v in range(n):
         if parent_arc[v] >= 0:
@@ -166,7 +163,7 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
             pf = g.face_of_dart(2 * a) if g.face_of_dart(2 * a) != f else g.face_of_dart(2 * a + 1)
             subtree[pf] += subtree[f]
 
-    lca = _Lca(parent, depth, order)
+    lca = _Lca(parent, depth)
     best = None
     for a in range(g.m):
         if in_tree[a]:
@@ -232,7 +229,7 @@ def _classify_sides(g: PlanarGraph, boundary, cycle_darts):
     on_cycle = bytearray(n)
     for v in boundary:
         on_cycle[v] = 1
-    side_of_dart = _boundary_dart_sides_raw(g, boundary, cycle_darts)
+    side_of_dart = _boundary_dart_sides(g, boundary, cycle_darts)
 
     comp = [-1] * n
     comp_side = []
@@ -288,7 +285,7 @@ def split_into_pieces(g: PlanarGraph, sep: Separator):
 
     # side of every chord between two boundary nodes, from the embedding
     chord_side = {}
-    side_probe = _boundary_dart_sides(g, sep)
+    side_probe = _boundary_dart_sides(g, sep.boundary, sep.cycle_darts)
     for a in range(g.m):
         if on_cycle_arc[a]:
             continue
@@ -303,7 +300,7 @@ def split_into_pieces(g: PlanarGraph, sep: Separator):
     for side_id, strict in ((0, inside), (1, outside)):
         nodes = list(sep.boundary) + sorted(strict)
         local = {p: i for i, p in enumerate(nodes)}
-        arcs = []          # (parent arc id or None, tail, head, cap, key, kind)
+        arcs = []          # (parent arc id or None, tail, head, cap, key)
         arc_local = {}
         for a in range(g.m):
             t, h = g.tails[a], g.heads[a]
@@ -316,23 +313,16 @@ def split_into_pieces(g: PlanarGraph, sep: Separator):
                 keep = anchor in strict
             if keep:
                 arc_local[a] = len(arcs)
-                arcs.append((a, local[t], local[h], g.caps[a], g.keys[a], g.kinds[a]))
+                arcs.append((a, local[t], local[h], g.caps[a], g.keys[a]))
         if side_id == 1:
             # zero-capacity stand-ins for the cycle arcs
             for d in sep.cycle_darts:
                 a = d >> 1
                 arc_local[a] = len(arcs)
-                arcs.append((None, local[g.tails[a]], local[g.heads[a]], 0, NO_KEY, CHORD))
+                arcs.append((None, local[g.tails[a]], local[g.heads[a]], 0, NO_KEY))
 
-        rot = []
-        for p in nodes:
-            darts = []
-            for d in g.rot[p]:
-                a = d >> 1
-                if a in arc_local and _arc_on_side(a, side_id, on_cycle_arc, chord_side,
-                                                   g, boundary_set, strict):
-                    darts.append(2 * arc_local[a] + (d & 1))
-            rot.append(darts)
+        rot = [[2 * arc_local[d >> 1] + (d & 1) for d in g.rot[p] if d >> 1 in arc_local]
+               for p in nodes]
 
         pg = PlanarGraph(
             [x[1] for x in arcs],
@@ -340,7 +330,6 @@ def split_into_pieces(g: PlanarGraph, sep: Separator):
             [x[3] for x in arcs],
             rot,
             keys=[x[4] for x in arcs],
-            kinds=[x[5] for x in arcs],
         )
         piece = Piece(
             graph=pg,
@@ -353,21 +342,7 @@ def split_into_pieces(g: PlanarGraph, sep: Separator):
     return pieces[0], pieces[1]
 
 
-def _arc_on_side(a, side_id, on_cycle_arc, chord_side, g, boundary_set, strict):
-    if on_cycle_arc[a]:
-        return True  # side 0 keeps the real arc, side 1 keeps its stand-in
-    t, h = g.tails[a], g.heads[a]
-    if t in boundary_set and h in boundary_set:
-        return chord_side[a] == side_id
-    anchor = t if t not in boundary_set else h
-    return anchor in strict
-
-
-def _boundary_dart_sides(g: PlanarGraph, sep: Separator):
-    return _boundary_dart_sides_raw(g, sep.boundary, sep.cycle_darts)
-
-
-def _boundary_dart_sides_raw(g: PlanarGraph, boundary, cycle_darts):
+def _boundary_dart_sides(g: PlanarGraph, boundary, cycle_darts):
     """Side label (0/1) of every non-cycle dart leaving a boundary node.
 
     The rotation at boundary node i is cut by its outgoing cycle dart and

@@ -1,14 +1,14 @@
-"""Max-flow subroutines: pluggable backends plus the generic oracle.
+"""Max-flow subroutines of the recursion plus the generic oracle.
 
-Every backend obeys the global-flow discipline: it reads the residual
+Every subroutine obeys the global-flow discipline: it reads the residual
 capacities c_f implied by a FlowStore, computes a flow of its own, and
 returns it as (value, deltas) where deltas is a list of (key, delta)
-pairs ready for accumulation.  Backends never mutate capacities or the
-store.
+pairs ready for FlowStore.apply.  Subroutines never mutate capacities or
+the store.
 
-The default backends are built on one deterministic blocking-flow core
-(shortest augmenting paths, lowest-index admissible dart first), so
-repeated runs produce identical flows.
+All of them are built on one deterministic blocking-flow core (shortest
+augmenting paths, lowest-index admissible dart first), so repeated runs
+produce identical flows.
 """
 
 from __future__ import annotations
@@ -17,17 +17,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graph import NO_KEY, PlanarGraph
-
-
-@dataclass(frozen=True)
-class SolverBackend:
-    """Descriptor for a registered subroutine implementation."""
-
-    name: str
-    fn: object
-    supports_multi_source: bool = True
-    supports_limit: bool = False
-    requires_cofacial_terminals: bool = False
 
 
 class _DartNet:
@@ -162,14 +151,18 @@ def _dinic(net: _DartNet, source: int, sink: int, limit=None) -> int:
 
 
 def _solve_terminal_sets(num_nodes, arcs, store, sources, sinks,
-                         limit=None, reverse=False):
-    """Supersource/supersink reduction over the residual net."""
+                         limit=None, reverse=False, scratch=()):
+    """Supersource/supersink reduction over the residual net.
+
+    scratch holds unkeyed (tail, head, res_fwd, res_rev) arcs placed after
+    the keyed arcs; their flow is not returned.
+    """
     sources = sorted(sources)
     sinks = sorted(sinks)
     if not sources or not sinks:
         return 0, []
     bound = 1 + sum(store.caps[key] for (_, _, _, key) in arcs if key != NO_KEY)
-    extra = []
+    extra = list(scratch)
     sigma = num_nodes
     tau = num_nodes + 1
     for s in sources:
@@ -208,13 +201,18 @@ def ssms_max_flow(num_nodes, arcs, store, source, sinks):
     return _solve_terminal_sets(num_nodes, arcs, store, sinks, [source], reverse=True)
 
 
-def limited_max_flow(num_nodes, arcs, store, source, sink, delta):
-    """Flow of value min(delta, maxflow) from source to sink."""
+def limited_max_flow(num_nodes, arcs, store, source, sink, delta, scratch=()):
+    """Flow of value min(delta, maxflow) from source to sink.
+
+    scratch: extra (tail, head, res_fwd, res_rev) arcs with no flow key;
+    they may carry flow, but it is not part of the returned deltas.
+    """
     if delta < 0:
         raise ValueError("flow limit must be non-negative")
     if delta == 0:
         return 0, []
-    return _solve_terminal_sets(num_nodes, arcs, store, [source], [sink], limit=delta)
+    return _solve_terminal_sets(num_nodes, arcs, store, [source], [sink],
+                                limit=delta, scratch=scratch)
 
 
 def solve_msms_residual(num_nodes, arcs, store, sources, sinks):
@@ -285,19 +283,3 @@ def oracle_max_flow(num_nodes, arcs, sources, sinks) -> OracleResult:
 def oracle_value_for_graph(g: PlanarGraph, sources, sinks) -> int:
     arcs = [(g.tails[a], g.heads[a], g.caps[a]) for a in range(g.m)]
     return oracle_max_flow(g.n, arcs, sources, sinks).value
-
-
-MSSS_BACKENDS = {
-    "supersource-dinic": SolverBackend("supersource-dinic", msss_max_flow),
-}
-
-LIMITED_BACKENDS = {
-    "capped-dinic": SolverBackend("capped-dinic", limited_max_flow, supports_limit=True),
-}
-
-
-def get_backend(registry, name):
-    try:
-        return registry[name]
-    except KeyError:
-        raise KeyError(f"unknown backend {name!r}; available: {sorted(registry)}") from None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .errors import BoundaryNotOnCommonFace, FaceNotIncident
 from .flow import FlowStore
-from .graph import APEX, CHORD, DETACH, NO_KEY, PlanarGraph
+from .graph import NO_KEY, PlanarGraph, is_triangulated_biconnected, walk_faces
 
 
 class EmbeddingEditor:
@@ -27,16 +27,8 @@ class EmbeddingEditor:
         self.heads = list(g.heads)
         self.caps = list(g.caps)
         self.keys = list(g.keys)
-        self.kinds = list(g.kinds)
         self.rot = [list(r) for r in g.rot]
         self.pairs = g.adjacency_pairs()
-
-    @property
-    def n(self):
-        return len(self.rot)
-
-    def dart_tail(self, d):
-        return self.tails[d >> 1] if (d & 1) == 0 else self.heads[d >> 1]
 
     def dart_head(self, d):
         return self.heads[d >> 1] if (d & 1) == 0 else self.tails[d >> 1]
@@ -48,13 +40,12 @@ class EmbeddingEditor:
         self.rot.append([])
         return len(self.rot) - 1
 
-    def _new_arc(self, u, v, cap, key, kind):
+    def _new_arc(self, u, v, cap, key):
         a = len(self.tails)
         self.tails.append(u)
         self.heads.append(v)
         self.caps.append(cap)
         self.keys.append(key)
-        self.kinds.append(kind)
         self.pairs.add((u, v) if u < v else (v, u))
         return a
 
@@ -71,7 +62,7 @@ class EmbeddingEditor:
         """
         u = self.dart_head(walk[s])
         v = self.dart_head(walk[t])
-        a = self._new_arc(u, v, 0, NO_KEY, CHORD)
+        a = self._new_arc(u, v, 0, NO_KEY)
         du, dv = 2 * a, 2 * a + 1
         self._splice_after(u, walk[s] ^ 1, du)
         self._splice_after(v, walk[t] ^ 1, dv)
@@ -81,29 +72,10 @@ class EmbeddingEditor:
         return a, walk1, walk2
 
     def faces(self):
-        pos = {}
-        for v in range(self.n):
-            for i, d in enumerate(self.rot[v]):
-                pos[d] = i
-        seen = set()
-        out = []
-        for d0 in sorted(pos):
-            if d0 in seen:
-                continue
-            walk = []
-            d = d0
-            while d not in seen:
-                seen.add(d)
-                walk.append(d)
-                w = self.dart_head(d)
-                r = self.rot[w]
-                d = r[(pos[d ^ 1] + 1) % len(r)]
-            out.append(walk)
-        return out
+        return walk_faces(self.tails, self.heads, self.rot)[0]
 
     def freeze(self) -> PlanarGraph:
-        g = PlanarGraph(self.tails, self.heads, self.caps, self.rot,
-                        keys=self.keys, kinds=self.kinds)
+        g = PlanarGraph(self.tails, self.heads, self.caps, self.rot, keys=self.keys)
         g.check_embedding()
         return g
 
@@ -175,9 +147,9 @@ def _triangulate_faces(ed: EmbeddingEditor):
 def triangulate_and_biconnect(g: PlanarGraph) -> PlanarGraph:
     """Return a simple two-connected triangulation of g.
 
-    Added arcs have zero capacity in both dart directions and are
-    flagged artificial, so the maximum flow between any terminal sets is
-    exactly that of the input.  Requires n >= 3.
+    Added arcs have zero capacity in both dart directions and no flow
+    key, so the maximum flow between any terminal sets is exactly that of
+    the input.  Requires n >= 3.
     """
     if g.n < 3:
         raise ValueError("triangulation requires at least 3 nodes")
@@ -185,19 +157,9 @@ def triangulate_and_biconnect(g: PlanarGraph) -> PlanarGraph:
     _make_biconnected(ed)
     _triangulate_faces(ed)
     out = ed.freeze()
-    for walk in out.faces():
-        assert len(walk) == 3, "triangulation left a non-triangle face"
+    if not is_triangulated_biconnected(out):
+        raise AssertionError("triangulation left a face that is not a triangle")
     return out
-
-
-def is_triangulated_biconnected(g: PlanarGraph) -> bool:
-    for walk in g.faces():
-        if len(walk) != 3:
-            return False
-        nodes = {g.dart_head(d) for d in walk}
-        if len(nodes) != 3:
-            return False
-    return True
 
 
 def detach_terminal_from_cycle(g: PlanarGraph, v: int, anchor_dart: int,
@@ -218,10 +180,10 @@ def detach_terminal_from_cycle(g: PlanarGraph, v: int, anchor_dart: int,
     v_new = ed.add_node()
     key = store.new_key(cap)
     if role == "source":
-        a = ed._new_arc(v_new, v, cap, key, DETACH)
+        a = ed._new_arc(v_new, v, cap, key)
         dart_at_new, dart_at_v = 2 * a, 2 * a + 1
     else:
-        a = ed._new_arc(v, v_new, cap, key, DETACH)
+        a = ed._new_arc(v, v_new, cap, key)
         dart_at_v, dart_at_new = 2 * a, 2 * a + 1
     ed.rot[v_new] = [dart_at_new]
     ed._splice_after(v, anchor_dart, dart_at_v)
@@ -261,8 +223,8 @@ def attach_apex(g: PlanarGraph, boundary, store: FlowStore, inf_cap: int):
     for b in ordered:
         key_in = store.new_key(inf_cap)
         key_out = store.new_key(inf_cap)
-        a_in = ed._new_arc(b, apex, inf_cap, key_in, APEX)    # b -> apex
-        a_out = ed._new_arc(apex, b, inf_cap, key_out, APEX)  # apex -> b
+        a_in = ed._new_arc(b, apex, inf_cap, key_in)    # b -> apex
+        a_out = ed._new_arc(apex, b, inf_cap, key_out)  # apex -> b
         to_apex = 2 * a_in          # dart b -> apex
         from_apex_rev = 2 * a_out + 1  # dart b -> apex direction of the out arc
         ed._splice_after(b, entry[b] ^ 1, from_apex_rev)

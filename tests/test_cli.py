@@ -47,9 +47,20 @@ t 4
     path = tmp_path / "two.txt"
     path.write_text(text)
     assert main(["solve", str(path)]) == 2  # strict parse rejects disconnected
-    assert main(["solve", str(path), "--per-component"]) == 0
-    out = capsys.readouterr().out
-    assert "value 14" in out
+    assert main(["solve", str(path), "--per-component", "--dump-flow"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["value 14", "f 1 2 5", "f 3 4 9"]
+
+
+@pytest.mark.parametrize("rotations", [
+    "r 1 2\nr 2 1\nr 3 4\nr 4 1\n",        # node 4 names node 1, its non-neighbour
+    "r 1 2\nr 2 1\nr 3\nr 4 3\n",          # node 3 omits its neighbour
+], ids=["non-neighbour", "missing-neighbour"])
+def test_solve_per_component_rejects_an_invalid_component(tmp_path, capsys, rotations):
+    path = tmp_path / "two.txt"
+    path.write_text("p pmf 4 2\na 1 2 5\na 3 4 9\n" + rotations + "s 1\nt 2\n")
+    assert main(["solve", str(path), "--per-component"]) == 2
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_solve_with_trace(tmp_path):
@@ -90,7 +101,7 @@ def test_bench_report_format(capsys):
 
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("base_case = 16\naudit = final\n# comment\nseed = 5\n")
+    cfg.write_text("base_case = 16\naudit = final\n# comment\n")
     inst = generate("tri", 50, 1)
     path = tmp_path / "inst.txt"
     path.write_text(inst.text())
@@ -99,8 +110,24 @@ def test_config_file(tmp_path, capsys):
 
 def test_config_rejects_unknown_key(tmp_path):
     from planarflow.config import parse_config_file
-    with pytest.raises(ValueError):
-        parse_config_file("bogus = 1\n")
+    for key in ("bogus", "seed", "msss_backend", "limited_backend"):
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            parse_config_file(f"{key} = 1\n")
+
+
+@pytest.mark.parametrize("bad_line, lineno", [
+    ("p max x 3", 1),
+    ("n 1", 2),
+    ("n 9 s", 2),
+    ("a 1 2", 4),
+])
+def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, lineno):
+    lines = ["p max 2 1", "n 1 s", "n 2 t", "a 1 2 3"]
+    lines[lineno - 1] = bad_line
+    path = tmp_path / "bad.max"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["import-dimacs", str(path)]) == 2
+    assert f"line {lineno}:" in capsys.readouterr().err
 
 
 def test_import_dimacs(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from planarflow.config import EngineConfig
 from planarflow.engine import MsmsEngine, msms_max_flow, residual_reaching
 from planarflow.errors import AuditFailure
-from planarflow.flow import FlowStore, accumulate, is_feasible, residual_reachable
+from planarflow.flow import FlowStore, is_feasible, residual_reachable
 from planarflow.generate import generate
 from planarflow.graph import build_graph
 from planarflow.solvers import oracle_max_flow
@@ -118,11 +118,21 @@ def test_deterministic_given_config():
     assert r1.arc_flows == r2.arc_flows
 
 
+
+def test_second_run_raises():
+    g, ts = generate("grid", 100, 3).build()
+    eng = MsmsEngine(g, ts.sources, ts.sinks, EngineConfig(base_case=16))
+    res = eng.run()
+    levels = len(res.stats.levels)
+    with pytest.raises(RuntimeError):
+        eng.run()
+    assert len(res.stats.levels) == levels
+
 def test_settlement_mechanics_excess_returns_to_source():
     # source -> x -> sink path carrying 5; park 2 extra units on x by hand
     g = build_graph(3, [(0, 1, 9), (1, 2, 5)], [[1], [0, 2], [1]])
     eng = MsmsEngine(g, {0}, {2}, EngineConfig())
-    accumulate(eng.store, [(0, 7), (1, 5)])  # inflow(x) = +2
+    eng.store.apply([(0, 7), (1, 5)])  # inflow(x) = +2
     eng._settle_pseudoflow(g, {0}, {2})
     assert eng.store.vals == [5, 5]
     assert is_feasible(g, eng.store, {0}, {2})
@@ -131,7 +141,7 @@ def test_settlement_mechanics_excess_returns_to_source():
 def test_settlement_mechanics_deficit_drains_from_sink():
     g = build_graph(3, [(0, 1, 9), (1, 2, 5)], [[1], [0, 2], [1]])
     eng = MsmsEngine(g, {0}, {2}, EngineConfig())
-    accumulate(eng.store, [(0, 3), (1, 5)])  # inflow(x) = -2
+    eng.store.apply([(0, 3), (1, 5)])  # inflow(x) = -2
     eng._settle_pseudoflow(g, {0}, {2})
     assert eng.store.vals == [3, 3]
 
@@ -139,7 +149,7 @@ def test_settlement_mechanics_deficit_drains_from_sink():
 def test_settlement_noop_when_conserving():
     g = build_graph(3, [(0, 1, 9), (1, 2, 5)], [[1], [0, 2], [1]])
     eng = MsmsEngine(g, {0}, {2}, EngineConfig())
-    accumulate(eng.store, [(0, 4), (1, 4)])
+    eng.store.apply([(0, 4), (1, 4)])
     eng._settle_pseudoflow(g, {0}, {2})
     assert eng.store.vals == [4, 4]
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from planarflow.errors import CapacityViolation
 from planarflow.flow import (
     FlowStore,
-    accumulate,
     decompose_acyclic,
     flow_value,
     inflow,
@@ -16,7 +15,6 @@ from planarflow.flow import (
     is_feasible,
     is_pseudoflow,
     residual_reachable,
-    ResidualView,
 )
 from planarflow.graph import build_graph
 from planarflow.solvers import graph_arcs, solve_msms_residual
@@ -35,7 +33,7 @@ def triangle(caps=(1, 1, 1)):
 
 def test_inflow_single_arc():
     g, store = single_arc()
-    accumulate(store, [(0, 3)])
+    store.apply([(0, 3)])
     assert inflow(g, store, 1) == 3
     assert inflow(g, store, 0) == -3
 
@@ -47,20 +45,20 @@ def test_inflow_zero_flow():
 
 def test_inflow_circulation_conserves():
     g, store = triangle()
-    accumulate(store, [(0, 1), (1, 1), (2, 1)])
+    store.apply([(0, 1), (1, 1), (2, 1)])
     assert all(inflow(g, store, v) == 0 for v in range(3))
 
 
 def test_accumulate_zero_is_noop():
     g, store = single_arc()
-    accumulate(store, [])
+    store.apply([])
     assert store.vals == [0]
 
 
 def test_accumulate_arithmetic_and_residuals():
     g, store = single_arc(cap=5)
-    accumulate(store, [(0, 3)])
-    accumulate(store, [(0, 2)])
+    store.apply([(0, 3)])
+    store.apply([(0, 2)])
     assert store.vals[0] == 5
     assert store.residual(g, 0) == 0
     assert store.residual(g, 1) == 5
@@ -68,15 +66,15 @@ def test_accumulate_arithmetic_and_residuals():
 
 def test_accumulate_over_capacity_raises():
     g, store = single_arc(cap=5)
-    accumulate(store, [(0, 3)])
+    store.apply([(0, 3)])
     with pytest.raises(CapacityViolation):
-        accumulate(store, [(0, 3)])
+        store.apply([(0, 3)])
 
 
 def test_accumulate_below_zero_raises():
     g, store = single_arc(cap=5)
     with pytest.raises(CapacityViolation):
-        accumulate(store, [(0, -1)])
+        store.apply([(0, -1)])
 
 
 def test_feasibility_cases():
@@ -84,18 +82,18 @@ def test_feasibility_cases():
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
     assert is_feasible(g, store, {0}, {2})          # zero flow
-    accumulate(store, [(0, 2), (1, 2)])
+    store.apply([(0, 2), (1, 2)])
     assert is_feasible(g, store, {0}, {2})          # saturated path, inflow(1)=0
     assert inflow(g, store, 1) == 0
     store2 = FlowStore.for_graph(g)
-    accumulate(store2, [(0, 2)])                    # flow ends at non-terminal
+    store2.apply([(0, 2)])                    # flow ends at non-terminal
     assert not is_feasible(g, store2, {0}, {2})
 
 
 def test_flow_value():
     g, store = single_arc(cap=7)
     assert flow_value(g, store, {1}) == 0
-    accumulate(store, [(0, 7)])
+    store.apply([(0, 7)])
     assert flow_value(g, store, {1}) == 7
 
 
@@ -103,24 +101,16 @@ def test_flow_value_two_sinks():
     arcs = [(0, 1, 3), (0, 2, 4)]
     g = build_graph(3, arcs, [[1, 2], [0], [0]])
     store = FlowStore.for_graph(g)
-    accumulate(store, [(0, 3), (1, 4)])
+    store.apply([(0, 3), (1, 4)])
     assert flow_value(g, store, {1, 2}) == 7
 
 
 def test_residual_reachability_before_and_after_saturation():
     g, store = single_arc(cap=4)
     assert residual_reachable(g, store, {0}) == {0, 1}
-    accumulate(store, [(0, 4)])
+    store.apply([(0, 4)])
     assert residual_reachable(g, store, {0}) == {0}
     assert residual_reachable(g, store, {1}) == {0, 1}  # reverse dart now residual
-
-
-def test_residual_view_accessor():
-    g, store = single_arc(cap=4)
-    view = ResidualView(g, store)
-    accumulate(store, [(0, 1)])
-    assert view.cap(0) == 3
-    assert view.cap(1) == 1
 
 
 def test_no_residual_source_sink_path_after_max_flow():
@@ -129,7 +119,7 @@ def test_no_residual_source_sink_path_after_max_flow():
     g = build_graph(4, arcs, [[1, 2], [3, 0], [0, 3], [1, 2]])
     store = FlowStore.for_graph(g)
     value, deltas = solve_msms_residual(g.n, graph_arcs(g), store, {0}, {3})
-    accumulate(store, deltas)
+    store.apply(deltas)
     assert value == 3
     assert 3 not in residual_reachable(g, store, {0})
     assert is_feasible(g, store, {0}, {3})
@@ -137,7 +127,7 @@ def test_no_residual_source_sink_path_after_max_flow():
 
 def test_decompose_pure_circulation():
     g, store = triangle(caps=(2, 2, 2))
-    accumulate(store, [(0, 2), (1, 2), (2, 2)])
+    store.apply([(0, 2), (1, 2), (2, 2)])
     circ, acyc = decompose_acyclic(g, store)
     assert acyc == {}
     assert circ == {0: 2, 1: 2, 2: 2}
@@ -147,7 +137,7 @@ def test_decompose_pure_path():
     arcs = [(0, 1, 2), (1, 2, 2)]
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
-    accumulate(store, [(0, 2), (1, 2)])
+    store.apply([(0, 2), (1, 2)])
     circ, acyc = decompose_acyclic(g, store)
     assert circ == {}
     assert acyc == {0: 2, 1: 2}
@@ -159,19 +149,19 @@ def test_decompose_mixed_path_and_cycle():
     rot = [[1], [0, 2], [1, 3], [2, 4, 5], [3, 5], [4, 3]]
     g = build_graph(6, arcs, rot)
     store = FlowStore.for_graph(g)
-    accumulate(store, [(0, 2), (1, 2), (2, 1), (3, 1), (4, 1)])
+    store.apply([(0, 2), (1, 2), (2, 1), (3, 1), (4, 1)])
     circ, acyc = decompose_acyclic(g, store)
     assert circ == {2: 1, 3: 1, 4: 1}
     assert acyc == {0: 2, 1: 2}
     # circulation part conserves everywhere
     probe = FlowStore.for_graph(g)
-    accumulate(probe, sorted(circ.items()))
+    probe.apply(sorted(circ.items()))
     assert all(x == 0 for x in inflow_all(g, probe))
 
 
 def test_antisymmetry_and_pseudoflow_checks():
     g, store = single_arc(cap=2)
-    accumulate(store, [(0, 2)])
+    store.apply([(0, 2)])
     assert is_antisymmetric(g, store)
     assert is_pseudoflow(g, store)
 
@@ -189,7 +179,7 @@ def test_solver_pushes_preserve_invariants(n, seed, rounds):
         cut = rng.randint(1, g.n - 1)
         _, deltas = solve_msms_residual(
             g.n, graph_arcs(g), store, set(nodes[:cut]), set(nodes[cut:]))
-        accumulate(store, deltas)
+        store.apply(deltas)
         assert is_antisymmetric(g, store)
         assert is_pseudoflow(g, store)
 
@@ -202,7 +192,7 @@ def test_decomposition_parts_sum_to_flow(n, seed):
     store = FlowStore.for_graph(g)
     _, deltas = solve_msms_residual(g.n, graph_arcs(g), store,
                                     ts.sources, ts.sinks)
-    accumulate(store, deltas)
+    store.apply(deltas)
     circ, acyc = decompose_acyclic(g, store)
     for a in range(g.m):
         key = g.keys[a]

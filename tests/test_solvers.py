@@ -4,7 +4,6 @@ import pytest
 
 from planarflow.flow import (
     FlowStore,
-    accumulate,
     flow_value,
     inflow_all,
     is_feasible,
@@ -12,9 +11,6 @@ from planarflow.flow import (
 )
 from planarflow.graph import build_graph
 from planarflow.solvers import (
-    LIMITED_BACKENDS,
-    MSSS_BACKENDS,
-    get_backend,
     graph_arcs,
     limited_max_flow,
     msss_max_flow,
@@ -42,7 +38,7 @@ def random_digraph(rng, n, density=0.45, cap_max=9):
 def test_msss_two_sources():
     g, store = fan_into_sink()
     value, deltas = msss_max_flow(g.n, graph_arcs(g), store, {0, 1}, 2)
-    accumulate(store, deltas)
+    store.apply(deltas)
     assert value == 2
     assert flow_value(g, store, {2}) == 2
 
@@ -99,7 +95,7 @@ def test_ssms_single_sink_matches_plain_max_flow():
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
     value, deltas = ssms_max_flow(g.n, graph_arcs(g), store, 0, {2})
-    accumulate(store, deltas)
+    store.apply(deltas)
     assert value == 2
     assert is_feasible(g, store, {0}, {2})
 
@@ -147,7 +143,7 @@ def test_limited_flow_respects_delta():
     for delta, expect in [(3, 3), (10, 5), (0, 0)]:
         store = FlowStore.for_graph(g)
         value, deltas = limited_max_flow(g.n, graph_arcs(g), store, 0, 1, delta)
-        accumulate(store, deltas)
+        store.apply(deltas)
         assert value == expect
         assert store.vals[0] == expect
 
@@ -159,6 +155,18 @@ def test_limited_flow_rejects_negative_delta():
     with pytest.raises(ValueError):
         limited_max_flow(g.n, graph_arcs(g), store, 0, 1, -1)
 
+
+
+def test_limited_flow_scratch_arcs_carry_flow_but_return_no_deltas():
+    # 0 -> 1 (cap 2) plus an unkeyed scratch link 1 -> 2 to reach the sink
+    arcs = [(0, 1, 2), (2, 1, 9)]
+    g = build_graph(3, arcs, [[1], [0, 2], [1]])
+    store = FlowStore.for_graph(g)
+    value, deltas = limited_max_flow(g.n, graph_arcs(g), store, 0, 2, 5,
+                                     [(1, 2, 100, 0)])
+    assert value == 2
+    assert deltas == [(0, 2)]
+    assert limited_max_flow(g.n, graph_arcs(g), store, 0, 2, 5) == (0, [])
 
 def test_limited_flow_maximality_when_short():
     rng = random.Random(23)
@@ -226,14 +234,3 @@ def test_solver_runs_are_deterministic():
     keyed2 = [(t, h, c, store2.new_key(c)) for (t, h, c) in arcs]
     v2, d2 = msss_max_flow(7, keyed2, store2, {0, 1}, 6)
     assert (v1, d1) == (v2, d2)
-
-
-def test_backend_registry():
-    assert get_backend(MSSS_BACKENDS, "supersource-dinic").fn is msss_max_flow
-    assert get_backend(LIMITED_BACKENDS, "capped-dinic").supports_limit
-    try:
-        get_backend(MSSS_BACKENDS, "nope")
-    except KeyError as e:
-        assert "supersource-dinic" in str(e)
-    else:
-        raise AssertionError("expected KeyError")

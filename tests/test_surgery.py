@@ -4,13 +4,12 @@ import random
 import pytest
 
 from planarflow.errors import BoundaryNotOnCommonFace, FaceNotIncident
-from planarflow.flow import FlowStore, accumulate
-from planarflow.graph import CHORD, DETACH, ORIGINAL, build_graph
+from planarflow.flow import FlowStore
+from planarflow.graph import NO_KEY, build_graph, is_triangulated_biconnected
 from planarflow.solvers import graph_arcs, msss_max_flow, oracle_value_for_graph
 from planarflow.surgery import (
     attach_apex,
     detach_terminal_from_cycle,
-    is_triangulated_biconnected,
     triangulate_and_biconnect,
 )
 
@@ -62,8 +61,7 @@ def test_square_gets_one_chord_per_quad_face():
     # two quadrilateral faces (inner and outer), one diagonal each
     assert out.m == g.m + 2
     assert is_triangulated_biconnected(out)
-    assert all(out.caps[a] == 0 for a in range(g.m, out.m))
-    assert all(out.kinds[a] == CHORD for a in range(g.m, out.m))
+    assert all(out.caps[a] == 0 and out.keys[a] == NO_KEY for a in range(g.m, out.m))
 
 
 def test_path3_biconnected_and_value_preserved():
@@ -94,7 +92,8 @@ def test_detach_source_preserves_value():
     inf = 1 + g.total_capacity()
     g2, s_new = detach_terminal_from_cycle(g, 0, g.rot[0][0], "source", store, inf)
     assert s_new == 3
-    assert g2.kinds[-1] == DETACH
+    assert g2.keys[-1] == len(store.vals) - 1 and g2.keys[-1] >= g.m
+    assert g2.caps[-1] == store.caps[g2.keys[-1]] == inf
     assert g2.tails[-1] == s_new and g2.heads[-1] == 0
     assert oracle_value_for_graph(g2, {s_new}, {2}) == oracle_value_for_graph(g, {0}, {2})
 
@@ -125,7 +124,7 @@ def test_attach_apex_three_boundary_nodes():
     assert g2.n - g2.m + g2.num_faces == 2  # still a planar embedding
     # pushing everything to the apex matches a direct oracle on the same net
     value, deltas = msss_max_flow(g2.n, graph_arcs(g2), store, {0}, apex)
-    accumulate(store, deltas)
+    store.apply(deltas)
     assert value == oracle_value_for_graph(g2, {0}, {apex})
     # no artificial arc is pushed past its capacity bound
     for a in range(g.m, g2.m):

@@ -10,7 +10,7 @@ from pathlib import Path
 from .bench import check_one, report, run_one
 from .config import EngineConfig, parse_config_file, with_overrides
 from .engine import MsmsEngine
-from .errors import AuditFailure, PlanarFlowError
+from .errors import AuditFailure, ConfigError, PlanarFlowError
 from .generate import generate
 from .graph import build_graph
 from .instance import (
@@ -94,6 +94,7 @@ def _build_components(inst):
     a rotation that names a node outside its arcs' component is rejected
     by build_graph like any other mismatch.
     """
+    inst.terminal_sets()
     n = inst.num_nodes
     nbrs = [[] for _ in range(n)]
     links = [(t, h) for t, h, _ in inst.arcs]
@@ -120,7 +121,7 @@ def _build_components(inst):
         local = {v: i for i, v in enumerate(nodes)}
         arcs = [(local[t], local[h], cap) for t, h, cap in inst.arcs if comp[t] == c]
         rotations = [[local[u] for u in inst.rotations[v]] for v in nodes]
-        sub = build_graph(len(nodes), arcs, rotations)
+        sub = build_graph(len(nodes), arcs, rotations, [v + 1 for v in nodes])
         sources = {local[v] for v in inst.sources if comp[v] == c}
         sinks = {local[v] for v in inst.sinks if comp[v] == c}
         if sources and sinks:
@@ -243,7 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ConfigError) as e:   # files, config and option values
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

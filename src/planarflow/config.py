@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .errors import ConfigError
+
 AUDIT_LEVELS = ("none", "final", "full")
 
 
@@ -14,9 +16,9 @@ class EngineConfig:
 
     def __post_init__(self):
         if self.audit not in AUDIT_LEVELS:
-            raise ValueError(f"audit must be one of {AUDIT_LEVELS}")
+            raise ConfigError(f"audit must be one of {AUDIT_LEVELS}")
         if self.base_case < 2:
-            raise ValueError("base_case must be at least 2")
+            raise ConfigError("base_case must be at least 2")
 
 
 def parse_config_file(text: str) -> EngineConfig:
@@ -27,14 +29,17 @@ def parse_config_file(text: str) -> EngineConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"bad config line: {raw!r}")
+            raise ConfigError(f"bad config line: {raw!r}")
         key, value = (x.strip() for x in line.split("=", 1))
         if key == "base_case":
-            fields[key] = int(value)
+            try:
+                fields[key] = int(value)
+            except ValueError:
+                raise ConfigError(f"base_case must be an integer, got {value!r}") from None
         elif key == "audit":
             fields[key] = value
         else:
-            raise ValueError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {key!r}")
     return EngineConfig(**fields)
 
 

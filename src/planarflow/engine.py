@@ -2,9 +2,9 @@
 
 One level of the recursion: split the graph along a balanced cycle
 separator, recurse into both pieces, push flow between each piece's
-terminals and its boundary through an infinite-capacity apex, walk the
-boundary nodes in cyclic order moving each one's imbalance onto the
-still-unwalked suffix with limited flows, and finally settle the
+terminals and its boundary through a virtual infinite-capacity apex,
+walk the boundary nodes in cyclic order moving each one's imbalance onto
+the still-unwalked suffix with limited flows, and finally settle the
 remaining boundary imbalance back onto the terminals.  All flow lives in
 one global store; every subroutine sees current residual capacities and
 its result is accumulated immediately.
@@ -225,23 +225,24 @@ class MsmsEngine:
     # -- per-piece boundary pushes (apex phases) --------------------------------
 
     def _push_boundary_phase(self, piece, side, sub_sources, sub_sinks, depth):
-        ga, apex = attach_apex(piece.graph, piece.boundary_local,
-                               self.store, self.inf)
-        arcs = graph_arcs(ga)
-        value_in, deltas = msss_max_flow(ga.n, arcs, self.store, sub_sources, apex) \
-            if sub_sources else (0, [])
+        """Push sources to the boundary, then the boundary to sinks, through
+        a virtual apex.  Its arcs are solver scratch, so their flow is never
+        stored: that is what leaves the imbalance on the boundary nodes."""
+        g = piece.graph
+        apex, apex_arcs = attach_apex(g, piece.boundary_local, self.inf)
+        arcs = graph_arcs(g)
+        value_in, deltas = msss_max_flow(g.n + 1, arcs, self.store, sub_sources,
+                                         apex, apex_arcs) if sub_sources else (0, [])
         self.store.apply(deltas)
         self._emit({"op": "push_sources_to_boundary", "depth": depth,
                     "piece": side, "value": value_in})
-        self._audit_piece_sources_blocked(ga, piece, apex, sub_sources, sub_sinks)
+        self._audit_piece_sources_blocked(piece, sub_sources, sub_sinks)
 
-        value_out, deltas = ssms_max_flow(ga.n, arcs, self.store, apex, sub_sinks) \
-            if sub_sinks else (0, [])
+        value_out, deltas = ssms_max_flow(g.n + 1, arcs, self.store, apex,
+                                          sub_sinks, apex_arcs) if sub_sinks else (0, [])
         self.store.apply(deltas)
         self._emit({"op": "push_boundary_to_sinks", "depth": depth,
                     "piece": side, "value": value_out})
-        # apex and its arcs are dropped here; flow on them is discarded,
-        # which is what moves the imbalance onto the boundary nodes
         self._audit_piece_complete(piece, sub_sources, sub_sinks)
 
     # -- boundary redistribution -------------------------------------------------
@@ -370,12 +371,13 @@ class MsmsEngine:
         self._check(not (reach & sub_sinks),
                     "piece recursion left a residual source-to-sink path")
 
-    def _audit_piece_sources_blocked(self, ga, piece, apex, sub_sources, sub_sinks):
+    def _audit_piece_sources_blocked(self, piece, sub_sources, sub_sinks):
         """After pushing sources to the apex: within the piece there is no
-        residual path from the sources to the sinks, nor to the boundary."""
+        residual path from the sources to the sinks, nor to the boundary.
+        (A residual path into the apex passes a boundary node first.)"""
         if self.cfg.audit != "full":
             return
-        reach = residual_reachable(ga, self.store, sub_sources)
+        reach = residual_reachable(piece.graph, self.store, sub_sources)
         boundary = set(piece.boundary_local)
         self._check(not (reach & sub_sinks),
                     "source push exposed a residual source-to-sink path")

@@ -29,10 +29,6 @@ class FaceNotIncident(PlanarFlowError):
     """The face chosen for a terminal detachment does not touch the terminal."""
 
 
-class BoundaryNotOnCommonFace(PlanarFlowError):
-    """Apex attachment requires all boundary nodes on a single face."""
-
-
 class PreconditionNotTriangulated(PlanarFlowError):
     """The separator was asked for on a graph that is not a two-connected triangulation."""
 
@@ -47,6 +43,10 @@ class SettlementStuck(PlanarFlowError):
 
 class AuditFailure(PlanarFlowError):
     """An instrumented invariant check failed during an engine run."""
+
+
+class ConfigError(PlanarFlowError, ValueError):
+    """A config file line, key or value is invalid."""
 
 
 class ParseError(PlanarFlowError):

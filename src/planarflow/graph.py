@@ -190,28 +190,32 @@ class TerminalSets:
             raise TerminalOverlap(f"nodes {sorted(overlap)} are both sources and sinks")
 
 
-def build_graph(n, arcs, rotations) -> PlanarGraph:
+def build_graph(n, arcs, rotations, labels=None) -> PlanarGraph:
     """Build and validate a PlanarGraph from raw instance data.
 
     arcs: list of (tail, head, capacity) with 0-based node ids.
     rotations: per node, the incident neighbor ids in clockwise order.
+    labels: the name of each node in error messages (default: its id).
     The graph must be simple (no self-loops, at most one arc per
     unordered node pair), connected, and the rotation system must pass
     the Euler check.
     """
+    def name(v):
+        return v if labels is None else labels[v]
+
     tails, heads, caps = [], [], []
-    arc_by_pair = {}
+    pairs = set()
     for a, (t, h, c) in enumerate(arcs):
         if not (0 <= t < n and 0 <= h < n):
             raise EmbeddingInvalid(f"arc {a}: endpoint out of range")
         if t == h:
-            raise ParallelArcOrLoop(f"arc {a} is a self-loop at node {t}")
+            raise ParallelArcOrLoop(f"arc {name(t)} {name(h)} is a self-loop")
         pair = (t, h) if t < h else (h, t)
-        if pair in arc_by_pair:
-            raise ParallelArcOrLoop(f"arcs {arc_by_pair[pair]} and {a} join the same nodes")
+        if pair in pairs:
+            raise ParallelArcOrLoop(f"two arcs join nodes {name(pair[0])} and {name(pair[1])}")
         if c < 0:
-            raise EmbeddingInvalid(f"arc {a}: negative capacity {c}")
-        arc_by_pair[pair] = a
+            raise EmbeddingInvalid(f"arc {name(t)} {name(h)}: negative capacity {c}")
+        pairs.add(pair)
         tails.append(t)
         heads.append(h)
         caps.append(c)
@@ -226,7 +230,8 @@ def build_graph(n, arcs, rotations) -> PlanarGraph:
     for v, nbrs in enumerate(rotations):
         if sorted(nbrs) != sorted(incident[v]):
             raise EmbeddingInvalid(
-                f"node {v}: rotation lists {sorted(nbrs)} but neighbors are {sorted(incident[v])}")
+                f"node {name(v)}: rotation lists {sorted(map(name, nbrs))} "
+                f"but neighbors are {sorted(map(name, incident[v]))}")
         rot.append([incident[v][u] for u in nbrs])
 
     g = PlanarGraph(tails, heads, caps, rot)

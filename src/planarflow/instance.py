@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import ParseError, TerminalOverlap
 from .graph import TerminalSets, build_graph
 
 
@@ -46,10 +46,19 @@ class InstanceFile:
             lines.append(f"t {t + 1}")
         return "\n".join(lines) + "\n"
 
+    def terminal_sets(self) -> TerminalSets:
+        """The terminals; an overlap is reported by the file's node ids."""
+        overlap = set(self.sources) & set(self.sinks)
+        if overlap:
+            raise TerminalOverlap(
+                f"nodes {sorted(v + 1 for v in overlap)} are both sources and sinks")
+        return TerminalSets(frozenset(self.sources), frozenset(self.sinks))
+
     def build(self):
         """Validate and build the (PlanarGraph, TerminalSets) pair."""
-        terminals = TerminalSets(frozenset(self.sources), frozenset(self.sinks))
-        return build_graph(self.num_nodes, self.arcs, self.rotations), terminals
+        terminals = self.terminal_sets()
+        labels = range(1, self.num_nodes + 1)
+        return build_graph(self.num_nodes, self.arcs, self.rotations, labels), terminals
 
 
 def parse_instance_file(text: str) -> InstanceFile:
@@ -166,8 +175,8 @@ def import_dimacs_max(text: str) -> InstanceFile:
     """
     num_nodes = None
     arcs = []
-    source = None
-    sink = None
+    line_of_pair = {}
+    ends = {}             # "s" and "t" -> node
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0] == "c":
@@ -182,21 +191,26 @@ def import_dimacs_max(text: str) -> InstanceFile:
             node = _int_field(lineno, parts[1]) - 1
             if num_nodes is None or not 0 <= node < num_nodes:
                 raise ParseError(lineno, "node descriptor outside the problem line's nodes")
-            if parts[2] == "s":
-                source = node
-            elif parts[2] == "t":
-                sink = node
-            else:
+            if parts[2] not in ("s", "t"):
                 raise ParseError(lineno, "node descriptor must be s or t")
+            if ends.get("t" if parts[2] == "s" else "s") == node:
+                raise ParseError(lineno, f"node {node + 1} is both source and sink")
+            ends[parts[2]] = node
         elif parts[0] == "a":
             if len(parts) != 4:
                 raise ParseError(lineno, "expected 'a <tail> <head> <capacity>'")
             t, h, c = (_int_field(lineno, x) for x in parts[1:])
+            if c < 0:
+                raise ParseError(lineno, "capacity must be non-negative")
+            pair = (min(t, h) - 1, max(t, h) - 1)
+            if pair in line_of_pair:
+                raise ParseError(lineno, f"nodes {t} and {h} already joined on line "
+                                         f"{line_of_pair[pair]}")
+            line_of_pair[pair] = lineno
             arcs.append((t - 1, h - 1, c))
-    if num_nodes is None or source is None or sink is None:
+    if num_nodes is None or len(ends) < 2:
         raise ParseError(1, "missing problem line or terminal descriptors")
 
-    pairs = {(min(t, h), max(t, h)) for t, h, _ in arcs}
     for rows in range(1, num_nodes + 1):
         if num_nodes % rows:
             continue
@@ -209,7 +223,7 @@ def import_dimacs_max(text: str) -> InstanceFile:
                     expected.add((v, v + 1))
                 if i + 1 < rows:
                     expected.add((v, v + cols))
-        if pairs == expected:
+        if line_of_pair.keys() == expected:
             rotations = []
             for v in range(num_nodes):
                 i, j = divmod(v, cols)
@@ -223,8 +237,8 @@ def import_dimacs_max(text: str) -> InstanceFile:
                 num_nodes=num_nodes,
                 arcs=arcs,
                 rotations=rotations,
-                sources=[source],
-                sinks=[sink],
+                sources=[ends["s"]],
+                sinks=[ends["t"]],
                 comments=["imported from DIMACS max"],
             )
     raise ParseError(1, "arc set is not grid-recognizable; cannot synthesize an embedding")

@@ -123,8 +123,9 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
 
     n = g.n
     if n == 3:
-        boundary, darts = _cycle_of_face(g, faces[0])
-        return Separator(boundary, darts, frozenset(), frozenset(), n)
+        walk = faces[0]
+        return Separator([g.dart_tail(d) for d in walk], list(walk),
+                         frozenset(), frozenset(), n)
 
     parent, parent_arc, depth = _bfs_tree(g)
     in_tree = bytearray(g.m)
@@ -204,32 +205,25 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
             a = a_star
         darts.append(2 * a if g.tails[a] == x else 2 * a + 1)
 
-    inside_set, outside_set = _classify_sides(g, boundary, darts)
+    inside_set, outside_set = _classify_sides(
+        g, boundary, _boundary_dart_sides(g, boundary, darts))
     if not (len(inside_set) <= 2 * n / 3 and len(outside_set) <= 2 * n / 3):
         raise AssertionError(
             f"separator balance violated: {len(inside_set)}/{len(outside_set)} of {n}")
     return Separator(boundary, darts, frozenset(inside_set), frozenset(outside_set), n)
 
 
-def _cycle_of_face(g, walk):
-    boundary = [g.dart_tail(d) for d in walk]
-    return boundary, list(walk)
-
-
-def _classify_sides(g: PlanarGraph, boundary, cycle_darts):
+def _classify_sides(g: PlanarGraph, boundary, side_of_dart):
     """Partition non-boundary nodes by the side of the cycle they sit on.
 
-    At each boundary node the rotation is cut by the two cycle darts into
-    two angular intervals; darts in the interval clockwise-after the
-    outgoing cycle dart lead to one side, the rest to the other.  Each
-    off-cycle component is then labeled through any attachment dart, and
-    the labels are checked for consistency.
+    side_of_dart is _boundary_dart_sides' label for every non-cycle dart
+    leaving a boundary node.  Each off-cycle component is labeled through
+    any attachment dart, and the labels are checked for consistency.
     """
     n = g.n
     on_cycle = bytearray(n)
     for v in boundary:
         on_cycle[v] = 1
-    side_of_dart = _boundary_dart_sides(g, boundary, cycle_darts)
 
     comp = [-1] * n
     comp_side = []
@@ -277,7 +271,8 @@ def split_into_pieces(g: PlanarGraph, sep: Separator):
     exactly one piece.  Boundary-to-boundary chords that do not lie on
     the cycle go to the side their embedding places them on.
     """
-    inside, outside = _classify_sides(g, sep.boundary, sep.cycle_darts)
+    side_of_dart = _boundary_dart_sides(g, sep.boundary, sep.cycle_darts)
+    inside, outside = _classify_sides(g, sep.boundary, side_of_dart)
     on_cycle_arc = bytearray(g.m)
     for d in sep.cycle_darts:
         on_cycle_arc[d >> 1] = 1
@@ -285,14 +280,13 @@ def split_into_pieces(g: PlanarGraph, sep: Separator):
 
     # side of every chord between two boundary nodes, from the embedding
     chord_side = {}
-    side_probe = _boundary_dart_sides(g, sep.boundary, sep.cycle_darts)
     for a in range(g.m):
         if on_cycle_arc[a]:
             continue
         t, h = g.tails[a], g.heads[a]
         if t in boundary_set and h in boundary_set:
-            s1 = side_probe.get(2 * a)
-            s2 = side_probe.get(2 * a + 1)
+            s1 = side_of_dart.get(2 * a)
+            s2 = side_of_dart.get(2 * a + 1)
             assert s1 is not None and s1 == s2, "boundary chord straddles the cycle"
             chord_side[a] = s1
 

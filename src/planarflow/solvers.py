@@ -155,13 +155,15 @@ def _solve_terminal_sets(num_nodes, arcs, store, sources, sinks,
     """Supersource/supersink reduction over the residual net.
 
     scratch holds unkeyed (tail, head, res_fwd, res_rev) arcs placed after
-    the keyed arcs; their flow is not returned.
+    the keyed arcs; their flow is not returned.  reverse leaves them as
+    given, which changes nothing for the apex's arc pairs, one each way.
     """
     sources = sorted(sources)
     sinks = sorted(sinks)
     if not sources or not sinks:
         return 0, []
     bound = 1 + sum(store.caps[key] for (_, _, _, key) in arcs if key != NO_KEY)
+    bound += sum(fwd + rev for (_, _, fwd, rev) in scratch)
     extra = list(scratch)
     sigma = num_nodes
     tau = num_nodes + 1
@@ -177,28 +179,30 @@ def _solve_terminal_sets(num_nodes, arcs, store, sources, sinks,
 # -- the three subroutine contracts -----------------------------------------
 
 
-def msss_max_flow(num_nodes, arcs, store, sources, sink):
+def msss_max_flow(num_nodes, arcs, store, sources, sink, scratch=()):
     """Maximum flow from a source set to one sink in the residual graph.
 
     Returns (value, deltas).  After the deltas are accumulated, no
-    residual path from the sources to the sink remains.
+    residual path from the sources to the sink remains.  scratch: as for
+    limited_max_flow.
     """
     if sink in set(sources):
         raise ValueError("sink may not be a source")
-    return _solve_terminal_sets(num_nodes, arcs, store, sources, [sink])
+    return _solve_terminal_sets(num_nodes, arcs, store, sources, [sink], scratch=scratch)
 
 
-def ssms_max_flow(num_nodes, arcs, store, source, sinks):
+def ssms_max_flow(num_nodes, arcs, store, source, sinks, scratch=()):
     """Maximum flow from one source to a sink set.
 
     Implemented by reversing every dart of the residual graph, running
     the multiple-source single-sink solver with the sinks as sources,
     and negating the resulting assignment (the reversal bakes the
-    negation into the extraction).
+    negation into the extraction).  scratch arcs are not reversed.
     """
     if source in set(sinks):
         raise ValueError("source may not be a sink")
-    return _solve_terminal_sets(num_nodes, arcs, store, sinks, [source], reverse=True)
+    return _solve_terminal_sets(num_nodes, arcs, store, sinks, [source],
+                                reverse=True, scratch=scratch)
 
 
 def limited_max_flow(num_nodes, arcs, store, source, sink, delta, scratch=()):

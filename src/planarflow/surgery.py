@@ -7,14 +7,15 @@ spliced into the rotation immediately after the reverse of the walk
 dart.  Everything below is built from that one splice rule.
 
 Added arcs are either zero-capacity (triangulation and biconnection
-chords, which can never carry flow) or infinite-capacity terminal and
-apex attachments, so the maximum flow value between any terminal sets
-is unchanged.
+chords, which can never carry flow) or terminal attachments at least as
+large as the terminal's own capacity, so the maximum flow value between
+any terminal sets is unchanged.  The apex of the per-piece pushes is not
+embedded at all: attach_apex only lists its arcs for the solvers.
 """
 
 from __future__ import annotations
 
-from .errors import BoundaryNotOnCommonFace, FaceNotIncident
+from .errors import FaceNotIncident
 from .flow import FlowStore
 from .graph import NO_KEY, PlanarGraph, is_triangulated_biconnected, walk_faces
 
@@ -35,10 +36,6 @@ class EmbeddingEditor:
 
     def adjacent(self, u, v):
         return ((u, v) if u < v else (v, u)) in self.pairs
-
-    def add_node(self):
-        self.rot.append([])
-        return len(self.rot) - 1
 
     def _new_arc(self, u, v, cap, key):
         a = len(self.tails)
@@ -177,7 +174,7 @@ def detach_terminal_from_cycle(g: PlanarGraph, v: int, anchor_dart: int,
     if g.dart_tail(anchor_dart) != v:
         raise FaceNotIncident(f"dart {anchor_dart} does not leave node {v}")
     ed = EmbeddingEditor(g)
-    v_new = ed.add_node()
+    v_new = g.n
     key = store.new_key(cap)
     if role == "source":
         a = ed._new_arc(v_new, v, cap, key)
@@ -185,51 +182,21 @@ def detach_terminal_from_cycle(g: PlanarGraph, v: int, anchor_dart: int,
     else:
         a = ed._new_arc(v, v_new, cap, key)
         dart_at_v, dart_at_new = 2 * a, 2 * a + 1
-    ed.rot[v_new] = [dart_at_new]
+    ed.rot.append([dart_at_new])
     ed._splice_after(v, anchor_dart, dart_at_v)
     return ed.freeze(), v_new
 
 
-def attach_apex(g: PlanarGraph, boundary, store: FlowStore, inf_cap: int):
-    """Embed an apex node in the face shared by all boundary nodes and
-    join it to each of them with an infinite-capacity arc pair.
+def attach_apex(g: PlanarGraph, boundary, inf_cap: int):
+    """Join a virtual apex node g.n, not embedded, to every boundary node.
 
-    Returns (graph, apex).  Raises BoundaryNotOnCommonFace when no face
-    walk touches every boundary node.
+    Returns (apex, arcs): per boundary node b in order, the arcs b -> apex
+    and apex -> b of capacity inf_cap, in the unkeyed scratch form
+    (tail, head, res_fwd, res_rev) whose flow never reaches the store.
     """
-    want = set(boundary)
-    hole = None
-    for walk in g.faces():
-        if want <= {g.dart_head(d) for d in walk}:
-            hole = walk
-            break
-    if hole is None:
-        raise BoundaryNotOnCommonFace(
-            f"no face contains all {len(want)} boundary nodes")
-
-    # first corner of each boundary node along the hole walk
-    entry = {}
-    for d in hole:
-        h = g.dart_head(d)
-        if h in want and h not in entry:
-            entry[h] = d
-
-    ed = EmbeddingEditor(g)
-    apex = ed.add_node()
-    walk_order = [g.dart_head(d) for d in hole if g.dart_head(d) in want]
-    seen = set()
-    ordered = [b for b in walk_order if not (b in seen or seen.add(b))]
-    at_apex = []
-    for b in ordered:
-        key_in = store.new_key(inf_cap)
-        key_out = store.new_key(inf_cap)
-        a_in = ed._new_arc(b, apex, inf_cap, key_in)    # b -> apex
-        a_out = ed._new_arc(apex, b, inf_cap, key_out)  # apex -> b
-        to_apex = 2 * a_in          # dart b -> apex
-        from_apex_rev = 2 * a_out + 1  # dart b -> apex direction of the out arc
-        ed._splice_after(b, entry[b] ^ 1, from_apex_rev)
-        ed._splice_after(b, entry[b] ^ 1, to_apex)
-        # at the apex: reverse walk order, out-arc dart then in-arc reverse
-        at_apex.append((2 * a_out, 2 * a_in + 1))
-    ed.rot[apex] = [d for pair in reversed(at_apex) for d in pair]
-    return ed.freeze(), apex
+    apex = g.n
+    arcs = []
+    for b in boundary:
+        arcs.append((b, apex, inf_cap, 0))
+        arcs.append((apex, b, inf_cap, 0))
+    return apex, arcs

@@ -29,6 +29,19 @@ def test_solve_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("p pmf 2 1\na 1 2\n")
     assert main(["solve", str(path)]) == 2
+    # build errors name nodes by the file's ids, whole-file or per component
+    for text, message in [
+        ("p pmf 3 2\na 1 2 5\na 2 3 4\nr 1 2\nr 2 1 3\nr 3\ns 1\nt 2\n",
+         "node 3: rotation lists [] but neighbors are [2]"),
+        ("p pmf 2 1\na 1 2 7\nr 1 2\nr 2 1\ns 1\nt 1\nt 2\n",
+         "nodes [1] are both sources and sinks"),
+        ("p pmf 2 2\na 1 2 5\na 2 1 4\nr 1 2\nr 2 1\ns 1\nt 2\n",
+         "two arcs join nodes 1 and 2"),
+    ]:
+        path.write_text(text)
+        for extra in ([], ["--per-component"]):
+            assert main(["solve", str(path)] + extra) == 2
+            assert message in capsys.readouterr().err
 
 
 def test_solve_per_component(tmp_path, capsys):
@@ -52,15 +65,19 @@ t 4
     assert out == ["value 14", "f 1 2 5", "f 3 4 9"]
 
 
-@pytest.mark.parametrize("rotations", [
-    "r 1 2\nr 2 1\nr 3 4\nr 4 1\n",        # node 4 names node 1, its non-neighbour
-    "r 1 2\nr 2 1\nr 3\nr 4 3\n",          # node 3 omits its neighbour
+@pytest.mark.parametrize("rotations, message", [
+    ("r 1 2\nr 2 1\nr 3 4\nr 4 1\n",        # node 4 names node 1, its non-neighbour
+     "node 4: rotation lists [1] but neighbors are [3]"),
+    ("r 1 2\nr 2 1\nr 3\nr 4 3\n",          # node 3 omits its neighbour
+     "node 3: rotation lists [] but neighbors are [4]"),
 ], ids=["non-neighbour", "missing-neighbour"])
-def test_solve_per_component_rejects_an_invalid_component(tmp_path, capsys, rotations):
+def test_solve_per_component_rejects_an_invalid_component(tmp_path, capsys,
+                                                          rotations, message):
     path = tmp_path / "two.txt"
     path.write_text("p pmf 4 2\na 1 2 5\na 3 4 9\n" + rotations + "s 1\nt 2\n")
     assert main(["solve", str(path), "--per-component"]) == 2
-    assert "parse error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "parse error" in err and message in err
 
 
 def test_solve_with_trace(tmp_path):
@@ -120,14 +137,39 @@ def test_config_rejects_unknown_key(tmp_path):
     ("n 1", 2),
     ("n 9 s", 2),
     ("a 1 2", 4),
+    ("a 1 2 -5", 4),
+    ("n 1 t", 3),
+    pytest.param("a 1 2 3\na 2 1 4", 4, id="a 2 1 4 after a 1 2 3-4"),
 ])
 def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, lineno):
+    """bad_line replaces line lineno; the error names bad_line's last line."""
     lines = ["p max 2 1", "n 1 s", "n 2 t", "a 1 2 3"]
     lines[lineno - 1] = bad_line
     path = tmp_path / "bad.max"
     path.write_text("\n".join(lines) + "\n")
     assert main(["import-dimacs", str(path)]) == 2
-    assert f"line {lineno}:" in capsys.readouterr().err
+    last = lineno + bad_line.count("\n")
+    assert f"line {last}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{tmp}/missing.txt"],
+    ["import-dimacs", "{tmp}/missing.max"],
+    ["solve", "{inst}", "--config", "{tmp}/unknown-key.cfg"],
+    ["solve", "{inst}", "--config", "{tmp}/bad-base-case.cfg"],
+    ["solve", "{inst}", "--base-case", "1"],
+    ["solve", "{inst}", "--trace", "{tmp}/no-such-dir/trace.jsonl"],
+], ids=["missing-instance", "missing-dimacs", "unknown-config-key",
+        "non-integer-base-case", "base-case-1", "trace-in-missing-dir"])
+def test_bad_outside_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    (tmp_path / "unknown-key.cfg").write_text("bogus = 1\n")
+    (tmp_path / "bad-base-case.cfg").write_text("base_case = x\n")
+    inst = tmp_path / "inst.txt"
+    inst.write_text(generate("tri", 20, 1).text())
+    argv = [a.format(tmp=tmp_path, inst=inst) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_import_dimacs(tmp_path, capsys):

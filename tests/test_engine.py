@@ -88,6 +88,19 @@ def test_terminals_on_separator_are_handled():
     assert res.value == oracle_value(g, sources, sinks)
 
 
+def test_store_holds_only_root_arcs_and_detach_arcs():
+    # apex and chain arcs are solver scratch: they allocate no store key
+    inst = generate("grid", 400, 1)
+    g, ts = inst.build()
+    records = []
+    eng = MsmsEngine(g, ts.sources, ts.sinks, trace=records.append)
+    res = eng.run()
+    detaches = sum(1 for r in records if r["op"] == "detach_terminal")
+    assert detaches > 0
+    assert len(eng.store.vals) == g.m + detaches
+    assert res.value == oracle_value(g, ts.sources, ts.sinks)
+
+
 def test_trace_records_cover_all_phases():
     inst = generate("grid", 100, 2)
     g, ts = inst.build()

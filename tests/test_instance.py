@@ -35,7 +35,7 @@ def test_parse_minimal_instance():
 
 def test_parse_rejects_terminal_overlap():
     text = MINIMAL.replace("t 2", "t 1")
-    with pytest.raises(TerminalOverlap):
+    with pytest.raises(TerminalOverlap, match=r"nodes \[1\] are both"):
         parse_instance(text)
 
 

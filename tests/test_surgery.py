@@ -3,10 +3,16 @@ import random
 
 import pytest
 
-from planarflow.errors import BoundaryNotOnCommonFace, FaceNotIncident
+from planarflow.errors import FaceNotIncident
 from planarflow.flow import FlowStore
 from planarflow.graph import NO_KEY, build_graph, is_triangulated_biconnected
-from planarflow.solvers import graph_arcs, msss_max_flow, oracle_value_for_graph
+from planarflow.solvers import (
+    graph_arcs,
+    msss_max_flow,
+    oracle_max_flow,
+    oracle_value_for_graph,
+    ssms_max_flow,
+)
 from planarflow.surgery import (
     attach_apex,
     detach_terminal_from_cycle,
@@ -114,43 +120,35 @@ def test_detach_rejects_dart_not_at_node():
         detach_terminal_from_cycle(g, 0, g.rot[1][0], "source", store, 99)
 
 
-def test_attach_apex_three_boundary_nodes():
+def check_apex_against_oracle(boundary):
+    """The apex arcs are scratch, never keys: pushing to or from the apex
+    matches an oracle on the written-out net in both directions."""
     g = triangle()
-    store = FlowStore.for_graph(g)
     inf = 1 + g.total_capacity()
-    g2, apex = attach_apex(g, [0, 1, 2], store, inf)
-    assert apex == 3
-    assert g2.n == 4 and g2.m == g.m + 6
-    assert g2.n - g2.m + g2.num_faces == 2  # still a planar embedding
-    # pushing everything to the apex matches a direct oracle on the same net
-    value, deltas = msss_max_flow(g2.n, graph_arcs(g2), store, {0}, apex)
-    store.apply(deltas)
-    assert value == oracle_value_for_graph(g2, {0}, {apex})
-    # no artificial arc is pushed past its capacity bound
-    for a in range(g.m, g2.m):
-        assert store.vals[g2.keys[a]] <= inf
+    apex, apex_arcs = attach_apex(g, boundary, inf)
+    assert apex == g.n
+    assert apex_arcs == [arc for b in boundary
+                         for arc in ((b, apex, inf, 0), (apex, b, inf, 0))]
+    written_out = [(g.tails[a], g.heads[a], g.caps[a]) for a in range(g.m)]
+    written_out += [(t, h, c) for t, h, c, _ in apex_arcs]
+    store = FlowStore.for_graph(g)
+    for v in (0, 2):
+        value, deltas = msss_max_flow(g.n + 1, graph_arcs(g), store,
+                                      {v}, apex, apex_arcs)
+        assert value == oracle_max_flow(g.n + 1, written_out, {v}, {apex}).value
+        assert all(key < g.m for key, _ in deltas)
+        value, deltas = ssms_max_flow(g.n + 1, graph_arcs(g), store,
+                                      apex, {v}, apex_arcs)
+        assert value == oracle_max_flow(g.n + 1, written_out, {apex}, {v}).value
+        assert all(key < g.m for key, _ in deltas)
+
+
+def test_attach_apex_three_boundary_nodes():
+    check_apex_against_oracle([0, 1, 2])
 
 
 def test_attach_apex_single_boundary_node():
-    g = triangle()
-    store = FlowStore.for_graph(g)
-    g2, apex = attach_apex(g, [1], store, 11)
-    assert g2.m == g.m + 2
-    assert g2.n - g2.m + g2.num_faces == 2
-
-
-def test_attach_apex_requires_common_face():
-    # octahedron: antipodal nodes 0 and 5 share no face
-    arcs = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1),
-            (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1),
-            (5, 1, 1), (5, 2, 1), (5, 3, 1), (5, 4, 1)]
-    rot = [[1, 4, 3, 2], [0, 2, 5, 4], [0, 3, 5, 1],
-           [0, 4, 5, 2], [0, 1, 5, 3], [1, 2, 3, 4]]
-    g = build_graph(6, arcs, rot)
-    assert g.num_faces == 8
-    store = FlowStore.for_graph(g)
-    with pytest.raises(BoundaryNotOnCommonFace):
-        attach_apex(g, [0, 5], store, 9)
+    check_apex_against_oracle([1])
 
 
 def test_surgery_output_keeps_euler_on_random_instances():
@@ -160,9 +158,3 @@ def test_surgery_output_keeps_euler_on_random_instances():
         g = random_planar_connected(rng, n)
         gt = triangulate_and_biconnect(g)
         gt.check_embedding()
-        store = FlowStore.for_graph(g)
-        boundary = sorted(rng.sample(range(n), rng.randint(1, 3)))
-        walk_sets = [{gt.dart_head(d) for d in w} for w in gt.faces()]
-        if any(set(boundary) <= ws for ws in walk_sets):
-            g2, apex = attach_apex(gt, boundary, store, 1 + g.total_capacity())
-            g2.check_embedding()

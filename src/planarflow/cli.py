@@ -10,7 +10,7 @@ from pathlib import Path
 from .bench import check_one, report, run_one
 from .config import EngineConfig, parse_config_file, with_overrides
 from .engine import MsmsEngine
-from .errors import AuditFailure, ConfigError, PlanarFlowError
+from .errors import AuditFailure, ConfigError, InvariantFailure, PlanarFlowError
 from .generate import generate
 from .graph import build_graph
 from .instance import (
@@ -34,6 +34,10 @@ def _load_config(args) -> EngineConfig:
         audit=getattr(args, "audit", None),
         base_case=getattr(args, "base_case", None),
     )
+
+
+def _failure_kind(e) -> str:
+    return "audit failure" if isinstance(e, AuditFailure) else "invariant failure"
 
 
 def _trace_writer(path):
@@ -70,8 +74,8 @@ def cmd_solve(args) -> int:
     try:
         results = [MsmsEngine(g, sources, sinks, cfg, trace=trace).run()
                    for g, sources, sinks, _ in problems]
-    except AuditFailure as e:
-        print(f"audit failure: {e}", file=sys.stderr)
+    except InvariantFailure as e:
+        print(f"{_failure_kind(e)}: {e}", file=sys.stderr)
         return EXIT_AUDIT
     finally:
         if fh:
@@ -140,9 +144,10 @@ def cmd_check(args) -> int:
         try:
             rep = check_one(args.kind, args.n, seed, cap_max=args.cap_max,
                             config=cfg, c_sep=BOUNDARY_CONSTANT)
-        except AuditFailure as e:
+        except InvariantFailure as e:
             audit_failures += 1
-            print(f"FAILED kind={args.kind} n={args.n} seed={seed} audit: {e}")
+            print(f"FAILED kind={args.kind} n={args.n} seed={seed} "
+                  f"{_failure_kind(e)}: {e}")
             continue
         status = "ok" if rep.passed else "FAILED"
         if not rep.passed:

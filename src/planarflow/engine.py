@@ -5,7 +5,9 @@ separator, recurse into both pieces, push flow between each piece's
 terminals and its boundary through a virtual infinite-capacity apex,
 walk the boundary nodes in cyclic order moving each one's imbalance onto
 the still-unwalked suffix with limited flows, and finally settle the
-remaining boundary imbalance back onto the terminals.  All flow lives in
+remaining boundary imbalance back onto the terminals: cancel the flow
+cycles, then push each imbalance along the acyclic rest in the
+topological order the cancelling DFS returns.  All flow lives in
 one global store; every subroutine sees current residual capacities and
 its result is accumulated immediately.
 
@@ -285,39 +287,28 @@ class MsmsEngine:
 
     def _settle_pseudoflow(self, gd, sources, sinks):
         """Convert the boundary pseudoflow into a feasible flow: cancel
-        flow cycles, then in topological order of the remaining positive
-        darts push excess back toward where it came from and deficits
-        forward toward where they were headed."""
-        circulation, _ = decompose_acyclic(gd, self.store)
+        flow cycles, then, in the topological order of the remaining
+        positive darts that the cancelling DFS returns, push excess back
+        toward where it came from and deficits forward toward where they
+        were headed."""
+        circulation, order = decompose_acyclic(gd, self.store)
         if circulation:
             self.store.apply([(key, -d) for key, d in sorted(circulation.items())])
 
         store = self.store
+        rank = [0] * gd.n
+        for i, v in enumerate(order):
+            rank[v] = i
         pos_out = [[] for _ in range(gd.n)]
         pos_in = [[] for _ in range(gd.n)]
-        indeg = [0] * gd.n
         for a in range(gd.m):
             key = gd.keys[a]
             if key != NO_KEY and store.vals[key] > 0:
-                pos_out[gd.tails[a]].append(a)
-                pos_in[gd.heads[a]].append(a)
-                indeg[gd.heads[a]] += 1
-
-        order = []
-        queue = [v for v in range(gd.n) if indeg[v] == 0]
-        head = 0
-        indeg_work = list(indeg)
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            order.append(v)
-            for a in pos_out[v]:
-                w = gd.heads[a]
-                indeg_work[w] -= 1
-                if indeg_work[w] == 0:
-                    queue.append(w)
-        if len(order) != gd.n:
-            raise SettlementStuck("positive flow darts still contain a cycle")
+                t, h = gd.tails[a], gd.heads[a]
+                if rank[t] >= rank[h]:
+                    raise SettlementStuck("positive flow darts still contain a cycle")
+                pos_out[t].append(a)
+                pos_in[h].append(a)
 
         balance = inflow_all(gd, store)
         terminals = set(sources) | set(sinks)
@@ -384,69 +375,53 @@ class MsmsEngine:
         self._check(not (reach & boundary),
                     "residual source-to-boundary path after the source push")
 
+    def _audit_separated(self, g, sources, sinks, boundary, phase):
+        """Within g: sources reach neither sinks nor boundary, and the
+        boundary does not reach the sinks, along residual darts."""
+        reach_s = residual_reachable(g, self.store, sources)
+        self._check(not (reach_s & sinks),
+                    f"{phase}: residual source-to-sink path")
+        self._check(not (reach_s & boundary),
+                    f"{phase}: residual source-to-boundary path")
+        reach_c = residual_reachable(g, self.store, boundary)
+        self._check(not (reach_c & sinks),
+                    f"{phase}: residual boundary-to-sink path")
+
     def _audit_piece_complete(self, piece, sub_sources, sub_sinks):
-        """After both apex pushes: sources reach neither sinks nor
-        boundary; boundary does not reach sinks (all within the piece)."""
+        """After both apex pushes, within the piece."""
         if self.cfg.audit != "full":
             return
-        g = piece.graph
-        boundary = set(piece.boundary_local)
-        reach_s = residual_reachable(g, self.store, sub_sources)
-        self._check(not (reach_s & sub_sinks),
-                    "piece phase left a residual source-to-sink path")
-        self._check(not (reach_s & boundary),
-                    "piece phase left a residual source-to-boundary path")
-        reach_c = residual_reachable(g, self.store, boundary)
-        self._check(not (reach_c & sub_sinks),
-                    "piece phase left a residual boundary-to-sink path")
+        self._audit_separated(piece.graph, sub_sources, sub_sinks,
+                              set(piece.boundary_local), "piece phase")
 
     def _audit_after_first_loop(self, gd, sources, sinks, boundary):
-        """Both pieces done: globally no residual source-to-sink,
-        source-to-boundary, or boundary-to-sink path."""
+        """Both pieces done: the same separation, globally."""
         if self.cfg.audit != "full":
             return
-        boundary_set = set(boundary)
-        reach_s = residual_reachable(gd, self.store, sources)
-        self._check(not (reach_s & set(sinks)),
-                    "first loop left a global residual source-to-sink path")
-        self._check(not (reach_s & boundary_set),
-                    "first loop left a residual source-to-boundary path")
-        reach_c = residual_reachable(gd, self.store, boundary_set)
-        self._check(not (reach_c & set(sinks)),
-                    "first loop left a residual boundary-to-sink path")
+        self._audit_separated(gd, sources, set(sinks), set(boundary), "first loop")
 
     def _audit_redistribute_iteration(self, gd, boundary, sources, sinks, i):
         """The four walk invariants, checked after iteration i."""
         if self.cfg.audit != "full":
             return
         store = self.store
-        sinks = set(sinks)
-        boundary_set = set(boundary)
+        self._audit_separated(gd, sources, set(sinks), set(boundary), "walk")
+
         processed = boundary[: i + 1]
         unprocessed = boundary[i + 1:]
-
-        reach_s = residual_reachable(gd, store, sources)
-        self._check(not (reach_s & sinks),
-                    "walk broke: residual source-to-sink path")
-        self._check(not (reach_s & boundary_set),
-                    "walk broke: residual source-to-boundary path")
-        reach_c = residual_reachable(gd, store, boundary_set)
-        self._check(not (reach_c & sinks),
-                    "walk broke: residual boundary-to-sink path")
-
         pos = [p for p in processed if inflow(gd, store, p) > 0]
         neg = [p for p in processed if inflow(gd, store, p) < 0]
         if unprocessed:
             reach_un = residual_reachable(gd, store, set(unprocessed))
             self._check(not (reach_un & set(neg)),
-                        "walk broke: unprocessed node reaches a drained processed node")
-            reaching_un = residual_reaching(gd, store, set(unprocessed))
+                        "walk: unprocessed node reaches a drained processed node")
+            reaching_un = residual_reachable(gd, store, set(unprocessed), reverse=True)
             self._check(not (reaching_un & set(pos)),
-                        "walk broke: overfull processed node reaches an unprocessed node")
+                        "walk: overfull processed node reaches an unprocessed node")
         if pos and neg:
             reach_pos = residual_reachable(gd, store, set(pos))
             self._check(not (reach_pos & set(neg)),
-                        "walk broke: overfull processed node reaches a drained one")
+                        "walk: overfull processed node reaches a drained one")
 
     def _audit_level_final(self, gd, sources, sinks):
         if self.cfg.audit == "none":
@@ -456,33 +431,6 @@ class MsmsEngine:
         reach = residual_reachable(gd, self.store, sources)
         self._check(not (reach & set(sinks)),
                     "level finished with a residual source-to-sink path")
-
-
-def residual_reaching(g: PlanarGraph, store: FlowStore, targets) -> set:
-    """Nodes that can reach the target set along residual darts."""
-    seen = bytearray(g.n)
-    stack = []
-    for v in targets:
-        if not seen[v]:
-            seen[v] = 1
-            stack.append(v)
-    caps, vals, keys = store.caps, store.vals, g.keys
-    while stack:
-        v = stack.pop()
-        for d in g.rot[v]:
-            # we stand at v and look for residual darts INTO v: the dart
-            # from head(d) to v is rev(d)
-            key = keys[d >> 1]
-            if key == NO_KEY:
-                continue
-            rd = d ^ 1
-            res = caps[key] - vals[key] if (rd & 1) == 0 else vals[key]
-            if res > 0:
-                w = g.dart_head(d)
-                if not seen[w]:
-                    seen[w] = 1
-                    stack.append(w)
-    return {v for v in range(g.n) if seen[v]}
 
 
 def msms_max_flow(graph: PlanarGraph, sources, sinks,

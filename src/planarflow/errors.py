@@ -33,15 +33,19 @@ class PreconditionNotTriangulated(PlanarFlowError):
     """The separator was asked for on a graph that is not a two-connected triangulation."""
 
 
-class CapacityViolation(PlanarFlowError):
+class InvariantFailure(PlanarFlowError):
+    """An invariant the algorithm relies on does not hold during an engine run."""
+
+
+class CapacityViolation(InvariantFailure):
     """A flow update would push a dart beyond its capacity; signals a solver bug."""
 
 
-class SettlementStuck(PlanarFlowError):
+class SettlementStuck(InvariantFailure):
     """Pseudoflow settlement could not zero an imbalance; signals violated preconditions."""
 
 
-class AuditFailure(PlanarFlowError):
+class AuditFailure(InvariantFailure):
     """An instrumented invariant check failed during an engine run."""
 
 

@@ -2,8 +2,7 @@
 
 All flow values are exact integers.  The store keeps one signed value per
 flow key (per arc); the value is the flow on the forward dart, and the
-reverse dart carries its negation, so antisymmetry holds by construction
-and is re-checked where the contracts ask for it.
+reverse dart carries its negation, so antisymmetry holds by construction.
 """
 
 from __future__ import annotations
@@ -43,25 +42,6 @@ class FlowStore:
         self.caps.append(cap)
         self.vals.append(0)
         return len(self.vals) - 1
-
-    def value(self, key: int) -> int:
-        return 0 if key == NO_KEY else self.vals[key]
-
-    def dart_flow(self, g: PlanarGraph, d: int) -> int:
-        """Antisymmetric flow on a dart: +value forward, -value in reverse."""
-        key = g.keys[d >> 1]
-        if key == NO_KEY:
-            return 0
-        v = self.vals[key]
-        return v if (d & 1) == 0 else -v
-
-    def residual(self, g: PlanarGraph, d: int) -> int:
-        """Residual capacity c(d) - f(d) of a dart."""
-        key = g.keys[d >> 1]
-        if key == NO_KEY:
-            return 0
-        v = self.vals[key]
-        return self.caps[key] - v if (d & 1) == 0 else v
 
     def apply(self, deltas) -> None:
         """Accumulate a solver result: vals[key] += delta for each pair.
@@ -110,18 +90,9 @@ def inflow_all(g: PlanarGraph, store: FlowStore):
 
 
 def is_pseudoflow(g: PlanarGraph, store: FlowStore) -> bool:
-    """Every dart respects its capacity: f(d) <= c(d) on both darts."""
-    for a in range(g.m):
-        key = g.keys[a]
-        v = store.value(key)
-        cap = g.caps[a] if key == NO_KEY else store.caps[key]
-        if v < 0 or v > cap:
-            return False
-    return True
-
-
-def is_antisymmetric(g: PlanarGraph, store: FlowStore) -> bool:
-    return all(store.dart_flow(g, d) + store.dart_flow(g, d ^ 1) == 0 for d in g.darts())
+    """Every dart respects its capacity: 0 <= f(a) <= c(a) on each keyed arc."""
+    vals, caps = store.vals, store.caps
+    return all(0 <= vals[k] <= caps[k] for k in g.keys if k != NO_KEY)
 
 
 def is_feasible(g: PlanarGraph, store: FlowStore, sources, sinks) -> bool:
@@ -139,8 +110,14 @@ def flow_value(g: PlanarGraph, store: FlowStore, sinks) -> int:
     return sum(acc[t] for t in sinks)
 
 
-def residual_reachable(g: PlanarGraph, store: FlowStore, start) -> set:
-    """Nodes reachable from the start set along darts with positive residual."""
+def residual_reachable(g: PlanarGraph, store: FlowStore, start, reverse=False) -> set:
+    """Nodes reachable from the start set along darts with positive residual.
+
+    With reverse=True: the nodes that reach the start set instead.  The
+    search then stands at v and crosses dart d only if rev(d), the dart
+    from head(d) into v, has positive residual.
+    """
+    back = 1 if reverse else 0
     seen = bytearray(g.n)
     queue = deque()
     for v in start:
@@ -154,7 +131,7 @@ def residual_reachable(g: PlanarGraph, store: FlowStore, start) -> set:
             key = keys[d >> 1]
             if key == NO_KEY:
                 continue
-            res = caps[key] - vals[key] if (d & 1) == 0 else vals[key]
+            res = caps[key] - vals[key] if (d & 1) == back else vals[key]
             if res > 0:
                 w = g.dart_head(d)
                 if not seen[w]:
@@ -164,13 +141,18 @@ def residual_reachable(g: PlanarGraph, store: FlowStore, start) -> set:
 
 
 def decompose_acyclic(g: PlanarGraph, store: FlowStore):
-    """Split the current flow on g into a circulation and an acyclic part.
+    """Cancel the flow cycles on g; return (circulation, order).
 
-    Returns (circulation, acyclic) as key -> value dicts with
-    circulation + acyclic equal to the stored flow on g's arcs.  The
-    circulation has zero inflow everywhere; the positive darts of the
-    acyclic part form a DAG.  Cycles are canceled by repeated DFS on the
-    positive-flow darts, removing the minimum flow around each cycle.
+    circulation maps key -> value, has zero inflow everywhere, and is what
+    the caller subtracts from the store to leave an acyclic flow; the
+    store itself is not changed.  Cycles are canceled by repeated DFS on
+    the positive-flow darts, removing the minimum flow around each cycle.
+
+    order lists every node in reverse DFS finishing order.  A node
+    finishes only when each of its out-arcs with positive remaining flow
+    leads to an already finished node, and later cancellations only lower
+    flow; so every positive arc of the stored flow minus the circulation
+    runs forward in order, which makes it a topological order of them.
     """
     remaining = {}
     out_arcs = [[] for _ in range(g.n)]
@@ -189,6 +171,7 @@ def decompose_acyclic(g: PlanarGraph, store: FlowStore):
     # the current path is revisited we found a flow cycle and cancel it.
     state = bytearray(g.n)  # 0 unvisited, 1 on stack, 2 done
     ptr = [0] * g.n
+    finished = []
     for root in range(g.n):
         if state[root] != 0:
             continue
@@ -230,18 +213,11 @@ def decompose_acyclic(g: PlanarGraph, store: FlowStore):
                 ptr[v] += 1
             if not advanced and (not stack or stack[-1] == v):
                 state[v] = 2
+                finished.append(v)
                 ptr[v] = 0
                 stack.pop()
                 if path_arcs:
                     path_arcs.pop()
 
-    acyclic = {}
-    for a, v in remaining.items():
-        if v > 0:
-            acyclic[g.keys[a]] = acyclic.get(g.keys[a], 0) + v
-    for a in range(g.m):
-        key = g.keys[a]
-        if key != NO_KEY and store.vals[key] != circulation.get(key, 0) + acyclic.get(key, 0):
-            # keys are unique per arc, so a mismatch means a bookkeeping bug
-            raise AssertionError("flow decomposition does not sum back to the flow")
-    return circulation, acyclic
+    finished.reverse()
+    return circulation, finished

@@ -184,6 +184,8 @@ def import_dimacs_max(text: str) -> InstanceFile:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "max":
                 raise ParseError(lineno, "expected 'p max <nodes> <arcs>'")
+            if num_nodes is not None:
+                raise ParseError(lineno, "duplicate problem line")
             num_nodes = _int_field(lineno, parts[2])
         elif parts[0] == "n":
             if len(parts) != 3:
@@ -193,6 +195,9 @@ def import_dimacs_max(text: str) -> InstanceFile:
                 raise ParseError(lineno, "node descriptor outside the problem line's nodes")
             if parts[2] not in ("s", "t"):
                 raise ParseError(lineno, "node descriptor must be s or t")
+            if parts[2] in ends:
+                raise ParseError(lineno, f"second '{parts[2]}' descriptor; only one "
+                                         f"source and one sink are allowed")
             if ends.get("t" if parts[2] == "s" else "s") == node:
                 raise ParseError(lineno, f"node {node + 1} is both source and sink")
             ends[parts[2]] = node

@@ -121,8 +121,8 @@ def fuzz_sequence(pool, rng, ops_lo=2, ops_hi=4):
 
     Every operation draws its terminals from the instance's source and
     sink sets, so the accumulated flow must stay a feasible flow for
-    them.  Antisymmetry and the pseudoflow bounds are checked after
-    every operation; feasibility at the end.  Returns the number of
+    them.  The pseudoflow bounds are checked after every operation;
+    feasibility at the end.  Returns the number of
     violations (0 for a clean sequence).
     """
     g, arcs, sources, sinks = pool.entries[rng.randrange(len(pool.entries))]
@@ -134,9 +134,6 @@ def fuzz_sequence(pool, rng, ops_lo=2, ops_hi=4):
         nonlocal violations
         for key, v in enumerate(store.vals):
             if v < 0 or v > caps[key]:
-                violations += 1
-        for d in range(2 * g.m):
-            if store.dart_flow(g, d) + store.dart_flow(g, d ^ 1) != 0:
                 violations += 1
 
     for _ in range(rng.randint(ops_lo, ops_hi)):

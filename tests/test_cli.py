@@ -4,6 +4,7 @@ import pytest
 
 from planarflow.bench import BALANCE_CONSTANT
 from planarflow.cli import main
+from planarflow.errors import CapacityViolation, SettlementStuck
 from planarflow.generate import generate
 
 
@@ -92,6 +93,28 @@ def test_solve_with_trace(tmp_path):
     assert any(r["op"] == "redistribute" for r in records)
 
 
+@pytest.mark.parametrize("target, error", [
+    ("planarflow.engine.MsmsEngine._settle_pseudoflow", SettlementStuck),
+    ("planarflow.flow.FlowStore.apply", CapacityViolation),
+], ids=["settlement-stuck", "capacity-violation"])
+def test_internal_invariant_failure_exits_3_with_one_line(tmp_path, capsys,
+                                                          monkeypatch, target, error):
+    def fail(*args):
+        raise error("injected")
+
+    monkeypatch.setattr(target, fail)
+    path = tmp_path / "inst.txt"
+    path.write_text(generate("grid", 60, 2).text())
+    trace_path = tmp_path / "trace.jsonl"
+    assert main(["solve", str(path), "--trace", str(trace_path),
+                 "--base-case", "4"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("invariant failure: ")
+    text = trace_path.read_text()
+    assert text.endswith("\n")
+    assert any(json.loads(line)["op"] == "separator" for line in text.splitlines())
+
+
 def test_check_command_passes(capsys):
     assert main(["check", "--kind", "tri", "--n", "40", "--count", "5",
                  "--seed", "7", "--cap-max", "100"]) == 0
@@ -140,6 +163,9 @@ def test_config_rejects_unknown_key(tmp_path):
     ("a 1 2 -5", 4),
     ("n 1 t", 3),
     pytest.param("a 1 2 3\na 2 1 4", 4, id="a 2 1 4 after a 1 2 3-4"),
+    pytest.param("p max 2 1\np max 2 1", 1, id="p max 2 1 twice-2"),
+    pytest.param("n 1 s\nn 2 s", 2, id="n 2 s after n 1 s-3"),
+    pytest.param("n 2 t\nn 2 t", 3, id="n 2 t twice-4"),
 ])
 def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, lineno):
     """bad_line replaces line lineno; the error names bad_line's last line."""

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from planarflow import engine
 from planarflow.config import EngineConfig
-from planarflow.engine import MsmsEngine, msms_max_flow, residual_reaching
-from planarflow.errors import AuditFailure
+from planarflow.engine import MsmsEngine, msms_max_flow
+from planarflow.errors import AuditFailure, SettlementStuck
 from planarflow.flow import FlowStore, is_feasible, residual_reachable
 from planarflow.generate import generate
 from planarflow.graph import build_graph
@@ -167,7 +168,29 @@ def test_settlement_noop_when_conserving():
     assert eng.store.vals == [4, 4]
 
 
-def test_residual_reaching_is_reverse_of_reachable():
+def test_settlement_cancels_a_cycle_then_returns_excess_and_drains_deficit():
+    # 0 -> 1 -> 2 -> 3 -> 4 with the back arc 3 -> 1 closing a cycle
+    arcs = [(0, 1, 9), (1, 2, 9), (2, 3, 9), (3, 1, 9), (3, 4, 9)]
+    rot = [[1], [0, 2, 3], [1, 3], [2, 1, 4], [3]]
+    g = build_graph(5, arcs, rot)
+    eng = MsmsEngine(g, {0}, {4}, EngineConfig())
+    # cycle 1-2-3 carries 2; inflow(1) = +3 and inflow(3) = -1
+    eng.store.apply([(0, 5), (1, 4), (2, 4), (3, 2), (4, 3)])
+    eng._settle_pseudoflow(g, {0}, {4})
+    assert eng.store.vals == [2, 2, 2, 0, 2]
+    assert is_feasible(g, eng.store, {0}, {4})
+
+
+def test_settlement_rejects_an_order_against_a_positive_arc(monkeypatch):
+    g = build_graph(3, [(0, 1, 9), (1, 2, 5)], [[1], [0, 2], [1]])
+    eng = MsmsEngine(g, {0}, {2}, EngineConfig())
+    eng.store.apply([(0, 4), (1, 4)])
+    monkeypatch.setattr(engine, "decompose_acyclic", lambda g, store: ({}, [2, 1, 0]))
+    with pytest.raises(SettlementStuck, match="still contain a cycle"):
+        eng._settle_pseudoflow(g, {0}, {2})
+
+
+def test_residual_reachable_reverse_mirrors_forward():
     inst = generate("tri", 30, 9)
     g, ts = inst.build()
     store = FlowStore.for_graph(g)
@@ -177,7 +200,7 @@ def test_residual_reaching_is_reverse_of_reachable():
                                     ts.sources, ts.sinks)
     store.apply(deltas)
     for v in range(0, g.n, 7):
-        reaching = residual_reaching(g, store, {v})
+        reaching = residual_reachable(g, store, {v}, reverse=True)
         for u in range(g.n):
             assert (u in reaching) == (v in residual_reachable(g, store, {u}))
 

@@ -11,7 +11,6 @@ from planarflow.flow import (
     flow_value,
     inflow,
     inflow_all,
-    is_antisymmetric,
     is_feasible,
     is_pseudoflow,
     residual_reachable,
@@ -60,8 +59,6 @@ def test_accumulate_arithmetic_and_residuals():
     store.apply([(0, 3)])
     store.apply([(0, 2)])
     assert store.vals[0] == 5
-    assert store.residual(g, 0) == 0
-    assert store.residual(g, 1) == 5
 
 
 def test_accumulate_over_capacity_raises():
@@ -125,12 +122,29 @@ def test_no_residual_source_sink_path_after_max_flow():
     assert is_feasible(g, store, {0}, {3})
 
 
+def assert_cancelled_and_ordered(g, store, circ, order):
+    """circ conserves everywhere, and every positive arc of the flow
+    minus circ runs forward in order, a permutation of the nodes."""
+    assert sorted(order) == list(range(g.n))
+    probe = FlowStore.for_graph(g)
+    probe.apply(sorted(circ.items()))
+    assert all(x == 0 for x in inflow_all(g, probe))
+    rank = {v: i for i, v in enumerate(order)}
+    for a in range(g.m):
+        key = g.keys[a]
+        rest = store.vals[key] - circ.get(key, 0)
+        assert rest >= 0
+        if rest > 0:
+            assert rank[g.tails[a]] < rank[g.heads[a]]
+
+
 def test_decompose_pure_circulation():
     g, store = triangle(caps=(2, 2, 2))
     store.apply([(0, 2), (1, 2), (2, 2)])
-    circ, acyc = decompose_acyclic(g, store)
-    assert acyc == {}
+    circ, order = decompose_acyclic(g, store)
     assert circ == {0: 2, 1: 2, 2: 2}
+    assert store.vals == [2, 2, 2]          # the store is left alone
+    assert_cancelled_and_ordered(g, store, circ, order)
 
 
 def test_decompose_pure_path():
@@ -138,9 +152,9 @@ def test_decompose_pure_path():
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
     store.apply([(0, 2), (1, 2)])
-    circ, acyc = decompose_acyclic(g, store)
+    circ, order = decompose_acyclic(g, store)
     assert circ == {}
-    assert acyc == {0: 2, 1: 2}
+    assert order == [0, 1, 2]
 
 
 def test_decompose_mixed_path_and_cycle():
@@ -150,20 +164,17 @@ def test_decompose_mixed_path_and_cycle():
     g = build_graph(6, arcs, rot)
     store = FlowStore.for_graph(g)
     store.apply([(0, 2), (1, 2), (2, 1), (3, 1), (4, 1)])
-    circ, acyc = decompose_acyclic(g, store)
+    circ, order = decompose_acyclic(g, store)
     assert circ == {2: 1, 3: 1, 4: 1}
-    assert acyc == {0: 2, 1: 2}
-    # circulation part conserves everywhere
-    probe = FlowStore.for_graph(g)
-    probe.apply(sorted(circ.items()))
-    assert all(x == 0 for x in inflow_all(g, probe))
+    assert_cancelled_and_ordered(g, store, circ, order)
 
 
 def test_antisymmetry_and_pseudoflow_checks():
     g, store = single_arc(cap=2)
     store.apply([(0, 2)])
-    assert is_antisymmetric(g, store)
     assert is_pseudoflow(g, store)
+    store.vals[0] = 3
+    assert not is_pseudoflow(g, store)
 
 
 @given(st.integers(3, 24), st.integers(0, 10 ** 6), st.integers(1, 4))
@@ -180,7 +191,6 @@ def test_solver_pushes_preserve_invariants(n, seed, rounds):
         _, deltas = solve_msms_residual(
             g.n, graph_arcs(g), store, set(nodes[:cut]), set(nodes[cut:]))
         store.apply(deltas)
-        assert is_antisymmetric(g, store)
         assert is_pseudoflow(g, store)
 
 
@@ -193,24 +203,7 @@ def test_decomposition_parts_sum_to_flow(n, seed):
     _, deltas = solve_msms_residual(g.n, graph_arcs(g), store,
                                     ts.sources, ts.sinks)
     store.apply(deltas)
-    circ, acyc = decompose_acyclic(g, store)
-    for a in range(g.m):
-        key = g.keys[a]
-        assert store.vals[key] == circ.get(key, 0) + acyc.get(key, 0)
-    # acyclic part: positive darts form a DAG (Kahn consumes every node)
-    indeg = [0] * g.n
-    out = [[] for _ in range(g.n)]
-    for a in range(g.m):
-        if acyc.get(g.keys[a], 0) > 0:
-            out[g.tails[a]].append(g.heads[a])
-            indeg[g.heads[a]] += 1
-    queue = [v for v in range(g.n) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    assert seen == g.n
+    before = list(store.vals)
+    circ, order = decompose_acyclic(g, store)
+    assert store.vals == before
+    assert_cancelled_and_ordered(g, store, circ, order)

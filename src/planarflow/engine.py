@@ -194,7 +194,7 @@ class MsmsEngine:
 
     def _detach_boundary_terminals(self, gt, sep, sources, sinks):
         """Replace every terminal on the separator cycle with a fresh
-        terminal embedded in an incident face.
+        terminal embedded in an incident face, all in one surgery pass.
 
         The new arc's capacity is the terminal's real directional
         capacity (arcs out of a source, into a sink): large enough that
@@ -204,22 +204,21 @@ class MsmsEngine:
         """
         sources = set(sources)
         sinks = set(sinks)
-        g = gt
-        for i, v in enumerate(sep.boundary):
+        detaches = []
+        for v, anchor in zip(sep.boundary, sep.cycle_darts):
             role = "source" if v in sources else "sink" if v in sinks else None
             if role is None:
                 continue
             want_parity = 0 if role == "source" else 1  # out-darts vs in-darts
-            cap = sum(g.caps[d >> 1] for d in g.rot[v] if (d & 1) == want_parity)
-            anchor = sep.cycle_darts[i]
-            g, v_new = detach_terminal_from_cycle(g, v, anchor, role,
-                                                  self.store, cap)
-            if role == "source":
-                sources.remove(v)
-                sources.add(v_new)
-            else:
-                sinks.remove(v)
-                sinks.add(v_new)
+            cap = sum(gt.caps[d >> 1] for d in gt.rot[v] if (d & 1) == want_parity)
+            detaches.append((v, anchor, role, cap))
+        if not detaches:
+            return gt, sources, sinks
+        g, new_nodes = detach_terminal_from_cycle(gt, detaches, self.store)
+        for (v, _, role, _), v_new in zip(detaches, new_nodes):
+            terminals = sources if role == "source" else sinks
+            terminals.remove(v)
+            terminals.add(v_new)
             self._emit({"op": "detach_terminal", "node": v, "role": role,
                         "replacement": v_new})
         return g, sources, sinks

@@ -7,8 +7,6 @@ reverse dart carries its negation, so antisymmetry holds by construction.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import CapacityViolation
 from .graph import NO_KEY, PlanarGraph
 
@@ -119,25 +117,25 @@ def residual_reachable(g: PlanarGraph, store: FlowStore, start, reverse=False) -
     """
     back = 1 if reverse else 0
     seen = bytearray(g.n)
-    queue = deque()
+    reached = []
     for v in start:
         if not seen[v]:
             seen[v] = 1
-            queue.append(v)
-    caps, vals, keys = store.caps, store.vals, g.keys
-    while queue:
-        v = queue.popleft()
+            reached.append(v)
+    caps, vals = store.caps, store.vals
+    tails, heads, keys = g.tails, g.heads, g.keys
+    for v in reached:       # grows while it is read: a breadth-first queue
         for d in g.rot[v]:
             key = keys[d >> 1]
             if key == NO_KEY:
                 continue
             res = caps[key] - vals[key] if (d & 1) == back else vals[key]
             if res > 0:
-                w = g.dart_head(d)
+                w = tails[d >> 1] if d & 1 else heads[d >> 1]
                 if not seen[w]:
                     seen[w] = 1
-                    queue.append(w)
-    return {v for v in range(g.n) if seen[v]}
+                    reached.append(w)
+    return set(reached)
 
 
 def decompose_acyclic(g: PlanarGraph, store: FlowStore):

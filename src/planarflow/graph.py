@@ -43,10 +43,10 @@ def walk_faces(tails, heads, rot):
     rotation at the head of d.
     """
     num_darts = 2 * len(tails)
-    pos = [0] * num_darts
+    succ = [0] * num_darts
     for r in rot:
         for i, d in enumerate(r):
-            pos[d] = i
+            succ[r[i - 1] ^ 1] = d
     face_of = [-1] * num_darts
     faces = []
     for d0 in range(num_darts):
@@ -58,8 +58,7 @@ def walk_faces(tails, heads, rot):
         while face_of[d] < 0:
             face_of[d] = f
             walk.append(d)
-            r = rot[tails[d >> 1] if d & 1 else heads[d >> 1]]
-            d = r[(pos[d ^ 1] + 1) % len(r)]
+            d = succ[d]
         faces.append(walk)
     return faces, face_of
 
@@ -125,12 +124,13 @@ class PlanarGraph:
         connected graph (Euler's formula n - m + f = 2)."""
         if self.n == 1 and self.m == 0:
             return  # a bare node embeds in the sphere with one face
+        tails, heads = self.tails, self.heads
         counts = [0] * (2 * self.m)
-        for v in range(self.n):
-            for d in self.rot[v]:
-                if self.dart_tail(d) != v:
-                    raise EmbeddingInvalid(
-                        f"dart {d} listed at node {v} but leaves node {self.dart_tail(d)}")
+        for v, r in enumerate(self.rot):
+            for d in r:
+                tail = heads[d >> 1] if d & 1 else tails[d >> 1]
+                if tail != v:
+                    raise EmbeddingInvalid(f"dart {d} listed at node {v} but leaves node {tail}")
                 counts[d] += 1
         for d, c in enumerate(counts):
             if c != 1:
@@ -144,14 +144,15 @@ class PlanarGraph:
     def _count_reachable(self, start: int) -> int:
         if self.n == 0:
             return 0
+        tails, heads, rot = self.tails, self.heads, self.rot
         seen = bytearray(self.n)
         seen[start] = 1
         queue = deque([start])
         count = 1
         while queue:
             v = queue.popleft()
-            for d in self.rot[v]:
-                w = self.dart_head(d)
+            for d in rot[v]:
+                w = tails[d >> 1] if d & 1 else heads[d >> 1]
                 if not seen[w]:
                     seen[w] = 1
                     count += 1
@@ -171,8 +172,10 @@ class PlanarGraph:
 
 def is_triangulated_biconnected(g: PlanarGraph) -> bool:
     """Every face is a triangle on three distinct nodes."""
+    tails, heads = g.tails, g.heads
     for walk in g.faces():
-        if len(walk) != 3 or len({g.dart_head(d) for d in walk}) != 3:
+        if len(walk) != 3 or len({tails[d >> 1] if d & 1 else heads[d >> 1]
+                                  for d in walk}) != 3:
             return False
     return True
 

@@ -77,68 +77,44 @@ class EmbeddingEditor:
         return g
 
 
-def _walk_nodes(ed, walk):
-    return [ed.dart_head(d) for d in walk]
+def _chord_candidates(nodes):
+    """Corner pairs (s, t) to try, in order: first the corners after two
+    consecutive visits of a repeated node (a biconnection chord), then
+    every pair by increasing gap (a triangulation chord)."""
+    r = len(nodes)
+    last = {}
+    for i, v in enumerate(nodes):
+        if v in last:
+            yield (last[v] + 1) % r, (i + 1) % r
+        last[v] = i
+    for gap in range(2, r - 1):
+        for s in range(r):
+            yield s, (s + gap) % r
 
 
-def _make_biconnected(ed: EmbeddingEditor):
-    """Chord face corners around repeated face-walk visits until every
-    walk is simple (equivalent to two-connectedness for n >= 3)."""
-    while True:
-        progress = False
-        clean = True
-        for walk in ed.faces():
-            nodes = _walk_nodes(ed, walk)
-            first = {}
-            dup_pairs = []
-            for i, v in enumerate(nodes):
-                if v in first:
-                    dup_pairs.append((first[v], i))
-                first[v] = i
-            if not dup_pairs:
-                continue
-            clean = False
-            r = len(walk)
-            for s, t in dup_pairs:
-                a = nodes[(s + 1) % r]
-                b = nodes[(t + 1) % r]
-                if a != b and not ed.adjacent(a, b):
-                    ed.add_chord(walk, (s + 1) % r, (t + 1) % r)
-                    progress = True
-                    break
-            if progress:
-                break
-        if clean:
-            return
-        if not progress:
-            raise AssertionError("biconnection could not place a chord")
-
-
-def _triangulate_faces(ed: EmbeddingEditor):
-    """Chord every face down to triangles.  A face of length >= 4 in a
-    simple biconnected planar embedding always has two non-adjacent
-    corners (its corner set cannot be a clique), so the scan succeeds."""
+def _triangulate(ed: EmbeddingEditor):
+    """Chord every face down to a triangle on three distinct nodes, from
+    one worklist of face walks.  Walks of length <= 3 are done: with no
+    loops, their corners are distinct.  A longer walk that visits a node
+    twice gets a biconnection chord where one fits, any other walk the
+    first chord by increasing gap.  A simple walk of length >= 4 always
+    has one: two chords with interleaved ends cannot both run outside the
+    disc it bounds, so its corners are not a clique."""
+    heads, tails = ed.heads, ed.tails
     stack = [w for w in ed.faces() if len(w) > 3]
     while stack:
         walk = stack.pop()
         if len(walk) <= 3:
             continue
-        nodes = _walk_nodes(ed, walk)
-        r = len(walk)
-        placed = False
-        for gap in range(2, r - 1):
-            for s in range(r):
-                t = (s + gap) % r
-                if nodes[s] != nodes[t] and not ed.adjacent(nodes[s], nodes[t]):
-                    _, w1, w2 = ed.add_chord(walk, s, t)
-                    stack.append(w1)
-                    stack.append(w2)
-                    placed = True
-                    break
-            if placed:
+        nodes = [tails[d >> 1] if d & 1 else heads[d >> 1] for d in walk]
+        for s, t in _chord_candidates(nodes):
+            if nodes[s] != nodes[t] and not ed.adjacent(nodes[s], nodes[t]):
+                _, w1, w2 = ed.add_chord(walk, s, t)
+                stack.append(w1)
+                stack.append(w2)
                 break
-        if not placed:
-            raise AssertionError(f"face of length {r} has no addable chord")
+        else:
+            raise AssertionError(f"face of length {len(walk)} has no addable chord")
 
 
 def triangulate_and_biconnect(g: PlanarGraph) -> PlanarGraph:
@@ -151,40 +127,44 @@ def triangulate_and_biconnect(g: PlanarGraph) -> PlanarGraph:
     if g.n < 3:
         raise ValueError("triangulation requires at least 3 nodes")
     ed = EmbeddingEditor(g)
-    _make_biconnected(ed)
-    _triangulate_faces(ed)
+    _triangulate(ed)
     out = ed.freeze()
     if not is_triangulated_biconnected(out):
         raise AssertionError("triangulation left a face that is not a triangle")
     return out
 
 
-def detach_terminal_from_cycle(g: PlanarGraph, v: int, anchor_dart: int,
-                               role: str, store: FlowStore, cap: int):
-    """Replace terminal v with a fresh terminal v' embedded next to it.
+def detach_terminal_from_cycle(g: PlanarGraph, detaches, store: FlowStore):
+    """Replace terminals with fresh terminals embedded next to them.
 
-    v' lands in the face at the corner after anchor_dart (a dart leaving
-    v), joined to v by one arc: v' -> v for sources, v -> v' for sinks.
+    detaches lists (v, anchor_dart, role, cap), one entry per terminal,
+    at distinct nodes v.  Each v' lands in the face at the corner after
+    anchor_dart (a dart leaving v), joined to v by one arc: v' -> v for
+    sources, v -> v' for sinks, with a fresh flow key of capacity cap.
     With cap at least v's real directional capacity the arc never
     constrains the terminal, so the max-flow value with v' substituted
-    for v in the terminal set is unchanged.  Returns (graph, v').
+    for v in the terminal set is unchanged.  New nodes and arcs are
+    numbered in entry order.  Returns (graph, new_nodes).
     """
-    if role not in ("source", "sink"):
-        raise ValueError("role must be 'source' or 'sink'")
-    if g.dart_tail(anchor_dart) != v:
-        raise FaceNotIncident(f"dart {anchor_dart} does not leave node {v}")
     ed = EmbeddingEditor(g)
-    v_new = g.n
-    key = store.new_key(cap)
-    if role == "source":
-        a = ed._new_arc(v_new, v, cap, key)
-        dart_at_new, dart_at_v = 2 * a, 2 * a + 1
-    else:
-        a = ed._new_arc(v, v_new, cap, key)
-        dart_at_v, dart_at_new = 2 * a, 2 * a + 1
-    ed.rot.append([dart_at_new])
-    ed._splice_after(v, anchor_dart, dart_at_v)
-    return ed.freeze(), v_new
+    new_nodes = []
+    for v, anchor_dart, role, cap in detaches:
+        if role not in ("source", "sink"):
+            raise ValueError("role must be 'source' or 'sink'")
+        if g.dart_tail(anchor_dart) != v:
+            raise FaceNotIncident(f"dart {anchor_dart} does not leave node {v}")
+        v_new = len(ed.rot)
+        key = store.new_key(cap)
+        if role == "source":
+            a = ed._new_arc(v_new, v, cap, key)
+            dart_at_new, dart_at_v = 2 * a, 2 * a + 1
+        else:
+            a = ed._new_arc(v, v_new, cap, key)
+            dart_at_v, dart_at_new = 2 * a, 2 * a + 1
+        ed.rot.append([dart_at_new])
+        ed._splice_after(v, anchor_dart, dart_at_v)
+        new_nodes.append(v_new)
+    return ed.freeze(), new_nodes
 
 
 def attach_apex(g: PlanarGraph, boundary, inf_cap: int):

@@ -12,8 +12,10 @@ from planarflow.errors import (
     ParallelArcOrLoop,
     TerminalOverlap,
 )
+from planarflow.flow import FlowStore
 from planarflow.generate import generate
-from planarflow.graph import PlanarGraph, TerminalSets, build_graph, rev
+from planarflow.graph import PlanarGraph, TerminalSets, build_graph, rev, walk_faces
+from planarflow.surgery import detach_terminal_from_cycle, triangulate_and_biconnect
 
 
 def triangle():
@@ -78,6 +80,61 @@ def test_every_dart_in_exactly_one_rotation():
     g = triangle()
     listed = [d for v in range(g.n) for d in g.rot[v]]
     assert sorted(listed) == list(g.darts())
+
+
+@pytest.mark.parametrize("rot, message", [
+    ([[0, 2], [1, 5], [3, 4]], "dart 2 listed at node 0 but leaves node 1"),
+    ([[0, 5, 0], [1, 2], [3, 4]], "dart 0 appears 2 times in the rotation system"),
+    ([[0], [1, 2], [3, 4]], "dart 5 appears 0 times in the rotation system"),
+])
+def test_check_embedding_rejects_bad_rotation(rot, message):
+    # darts of the triangle 0 -> 1 -> 2 -> 0: 2a leaves tails[a], 2a+1 heads[a]
+    g = PlanarGraph([0, 1, 2], [1, 2, 0], [1, 1, 1], rot)
+    with pytest.raises(EmbeddingInvalid) as err:
+        g.check_embedding()
+    assert str(err.value) == message
+
+
+def reference_walk_faces(tails, heads, rot):
+    """The face walk by rotation position lookups, as first written."""
+    num_darts = 2 * len(tails)
+    pos = [0] * num_darts
+    for r in rot:
+        for i, d in enumerate(r):
+            pos[d] = i
+    face_of = [-1] * num_darts
+    faces = []
+    for d0 in range(num_darts):
+        if face_of[d0] >= 0:
+            continue
+        f = len(faces)
+        walk = []
+        d = d0
+        while face_of[d] < 0:
+            face_of[d] = f
+            walk.append(d)
+            r = rot[tails[d >> 1] if d & 1 else heads[d >> 1]]
+            d = r[(pos[d ^ 1] + 1) % len(r)]
+        faces.append(walk)
+    return faces, face_of
+
+
+def with_pendants(g):
+    """g triangulated, with a source and a sink detached on face corners."""
+    gt = triangulate_and_biconnect(g)
+    detaches = [(0, gt.rot[0][0], "source", 5), (1, gt.rot[1][-1], "sink", 5)]
+    return detach_terminal_from_cycle(gt, detaches, FlowStore.for_graph(g))[0]
+
+
+@pytest.mark.parametrize("kind, n, seed", [
+    ("grid", 2, 1), ("grid", 9, 2), ("grid", 60, 3), ("tri", 3, 4), ("tri", 50, 5),
+])
+def test_walk_faces_matches_reference(kind, n, seed):
+    g, _ = generate(kind, n, seed).build()
+    graphs = [g, with_pendants(g)] if g.n >= 3 else [g]
+    for h in graphs:
+        assert walk_faces(h.tails, h.heads, h.rot) == \
+            reference_walk_faces(h.tails, h.heads, h.rot)
 
 
 def test_grid_faces():

@@ -34,13 +34,33 @@ def path3():
 
 
 def random_planar_connected(rng, n):
-    """Random connected plane graph built by inserting nodes into faces of a
-    triangle and keeping a random subset of chords (always spanning)."""
+    """Random connected plane graph: a random triangulation cut down to a
+    random spanning tree plus a random subset of its other arcs, so faces
+    may be long and may visit a node more than once."""
     from planarflow.generate import random_triangulation_arrays
 
     tails, heads, caps, rot = random_triangulation_arrays(n, rng)
-    return build_graph(n, [(t, h, c) for t, h, c in zip(tails, heads, caps)],
-                       rot_to_neighbors(tails, heads, rot))
+    order = list(range(len(tails)))
+    rng.shuffle(order)
+    keep_frac = rng.random()
+    comp = list(range(n))
+
+    def find(v):
+        while comp[v] != v:
+            v = comp[v]
+        return v
+
+    kept = set()
+    for a in order:
+        ru, rv = find(tails[a]), find(heads[a])
+        if ru != rv:
+            comp[ru] = rv
+            kept.add(a)
+        elif rng.random() < keep_frac:
+            kept.add(a)
+    arcs = [(tails[a], heads[a], caps[a]) for a in sorted(kept)]
+    rot = [[d for d in darts if d >> 1 in kept] for darts in rot]
+    return build_graph(n, arcs, rot_to_neighbors(tails, heads, rot))
 
 
 def rot_to_neighbors(tails, heads, rot):
@@ -96,8 +116,9 @@ def test_detach_source_preserves_value():
     g = triangle()
     store = FlowStore.for_graph(g)
     inf = 1 + g.total_capacity()
-    g2, s_new = detach_terminal_from_cycle(g, 0, g.rot[0][0], "source", store, inf)
-    assert s_new == 3
+    g2, new_nodes = detach_terminal_from_cycle(g, [(0, g.rot[0][0], "source", inf)], store)
+    assert new_nodes == [3]
+    s_new = new_nodes[0]
     assert g2.keys[-1] == len(store.vals) - 1 and g2.keys[-1] >= g.m
     assert g2.caps[-1] == store.caps[g2.keys[-1]] == inf
     assert g2.tails[-1] == s_new and g2.heads[-1] == 0
@@ -108,7 +129,7 @@ def test_detach_sink_preserves_value():
     g = triangle()
     store = FlowStore.for_graph(g)
     inf = 1 + g.total_capacity()
-    g2, t_new = detach_terminal_from_cycle(g, 2, g.rot[2][0], "sink", store, inf)
+    g2, (t_new,) = detach_terminal_from_cycle(g, [(2, g.rot[2][0], "sink", inf)], store)
     assert g2.tails[-1] == 2 and g2.heads[-1] == t_new
     assert oracle_value_for_graph(g2, {0}, {t_new}) == oracle_value_for_graph(g, {0}, {2})
 
@@ -117,7 +138,22 @@ def test_detach_rejects_dart_not_at_node():
     g = triangle()
     store = FlowStore.for_graph(g)
     with pytest.raises(FaceNotIncident):
-        detach_terminal_from_cycle(g, 0, g.rot[1][0], "source", store, 99)
+        detach_terminal_from_cycle(g, [(0, g.rot[1][0], "source", 99)], store)
+
+
+def test_detach_source_and_sink_in_one_call():
+    g = square()
+    store = FlowStore.for_graph(g)
+    detaches = [(2, g.rot[2][1], "sink", 2), (0, g.rot[0][0], "source", 3)]
+    g2, new_nodes = detach_terminal_from_cycle(g, detaches, store)
+    assert new_nodes == [g.n, g.n + 1]
+    t_new, s_new = new_nodes
+    assert (g2.tails[g.m], g2.heads[g.m]) == (2, t_new)
+    assert (g2.tails[g.m + 1], g2.heads[g.m + 1]) == (s_new, 0)
+    assert g2.keys[g.m:] == [g.m, g.m + 1] and len(store.vals) == g.m + 2
+    assert store.caps[g.m:] == g2.caps[g.m:] == [2, 3]
+    g2.check_embedding()
+    assert oracle_value_for_graph(g2, {s_new}, {t_new}) == oracle_value_for_graph(g, {0}, {2})
 
 
 def check_apex_against_oracle(boundary):

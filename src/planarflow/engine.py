@@ -250,29 +250,23 @@ class MsmsEngine:
 
     def _redistribute_boundary(self, gd, boundary, sources, sinks, depth):
         """Walk the boundary in cyclic order; move each node's imbalance
-        onto the unwalked suffix through temporary infinite-capacity
-        chain links, so conservation violations drain toward the end.
-
-        The links are scratch arcs of the limited-flow call: their flow
-        is never stored."""
-        k = len(boundary)
+        onto the unwalked suffix, so conservation violations drain toward
+        the end.  Step i is one limited flow from boundary[i] into the
+        suffix boundary[i+1:] taken as a sink set (the other way round for
+        a deficit).  The paper chains the suffix with infinite-capacity
+        arcs instead; every finite cut keeps a chained suffix on one side,
+        so both flows have the same value."""
         base_arcs = graph_arcs(gd)
-        links = []
-        for j in range(k - 1):
-            u, v = boundary[j], boundary[j + 1]
-            links.append((u, v, self.inf, 0))
-            links.append((v, u, self.inf, 0))
-        for i in range(k - 1):
+        for i in range(len(boundary) - 1):
             node = boundary[i]
             imbalance = inflow(gd, self.store, node)
             pushed = 0
             if imbalance != 0:
-                src, dst = node, boundary[i + 1]
+                src, dst = [node], boundary[i + 1:]
                 if imbalance < 0:
                     src, dst = dst, src
                 pushed, deltas = limited_max_flow(
-                    gd.n, base_arcs, self.store, src, dst, abs(imbalance),
-                    links[2 * (i + 1):])
+                    gd.n, base_arcs, self.store, src, dst, abs(imbalance))
                 self.store.apply(deltas)
             if self.trace is not None:
                 self._emit({

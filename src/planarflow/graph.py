@@ -94,10 +94,6 @@ class PlanarGraph:
     def dart_head(self, d: int) -> int:
         return self.heads[d >> 1] if (d & 1) == 0 else self.tails[d >> 1]
 
-    def dart_cap(self, d: int) -> int:
-        """Capacity of a dart: the arc capacity forward, zero in reverse."""
-        return self.caps[d >> 1] if (d & 1) == 0 else 0
-
     def darts(self):
         return range(2 * self.m)
 

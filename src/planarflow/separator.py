@@ -70,10 +70,11 @@ def _bfs_tree(g: PlanarGraph):
     seen = bytearray(g.n)
     seen[0] = 1
     queue = deque([0])
+    tails, heads = g.tails, g.heads
     while queue:
         v = queue.popleft()
         for d in g.rot[v]:
-            w = g.dart_head(d)
+            w = tails[d >> 1] if d & 1 else heads[d >> 1]
             if not seen[w]:
                 seen[w] = 1
                 parent[w] = v
@@ -225,6 +226,7 @@ def _classify_sides(g: PlanarGraph, boundary, side_of_dart):
     for v in boundary:
         on_cycle[v] = 1
 
+    tails, heads = g.tails, g.heads
     comp = [-1] * n
     comp_side = []
     for start in range(n):
@@ -237,13 +239,13 @@ def _classify_sides(g: PlanarGraph, boundary, side_of_dart):
         while queue:
             x = queue.popleft()
             for d in g.rot[x]:
-                y = g.dart_head(d)
+                y = tails[d >> 1] if d & 1 else heads[d >> 1]
                 if not on_cycle[y] and comp[y] < 0:
                     comp[y] = cid
                     queue.append(y)
 
     for d, side in side_of_dart.items():
-        y = g.dart_head(d)
+        y = tails[d >> 1] if d & 1 else heads[d >> 1]
         if on_cycle[y]:
             continue
         cid = comp[y]

@@ -60,24 +60,14 @@ class _DartNet:
         return out
 
 
-def _net_from_arcs(num_nodes, arcs, store, reverse=False, extra=()):
-    """Residual net for (tail, head, cap, key) arcs under the store's flow.
-
-    With reverse=True every dart is flipped, which is how the
-    single-source multiple-sink case reuses the multiple-source solver:
-    a flow found in the reversed residual net maps back through the same
-    extraction with its sign already correct.
-    """
+def _net_from_arcs(num_nodes, arcs, store, extra=()):
+    """Residual net for (tail, head, cap, key) arcs under the store's flow."""
     net = _DartNet(num_nodes)
     for (t, h, c, key) in arcs:
         if key == NO_KEY:
             continue      # zero both ways; invisible to any flow
         f = store.vals[key]
-        cap = store.caps[key]
-        if reverse:
-            net.add_pair(h, t, cap - f, f, key)
-        else:
-            net.add_pair(t, h, cap - f, f, key)
+        net.add_pair(t, h, store.caps[key] - f, f, key)
     for (t, h, res_fwd, res_rev) in extra:
         net.add_pair(t, h, res_fwd, res_rev, NO_KEY)
     return net
@@ -151,12 +141,11 @@ def _dinic(net: _DartNet, source: int, sink: int, limit=None) -> int:
 
 
 def _solve_terminal_sets(num_nodes, arcs, store, sources, sinks,
-                         limit=None, reverse=False, scratch=()):
+                         limit=None, scratch=()):
     """Supersource/supersink reduction over the residual net.
 
     scratch holds unkeyed (tail, head, res_fwd, res_rev) arcs placed after
-    the keyed arcs; their flow is not returned.  reverse leaves them as
-    given, which changes nothing for the apex's arc pairs, one each way.
+    the keyed arcs; their flow is not returned.
     """
     sources = sorted(sources)
     sinks = sorted(sinks)
@@ -171,7 +160,7 @@ def _solve_terminal_sets(num_nodes, arcs, store, sources, sinks,
         extra.append((sigma, s, bound, 0))
     for t in sinks:
         extra.append((t, tau, bound, 0))
-    net = _net_from_arcs(num_nodes + 2, arcs, store, reverse=reverse, extra=extra)
+    net = _net_from_arcs(num_nodes + 2, arcs, store, extra=extra)
     value = _dinic(net, sigma, tau, limit=limit)
     return value, net.extract_deltas()
 
@@ -183,8 +172,9 @@ def msss_max_flow(num_nodes, arcs, store, sources, sink, scratch=()):
     """Maximum flow from a source set to one sink in the residual graph.
 
     Returns (value, deltas).  After the deltas are accumulated, no
-    residual path from the sources to the sink remains.  scratch: as for
-    limited_max_flow.
+    residual path from the sources to the sink remains.  scratch: extra
+    (tail, head, res_fwd, res_rev) arcs with no flow key; they may carry
+    flow, but it is not part of the returned deltas.
     """
     if sink in set(sources):
         raise ValueError("sink may not be a source")
@@ -192,31 +182,28 @@ def msss_max_flow(num_nodes, arcs, store, sources, sink, scratch=()):
 
 
 def ssms_max_flow(num_nodes, arcs, store, source, sinks, scratch=()):
-    """Maximum flow from one source to a sink set.
-
-    Implemented by reversing every dart of the residual graph, running
-    the multiple-source single-sink solver with the sinks as sources,
-    and negating the resulting assignment (the reversal bakes the
-    negation into the extraction).  scratch arcs are not reversed.
-    """
+    """Maximum flow from one source to a sink set; scratch as for
+    msss_max_flow."""
     if source in set(sinks):
         raise ValueError("source may not be a sink")
-    return _solve_terminal_sets(num_nodes, arcs, store, sinks, [source],
-                                reverse=True, scratch=scratch)
+    return _solve_terminal_sets(num_nodes, arcs, store, [source], sinks,
+                                scratch=scratch)
 
 
-def limited_max_flow(num_nodes, arcs, store, source, sink, delta, scratch=()):
-    """Flow of value min(delta, maxflow) from source to sink.
+def limited_max_flow(num_nodes, arcs, store, sources, sinks, delta):
+    """Flow of value min(delta, maxflow) from a source set to a sink set.
 
-    scratch: extra (tail, head, res_fwd, res_rev) arcs with no flow key;
-    they may carry flow, but it is not part of the returned deltas.
+    When the value falls short of delta, no residual path from the
+    sources to the sinks remains.
     """
     if delta < 0:
         raise ValueError("flow limit must be non-negative")
+    if set(sources) & set(sinks):
+        raise ValueError("sources and sinks overlap")
     if delta == 0:
         return 0, []
-    return _solve_terminal_sets(num_nodes, arcs, store, [source], [sink],
-                                limit=delta, scratch=scratch)
+    return _solve_terminal_sets(num_nodes, arcs, store, sources, sinks,
+                                limit=delta)
 
 
 def solve_msms_residual(num_nodes, arcs, store, sources, sinks):

@@ -149,7 +149,7 @@ def fuzz_sequence(pool, rng, ops_lo=2, ops_hi=4):
         elif choice == 2:
             s = rng.choice(sources)
             t = rng.choice(sinks)
-            _, deltas = limited_max_flow(g.n, arcs, store, s, t, rng.randint(0, 12))
+            _, deltas = limited_max_flow(g.n, arcs, store, [s], [t], rng.randint(0, 12))
         else:
             _, deltas = solve_msms_residual(g.n, arcs, store, set(sources), set(sinks))
         store.apply(deltas)

@@ -90,7 +90,7 @@ def test_terminals_on_separator_are_handled():
 
 
 def test_store_holds_only_root_arcs_and_detach_arcs():
-    # apex and chain arcs are solver scratch: they allocate no store key
+    # apex arcs are solver scratch and the walk adds no arcs: no store key
     inst = generate("grid", 400, 1)
     g, ts = inst.build()
     records = []

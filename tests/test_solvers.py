@@ -108,7 +108,7 @@ def test_ssms_source_with_no_outgoing_capacity_is_zero():
     assert value == 0 and deltas == []
 
 
-def test_ssms_matches_oracle_and_reversal_roundtrip():
+def test_ssms_matches_oracle_and_leaves_a_maximal_feasible_flow():
     rng = random.Random(11)
     for _ in range(40):
         n = rng.randint(3, 9)
@@ -142,7 +142,7 @@ def test_limited_flow_respects_delta():
     g = build_graph(2, arcs, [[1], [0]])
     for delta, expect in [(3, 3), (10, 5), (0, 0)]:
         store = FlowStore.for_graph(g)
-        value, deltas = limited_max_flow(g.n, graph_arcs(g), store, 0, 1, delta)
+        value, deltas = limited_max_flow(g.n, graph_arcs(g), store, [0], [1], delta)
         store.apply(deltas)
         assert value == expect
         assert store.vals[0] == expect
@@ -153,20 +153,61 @@ def test_limited_flow_rejects_negative_delta():
     g = build_graph(2, arcs, [[1], [0]])
     store = FlowStore.for_graph(g)
     with pytest.raises(ValueError):
-        limited_max_flow(g.n, graph_arcs(g), store, 0, 1, -1)
+        limited_max_flow(g.n, graph_arcs(g), store, [0], [1], -1)
 
 
 
-def test_limited_flow_scratch_arcs_carry_flow_but_return_no_deltas():
+def test_limited_flow_rejects_overlapping_sets():
+    arcs = [(0, 1, 5), (1, 2, 5)]
+    g = build_graph(3, arcs, [[1], [0, 2], [1]])
+    store = FlowStore.for_graph(g)
+    with pytest.raises(ValueError):
+        limited_max_flow(g.n, graph_arcs(g), store, [0, 1], [1, 2], 3)
+
+
+def test_msss_scratch_arcs_carry_flow_but_return_no_deltas():
     # 0 -> 1 (cap 2) plus an unkeyed scratch link 1 -> 2 to reach the sink
     arcs = [(0, 1, 2), (2, 1, 9)]
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
-    value, deltas = limited_max_flow(g.n, graph_arcs(g), store, 0, 2, 5,
-                                     [(1, 2, 100, 0)])
+    value, deltas = msss_max_flow(g.n, graph_arcs(g), store, [0], 2,
+                                  [(1, 2, 100, 0)])
     assert value == 2
     assert deltas == [(0, 2)]
-    assert limited_max_flow(g.n, graph_arcs(g), store, 0, 2, 5) == (0, [])
+    assert msss_max_flow(g.n, graph_arcs(g), store, [0], 2) == (0, [])
+
+
+def test_limited_flow_into_a_set_matches_linked_chain():
+    """A limited flow between s and a node set T has the value of the same
+    flow between s and T's first node with infinite links chained through
+    T both ways; short of delta, no residual path joins s and T."""
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(3, 9)
+        arcs = random_digraph(rng, n)
+        if not arcs:
+            continue
+        s, *chain = rng.sample(range(n), rng.randint(2, n))
+        inf = 1 + sum(c for (_, _, c) in arcs)
+        linked = arcs + [arc for u, v in zip(chain, chain[1:])
+                         for arc in ((u, v, inf), (v, u, inf))]
+        for forward in (True, False):
+            store = FlowStore()
+            keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
+            delta = rng.randint(0, 15)
+            if forward:
+                value, deltas = limited_max_flow(n, keyed, store, [s], chain, delta)
+                oracle = oracle_max_flow(n, linked, {s}, {chain[0]}).value
+            else:
+                value, deltas = limited_max_flow(n, keyed, store, chain, [s], delta)
+                oracle = oracle_max_flow(n, linked, {chain[0]}, {s}).value
+            store.apply(deltas)
+            assert value == min(delta, oracle)
+            if value < delta:
+                if forward:
+                    assert not (_reach(n, keyed, store, {s}) & set(chain))
+                else:
+                    assert s not in _reach(n, keyed, store, set(chain))
 
 def test_limited_flow_maximality_when_short():
     rng = random.Random(23)
@@ -179,7 +220,7 @@ def test_limited_flow_maximality_when_short():
         store = FlowStore()
         keyed = [(tl, h, c, store.new_key(c)) for (tl, h, c) in arcs]
         delta = rng.randint(0, 12)
-        value, deltas = limited_max_flow(n, keyed, store, s, t, delta)
+        value, deltas = limited_max_flow(n, keyed, store, [s], [t], delta)
         store.apply(deltas)
         true_max = oracle_max_flow(n, arcs, {s}, {t}).value
         assert value == min(delta, true_max)

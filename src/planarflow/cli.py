@@ -36,6 +36,14 @@ def _load_config(args) -> EngineConfig:
     )
 
 
+def _check_size(kind, n):
+    """Reject a kind or node count that generate() cannot build."""
+    if kind not in ("grid", "tri"):
+        raise ConfigError(f"unknown instance kind {kind!r}; expected grid or tri")
+    if kind == "grid" and n < 2:
+        raise ConfigError(f"a grid needs at least 2 nodes, got {n}")
+
+
 def _failure_kind(e) -> str:
     return "audit failure" if isinstance(e, AuditFailure) else "invariant failure"
 
@@ -48,6 +56,7 @@ def _trace_writer(path):
 
 
 def cmd_gen(args) -> int:
+    _check_size(args.kind, args.n)
     inst = generate(args.kind, args.n, args.seed, cap_max=args.cap_max,
                     s_frac=args.s_frac, t_frac=args.t_frac)
     text = inst.text()
@@ -134,6 +143,7 @@ def _build_components(inst):
 
 
 def cmd_check(args) -> int:
+    _check_size(args.kind, args.n)
     cfg = _load_config(args)
     if cfg.audit == "none":
         cfg = with_overrides(cfg, audit="full")
@@ -165,9 +175,16 @@ def cmd_check(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
+    try:
+        sizes = [int(x) for x in args.sizes.split(",")]
+    except ValueError:
+        raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
+    kinds = args.kinds.split(",")
+    for kind in kinds:
+        for n in sizes:
+            _check_size(kind, n)
     rows = []
-    sizes = [int(x) for x in args.sizes.split(",")]
-    for kind in args.kinds.split(","):
+    for kind in kinds:
         for n in sizes:
             for r in range(args.repeats):
                 rows.append(run_one(kind, n, args.seed + r, cap_max=args.cap_max,

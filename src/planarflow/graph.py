@@ -105,9 +105,10 @@ class PlanarGraph:
             self._faces, self._face_of = walk_faces(self.tails, self.heads, self.rot)
         return self._faces
 
-    def face_of_dart(self, d: int) -> int:
+    def dart_faces(self):
+        """The face index of every dart, in dart order (see walk_faces)."""
         self.faces()
-        return self._face_of[d]
+        return self._face_of
 
     @property
     def num_faces(self) -> int:

@@ -121,6 +121,7 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
         raise PreconditionNotTriangulated(
             "separator requires a two-connected triangulation")
     faces = g.faces()
+    face_of = g.dart_faces()
 
     n = g.n
     if n == 3:
@@ -139,8 +140,8 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
     dual_adj = [[] for _ in range(num_faces)]
     for a in range(g.m):
         if not in_tree[a]:
-            f1 = g.face_of_dart(2 * a)
-            f2 = g.face_of_dart(2 * a + 1)
+            f1 = face_of[2 * a]
+            f2 = face_of[2 * a + 1]
             dual_adj[f1].append((f2, a))
             dual_adj[f2].append((f1, a))
     dual_parent_arc = [-1] * num_faces
@@ -162,7 +163,7 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
         a = dual_parent_arc[f]
         if a >= 0:
             child_face[a] = f
-            pf = g.face_of_dart(2 * a) if g.face_of_dart(2 * a) != f else g.face_of_dart(2 * a + 1)
+            pf = face_of[2 * a] if face_of[2 * a] != f else face_of[2 * a + 1]
             subtree[pf] += subtree[f]
 
     lca = _Lca(parent, depth)

@@ -6,9 +6,11 @@ returns it as (value, deltas) where deltas is a list of (key, delta)
 pairs ready for FlowStore.apply.  Subroutines never mutate capacities or
 the store.
 
-All of them are built on one deterministic blocking-flow core (shortest
-augmenting paths, lowest-index admissible dart first), so repeated runs
-produce identical flows.
+All of them, and the oracle, run one deterministic blocking-flow core
+(shortest augmenting paths, lowest-index admissible dart first) on flat
+dart arrays built per call, so repeated runs produce identical flows.
+The core starts from a whole source set and stops at any sink of a sink
+set, so no supersource or supersink is added.
 """
 
 from __future__ import annotations
@@ -19,173 +21,141 @@ from dataclasses import dataclass
 from .graph import NO_KEY, PlanarGraph
 
 
-class _DartNet:
-    """Scratch residual network over explicit darts for one solver call."""
-
-    __slots__ = ("num_nodes", "tail", "head", "res", "adj", "arc_keys", "init")
-
-    def __init__(self, num_nodes):
-        self.num_nodes = num_nodes
-        self.tail = []
-        self.head = []
-        self.res = []
-        self.arc_keys = []   # per dart pair: flow key or NO_KEY
-        self.init = []       # initial residual of the even dart, for extraction
-
-    def add_pair(self, u, v, res_fwd, res_rev, key):
-        self.tail.append(u)
-        self.head.append(v)
-        self.res.append(res_fwd)
-        self.tail.append(v)
-        self.head.append(u)
-        self.res.append(res_rev)
-        self.arc_keys.append(key)
-        self.init.append(res_fwd)
-
-    def build_adj(self):
-        adj = [[] for _ in range(self.num_nodes)]
-        for d in range(len(self.tail)):
-            adj[self.tail[d]].append(d)
-        self.adj = adj
-
-    def extract_deltas(self):
-        """Net change per keyed arc: f(arc) grew by init_res - final_res."""
-        out = []
-        for a, key in enumerate(self.arc_keys):
-            if key == NO_KEY:
-                continue
-            pushed = self.init[a] - self.res[2 * a]
-            if pushed:
-                out.append((key, pushed))
-        return out
-
-
-def _net_from_arcs(num_nodes, arcs, store, extra=()):
-    """Residual net for (tail, head, cap, key) arcs under the store's flow."""
-    net = _DartNet(num_nodes)
-    for (t, h, c, key) in arcs:
-        if key == NO_KEY:
-            continue      # zero both ways; invisible to any flow
-        f = store.vals[key]
-        net.add_pair(t, h, store.caps[key] - f, f, key)
-    for (t, h, res_fwd, res_rev) in extra:
-        net.add_pair(t, h, res_fwd, res_rev, NO_KEY)
-    return net
-
-
 def graph_arcs(g: PlanarGraph):
     return [(g.tails[a], g.heads[a], g.caps[a], g.keys[a]) for a in range(g.m)]
 
 
-def _dinic(net: _DartNet, source: int, sink: int, limit=None) -> int:
-    """Blocking-flow max flow on the scratch net; returns the value pushed.
+def _add_darts(adj, head, res, arcs):
+    """Append darts 2a and 2a + 1 for each (tail, head, res_fwd, res_rev)."""
+    for (t, h, fwd, rev) in arcs:
+        adj[t].append(len(head))
+        adj[h].append(len(head) + 1)
+        head += (h, t)
+        res += (fwd, rev)
 
-    Deterministic: BFS and DFS both scan darts in index order, so the
-    lowest-index admissible dart is always used first.
+
+def _dinic(adj, head, res, sources, sinks, limit=None) -> int:
+    """Blocking-flow max flow from a source set to a disjoint sink set;
+    returns the value pushed and leaves the final residuals in res.
+
+    Dart d runs into head[d] with residual res[d]; d ^ 1 is its reverse,
+    so a dart's tail is head[d ^ 1].  Each phase labels levels by a BFS
+    seeded with every source, stopping at the first sink it pops, then
+    runs a blocking-flow DFS from each source in the given order that
+    ends at any sink.  Deterministic: BFS and DFS both scan adj[v] in
+    order, so the first admissible dart is always used first.
     """
-    net.build_adj()
-    tail, head, res, adj = net.tail, net.head, net.res, net.adj
-    n = net.num_nodes
+    n = len(adj)
+    is_sink = bytearray(n)
+    for t in sinks:
+        is_sink[t] = 1
+    unseen = n + 1           # level of an unlabelled or pruned node
     total = 0
-    INFLEVEL = n + 1
     while limit is None or total < limit:
-        level = [INFLEVEL] * n
-        level[source] = 0
-        queue = deque([source])
+        level = [unseen] * n
+        for s in sources:
+            level[s] = 0
+        queue = deque(sources)
         while queue:
             v = queue.popleft()
-            if v == sink:
+            if is_sink[v]:
                 break
             lv = level[v] + 1
             for d in adj[v]:
-                if res[d] > 0:
-                    w = head[d]
-                    if level[w] == INFLEVEL:
-                        level[w] = lv
-                        queue.append(w)
-        if level[sink] == INFLEVEL:
-            break
+                if res[d] > 0 and level[head[d]] == unseen:
+                    level[head[d]] = lv
+                    queue.append(head[d])
+        else:
+            break            # no sink is reachable: the flow is maximum
         ptr = [0] * n
-        # depth-first blocking flow with an explicit dart stack
-        while limit is None or total < limit:
+        for s in sources:
+            # depth-first blocking flow from s with an explicit dart stack
             path = []
-            v = source
-            while v != sink:
-                advanced = False
-                while ptr[v] < len(adj[v]):
-                    d = adj[v][ptr[v]]
-                    if res[d] > 0 and level[head[d]] == level[v] + 1:
-                        path.append(d)
-                        v = head[d]
-                        advanced = True
-                        break
+            v = s
+            while limit is None or total < limit:
+                if is_sink[v]:
+                    push = min(res[d] for d in path)
+                    if limit is not None:
+                        push = min(push, limit - total)
+                    for d in path:
+                        res[d] -= push
+                        res[d ^ 1] += push
+                    total += push
+                    path = []
+                    v = s
+                    continue
+                darts = adj[v]
+                want = level[v] + 1
+                i = ptr[v]
+                while i < len(darts) and not (
+                        res[darts[i]] > 0 and level[head[darts[i]]] == want):
+                    i += 1
+                ptr[v] = i
+                if i < len(darts):
+                    path.append(darts[i])
+                    v = head[darts[i]]
+                elif path:
+                    level[v] = unseen     # dead end; prune
+                    v = head[path.pop() ^ 1]
                     ptr[v] += 1
-                if not advanced:
-                    if not path:
-                        v = None
-                        break
-                    level[v] = INFLEVEL   # dead end; prune
-                    d = path.pop()
-                    v = tail[d]
-                    ptr[v] += 1
-            if v is None:
-                break
-            bottleneck = min(res[d] for d in path)
-            if limit is not None:
-                bottleneck = min(bottleneck, limit - total)
-            for d in path:
-                res[d] -= bottleneck
-                res[d ^ 1] += bottleneck
-            total += bottleneck
+                else:
+                    break                 # s reaches no sink in this phase
     return total
 
 
 def _solve_terminal_sets(num_nodes, arcs, store, sources, sinks,
                          limit=None, scratch=()):
-    """Supersource/supersink reduction over the residual net.
+    """Flow from a source set to a disjoint sink set on the residual net
+    of the keyed arcs under the store's flow.
 
     scratch holds unkeyed (tail, head, res_fwd, res_rev) arcs placed after
-    the keyed arcs; their flow is not returned.
+    the keyed arcs; their flow is not returned.  An arc's delta is its
+    final reverse residual minus its stored flow.
     """
-    sources = sorted(sources)
-    sinks = sorted(sinks)
-    if not sources or not sinks:
+    if set(sources) & set(sinks):
+        raise ValueError("sources and sinks overlap")
+    if not sources or not sinks or limit == 0:
         return 0, []
-    bound = 1 + sum(store.caps[key] for (_, _, _, key) in arcs if key != NO_KEY)
-    bound += sum(fwd + rev for (_, _, fwd, rev) in scratch)
-    extra = list(scratch)
-    sigma = num_nodes
-    tau = num_nodes + 1
-    for s in sources:
-        extra.append((sigma, s, bound, 0))
-    for t in sinks:
-        extra.append((t, tau, bound, 0))
-    net = _net_from_arcs(num_nodes + 2, arcs, store, extra=extra)
-    value = _dinic(net, sigma, tau, limit=limit)
-    return value, net.extract_deltas()
+    vals, caps = store.vals, store.caps
+    adj = [[] for _ in range(num_nodes)]
+    head, res, keys = [], [], []
+    for (t, h, _, key) in arcs:
+        if key == NO_KEY:
+            continue      # zero both ways; invisible to any flow
+        f = vals[key]
+        adj[t].append(len(head))
+        adj[h].append(len(head) + 1)
+        head += (h, t)
+        res += (caps[key] - f, f)
+        keys.append(key)
+    _add_darts(adj, head, res, scratch)
+    value = _dinic(adj, head, res, sorted(sources), sorted(sinks), limit)
+    return value, [(key, res[2 * a + 1] - vals[key])
+                   for a, key in enumerate(keys) if res[2 * a + 1] != vals[key]]
 
 
-# -- the three subroutine contracts -----------------------------------------
+# -- the four subroutine contracts ------------------------------------------
+#
+# Each takes the keyed (tail, head, cap, key) arc list of one graph, reads
+# residual capacities from the store, raises ValueError when its source
+# and sink sets overlap, and returns (value, deltas).
 
 
 def msss_max_flow(num_nodes, arcs, store, sources, sink, scratch=()):
     """Maximum flow from a source set to one sink in the residual graph.
 
-    Returns (value, deltas).  After the deltas are accumulated, no
-    residual path from the sources to the sink remains.  scratch: extra
-    (tail, head, res_fwd, res_rev) arcs with no flow key; they may carry
-    flow, but it is not part of the returned deltas.
+    After the deltas are accumulated, no residual path from the sources
+    to the sink remains.  scratch: extra (tail, head, res_fwd, res_rev)
+    arcs with no flow key; they may carry flow, but it is not part of the
+    returned deltas.
     """
-    if sink in set(sources):
-        raise ValueError("sink may not be a source")
-    return _solve_terminal_sets(num_nodes, arcs, store, sources, [sink], scratch=scratch)
+    return _solve_terminal_sets(num_nodes, arcs, store, sources, [sink],
+                                scratch=scratch)
 
 
 def ssms_max_flow(num_nodes, arcs, store, source, sinks, scratch=()):
     """Maximum flow from one source to a sink set; scratch as for
     msss_max_flow."""
-    if source in set(sinks):
-        raise ValueError("source may not be a sink")
     return _solve_terminal_sets(num_nodes, arcs, store, [source], sinks,
                                 scratch=scratch)
 
@@ -198,10 +168,6 @@ def limited_max_flow(num_nodes, arcs, store, sources, sinks, delta):
     """
     if delta < 0:
         raise ValueError("flow limit must be non-negative")
-    if set(sources) & set(sinks):
-        raise ValueError("sources and sinks overlap")
-    if delta == 0:
-        return 0, []
     return _solve_terminal_sets(num_nodes, arcs, store, sources, sinks,
                                 limit=delta)
 
@@ -209,8 +175,8 @@ def limited_max_flow(num_nodes, arcs, store, sources, sinks, delta):
 def solve_msms_residual(num_nodes, arcs, store, sources, sinks):
     """Direct multi-source multi-sink max flow on the residual graph.
 
-    Used for recursion base cases; same reduction as the oracle but
-    against live residual capacities.
+    Used for recursion base cases; the oracle's flow, but against live
+    residual capacities.
     """
     return _solve_terminal_sets(num_nodes, arcs, store, sources, sinks)
 
@@ -229,9 +195,9 @@ class OracleResult:
 def oracle_max_flow(num_nodes, arcs, sources, sinks) -> OracleResult:
     """Exact max-flow value for any directed integer-capacity graph.
 
-    Supersource/supersink reduction over the raw capacities, plus a
-    witness flow and a witness minimum cut; the cut capacity always
-    equals the flow value and is returned so callers can certify runs.
+    The same blocking-flow core over the raw capacities, plus a witness
+    flow and a witness minimum cut; the cut capacity always equals the
+    flow value and is returned so callers can certify runs.
     """
     sources = set(sources)
     sinks = set(sinks)
@@ -239,38 +205,23 @@ def oracle_max_flow(num_nodes, arcs, sources, sinks) -> OracleResult:
         raise ValueError("sources and sinks overlap")
     if not sources or not sinks:
         return OracleResult(0, {}, frozenset(sources), 0)
-    bound = 1 + sum(c for (_, _, c) in arcs)
-    net = _DartNet(num_nodes + 2)
-    for (t, h, c) in arcs:
-        net.add_pair(t, h, c, 0, NO_KEY)
-    sigma, tau = num_nodes, num_nodes + 1
-    for s in sorted(sources):
-        net.add_pair(sigma, s, bound, 0, NO_KEY)
-    for t in sorted(sinks):
-        net.add_pair(t, tau, bound, 0, NO_KEY)
-    value = _dinic(net, sigma, tau)
+    adj = [[] for _ in range(num_nodes)]
+    head, res = [], []
+    _add_darts(adj, head, res, ((t, h, c, 0) for (t, h, c) in arcs))
+    value = _dinic(adj, head, res, sorted(sources), sorted(sinks))
+    flows = {a: res[2 * a + 1] for a in range(len(arcs)) if res[2 * a + 1]}
 
-    flows = {}
-    for a in range(len(arcs)):
-        pushed = net.init[a] - net.res[2 * a]
-        if pushed:
-            flows[a] = pushed
-
-    # residual reachability from the supersource gives the cut
-    seen = bytearray(num_nodes + 2)
-    seen[sigma] = 1
-    queue = deque([sigma])
+    # residual reachability from the sources gives the cut
+    seen = bytearray(num_nodes)
+    for s in sources:
+        seen[s] = 1
+    queue = deque(sources)
     while queue:
         v = queue.popleft()
-        for d in net.adj[v]:
-            if net.res[d] > 0 and not seen[net.head[d]]:
-                seen[net.head[d]] = 1
-                queue.append(net.head[d])
+        for d in adj[v]:
+            if res[d] > 0 and not seen[head[d]]:
+                seen[head[d]] = 1
+                queue.append(head[d])
     cut_nodes = frozenset(v for v in range(num_nodes) if seen[v])
     cut_capacity = sum(c for (t, h, c) in arcs if t in cut_nodes and h not in cut_nodes)
     return OracleResult(value, flows, cut_nodes, cut_capacity)
-
-
-def oracle_value_for_graph(g: PlanarGraph, sources, sinks) -> int:
-    arcs = [(g.tails[a], g.heads[a], g.caps[a]) for a in range(g.m)]
-    return oracle_max_flow(g.n, arcs, sources, sinks).value

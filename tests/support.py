@@ -1,4 +1,4 @@
-"""Shared helpers for randomized residual-path experiments.
+"""Shared test helpers: randomized residual-path experiments and oracle values.
 
 The two residual-path push properties are tested by construction: pick the protected set
 so the preconditions hold by definition of residual reachability, push a
@@ -12,6 +12,7 @@ from planarflow.flow import FlowStore
 from planarflow.solvers import (
     limited_max_flow,
     msss_max_flow,
+    oracle_max_flow,
     solve_msms_residual,
     ssms_max_flow,
 )
@@ -24,6 +25,11 @@ def random_digraph(rng, n, density=0.5, cap_max=9):
             if u != v and rng.random() < density:
                 arcs.append((u, v, rng.randint(0, cap_max)))
     return arcs
+
+
+def oracle_value_for_graph(g, sources, sinks):
+    arcs = [(g.tails[a], g.heads[a], g.caps[a]) for a in range(g.m)]
+    return oracle_max_flow(g.n, arcs, sources, sinks).value
 
 
 def keyed(store, arcs):

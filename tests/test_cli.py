@@ -185,8 +185,15 @@ def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, linen
     ["solve", "{inst}", "--config", "{tmp}/bad-base-case.cfg"],
     ["solve", "{inst}", "--base-case", "1"],
     ["solve", "{inst}", "--trace", "{tmp}/no-such-dir/trace.jsonl"],
+    ["bench", "--kinds", "foo"],
+    ["bench", "--sizes", "abc"],
+    ["bench", "--kinds", "grid", "--sizes", "0"],
+    ["gen", "--kind", "grid", "--n", "1"],
+    ["check", "--kind", "grid", "--n", "1"],
 ], ids=["missing-instance", "missing-dimacs", "unknown-config-key",
-        "non-integer-base-case", "base-case-1", "trace-in-missing-dir"])
+        "non-integer-base-case", "base-case-1", "trace-in-missing-dir",
+        "bench-unknown-kind", "bench-non-integer-size", "bench-grid-size-0",
+        "gen-grid-n-1", "check-grid-n-1"])
 def test_bad_outside_input_exits_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "unknown-key.cfg").write_text("bogus = 1\n")
     (tmp_path / "bad-base-case.cfg").write_text("base_case = x\n")

@@ -15,7 +15,7 @@ from planarflow.instance import (
     parse_instance_file,
     serialize_instance,
 )
-from planarflow.solvers import oracle_value_for_graph
+from support import oracle_value_for_graph
 
 MINIMAL = """p pmf 2 1
 a 1 2 7

@@ -132,7 +132,8 @@ def test_interior_arcs_stay_on_their_side():
 def test_consecutive_boundary_nodes_cofacial():
     g = triangulate_and_biconnect(tri_graph(60, 7))
     sep = find_cycle_separator(g)
+    face_of = g.dart_faces()
     for i in range(sep.k):
         d = sep.cycle_darts[i]
         # adjacent nodes always share the two faces of their arc
-        assert g.face_of_dart(d) != g.face_of_dart(d ^ 1) or g.m == 1
+        assert face_of[d] != face_of[d ^ 1] or g.m == 1

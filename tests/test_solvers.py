@@ -15,6 +15,7 @@ from planarflow.solvers import (
     limited_max_flow,
     msss_max_flow,
     oracle_max_flow,
+    solve_msms_residual,
     ssms_max_flow,
 )
 
@@ -236,7 +237,21 @@ def test_oracle_disconnected_terminals():
     assert oracle_max_flow(4, [(0, 1, 3), (2, 3, 3)], {0}, {3}).value == 0
 
 
+def _brute_force_min_cut(n, arcs, sources, sinks):
+    """Least capacity leaving a node set that holds every source and no
+    sink, tried over every such set."""
+    free = [v for v in range(n) if v not in sources and v not in sinks]
+    best = None
+    for mask in range(1 << len(free)):
+        side = set(sources) | {v for i, v in enumerate(free) if mask >> i & 1}
+        cap = sum(c for (t, h, c) in arcs if t in side and h not in side)
+        best = cap if best is None else min(best, cap)
+    return best
+
+
 def test_oracle_cut_certificate_on_random_instances():
+    """The oracle's cut certifies its flow, and every solver's value
+    equals a minimum cut found by brute force, not by Dinic."""
     rng = random.Random(42)
     for _ in range(60):
         n = rng.randint(2, 9)
@@ -244,12 +259,19 @@ def test_oracle_cut_certificate_on_random_instances():
         k = rng.randint(1, max(1, n // 2))
         nodes = list(range(n))
         rng.shuffle(nodes)
-        sources = set(nodes[:k])
-        sinks = set(nodes[k:k + max(1, rng.randint(1, n - k) if n > k else 1)])
-        if not sinks:
+        source_list = nodes[:k]
+        sink_list = nodes[k:k + max(1, rng.randint(1, n - k) if n > k else 1)]
+        if not sink_list:
             continue
+        sources, sinks = set(source_list), set(sink_list)
+        # two adjacent sources, two adjacent sinks and a source-to-sink arc
+        for group in (source_list, sink_list):
+            if len(group) >= 2:
+                arcs.append((group[0], group[1], rng.randint(1, 9)))
+        arcs.append((source_list[0], sink_list[0], rng.randint(1, 9)))
+        cut = _brute_force_min_cut(n, arcs, sources, sinks)
         res = oracle_max_flow(n, arcs, sources, sinks)
-        assert res.value == res.cut_capacity
+        assert res.value == res.cut_capacity == cut
         assert sources <= res.cut_nodes
         assert not (sinks & res.cut_nodes)
         # witness flow is feasible and has the stated value
@@ -263,6 +285,21 @@ def test_oracle_cut_certificate_on_random_instances():
             if v not in sources and v not in sinks:
                 assert net_in.get(v, 0) == 0
         assert sum(net_in.get(t, 0) for t in sinks) == res.value
+
+        def value(solver, num_nodes, *terminals, **kwargs):
+            store = FlowStore()
+            keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
+            return solver(num_nodes, keyed, store, *terminals, **kwargs)[0]
+
+        # the apex is node n, joined by scratch arcs above any cut
+        inf = 1 + sum(c for (_, _, c) in arcs)
+        assert value(solve_msms_residual, n, sources, sinks) == cut
+        assert value(msss_max_flow, n + 1, sources, n,
+                     scratch=[(t, n, inf, 0) for t in sinks]) == cut
+        assert value(ssms_max_flow, n + 1, n, sinks,
+                     scratch=[(n, s, inf, 0) for s in sources]) == cut
+        delta = rng.randint(0, 2 * cut + 1)
+        assert value(limited_max_flow, n, sources, sinks, delta) == min(delta, cut)
 
 
 def test_solver_runs_are_deterministic():

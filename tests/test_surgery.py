@@ -10,7 +10,6 @@ from planarflow.solvers import (
     graph_arcs,
     msss_max_flow,
     oracle_max_flow,
-    oracle_value_for_graph,
     ssms_max_flow,
 )
 from planarflow.surgery import (
@@ -18,6 +17,7 @@ from planarflow.surgery import (
     detach_terminal_from_cycle,
     triangulate_and_biconnect,
 )
+from support import oracle_value_for_graph
 
 
 def triangle():

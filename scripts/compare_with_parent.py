@@ -1,0 +1,143 @@
+"""Compare a change's answers with its parent's on 180 seeded instances.
+
+    python3 scripts/compare_with_parent.py PARENT_TREE [--change-tree DIR]
+
+PARENT_TREE and the change tree (default: this checkout) are source trees
+holding src/planarflow, for example `git archive PARENT | tar -x -C DIR`.
+Each tree solves every instance in its own subprocess, which imports
+planarflow only from that tree's src/.  The instances:
+
+- the 36-instance set: grid and tri at n = 50/200/800/1600, seeds
+  1001-1003, audit=none, and at n = 100/400, seeds 1-3, audit=full;
+  cap_max 10**6 and the default base case;
+- the 144-instance deep sweep: grid and tri at n = 20/60/160, base_case
+  3/4/8/32, seeds 0-5, audit=full, cap_max 9.
+
+Every answer of both trees is verified on the raw input arcs by
+perfbench/verify.py's check_flow.  The report counts instances whose
+value, audits or arc_flows differ; the exit status is 0 when values and
+audits agree everywhere and every answer passes, else 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def instance_specs():
+    """(name, kind, n, seed, cap_max, config) for all 180 instances."""
+    specs = []
+    for kind in ("grid", "tri"):
+        for n in (50, 200, 800, 1600):
+            for seed in (1001, 1002, 1003):
+                specs.append((kind, n, seed, 10 ** 6, {"audit": "none"}))
+        for n in (100, 400):
+            for seed in (1, 2, 3):
+                specs.append((kind, n, seed, 10 ** 6, {"audit": "full"}))
+    for kind in ("grid", "tri"):
+        for n in (20, 60, 160):
+            for base_case in (3, 4, 8, 32):
+                for seed in range(6):
+                    specs.append((kind, n, seed, 9,
+                                  {"audit": "full", "base_case": base_case}))
+    return [(f"{kind} n={n} seed={seed} cap_max={cap} "
+             + " ".join(f"{k}={v}" for k, v in sorted(cfg.items())),
+             kind, n, seed, cap, cfg)
+            for (kind, n, seed, cap, cfg) in specs]
+
+
+def work(tree):
+    """Solve every instance with the planarflow in tree/src; print one
+    JSON line per instance."""
+    src = (Path(tree) / "src").resolve()
+    sys.path.insert(0, str(src))
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import planarflow
+    from planarflow.instance import parse_instance_file
+    from verify import check_flow
+
+    if not Path(planarflow.__file__).resolve().is_relative_to(src):
+        sys.exit(f"imported planarflow from {planarflow.__file__}, not {src}")
+    for name, kind, n, seed, cap, cfg in instance_specs():
+        text = planarflow.generate(kind, n, seed, cap_max=cap).text()
+        row = {"name": name, "sha256": hashlib.sha256(text.encode()).hexdigest()}
+        try:
+            inst = parse_instance_file(text)
+            g, ts = inst.build()
+            res = planarflow.MsmsEngine(g, ts.sources, ts.sinks,
+                                        planarflow.EngineConfig(**cfg)).run()
+            row.update(
+                value=res.value, audits=res.audits,
+                flows=hashlib.sha256(repr(res.arc_flows).encode()).hexdigest(),
+                check=check_flow(inst.num_nodes, inst.arcs, inst.sources,
+                                 inst.sinks, res.arc_flows, res.value))
+        except Exception as e:   # reported, not raised: the other rows still count
+            row["error"] = f"{type(e).__name__}: {e}"
+        print(json.dumps(row), flush=True)
+
+
+def run_tree(tree):
+    return subprocess.Popen([sys.executable, __file__, "--worker", str(tree)],
+                            stdout=subprocess.PIPE, text=True)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent_tree", nargs="?")
+    ap.add_argument("--change-tree", default=str(REPO))
+    ap.add_argument("--worker", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:
+        work(args.worker)
+        return 0
+    if not args.parent_tree:
+        ap.error("PARENT_TREE is required")
+
+    procs = {"parent": run_tree(args.parent_tree), "change": run_tree(args.change_tree)}
+    rows = {}
+    for side, proc in procs.items():
+        out, _ = proc.communicate()
+        if proc.returncode:
+            print(f"{side} worker exited {proc.returncode}")
+            return 1
+        rows[side] = [json.loads(line) for line in out.splitlines()]
+
+    bad = 0
+    counts = {"value": 0, "audits": 0, "flows": 0}
+    audits = {"parent": [0, 0], "change": [0, 0]}   # 36-instance set, deep sweep
+    for i, (p, c) in enumerate(zip(rows["parent"], rows["change"])):
+        for side, row in (("parent", p), ("change", c)):
+            problem = row.get("error") or row.get("check")
+            if problem:
+                bad += 1
+                print(f"{side} {row['name']}: {problem}")
+            audits[side][i >= 36] += row.get("audits", 0)
+        if p["sha256"] != c["sha256"]:
+            bad += 1
+            print(f"{p['name']}: the two trees generate different instances")
+        for key in counts:
+            if p.get(key) != c.get(key):
+                counts[key] += 1
+                if key != "flows":
+                    print(f"{p['name']}: {key} {p.get(key)} (parent) "
+                          f"!= {c.get(key)} (change)")
+    total = len(rows["change"])
+    print(f"{total} instances: values differ on {counts['value']}, audits on "
+          f"{counts['audits']}, arc_flows on {counts['flows']}; audits summed "
+          f"over the 36-instance set and the deep sweep: {audits['parent']} "
+          f"(parent), {audits['change']} (change); "
+          f"{bad} failed answers or instance mismatches")
+    ok = (len(rows["parent"]) == total == len(instance_specs()) and not bad
+          and not counts["value"] and not counts["audits"])
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

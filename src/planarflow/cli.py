@@ -11,7 +11,7 @@ from .bench import check_one, report, run_one
 from .config import EngineConfig, parse_config_file, with_overrides
 from .engine import MsmsEngine
 from .errors import AuditFailure, ConfigError, InvariantFailure, PlanarFlowError
-from .generate import generate
+from .generate import MIN_NODES, generate
 from .graph import build_graph
 from .instance import (
     import_dimacs_max,
@@ -36,12 +36,15 @@ def _load_config(args) -> EngineConfig:
     )
 
 
-def _check_size(kind, n):
-    """Reject a kind or node count that generate() cannot build."""
-    if kind not in ("grid", "tri"):
+def _check_gen_args(kind, n, cap_max):
+    """Reject a kind, node count or capacity bound that generate() cannot
+    build from."""
+    if kind not in MIN_NODES:
         raise ConfigError(f"unknown instance kind {kind!r}; expected grid or tri")
-    if kind == "grid" and n < 2:
-        raise ConfigError(f"a grid needs at least 2 nodes, got {n}")
+    if n < MIN_NODES[kind]:
+        raise ConfigError(f"a {kind} needs at least {MIN_NODES[kind]} nodes, got {n}")
+    if cap_max < 0:
+        raise ConfigError(f"--cap-max must be non-negative, got {cap_max}")
 
 
 def _failure_kind(e) -> str:
@@ -56,7 +59,7 @@ def _trace_writer(path):
 
 
 def cmd_gen(args) -> int:
-    _check_size(args.kind, args.n)
+    _check_gen_args(args.kind, args.n, args.cap_max)
     inst = generate(args.kind, args.n, args.seed, cap_max=args.cap_max,
                     s_frac=args.s_frac, t_frac=args.t_frac)
     text = inst.text()
@@ -143,7 +146,7 @@ def _build_components(inst):
 
 
 def cmd_check(args) -> int:
-    _check_size(args.kind, args.n)
+    _check_gen_args(args.kind, args.n, args.cap_max)
     cfg = _load_config(args)
     if cfg.audit == "none":
         cfg = with_overrides(cfg, audit="full")
@@ -182,7 +185,7 @@ def cmd_bench(args) -> int:
     kinds = args.kinds.split(",")
     for kind in kinds:
         for n in sizes:
-            _check_size(kind, n)
+            _check_gen_args(kind, n, args.cap_max)
     rows = []
     for kind in kinds:
         for n in sizes:

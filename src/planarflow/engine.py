@@ -183,7 +183,7 @@ class MsmsEngine:
 
     def _base_solve(self, g, sources, sinks, depth, kind):
         self.stats.record(LevelRecord(depth, g.n, kind))
-        value, deltas = solve_msms_residual(g.n, graph_arcs(g), self.store,
+        value, deltas = solve_msms_residual(self.store, graph_arcs(g, self.store),
                                             sources, sinks)
         self.store.apply(deltas)
         self._emit({"op": "solve_leaf", "depth": depth, "n": g.n, "value": value})
@@ -228,20 +228,23 @@ class MsmsEngine:
     def _push_boundary_phase(self, piece, side, sub_sources, sub_sinks, depth):
         """Push sources to the boundary, then the boundary to sinks, through
         a virtual apex.  Its arcs are solver scratch, so their flow is never
-        stored: that is what leaves the imbalance on the boundary nodes."""
-        g = piece.graph
-        apex, apex_arcs = attach_apex(g, piece.boundary_local, self.inf)
-        arcs = graph_arcs(g)
-        value_in, deltas = msss_max_flow(g.n + 1, arcs, self.store, sub_sources,
-                                         apex, apex_arcs) if sub_sources else (0, [])
-        self.store.apply(deltas)
+        stored: that is what leaves the imbalance on the boundary nodes.
+        Both pushes run on one residual net of the piece."""
+        store = self.store
+        if sub_sources or sub_sinks:
+            apex, apex_arcs = attach_apex(piece.graph, piece.boundary_local, self.inf)
+            net = graph_arcs(piece.graph, store, apex_arcs)
+        value_in = value_out = 0
+        if sub_sources:
+            value_in, deltas = msss_max_flow(store, net, sub_sources, apex)
+            store.apply(deltas)
         self._emit({"op": "push_sources_to_boundary", "depth": depth,
                     "piece": side, "value": value_in})
         self._audit_piece_sources_blocked(piece, sub_sources, sub_sinks)
 
-        value_out, deltas = ssms_max_flow(g.n + 1, arcs, self.store, apex,
-                                          sub_sinks, apex_arcs) if sub_sinks else (0, [])
-        self.store.apply(deltas)
+        if sub_sinks:
+            value_out, deltas = ssms_max_flow(store, net, apex, sub_sinks)
+            store.apply(deltas)
         self._emit({"op": "push_boundary_to_sinks", "depth": depth,
                     "piece": side, "value": value_out})
         self._audit_piece_complete(piece, sub_sources, sub_sinks)
@@ -255,8 +258,9 @@ class MsmsEngine:
         suffix boundary[i+1:] taken as a sink set (the other way round for
         a deficit).  The paper chains the suffix with infinite-capacity
         arcs instead; every finite cut keeps a chained suffix on one side,
-        so both flows have the same value."""
-        base_arcs = graph_arcs(gd)
+        so both flows have the same value.  Only the walk writes gd's flow
+        here, so every step runs on one residual net of gd."""
+        net = graph_arcs(gd, self.store)
         for i in range(len(boundary) - 1):
             node = boundary[i]
             imbalance = inflow(gd, self.store, node)
@@ -266,7 +270,7 @@ class MsmsEngine:
                 if imbalance < 0:
                     src, dst = dst, src
                 pushed, deltas = limited_max_flow(
-                    gd.n, base_arcs, self.store, src, dst, abs(imbalance))
+                    self.store, net, src, dst, abs(imbalance))
                 self.store.apply(deltas)
             if self.trace is not None:
                 self._emit({

@@ -14,6 +14,8 @@ from math import isqrt
 
 from .instance import InstanceFile
 
+MIN_NODES = {"grid": 2, "tri": 3}    # the least n each kind can be built on
+
 
 def _dart(tails, a, x):
     """Dart of arc a leaving node x."""
@@ -27,7 +29,7 @@ def random_triangulation_arrays(n, rng, cap_max=9):
     clockwise order.  Arc directions and capacities are randomized.
     """
     if n < 3:
-        raise ValueError("triangulation needs n >= 3")
+        raise ValueError(f"triangulation needs n >= {MIN_NODES['tri']}")
     tails, heads, caps = [], [], []
 
     def new_arc(x, y):
@@ -85,7 +87,7 @@ def grid_arrays(n, rng, cap_max=9):
     """Lattice on exactly n >= 2 nodes: isqrt(n) full rows plus a ragged
     last row, 4-neighbor arcs with randomized directions."""
     if n < 2:
-        raise ValueError("grid needs n >= 2")
+        raise ValueError(f"grid needs n >= {MIN_NODES['grid']}")
     rows = max(1, isqrt(n))
     cols = n // rows
     rem = n - rows * cols
@@ -144,7 +146,7 @@ def generate(kind, n, seed, cap_max=9, s_frac=0.1, t_frac=0.1) -> InstanceFile:
     if kind == "grid":
         tails, heads, caps, rot = grid_arrays(n, rng, cap_max)
     elif kind in ("tri", "triangulation"):
-        tails, heads, caps, rot = random_triangulation_arrays(max(3, n), rng, cap_max)
+        tails, heads, caps, rot = random_triangulation_arrays(n, rng, cap_max)
     else:
         raise ValueError(f"unknown instance kind {kind!r}")
     num_nodes = len(rot)

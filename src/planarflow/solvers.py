@@ -1,16 +1,23 @@
 """Max-flow subroutines of the recursion plus the generic oracle.
 
-Every subroutine obeys the global-flow discipline: it reads the residual
-capacities c_f implied by a FlowStore, computes a flow of its own, and
-returns it as (value, deltas) where deltas is a list of (key, delta)
-pairs ready for FlowStore.apply.  Subroutines never mutate capacities or
-the store.
+Every subroutine runs on a ResidualNet: flat dart arrays holding the
+residual capacities c_f that a FlowStore implies on one graph's keyed
+arcs.  It computes a flow of its own, updates the net's arrays in place
+and returns (value, deltas), where deltas lists (key, delta) pairs for
+the keyed arcs it changed, in arc order, ready for FlowStore.apply.
+Subroutines never write the store and never build a net.
+
+The caller applies each call's deltas to the store, which puts the store
+back in step with the net.  So one net serves every call of a phase (the
+leaf solve, one piece's two apex pushes, one level's boundary walk) as
+long as nothing else writes those arcs' flow in between, and each call
+costs only what it explores.
 
 All of them, and the oracle, run one deterministic blocking-flow core
 (shortest augmenting paths, lowest-index admissible dart first) on flat
-dart arrays built per call, so repeated runs produce identical flows.
-The core starts from a whole source set and stops at any sink of a sink
-set, so no supersource or supersink is added.
+dart arrays, so repeated runs produce identical flows.  The core starts
+from a whole source set and stops at any sink of a sink set, so no
+supersource or supersink is added.
 """
 
 from __future__ import annotations
@@ -21,8 +28,48 @@ from dataclasses import dataclass
 from .graph import NO_KEY, PlanarGraph
 
 
-def graph_arcs(g: PlanarGraph):
-    return [(g.tails[a], g.heads[a], g.caps[a], g.keys[a]) for a in range(g.m)]
+class ResidualNet:
+    """Residual dart arrays of keyed arcs under a store's flow, followed
+    by a tail of unkeyed scratch arcs.
+
+    The net's arc a, its a-th keyed arc, owns dart 2a (tail to head,
+    residual cap - flow) and dart 2a + 1 (head to tail, residual flow);
+    keys[a] is its flow key.  The
+    scratch arcs come after every keyed arc, and every solver call leaves
+    them as built.  len(net) is the number of keyed arcs.
+    """
+
+    __slots__ = ("adj", "head", "res", "keys", "scratch_res")
+
+    def __init__(self, num_nodes, arcs, store, scratch=()):
+        """arcs: (tail, head, key) triples, read once; NO_KEY arcs are
+        skipped.  scratch: (tail, head, res_fwd, res_rev) arcs whose flow
+        is never returned."""
+        vals, caps = store.vals, store.caps
+        adj = [[] for _ in range(num_nodes)]
+        head, res, keys = [], [], []
+        for (t, h, key) in arcs:
+            if key == NO_KEY:
+                continue      # zero both ways; invisible to any flow
+            f = vals[key]
+            adj[t].append(len(head))
+            adj[h].append(len(head) + 1)
+            head += (h, t)
+            res += (caps[key] - f, f)
+            keys.append(key)
+        _add_darts(adj, head, res, scratch)
+        self.adj, self.head, self.res, self.keys = adj, head, res, keys
+        self.scratch_res = res[2 * len(keys):]
+
+    def __len__(self):
+        return len(self.keys)
+
+
+def graph_arcs(g: PlanarGraph, store, scratch=()) -> ResidualNet:
+    """The residual net of g's keyed arcs under the store's flow.  Scratch
+    arcs may end at node g.n, the apex."""
+    return ResidualNet(g.n + 1 if scratch else g.n,
+                       zip(g.tails, g.heads, g.keys), store, scratch)
 
 
 def _add_darts(adj, head, res, arcs):
@@ -34,9 +81,10 @@ def _add_darts(adj, head, res, arcs):
         res += (fwd, rev)
 
 
-def _dinic(adj, head, res, sources, sinks, limit=None) -> int:
+def _dinic(adj, head, res, sources, sinks, limit=None):
     """Blocking-flow max flow from a source set to a disjoint sink set;
-    returns the value pushed and leaves the final residuals in res.
+    returns (value, darts) and leaves the final residuals in res, where
+    darts lists the darts of every augmenting path (with repeats).
 
     Dart d runs into head[d] with residual res[d]; d ^ 1 is its reverse,
     so a dart's tail is head[d ^ 1].  Each phase labels levels by a BFS
@@ -51,6 +99,7 @@ def _dinic(adj, head, res, sources, sinks, limit=None) -> int:
         is_sink[t] = 1
     unseen = n + 1           # level of an unlabelled or pruned node
     total = 0
+    touched = []
     while limit is None or total < limit:
         level = [unseen] * n
         for s in sources:
@@ -81,6 +130,7 @@ def _dinic(adj, head, res, sources, sinks, limit=None) -> int:
                         res[d] -= push
                         res[d ^ 1] += push
                     total += push
+                    touched += path
                     path = []
                     v = s
                     continue
@@ -100,67 +150,59 @@ def _dinic(adj, head, res, sources, sinks, limit=None) -> int:
                     ptr[v] += 1
                 else:
                     break                 # s reaches no sink in this phase
-    return total
+    return total, touched
 
 
-def _solve_terminal_sets(num_nodes, arcs, store, sources, sinks,
-                         limit=None, scratch=()):
-    """Flow from a source set to a disjoint sink set on the residual net
-    of the keyed arcs under the store's flow.
+def _solve_terminal_sets(store, net, sources, sinks, limit=None):
+    """Flow from a source set to a disjoint sink set on the net, which
+    must match the store's flow on its keyed arcs.
 
-    scratch holds unkeyed (tail, head, res_fwd, res_rev) arcs placed after
-    the keyed arcs; their flow is not returned.  An arc's delta is its
-    final reverse residual minus its stored flow.
+    An arc's delta is its final reverse residual minus its stored flow,
+    read only for the keyed arcs an augmenting path used.  The net keeps
+    its final residuals, except that the scratch tail is reset.
     """
     if set(sources) & set(sinks):
         raise ValueError("sources and sinks overlap")
     if not sources or not sinks or limit == 0:
         return 0, []
-    vals, caps = store.vals, store.caps
-    adj = [[] for _ in range(num_nodes)]
-    head, res, keys = [], [], []
-    for (t, h, _, key) in arcs:
-        if key == NO_KEY:
-            continue      # zero both ways; invisible to any flow
-        f = vals[key]
-        adj[t].append(len(head))
-        adj[h].append(len(head) + 1)
-        head += (h, t)
-        res += (caps[key] - f, f)
-        keys.append(key)
-    _add_darts(adj, head, res, scratch)
-    value = _dinic(adj, head, res, sorted(sources), sorted(sinks), limit)
-    return value, [(key, res[2 * a + 1] - vals[key])
-                   for a, key in enumerate(keys) if res[2 * a + 1] != vals[key]]
+    res, keys, vals = net.res, net.keys, store.vals
+    value, darts = _dinic(net.adj, net.head, res, sorted(sources),
+                          sorted(sinks), limit)
+    deltas = []
+    for a in sorted({d >> 1 for d in darts}):
+        if a >= len(keys):
+            break         # scratch arcs follow every keyed arc
+        delta = res[2 * a + 1] - vals[keys[a]]
+        if delta:
+            deltas.append((keys[a], delta))
+    res[2 * len(keys):] = net.scratch_res
+    return value, deltas
 
 
 # -- the four subroutine contracts ------------------------------------------
 #
-# Each takes the keyed (tail, head, cap, key) arc list of one graph, reads
-# residual capacities from the store, raises ValueError when its source
-# and sink sets overlap, and returns (value, deltas).
+# Each takes the store and a ResidualNet that matches it, raises
+# ValueError when its source and sink sets overlap, and returns
+# (value, deltas); the caller applies the deltas to keep the two in step.
 
 
-def msss_max_flow(num_nodes, arcs, store, sources, sink, scratch=()):
+def msss_max_flow(store, net, sources, sink):
     """Maximum flow from a source set to one sink in the residual graph.
 
     After the deltas are accumulated, no residual path from the sources
-    to the sink remains.  scratch: extra (tail, head, res_fwd, res_rev)
-    arcs with no flow key; they may carry flow, but it is not part of the
-    returned deltas.
+    to the sink remains.  The net's scratch arcs may carry flow, but it
+    is not part of the returned deltas.
     """
-    return _solve_terminal_sets(num_nodes, arcs, store, sources, [sink],
-                                scratch=scratch)
+    return _solve_terminal_sets(store, net, sources, [sink])
 
 
-def ssms_max_flow(num_nodes, arcs, store, source, sinks, scratch=()):
+def ssms_max_flow(store, net, source, sinks):
     """Maximum flow from one source to a sink set; scratch as for
     msss_max_flow."""
-    return _solve_terminal_sets(num_nodes, arcs, store, [source], sinks,
-                                scratch=scratch)
+    return _solve_terminal_sets(store, net, [source], sinks)
 
 
-def limited_max_flow(num_nodes, arcs, store, sources, sinks, delta):
+def limited_max_flow(store, net, sources, sinks, delta):
     """Flow of value min(delta, maxflow) from a source set to a sink set.
 
     When the value falls short of delta, no residual path from the
@@ -168,17 +210,16 @@ def limited_max_flow(num_nodes, arcs, store, sources, sinks, delta):
     """
     if delta < 0:
         raise ValueError("flow limit must be non-negative")
-    return _solve_terminal_sets(num_nodes, arcs, store, sources, sinks,
-                                limit=delta)
+    return _solve_terminal_sets(store, net, sources, sinks, limit=delta)
 
 
-def solve_msms_residual(num_nodes, arcs, store, sources, sinks):
+def solve_msms_residual(store, net, sources, sinks):
     """Direct multi-source multi-sink max flow on the residual graph.
 
     Used for recursion base cases; the oracle's flow, but against live
     residual capacities.
     """
-    return _solve_terminal_sets(num_nodes, arcs, store, sources, sinks)
+    return _solve_terminal_sets(store, net, sources, sinks)
 
 
 # -- acceptance oracle -------------------------------------------------------
@@ -208,7 +249,7 @@ def oracle_max_flow(num_nodes, arcs, sources, sinks) -> OracleResult:
     adj = [[] for _ in range(num_nodes)]
     head, res = [], []
     _add_darts(adj, head, res, ((t, h, c, 0) for (t, h, c) in arcs))
-    value = _dinic(adj, head, res, sorted(sources), sorted(sinks))
+    value, _ = _dinic(adj, head, res, sorted(sources), sorted(sinks))
     flows = {a: res[2 * a + 1] for a in range(len(arcs)) if res[2 * a + 1]}
 
     # residual reachability from the sources gives the cut

@@ -10,6 +10,8 @@ import random
 
 from planarflow.flow import FlowStore
 from planarflow.solvers import (
+    ResidualNet,
+    graph_arcs,
     limited_max_flow,
     msss_max_flow,
     oracle_max_flow,
@@ -34,6 +36,12 @@ def oracle_value_for_graph(g, sources, sinks):
 
 def keyed(store, arcs):
     return [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
+
+
+def residual_net(n, keyed_arcs, store, scratch=()):
+    """The residual net of (tail, head, cap, key) arcs under the store."""
+    return ResidualNet(n, ((t, h, key) for (t, h, _, key) in keyed_arcs),
+                       store, scratch)
 
 
 def reach(n, keyed_arcs, store, start):
@@ -66,7 +74,8 @@ def scramble_flow(n, arcs_keyed, store, rng, rounds=2):
         srcs, snks = set(nodes[:a]), set(nodes[a:a + b])
         if not srcs or not snks:
             continue
-        _, deltas = solve_msms_residual(n, arcs_keyed, store, srcs, snks)
+        _, deltas = solve_msms_residual(store, residual_net(n, arcs_keyed, store),
+                                        srcs, snks)
         store.apply(deltas)
 
 
@@ -99,7 +108,8 @@ def source_push_trial(rng):
 
     sink_pool = [v for v in range(n) if v not in push_sources]
     push_sinks = set(rng.sample(sink_pool, rng.randint(1, max(1, len(sink_pool) // 2))))
-    _, deltas = solve_msms_residual(n, ka, store, push_sources, push_sinks)
+    _, deltas = solve_msms_residual(store, residual_net(n, ka, store),
+                                    push_sources, push_sinks)
     store.apply(deltas)
     return not (reach(n, ka, store, observers) & protected)
 
@@ -118,8 +128,7 @@ class FuzzPool:
             inst = generate(kind, n, seed=seed + i, cap_max=9,
                             s_frac=0.3, t_frac=0.3)
             g, ts = inst.build()
-            arcs = [(g.tails[a], g.heads[a], g.caps[a], a) for a in range(g.m)]
-            self.entries.append((g, arcs, sorted(ts.sources), sorted(ts.sinks)))
+            self.entries.append((g, sorted(ts.sources), sorted(ts.sinks)))
 
 
 def fuzz_sequence(pool, rng, ops_lo=2, ops_hi=4):
@@ -127,12 +136,13 @@ def fuzz_sequence(pool, rng, ops_lo=2, ops_hi=4):
 
     Every operation draws its terminals from the instance's source and
     sink sets, so the accumulated flow must stay a feasible flow for
-    them.  The pseudoflow bounds are checked after every operation;
-    feasibility at the end.  Returns the number of
-    violations (0 for a clean sequence).
+    them.  All operations share one residual net.  The pseudoflow bounds
+    are checked after every operation; feasibility at the end.  Returns
+    the number of violations (0 for a clean sequence).
     """
-    g, arcs, sources, sinks = pool.entries[rng.randrange(len(pool.entries))]
+    g, sources, sinks = pool.entries[rng.randrange(len(pool.entries))]
     store = FlowStore.for_graph(g)
+    net = graph_arcs(g, store)
     caps = store.caps
     violations = 0
 
@@ -147,17 +157,17 @@ def fuzz_sequence(pool, rng, ops_lo=2, ops_hi=4):
         if choice == 0:
             srcs = set(rng.sample(sources, rng.randint(1, len(sources))))
             t = rng.choice(sinks)
-            _, deltas = msss_max_flow(g.n, arcs, store, srcs, t)
+            _, deltas = msss_max_flow(store, net, srcs, t)
         elif choice == 1:
             s = rng.choice(sources)
             snks = set(rng.sample(sinks, rng.randint(1, len(sinks))))
-            _, deltas = ssms_max_flow(g.n, arcs, store, s, snks)
+            _, deltas = ssms_max_flow(store, net, s, snks)
         elif choice == 2:
             s = rng.choice(sources)
             t = rng.choice(sinks)
-            _, deltas = limited_max_flow(g.n, arcs, store, [s], [t], rng.randint(0, 12))
+            _, deltas = limited_max_flow(store, net, [s], [t], rng.randint(0, 12))
         else:
-            _, deltas = solve_msms_residual(g.n, arcs, store, set(sources), set(sinks))
+            _, deltas = solve_msms_residual(store, net, set(sources), set(sinks))
         store.apply(deltas)
         check_invariants()
 
@@ -194,6 +204,7 @@ def sink_push_trial(rng):
     source_pool = [v for v in range(n) if v not in push_sinks]
     push_sources = set(rng.sample(source_pool,
                                   rng.randint(1, max(1, len(source_pool) // 2))))
-    _, deltas = solve_msms_residual(n, ka, store, push_sources, push_sinks)
+    _, deltas = solve_msms_residual(store, residual_net(n, ka, store),
+                                    push_sources, push_sinks)
     store.apply(deltas)
     return not (reach(n, ka, store, observers) & protected)

@@ -13,7 +13,7 @@ from support import FuzzPool, fuzz_sequence, sink_push_trial, source_push_trial
 from planarflow.bench import BALANCE_CONSTANT, fit_exponent, report, run_one
 from planarflow.config import EngineConfig
 from planarflow.engine import MsmsEngine
-from planarflow.generate import generate
+from planarflow.generate import MIN_NODES, generate
 from planarflow.separator import BOUNDARY_CONSTANT, find_cycle_separator
 from planarflow.solvers import oracle_max_flow
 from planarflow.surgery import triangulate_and_biconnect
@@ -42,6 +42,7 @@ def test_criterion_1_oracle_equivalence_1000_instances():
     mismatches = []
     for i, n in enumerate(_size_schedule()):
         kind = "grid" if i % 2 == 0 else "tri"
+        n = max(n, MIN_NODES[kind])   # the schedule's n = 2 as a triangle
         g, ts = generate(kind, n, seed=i, cap_max=10 ** 6).build()
         res = MsmsEngine(g, ts.sources, ts.sinks, EngineConfig(audit="none")).run()
         want = _oracle_value(g, ts.sources, ts.sinks)

@@ -190,10 +190,19 @@ def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, linen
     ["bench", "--kinds", "grid", "--sizes", "0"],
     ["gen", "--kind", "grid", "--n", "1"],
     ["check", "--kind", "grid", "--n", "1"],
+    ["gen", "--kind", "tri", "--n", "-5"],
+    ["gen", "--kind", "tri", "--n", "2"],
+    ["check", "--kind", "tri", "--n", "2"],
+    ["bench", "--kinds", "tri", "--sizes", "0,-5"],
+    ["gen", "--kind", "grid", "--n", "9", "--cap-max", "-1"],
+    ["check", "--kind", "grid", "--n", "9", "--cap-max", "-1"],
+    ["bench", "--kinds", "grid", "--sizes", "9", "--cap-max", "-1"],
 ], ids=["missing-instance", "missing-dimacs", "unknown-config-key",
         "non-integer-base-case", "base-case-1", "trace-in-missing-dir",
         "bench-unknown-kind", "bench-non-integer-size", "bench-grid-size-0",
-        "gen-grid-n-1", "check-grid-n-1"])
+        "gen-grid-n-1", "check-grid-n-1", "gen-tri-n-minus-5", "gen-tri-n-2",
+        "check-tri-n-2", "bench-tri-sizes-0-minus-5", "gen-negative-cap-max",
+        "check-negative-cap-max", "bench-negative-cap-max"])
 def test_bad_outside_input_exits_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "unknown-key.cfg").write_text("bogus = 1\n")
     (tmp_path / "bad-base-case.cfg").write_text("base_case = x\n")

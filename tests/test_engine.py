@@ -196,7 +196,7 @@ def test_residual_reachable_reverse_mirrors_forward():
     store = FlowStore.for_graph(g)
     rng = random.Random(1)
     from planarflow.solvers import graph_arcs, solve_msms_residual
-    _, deltas = solve_msms_residual(g.n, graph_arcs(g), store,
+    _, deltas = solve_msms_residual(store, graph_arcs(g, store),
                                     ts.sources, ts.sinks)
     store.apply(deltas)
     for v in range(0, g.n, 7):

@@ -115,7 +115,7 @@ def test_no_residual_source_sink_path_after_max_flow():
     arcs = [(0, 1, 2), (0, 2, 3), (1, 3, 2), (2, 3, 1)]
     g = build_graph(4, arcs, [[1, 2], [3, 0], [0, 3], [1, 2]])
     store = FlowStore.for_graph(g)
-    value, deltas = solve_msms_residual(g.n, graph_arcs(g), store, {0}, {3})
+    value, deltas = solve_msms_residual(store, graph_arcs(g, store), {0}, {3})
     store.apply(deltas)
     assert value == 3
     assert 3 not in residual_reachable(g, store, {0})
@@ -189,7 +189,7 @@ def test_solver_pushes_preserve_invariants(n, seed, rounds):
         rng.shuffle(nodes)
         cut = rng.randint(1, g.n - 1)
         _, deltas = solve_msms_residual(
-            g.n, graph_arcs(g), store, set(nodes[:cut]), set(nodes[cut:]))
+            store, graph_arcs(g, store), set(nodes[:cut]), set(nodes[cut:]))
         store.apply(deltas)
         assert is_pseudoflow(g, store)
 
@@ -200,7 +200,7 @@ def test_decomposition_parts_sum_to_flow(n, seed):
 
     g, ts = generate("tri", n, seed).build()
     store = FlowStore.for_graph(g)
-    _, deltas = solve_msms_residual(g.n, graph_arcs(g), store,
+    _, deltas = solve_msms_residual(store, graph_arcs(g, store),
                                     ts.sources, ts.sinks)
     store.apply(deltas)
     before = list(store.vals)

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from planarflow.errors import (
@@ -13,7 +13,7 @@ from planarflow.errors import (
     TerminalOverlap,
 )
 from planarflow.flow import FlowStore
-from planarflow.generate import generate
+from planarflow.generate import MIN_NODES, generate
 from planarflow.graph import PlanarGraph, TerminalSets, build_graph, rev, walk_faces
 from planarflow.surgery import detach_terminal_from_cycle, triangulate_and_biconnect
 
@@ -155,10 +155,17 @@ def test_terminal_sets_ok():
 
 @given(st.sampled_from(["grid", "tri"]), st.integers(2, 60), st.integers(0, 10 ** 6))
 def test_generated_instances_are_valid_embeddings(kind, n, seed):
+    assume(n >= MIN_NODES[kind])
     g, ts = generate(kind, n, seed).build()
     assert g.n - g.m + g.num_faces == 2
     if kind == "tri":
         assert g.m == 3 * g.n - 6
+
+
+@pytest.mark.parametrize("kind", ["grid", "tri"])
+def test_generate_rejects_sizes_below_its_kind_minimum(kind):
+    with pytest.raises(ValueError):
+        generate(kind, MIN_NODES[kind] - 1, 0)
 
 
 @given(st.integers(3, 50), st.integers(0, 10 ** 6))

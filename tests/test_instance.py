@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from planarflow.errors import (
@@ -8,7 +8,7 @@ from planarflow.errors import (
     ParseError,
     TerminalOverlap,
 )
-from planarflow.generate import generate
+from planarflow.generate import MIN_NODES, generate
 from planarflow.instance import (
     import_dimacs_max,
     parse_instance,
@@ -151,6 +151,7 @@ def test_dimacs_import_rejects_non_grid():
 
 @given(st.sampled_from(["grid", "tri"]), st.integers(2, 80), st.integers(0, 10 ** 6))
 def test_roundtrip_idempotent_on_generated_instances(kind, n, seed):
+    assume(n >= MIN_NODES[kind])
     inst = generate(kind, n, seed)
     once = serialize_instance(parse_instance_file(inst.text()))
     assert serialize_instance(parse_instance_file(once)) == once

@@ -42,7 +42,7 @@ def test_circulation_crosses_no_cut():
             rng.shuffle(nodes)
             cut = rng.randint(1, g.n - 1)
             _, deltas = solve_msms_residual(
-                g.n, graph_arcs(g), store, set(nodes[:cut]), set(nodes[cut:]))
+                store, graph_arcs(g, store), set(nodes[:cut]), set(nodes[cut:]))
             store.apply(deltas)
         circ, _ = decompose_acyclic(g, store)
         probe = FlowStore.for_graph(g)

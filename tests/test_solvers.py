@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from support import residual_net
 
 from planarflow.flow import (
     FlowStore,
@@ -38,7 +39,7 @@ def random_digraph(rng, n, density=0.45, cap_max=9):
 
 def test_msss_two_sources():
     g, store = fan_into_sink()
-    value, deltas = msss_max_flow(g.n, graph_arcs(g), store, {0, 1}, 2)
+    value, deltas = msss_max_flow(store, graph_arcs(g, store), {0, 1}, 2)
     store.apply(deltas)
     assert value == 2
     assert flow_value(g, store, {2}) == 2
@@ -48,7 +49,7 @@ def test_msss_unreachable_sink_is_zero():
     arcs = [(2, 0, 5), (2, 1, 5)]
     g = build_graph(3, arcs, [[2], [2], [0, 1]])
     store = FlowStore.for_graph(g)
-    value, deltas = msss_max_flow(g.n, graph_arcs(g), store, {0, 1}, 2)
+    value, deltas = msss_max_flow(store, graph_arcs(g, store), {0, 1}, 2)
     assert value == 0 and deltas == []
 
 
@@ -63,7 +64,8 @@ def test_msss_leaves_no_residual_path_to_sink():
         sink = rng.choice([v for v in range(n) if v not in sources])
         store = FlowStore()
         keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
-        value, deltas = msss_max_flow(n, keyed, store, sources, sink)
+        value, deltas = msss_max_flow(store, residual_net(n, keyed, store),
+                                      sources, sink)
         store.apply(deltas)
         oracle = oracle_max_flow(n, arcs, sources, {sink})
         assert value == oracle.value
@@ -95,7 +97,7 @@ def test_ssms_single_sink_matches_plain_max_flow():
     arcs = [(0, 1, 2), (1, 2, 3)]
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
-    value, deltas = ssms_max_flow(g.n, graph_arcs(g), store, 0, {2})
+    value, deltas = ssms_max_flow(store, graph_arcs(g, store), 0, {2})
     store.apply(deltas)
     assert value == 2
     assert is_feasible(g, store, {0}, {2})
@@ -105,7 +107,7 @@ def test_ssms_source_with_no_outgoing_capacity_is_zero():
     arcs = [(1, 0, 4), (1, 2, 4)]
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
-    value, deltas = ssms_max_flow(g.n, graph_arcs(g), store, 0, {2})
+    value, deltas = ssms_max_flow(store, graph_arcs(g, store), 0, {2})
     assert value == 0 and deltas == []
 
 
@@ -120,7 +122,8 @@ def test_ssms_matches_oracle_and_leaves_a_maximal_feasible_flow():
         source = rng.choice([v for v in range(n) if v not in sinks])
         store = FlowStore()
         keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
-        value, deltas = ssms_max_flow(n, keyed, store, source, sinks)
+        value, deltas = ssms_max_flow(store, residual_net(n, keyed, store),
+                                      source, sinks)
         store.apply(deltas)
         assert value == oracle_max_flow(n, arcs, {source}, sinks).value
         # the returned assignment is a feasible source-to-sinks flow
@@ -143,7 +146,7 @@ def test_limited_flow_respects_delta():
     g = build_graph(2, arcs, [[1], [0]])
     for delta, expect in [(3, 3), (10, 5), (0, 0)]:
         store = FlowStore.for_graph(g)
-        value, deltas = limited_max_flow(g.n, graph_arcs(g), store, [0], [1], delta)
+        value, deltas = limited_max_flow(store, graph_arcs(g, store), [0], [1], delta)
         store.apply(deltas)
         assert value == expect
         assert store.vals[0] == expect
@@ -154,7 +157,7 @@ def test_limited_flow_rejects_negative_delta():
     g = build_graph(2, arcs, [[1], [0]])
     store = FlowStore.for_graph(g)
     with pytest.raises(ValueError):
-        limited_max_flow(g.n, graph_arcs(g), store, [0], [1], -1)
+        limited_max_flow(store, graph_arcs(g, store), [0], [1], -1)
 
 
 
@@ -163,7 +166,7 @@ def test_limited_flow_rejects_overlapping_sets():
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
     with pytest.raises(ValueError):
-        limited_max_flow(g.n, graph_arcs(g), store, [0, 1], [1, 2], 3)
+        limited_max_flow(store, graph_arcs(g, store), [0, 1], [1, 2], 3)
 
 
 def test_msss_scratch_arcs_carry_flow_but_return_no_deltas():
@@ -171,11 +174,11 @@ def test_msss_scratch_arcs_carry_flow_but_return_no_deltas():
     arcs = [(0, 1, 2), (2, 1, 9)]
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
-    value, deltas = msss_max_flow(g.n, graph_arcs(g), store, [0], 2,
-                                  [(1, 2, 100, 0)])
+    value, deltas = msss_max_flow(store, graph_arcs(g, store, [(1, 2, 100, 0)]),
+                                  [0], 2)
     assert value == 2
     assert deltas == [(0, 2)]
-    assert msss_max_flow(g.n, graph_arcs(g), store, [0], 2) == (0, [])
+    assert msss_max_flow(store, graph_arcs(g, store), [0], 2) == (0, [])
 
 
 def test_limited_flow_into_a_set_matches_linked_chain():
@@ -195,12 +198,13 @@ def test_limited_flow_into_a_set_matches_linked_chain():
         for forward in (True, False):
             store = FlowStore()
             keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
+            net = residual_net(n, keyed, store)
             delta = rng.randint(0, 15)
             if forward:
-                value, deltas = limited_max_flow(n, keyed, store, [s], chain, delta)
+                value, deltas = limited_max_flow(store, net, [s], chain, delta)
                 oracle = oracle_max_flow(n, linked, {s}, {chain[0]}).value
             else:
-                value, deltas = limited_max_flow(n, keyed, store, chain, [s], delta)
+                value, deltas = limited_max_flow(store, net, chain, [s], delta)
                 oracle = oracle_max_flow(n, linked, {chain[0]}, {s}).value
             store.apply(deltas)
             assert value == min(delta, oracle)
@@ -221,7 +225,8 @@ def test_limited_flow_maximality_when_short():
         store = FlowStore()
         keyed = [(tl, h, c, store.new_key(c)) for (tl, h, c) in arcs]
         delta = rng.randint(0, 12)
-        value, deltas = limited_max_flow(n, keyed, store, [s], [t], delta)
+        value, deltas = limited_max_flow(store, residual_net(n, keyed, store),
+                                         [s], [t], delta)
         store.apply(deltas)
         true_max = oracle_max_flow(n, arcs, {s}, {t}).value
         assert value == min(delta, true_max)
@@ -286,10 +291,11 @@ def test_oracle_cut_certificate_on_random_instances():
                 assert net_in.get(v, 0) == 0
         assert sum(net_in.get(t, 0) for t in sinks) == res.value
 
-        def value(solver, num_nodes, *terminals, **kwargs):
+        def value(solver, num_nodes, *terminals, scratch=()):
             store = FlowStore()
             keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
-            return solver(num_nodes, keyed, store, *terminals, **kwargs)[0]
+            net = residual_net(num_nodes, keyed, store, scratch)
+            return solver(store, net, *terminals)[0]
 
         # the apex is node n, joined by scratch arcs above any cut
         inf = 1 + sum(c for (_, _, c) in arcs)
@@ -307,8 +313,86 @@ def test_solver_runs_are_deterministic():
     arcs = random_digraph(rng, 7)
     store1 = FlowStore()
     keyed1 = [(t, h, c, store1.new_key(c)) for (t, h, c) in arcs]
-    v1, d1 = msss_max_flow(7, keyed1, store1, {0, 1}, 6)
+    v1, d1 = msss_max_flow(store1, residual_net(7, keyed1, store1), {0, 1}, 6)
     store2 = FlowStore()
     keyed2 = [(t, h, c, store2.new_key(c)) for (t, h, c) in arcs]
-    v2, d2 = msss_max_flow(7, keyed2, store2, {0, 1}, 6)
+    v2, d2 = msss_max_flow(store2, residual_net(7, keyed2, store2), {0, 1}, 6)
     assert (v1, d1) == (v2, d2)
+
+
+def _random_call(rng, store, net, n, apex):
+    """One msss, ssms, limited or leaf call on net with random terminals;
+    the apex, when given, may serve as the single source or sink."""
+    nodes = list(range(n))
+    rng.shuffle(nodes)
+    cut = rng.randint(1, n - 1)
+    srcs, snks = nodes[:cut], nodes[cut:]
+    choice = rng.randrange(4)
+    if choice == 0:
+        sink = apex if apex is not None and rng.random() < 0.5 else snks[0]
+        return msss_max_flow(store, net, srcs, sink)
+    if choice == 1:
+        source = apex if apex is not None and rng.random() < 0.5 else srcs[0]
+        return ssms_max_flow(store, net, source, snks)
+    if choice == 2:
+        return limited_max_flow(store, net, srcs, snks, rng.randint(0, 12))
+    return solve_msms_residual(store, net, srcs, snks)
+
+
+def test_one_net_stays_current_across_calls():
+    """Solver calls on one net, each call's deltas applied to the store,
+    leave the net equal to a net freshly built from the store; a call
+    that pushes nothing returns no deltas and leaves the net as it was."""
+    rng = random.Random(37)
+    for _ in range(80):
+        n = rng.randint(2, 9)
+        arcs = random_digraph(rng, n)
+        store = FlowStore()
+        keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
+        apex, scratch = None, ()
+        if rng.random() < 0.5:
+            apex, inf = n, 1 + sum(c for (_, _, c) in arcs)
+            scratch = [arc for b in rng.sample(range(n), rng.randint(1, n))
+                       for arc in ((b, apex, inf, 0), (apex, b, inf, 0))]
+        size = n + 1 if scratch else n
+        net = residual_net(size, keyed, store, scratch)
+        for _ in range(rng.randint(1, 8)):
+            before = list(net.res)
+            value, deltas = _random_call(rng, store, net, n, apex)
+            store.apply(deltas)
+            assert net.res == residual_net(size, keyed, store, scratch).res
+            if value == 0:
+                assert deltas == [] and net.res == before
+
+
+def test_apex_pushes_on_one_net_match_two_fresh_nets():
+    """The source push into the apex and the sink push out of it give the
+    same values and deltas on one shared net as on a fresh net each."""
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(3, 9)
+        arcs = random_digraph(rng, n)
+        inf = 1 + sum(c for (_, _, c) in arcs)
+        nodes = list(range(n))
+        rng.shuffle(nodes)
+        a = rng.randint(1, n - 2)
+        b = rng.randint(1, n - 1 - a)
+        sources, sinks, boundary = nodes[:a], nodes[a:a + b], nodes[a + b:] or nodes[:1]
+        scratch = [arc for v in boundary for arc in ((v, n, inf, 0), (n, v, inf, 0))]
+        shared, fresh = FlowStore(), FlowStore()
+        keyed = [(t, h, c, shared.new_key(c)) for (t, h, c) in arcs]
+        for (_, _, c) in arcs:
+            fresh.new_key(c)
+
+        def apex_pushes(store, net_for):
+            into = msss_max_flow(store, net_for(store), sources, n)
+            store.apply(into[1])
+            out = ssms_max_flow(store, net_for(store), n, sinks)
+            store.apply(out[1])
+            return into, out
+
+        net = residual_net(n + 1, keyed, shared, scratch)
+        one = apex_pushes(shared, lambda store: net)
+        two = apex_pushes(fresh, lambda store: residual_net(n + 1, keyed, store, scratch))
+        assert one == two
+        assert shared.vals == fresh.vals

@@ -169,12 +169,12 @@ def check_apex_against_oracle(boundary):
     written_out += [(t, h, c) for t, h, c, _ in apex_arcs]
     store = FlowStore.for_graph(g)
     for v in (0, 2):
-        value, deltas = msss_max_flow(g.n + 1, graph_arcs(g), store,
-                                      {v}, apex, apex_arcs)
+        value, deltas = msss_max_flow(store, graph_arcs(g, store, apex_arcs),
+                                      {v}, apex)
         assert value == oracle_max_flow(g.n + 1, written_out, {v}, {apex}).value
         assert all(key < g.m for key, _ in deltas)
-        value, deltas = ssms_max_flow(g.n + 1, graph_arcs(g), store,
-                                      apex, {v}, apex_arcs)
+        value, deltas = ssms_max_flow(store, graph_arcs(g, store, apex_arcs),
+                                      apex, {v})
         assert value == oracle_max_flow(g.n + 1, written_out, {apex}, {v}).value
         assert all(key < g.m for key, _ in deltas)
 

@@ -36,15 +36,23 @@ def _load_config(args) -> EngineConfig:
     )
 
 
-def _check_gen_args(kind, n, cap_max):
-    """Reject a kind, node count or capacity bound that generate() cannot
-    build from."""
+def _check_gen_args(kind, n, cap_max, s_frac=0.0, t_frac=0.0):
+    """Reject a kind, node count, capacity bound or terminal fraction
+    that generate() cannot build from."""
     if kind not in MIN_NODES:
         raise ConfigError(f"unknown instance kind {kind!r}; expected grid or tri")
     if n < MIN_NODES[kind]:
         raise ConfigError(f"a {kind} needs at least {MIN_NODES[kind]} nodes, got {n}")
     if cap_max < 0:
         raise ConfigError(f"--cap-max must be non-negative, got {cap_max}")
+    for flag, frac in (("--s-frac", s_frac), ("--t-frac", t_frac)):
+        if not 0 <= frac <= 1:      # also false for nan
+            raise ConfigError(f"{flag} must be a fraction in [0, 1], got {frac}")
+
+
+def _check_runs(flag, count):
+    if count < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {count}")
 
 
 def _failure_kind(e) -> str:
@@ -59,7 +67,7 @@ def _trace_writer(path):
 
 
 def cmd_gen(args) -> int:
-    _check_gen_args(args.kind, args.n, args.cap_max)
+    _check_gen_args(args.kind, args.n, args.cap_max, args.s_frac, args.t_frac)
     inst = generate(args.kind, args.n, args.seed, cap_max=args.cap_max,
                     s_frac=args.s_frac, t_frac=args.t_frac)
     text = inst.text()
@@ -147,6 +155,7 @@ def _build_components(inst):
 
 def cmd_check(args) -> int:
     _check_gen_args(args.kind, args.n, args.cap_max)
+    _check_runs("--count", args.count)
     cfg = _load_config(args)
     if cfg.audit == "none":
         cfg = with_overrides(cfg, audit="full")
@@ -182,6 +191,7 @@ def cmd_bench(args) -> int:
         sizes = [int(x) for x in args.sizes.split(",")]
     except ValueError:
         raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
+    _check_runs("--repeats", args.repeats)
     kinds = args.kinds.split(",")
     for kind in kinds:
         for n in sizes:

@@ -310,39 +310,27 @@ class MsmsEngine:
         balance = inflow_all(gd, store)
         terminals = set(sources) | set(sinks)
 
-        for v in reversed(order):           # excess back toward emitters
-            if v in terminals or balance[v] <= 0:
-                continue
-            need = balance[v]
-            for a in pos_in[v]:
-                key = gd.keys[a]
-                take = min(store.vals[key], need)
-                if take > 0:
-                    store.vals[key] -= take
-                    balance[v] -= take
-                    balance[gd.tails[a]] += take
-                    need -= take
-                if need == 0:
-                    break
-            if need:
-                raise SettlementStuck(f"excess {need} stranded at node {v}")
-
-        for v in order:                     # deficits forward toward absorbers
-            if v in terminals or balance[v] >= 0:
-                continue
-            need = -balance[v]
-            for a in pos_out[v]:
-                key = gd.keys[a]
-                take = min(store.vals[key], need)
-                if take > 0:
-                    store.vals[key] -= take
-                    balance[v] += take
-                    balance[gd.heads[a]] -= take
-                    need -= take
-                if need == 0:
-                    break
-            if need:
-                raise SettlementStuck(f"deficit {need} stranded at node {v}")
+        # excess drains back toward emitters, then deficits forward
+        # toward absorbers; sign turns a deficit into a positive need
+        for nodes, arcs_at, far_ends, sign, what in (
+                (reversed(order), pos_in, gd.tails, 1, "excess"),
+                (order, pos_out, gd.heads, -1, "deficit")):
+            for v in nodes:
+                need = sign * balance[v]
+                if v in terminals or need <= 0:
+                    continue
+                for a in arcs_at[v]:
+                    key = gd.keys[a]
+                    take = min(store.vals[key], need)
+                    if take > 0:
+                        store.vals[key] -= take
+                        balance[v] -= sign * take
+                        balance[far_ends[a]] += sign * take
+                        need -= take
+                    if need == 0:
+                        break
+                if need:
+                    raise SettlementStuck(f"{what} {need} stranded at node {v}")
 
         for v in range(gd.n):
             if v not in terminals and balance[v] != 0:

@@ -30,11 +30,6 @@ from .errors import (
 NO_KEY = -1
 
 
-def rev(d: int) -> int:
-    """The opposite dart of the same arc."""
-    return d ^ 1
-
-
 def walk_faces(tails, heads, rot):
     """Face walks of a rotation system, plus the face index of every dart.
 
@@ -93,9 +88,6 @@ class PlanarGraph:
 
     def dart_head(self, d: int) -> int:
         return self.heads[d >> 1] if (d & 1) == 0 else self.tails[d >> 1]
-
-    def darts(self):
-        return range(2 * self.m)
 
     # -- embedding ---------------------------------------------------------
 

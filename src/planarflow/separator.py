@@ -11,6 +11,11 @@ Candidate evaluation is O(1) per non-tree arc: the faces enclosed by a
 fundamental cycle form a subtree of the dual spanning tree built on the
 non-tree arcs, and for a triangulation with k cycle nodes and f enclosed
 faces the strictly enclosed node count is (f - k) / 2 + 1.
+
+Sides come from faces: the cycle's arcs cut the faces into two regions,
+side 0 holding the face of each cycle dart's reverse.  Every arc and
+node off the cycle lies on the side of its faces, boundary chords
+included.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ class Separator:
 
     boundary: list            # node ids in cycle order
     cycle_darts: list         # dart i runs boundary[i] -> boundary[i+1]
-    inside: frozenset         # nodes strictly on one side
-    outside: frozenset        # nodes strictly on the other side
+    inside: frozenset         # nodes strictly on side 0 (see _sides)
+    outside: frozenset        # nodes strictly on side 1
     n: int
 
     @property
@@ -207,92 +212,68 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
             a = a_star
         darts.append(2 * a if g.tails[a] == x else 2 * a + 1)
 
-    inside_set, outside_set = _classify_sides(
-        g, boundary, _boundary_dart_sides(g, boundary, darts))
-    if not (len(inside_set) <= 2 * n / 3 and len(outside_set) <= 2 * n / 3):
+    _, inside, outside = _sides(g, darts)
+    if not (len(inside) <= 2 * n / 3 and len(outside) <= 2 * n / 3):
         raise AssertionError(
-            f"separator balance violated: {len(inside_set)}/{len(outside_set)} of {n}")
-    return Separator(boundary, darts, frozenset(inside_set), frozenset(outside_set), n)
+            f"separator balance violated: {len(inside)}/{len(outside)} of {n}")
+    return Separator(boundary, darts, frozenset(inside), frozenset(outside), n)
 
 
-def _classify_sides(g: PlanarGraph, boundary, side_of_dart):
-    """Partition non-boundary nodes by the side of the cycle they sit on.
+def _sides(g: PlanarGraph, cycle_darts):
+    """Side (0 or 1) of every arc, and the nodes strictly on each side.
 
-    side_of_dart is _boundary_dart_sides' label for every non-cycle dart
-    leaving a boundary node.  Each off-cycle component is labeled through
-    any attachment dart, and the labels are checked for consistency.
+    The cycle's arcs cut the faces into two regions.  Side 0 is the
+    region of the face of each cycle dart's reverse, found by one flood
+    from cycle_darts[0] ^ 1 that crosses every arc off the cycle and no
+    cycle arc; every face it does not reach is on side 1.  An arc or a
+    node off the cycle lies on the side of its faces; cycle arcs count as
+    side 0, whose piece owns them.  Raises AssertionError unless every
+    cycle dart has its reverse's face on side 0 and its own on side 1.
     """
-    n = g.n
-    on_cycle = bytearray(n)
-    for v in boundary:
-        on_cycle[v] = 1
-
+    faces = g.faces()
+    face_of = g.dart_faces()
     tails, heads = g.tails, g.heads
-    comp = [-1] * n
-    comp_side = []
-    for start in range(n):
-        if on_cycle[start] or comp[start] >= 0:
-            continue
-        cid = len(comp_side)
-        comp_side.append(None)
-        comp[start] = cid
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for d in g.rot[x]:
-                y = tails[d >> 1] if d & 1 else heads[d >> 1]
-                if not on_cycle[y] and comp[y] < 0:
-                    comp[y] = cid
-                    queue.append(y)
+    on_cycle = bytearray(g.m)
+    for d in cycle_darts:
+        on_cycle[d >> 1] = 1
+    side = [1] * len(faces)
+    start = face_of[cycle_darts[0] ^ 1]
+    side[start] = 0
+    stack = [start]
+    while stack:
+        for d in faces[stack.pop()]:
+            if not on_cycle[d >> 1]:
+                f = face_of[d ^ 1]
+                if side[f]:
+                    side[f] = 0
+                    stack.append(f)
+    for d in cycle_darts:
+        if side[face_of[d ^ 1]] or not side[face_of[d]]:
+            raise AssertionError(f"cycle dart {d} does not separate side 0 from side 1")
 
-    for d, side in side_of_dart.items():
-        y = tails[d >> 1] if d & 1 else heads[d >> 1]
-        if on_cycle[y]:
-            continue
-        cid = comp[y]
-        if comp_side[cid] is None:
-            comp_side[cid] = side
-        elif comp_side[cid] != side:
-            raise AssertionError("cycle side classification is inconsistent")
-
+    arc_side = [side[f] for f in face_of[::2]]
+    on_cycle_node = bytearray(g.n)
+    for d in cycle_darts:
+        arc_side[d >> 1] = 0
+        on_cycle_node[heads[d >> 1] if d & 1 else tails[d >> 1]] = 1
     inside, outside = set(), set()
-    for v in range(n):
-        if on_cycle[v]:
-            continue
-        side = comp_side[comp[v]]
-        assert side is not None, "component not attached to the cycle"
-        (inside if side == 0 else outside).add(v)
-    return inside, outside
+    for v, r in enumerate(g.rot):
+        if not on_cycle_node[v]:
+            (outside if side[face_of[r[0]]] else inside).add(v)
+    return arc_side, inside, outside
 
 
 def split_into_pieces(g: PlanarGraph, sep: Separator):
     """Split g along the separator cycle into two pieces.
 
-    The piece on side one owns the cycle arcs; the other piece receives
+    The first piece (side 0) owns the cycle arcs; the second receives
     zero-capacity artificial stand-ins for them so its boundary ring
-    stays connected and embedded.  Every flow-carrying arc of g lands in
-    exactly one piece.  Boundary-to-boundary chords that do not lie on
-    the cycle go to the side their embedding places them on.
+    stays connected and embedded.  Every other arc, a chord between two
+    boundary nodes included, goes to the piece of the side its faces lie
+    on (see _sides), so every flow-carrying arc of g lands in exactly one
+    piece.
     """
-    side_of_dart = _boundary_dart_sides(g, sep.boundary, sep.cycle_darts)
-    inside, outside = _classify_sides(g, sep.boundary, side_of_dart)
-    on_cycle_arc = bytearray(g.m)
-    for d in sep.cycle_darts:
-        on_cycle_arc[d >> 1] = 1
-    boundary_set = set(sep.boundary)
-
-    # side of every chord between two boundary nodes, from the embedding
-    chord_side = {}
-    for a in range(g.m):
-        if on_cycle_arc[a]:
-            continue
-        t, h = g.tails[a], g.heads[a]
-        if t in boundary_set and h in boundary_set:
-            s1 = side_of_dart.get(2 * a)
-            s2 = side_of_dart.get(2 * a + 1)
-            assert s1 is not None and s1 == s2, "boundary chord straddles the cycle"
-            chord_side[a] = s1
-
+    arc_side, inside, outside = _sides(g, sep.cycle_darts)
     pieces = []
     for side_id, strict in ((0, inside), (1, outside)):
         nodes = list(sep.boundary) + sorted(strict)
@@ -300,17 +281,9 @@ def split_into_pieces(g: PlanarGraph, sep: Separator):
         arcs = []          # (parent arc id or None, tail, head, cap, key)
         arc_local = {}
         for a in range(g.m):
-            t, h = g.tails[a], g.heads[a]
-            if on_cycle_arc[a]:
-                keep = side_id == 0
-            elif t in boundary_set and h in boundary_set:
-                keep = chord_side[a] == side_id
-            else:
-                anchor = t if t not in boundary_set else h
-                keep = anchor in strict
-            if keep:
+            if arc_side[a] == side_id:
                 arc_local[a] = len(arcs)
-                arcs.append((a, local[t], local[h], g.caps[a], g.keys[a]))
+                arcs.append((a, local[g.tails[a]], local[g.heads[a]], g.caps[a], g.keys[a]))
         if side_id == 1:
             # zero-capacity stand-ins for the cycle arcs
             for d in sep.cycle_darts:
@@ -338,27 +311,3 @@ def split_into_pieces(g: PlanarGraph, sep: Separator):
         pieces.append(piece)
     return pieces[0], pieces[1]
 
-
-def _boundary_dart_sides(g: PlanarGraph, boundary, cycle_darts):
-    """Side label (0/1) of every non-cycle dart leaving a boundary node.
-
-    The rotation at boundary node i is cut by its outgoing cycle dart and
-    the dart back to node i-1; scanning clockwise from the outgoing dart,
-    everything before the back dart is side 0, the rest side 1.
-    """
-    k = len(boundary)
-    out = {}
-    for i, v in enumerate(boundary):
-        r = g.rot[v]
-        po = r.index(cycle_darts[i])
-        pi = r.index(cycle_darts[(i - 1) % k] ^ 1)
-        deg = len(r)
-        j = (po + 1) % deg
-        side = 0
-        while j != po:
-            if j == pi:
-                side = 1
-            else:
-                out[r[j]] = side
-            j = (j + 1) % deg
-    return out

@@ -197,12 +197,22 @@ def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, linen
     ["gen", "--kind", "grid", "--n", "9", "--cap-max", "-1"],
     ["check", "--kind", "grid", "--n", "9", "--cap-max", "-1"],
     ["bench", "--kinds", "grid", "--sizes", "9", "--cap-max", "-1"],
+    ["check", "--kind", "grid", "--n", "9", "--count", "-1"],
+    ["check", "--kind", "grid", "--n", "9", "--count", "0"],
+    ["bench", "--kinds", "grid", "--sizes", "9", "--repeats", "0"],
+    ["bench", "--kinds", "grid", "--sizes", "9", "--repeats", "-2"],
+    ["gen", "--kind", "grid", "--n", "9", "--s-frac", "1.5"],
+    ["gen", "--kind", "grid", "--n", "9", "--s-frac", "-0.5"],
+    ["gen", "--kind", "grid", "--n", "9", "--t-frac", "nan"],
+    ["gen", "--kind", "grid", "--n", "9", "--s-frac", "inf"],
 ], ids=["missing-instance", "missing-dimacs", "unknown-config-key",
         "non-integer-base-case", "base-case-1", "trace-in-missing-dir",
         "bench-unknown-kind", "bench-non-integer-size", "bench-grid-size-0",
         "gen-grid-n-1", "check-grid-n-1", "gen-tri-n-minus-5", "gen-tri-n-2",
         "check-tri-n-2", "bench-tri-sizes-0-minus-5", "gen-negative-cap-max",
-        "check-negative-cap-max", "bench-negative-cap-max"])
+        "check-negative-cap-max", "bench-negative-cap-max", "check-count-minus-1",
+        "check-count-0", "bench-repeats-0", "bench-repeats-minus-2",
+        "gen-s-frac-1.5", "gen-s-frac-minus-0.5", "gen-t-frac-nan", "gen-s-frac-inf"])
 def test_bad_outside_input_exits_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "unknown-key.cfg").write_text("bogus = 1\n")
     (tmp_path / "bad-base-case.cfg").write_text("base_case = x\n")

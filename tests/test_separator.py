@@ -1,13 +1,15 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
 from planarflow.errors import PreconditionNotTriangulated
+from planarflow.flow import FlowStore
 from planarflow.generate import generate, grid_arrays, random_triangulation_arrays
 from planarflow.graph import NO_KEY, build_graph
 from planarflow.separator import find_cycle_separator, split_into_pieces
-from planarflow.surgery import triangulate_and_biconnect
+from planarflow.surgery import detach_terminal_from_cycle, triangulate_and_biconnect
 
 
 def build_from_arrays(arrays):
@@ -137,3 +139,52 @@ def test_consecutive_boundary_nodes_cofacial():
         d = sep.cycle_darts[i]
         # adjacent nodes always share the two faces of their arc
         assert face_of[d] != face_of[d ^ 1] or g.m == 1
+
+
+@pytest.mark.parametrize("kind", ["grid", "tri"])
+@pytest.mark.parametrize("n", [30, 90])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_split_detached_level_graph(kind, n, seed):
+    """Every boundary node carries a pendant terminal, as in a level graph
+    whose cycle is all terminals: each lands with its arc in one piece."""
+    if kind == "grid":
+        g = build_from_arrays(grid_arrays(n, random.Random(seed)))
+    else:
+        g = tri_graph(n, seed)
+    store = FlowStore.for_graph(g)
+    gt = triangulate_and_biconnect(g)
+    sep = find_cycle_separator(gt)
+    detaches = [(v, sep.cycle_darts[i], ("source", "sink")[i % 2], 1)
+                for i, v in enumerate(sep.boundary)]
+    gd, new_nodes = detach_terminal_from_cycle(gt, detaches, store)
+    p1, p2 = split_into_pieces(gd, sep)
+
+    keyed = {}
+    for piece in (p1, p2):
+        for la, pa in enumerate(piece.parent_arcs):
+            if pa is None:
+                assert piece.graph.keys[la] == NO_KEY
+                continue
+            assert piece.graph.keys[la] == gd.keys[pa]
+            if gd.keys[pa] != NO_KEY:
+                assert pa not in keyed, "keyed arc appears in both pieces"
+                keyed[pa] = piece
+    assert sorted(keyed) == [a for a in range(gd.m) if gd.keys[a] != NO_KEY]
+    assert p1.graph.n + p2.graph.n == gd.n + sep.k
+
+    for j, v_new in enumerate(new_nodes):
+        holders = [piece for piece in (p1, p2) if v_new in piece.local_of]
+        assert len(holders) == 1
+        assert keyed[gt.m + j] is holders[0]
+    for piece in (p1, p2):
+        piece.graph.check_embedding()
+
+
+@pytest.mark.parametrize("flipped", [0, 1, -1])
+def test_split_rejects_a_mis_oriented_cycle(flipped):
+    g = triangulate_and_biconnect(tri_graph(40, 3))
+    sep = find_cycle_separator(g)
+    darts = list(sep.cycle_darts)
+    darts[flipped] ^= 1
+    with pytest.raises(AssertionError):
+        split_into_pieces(g, dataclasses.replace(sep, cycle_darts=darts))

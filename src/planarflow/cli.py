@@ -25,10 +25,18 @@ EXIT_AUDIT = 3
 EXIT_MISMATCH = 4
 
 
+def _read_text(path) -> str:
+    """An input file's text; one that is not UTF-8 is bad input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 def _load_config(args) -> EngineConfig:
     cfg = EngineConfig()
     if getattr(args, "config", None):
-        cfg = parse_config_file(Path(args.config).read_text())
+        cfg = parse_config_file(_read_text(args.config))
     return with_overrides(
         cfg,
         audit=getattr(args, "audit", None),
@@ -80,8 +88,9 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
+    text = _read_text(args.file)
     try:
-        inst = parse_instance_file(Path(args.file).read_text())
+        inst = parse_instance_file(text)
         if args.per_component:
             problems = _build_components(inst)
         else:
@@ -207,8 +216,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_import_dimacs(args) -> int:
+    raw = _read_text(args.file)
     try:
-        inst = import_dimacs_max(Path(args.file).read_text())
+        inst = import_dimacs_max(raw)
     except PlanarFlowError as e:
         print(f"import error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -11,10 +11,13 @@ topological order the cancelling DFS returns.  All flow lives in
 one global store; every subroutine sees current residual capacities and
 its result is accumulated immediately.
 
+The input is triangulated once, at the root; every piece inherits its
+triangulation and its faces from the split (see separator.py).
+
 Instrumentation is config-gated: audit level "full" re-checks every
 reachability invariant the correctness argument relies on after each
-step, "final" checks feasibility and maximality per level, "none" trusts
-the algorithm.
+step, and every piece's faces and triangulation, "final" checks
+feasibility and maximality per level, "none" trusts the algorithm.
 """
 
 from __future__ import annotations
@@ -23,7 +26,13 @@ from dataclasses import dataclass, field
 from math import sqrt
 
 from .config import EngineConfig
-from .errors import AuditFailure, SettlementStuck
+from .errors import (
+    AuditFailure,
+    Disconnected,
+    EmbeddingInvalid,
+    NonPlanarEmbedding,
+    SettlementStuck,
+)
 from .flow import (
     FlowStore,
     decompose_acyclic,
@@ -33,7 +42,7 @@ from .flow import (
     is_feasible,
     residual_reachable,
 )
-from .graph import NO_KEY, PlanarGraph, TerminalSets
+from .graph import NO_KEY, PlanarGraph, TerminalSets, is_triangulated_biconnected
 from .separator import find_cycle_separator, split_into_pieces
 from .solvers import (
     graph_arcs,
@@ -145,11 +154,13 @@ class MsmsEngine:
             self._base_solve(g, sources, sinks, depth, "base")
             return
 
-        gt = triangulate_and_biconnect(g)
-        sep = find_cycle_separator(gt)
+        if depth == 0:
+            g = triangulate_and_biconnect(g)   # pieces inherit it from here on
+        sep = find_cycle_separator(g)
         gd, lvl_sources, lvl_sinks = self._detach_boundary_terminals(
-            gt, sep, sources, sinks)
+            g, sep, sources, sinks)
         piece1, piece2 = split_into_pieces(gd, sep)
+        self._audit_pieces_embedded(depth, (piece1, piece2))
         if max(piece1.graph.n, piece2.graph.n) >= g.n:
             # a split that cannot shrink the problem; finish directly
             # (the just-created detach arcs stay at zero flow and are dropped)
@@ -337,6 +348,21 @@ class MsmsEngine:
                 raise SettlementStuck(f"node {v} still violates conservation")
 
     # -- invariant audits -------------------------------------------------------------
+
+    def _audit_pieces_embedded(self, depth, pieces):
+        """The faces each piece inherited are its face walks, all of them
+        triangles.  Like the input's own embedding check, not counted in
+        audits."""
+        if self.cfg.audit != "full":
+            return
+        for side, piece in enumerate(pieces):
+            try:
+                piece.graph.check_embedding()
+            except (EmbeddingInvalid, Disconnected, NonPlanarEmbedding) as err:
+                raise AuditFailure(f"depth {depth} piece {side}: {err}") from err
+            if not is_triangulated_biconnected(piece.graph):
+                raise AuditFailure(
+                    f"depth {depth} piece {side}: not a two-connected triangulation")
 
     def _audit_piece_recursed(self, piece, sub_sources, sub_sinks):
         """After the recursive call: no residual source-to-sink path

@@ -2,8 +2,11 @@
 
 A graph is a list of capacitated arcs plus a rotation system: for every
 node, the clockwise cyclic order of the darts leaving it.  The rotation
-system is the single source of truth for the embedding; faces are derived
-from it and never stored independently.
+system is the single source of truth for the embedding.  Its faces are
+walked from it on first use, or given at construction by surgery that
+already knows them (a piece inherits its parent's faces);
+check_embedding walks the rotation itself and rejects given faces that
+disagree with it.
 
 Every arc owns two darts.  Dart ``2*a`` points with arc ``a`` and carries
 its capacity; dart ``2*a + 1`` points against it and carries capacity
@@ -62,7 +65,8 @@ class PlanarGraph:
     """Immutable embedded directed planar graph.
 
     Safe to share across concurrent readers; surgery operations return
-    new graphs instead of mutating.
+    new graphs instead of mutating.  faces, when given, lists every face
+    walk of the rotation system, in any order and from any start dart.
     """
 
     __slots__ = (
@@ -70,7 +74,7 @@ class PlanarGraph:
         "rot", "_faces", "_face_of",
     )
 
-    def __init__(self, tails, heads, caps, rot, keys=None):
+    def __init__(self, tails, heads, caps, rot, keys=None, faces=None):
         self.tails = list(tails)
         self.heads = list(heads)
         self.caps = list(caps)
@@ -78,7 +82,7 @@ class PlanarGraph:
         self.n = len(self.rot)
         self.m = len(self.tails)
         self.keys = list(keys) if keys is not None else list(range(self.m))
-        self._faces = None
+        self._faces = faces
         self._face_of = None
 
     # -- dart accessors ----------------------------------------------------
@@ -92,14 +96,20 @@ class PlanarGraph:
     # -- embedding ---------------------------------------------------------
 
     def faces(self):
-        """All face walks, each a list of darts (see walk_faces)."""
+        """All face walks, each a list of darts: the ones given at
+        construction, else those walk_faces finds."""
         if self._faces is None:
             self._faces, self._face_of = walk_faces(self.tails, self.heads, self.rot)
         return self._faces
 
     def dart_faces(self):
-        """The face index of every dart, in dart order (see walk_faces)."""
-        self.faces()
+        """The index in faces() of every dart's face, in dart order."""
+        if self._face_of is None:
+            face_of = [0] * (2 * self.m)
+            for f, walk in enumerate(self.faces()):
+                for d in walk:
+                    face_of[d] = f
+            self._face_of = face_of
         return self._face_of
 
     @property
@@ -110,7 +120,8 @@ class PlanarGraph:
 
     def check_embedding(self):
         """Raise unless the rotation system is a planar embedding of a
-        connected graph (Euler's formula n - m + f = 2)."""
+        connected graph (Euler's formula n - m + f = 2) and the given
+        faces, if any, are its face walks."""
         if self.n == 1 and self.m == 0:
             return  # a bare node embeds in the sphere with one face
         tails, heads = self.tails, self.heads
@@ -126,9 +137,14 @@ class PlanarGraph:
                 raise EmbeddingInvalid(f"dart {d} appears {c} times in the rotation system")
         if self.n - self._count_reachable(0) > 0:
             raise Disconnected("graph is not connected")
-        if self.n - self.m + self.num_faces != 2:
+        faces, face_of = walk_faces(tails, heads, self.rot)
+        if self.n - self.m + len(faces) != 2:
             raise NonPlanarEmbedding(
-                f"Euler check failed: n={self.n} m={self.m} f={self.num_faces}")
+                f"Euler check failed: n={self.n} m={self.m} f={len(faces)}")
+        if self._faces is None:
+            self._faces, self._face_of = faces, face_of
+        else:
+            _check_given_faces(self._faces, faces, face_of)
 
     def _count_reachable(self, start: int) -> int:
         if self.n == 0:
@@ -148,15 +164,27 @@ class PlanarGraph:
                     queue.append(w)
         return count
 
-    def adjacency_pairs(self):
-        """Set of unordered endpoint pairs, one per arc."""
-        return {
-            (t, h) if t < h else (h, t)
-            for t, h in zip(self.tails, self.heads)
-        }
-
     def total_capacity(self) -> int:
         return sum(self.caps)
+
+
+def _check_given_faces(given, faces, face_of):
+    """Raise unless the given walks are the walked faces, each once, as
+    cyclic dart sequences."""
+    matched = bytearray(len(faces))
+    for i, walk in enumerate(given):
+        f = face_of[walk[0]] if walk and 0 <= walk[0] < len(face_of) else None
+        if f is None or matched[f]:
+            raise EmbeddingInvalid(f"given face {i} {walk} is not a face walk")
+        ref = faces[f]
+        j = ref.index(walk[0])
+        if walk != ref[j:] + ref[:j]:
+            raise EmbeddingInvalid(
+                f"given face {i} {walk} disagrees with the face walk {ref[j:] + ref[:j]}")
+        matched[f] = 1
+    if len(given) != len(faces):
+        raise EmbeddingInvalid(
+            f"{len(given)} faces given but the rotation system has {len(faces)}")
 
 
 def is_triangulated_biconnected(g: PlanarGraph) -> bool:

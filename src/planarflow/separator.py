@@ -13,9 +13,12 @@ non-tree arcs, and for a triangulation with k cycle nodes and f enclosed
 faces the strictly enclosed node count is (f - k) / 2 + 1.
 
 Sides come from faces: the cycle's arcs cut the faces into two regions,
-side 0 holding the face of each cycle dart's reverse.  Every arc and
-node off the cycle lies on the side of its faces, boundary chords
-included.
+side 0 holding the face of each cycle dart's reverse, and the Separator
+keeps the side of every face.  Every arc and node off the cycle lies on
+the side of its faces, boundary chords included.  split_into_pieces
+reads those sides and hands each piece its share of the faces plus the
+hole, chorded into triangles, so a piece arrives triangulated and no
+level walks its faces again.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import PreconditionNotTriangulated
-from .graph import NO_KEY, PlanarGraph, is_triangulated_biconnected
+from .graph import NO_KEY, PlanarGraph
+from .surgery import triangulated
 
 # Documented boundary-size constant: every separator this module returns
 # on the supported instance families satisfies k <= BOUNDARY_CONSTANT *
@@ -44,6 +48,7 @@ class Separator:
     inside: frozenset         # nodes strictly on side 0 (see _sides)
     outside: frozenset        # nodes strictly on side 1
     n: int
+    face_side: list           # side (0 or 1) of every face of the graph
 
     @property
     def k(self):
@@ -54,9 +59,10 @@ class Separator:
 class Piece:
     """One side of a split, with its map back to the parent graph.
 
-    Arc i of the piece graph corresponds to parent arc parent_arcs[i]
-    (or None for the zero-capacity stand-ins that keep the boundary ring
-    connected in the piece that does not own the cycle arcs).  Flow keys
+    Arc i of the piece graph corresponds to parent arc parent_arcs[i],
+    or None for a zero-capacity arc the split added: the stand-ins that
+    keep the boundary ring connected in the piece that does not own the
+    cycle arcs, and the chords that triangulate the piece.  Flow keys
     are shared with the parent, so accumulating through a piece updates
     the global assignment directly.
     """
@@ -121,18 +127,18 @@ class _Lca:
 
 
 def find_cycle_separator(g: PlanarGraph) -> Separator:
-    """Balanced simple-cycle separator of a two-connected triangulation."""
-    if not is_triangulated_biconnected(g):
+    """Balanced simple-cycle separator of a two-connected triangulation.
+
+    On a simple planar embedding with n >= 3 every face is at least
+    three long, so all faces are triangles exactly when m = 3n - 6
+    (Euler's formula); that O(1) count is the precondition test.
+    """
+    if g.n < 3 or g.m != 3 * g.n - 6:
         raise PreconditionNotTriangulated(
             "separator requires a two-connected triangulation")
     faces = g.faces()
     face_of = g.dart_faces()
-
     n = g.n
-    if n == 3:
-        walk = faces[0]
-        return Separator([g.dart_tail(d) for d in walk], list(walk),
-                         frozenset(), frozenset(), n)
 
     parent, parent_arc, depth = _bfs_tree(g)
     in_tree = bytearray(g.m)
@@ -140,7 +146,9 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
         if parent_arc[v] >= 0:
             in_tree[parent_arc[v]] = 1
 
-    # dual spanning tree over the non-tree arcs, rooted at face 0
+    # dual spanning tree over the non-tree arcs, rooted at face 0; the root
+    # changes no score: seen from the other side of a cycle, inside and
+    # outside trade places
     num_faces = len(faces)
     dual_adj = [[] for _ in range(num_faces)]
     for a in range(g.m):
@@ -212,23 +220,24 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
             a = a_star
         darts.append(2 * a if g.tails[a] == x else 2 * a + 1)
 
-    _, inside, outside = _sides(g, darts)
+    face_side, inside, outside = _sides(g, darts)
     if not (len(inside) <= 2 * n / 3 and len(outside) <= 2 * n / 3):
         raise AssertionError(
             f"separator balance violated: {len(inside)}/{len(outside)} of {n}")
-    return Separator(boundary, darts, frozenset(inside), frozenset(outside), n)
+    return Separator(boundary, darts, frozenset(inside), frozenset(outside), n,
+                     face_side)
 
 
 def _sides(g: PlanarGraph, cycle_darts):
-    """Side (0 or 1) of every arc, and the nodes strictly on each side.
+    """Side (0 or 1) of every face, and the nodes strictly on each side.
 
     The cycle's arcs cut the faces into two regions.  Side 0 is the
     region of the face of each cycle dart's reverse, found by one flood
     from cycle_darts[0] ^ 1 that crosses every arc off the cycle and no
-    cycle arc; every face it does not reach is on side 1.  An arc or a
-    node off the cycle lies on the side of its faces; cycle arcs count as
-    side 0, whose piece owns them.  Raises AssertionError unless every
-    cycle dart has its reverse's face on side 0 and its own on side 1.
+    cycle arc; every face it does not reach is on side 1.  A node off the
+    cycle lies on the side of its faces.  Raises AssertionError unless
+    every cycle dart has its reverse's face on side 0 and its own on
+    side 1.
     """
     faces = g.faces()
     face_of = g.dart_faces()
@@ -247,67 +256,81 @@ def _sides(g: PlanarGraph, cycle_darts):
                 if side[f]:
                     side[f] = 0
                     stack.append(f)
-    for d in cycle_darts:
-        if side[face_of[d ^ 1]] or not side[face_of[d]]:
-            raise AssertionError(f"cycle dart {d} does not separate side 0 from side 1")
+    _check_orientation(side, face_of, cycle_darts)
 
-    arc_side = [side[f] for f in face_of[::2]]
     on_cycle_node = bytearray(g.n)
     for d in cycle_darts:
-        arc_side[d >> 1] = 0
         on_cycle_node[heads[d >> 1] if d & 1 else tails[d >> 1]] = 1
     inside, outside = set(), set()
     for v, r in enumerate(g.rot):
         if not on_cycle_node[v]:
             (outside if side[face_of[r[0]]] else inside).add(v)
-    return arc_side, inside, outside
+    return side, inside, outside
+
+
+def _check_orientation(side, face_of, cycle_darts):
+    for d in cycle_darts:
+        if side[face_of[d ^ 1]] or not side[face_of[d]]:
+            raise AssertionError(f"cycle dart {d} does not separate side 0 from side 1")
 
 
 def split_into_pieces(g: PlanarGraph, sep: Separator):
-    """Split g along the separator cycle into two pieces.
+    """Split g along the separator cycle into two triangulated pieces.
 
-    The first piece (side 0) owns the cycle arcs; the second receives
-    zero-capacity artificial stand-ins for them so its boundary ring
-    stays connected and embedded.  Every other arc, a chord between two
-    boundary nodes included, goes to the piece of the side its faces lie
-    on (see _sides), so every flow-carrying arc of g lands in exactly one
-    piece.
+    g is the graph sep was found on, or that graph after
+    detach_terminal_from_cycle, whose faces keep their numbers; the split
+    reads the face sides sep stored and floods nothing.  The first piece
+    (side 0) owns the cycle arcs; the second receives zero-capacity
+    artificial stand-ins for them so its boundary ring stays connected
+    and embedded.  Every other arc, a chord between two boundary nodes
+    included, and every detached terminal goes to the piece of the side
+    its faces lie on, so every flow-carrying arc of g lands in exactly
+    one piece.
+
+    A piece's faces are g's faces on its side, renumbered, plus the hole:
+    the one face the other side leaves, bounded by the cycle.  Only the
+    hole and the faces around detached terminals are longer than three,
+    so only they are chorded (see surgery.triangulated).
     """
-    arc_side, inside, outside = _sides(g, sep.cycle_darts)
+    faces = g.faces()
+    face_of = g.dart_faces()
+    side = sep.face_side
+    _check_orientation(side, face_of, sep.cycle_darts)
+    arc_side = [side[f] for f in face_of[::2]]
+    for d in sep.cycle_darts:
+        arc_side[d >> 1] = 0
+    strict = (sorted(sep.inside), sorted(sep.outside))
+    for v in range(sep.n, g.n):   # detached terminals, numbered after sep's graph
+        strict[side[face_of[g.rot[v][0]]]].append(v)
+    holes = (sep.cycle_darts, [d ^ 1 for d in reversed(sep.cycle_darts)])
+
     pieces = []
-    for side_id, strict in ((0, inside), (1, outside)):
-        nodes = list(sep.boundary) + sorted(strict)
+    for side_id in (0, 1):
+        nodes = list(sep.boundary) + strict[side_id]
         local = {p: i for i, p in enumerate(nodes)}
-        arcs = []          # (parent arc id or None, tail, head, cap, key)
-        arc_local = {}
-        for a in range(g.m):
-            if arc_side[a] == side_id:
-                arc_local[a] = len(arcs)
-                arcs.append((a, local[g.tails[a]], local[g.heads[a]], g.caps[a], g.keys[a]))
-        if side_id == 1:
-            # zero-capacity stand-ins for the cycle arcs
-            for d in sep.cycle_darts:
-                a = d >> 1
-                arc_local[a] = len(arcs)
-                arcs.append((None, local[g.tails[a]], local[g.heads[a]], 0, NO_KEY))
+        own = [a for a in range(g.m) if arc_side[a] == side_id]
+        stand_ins = [d >> 1 for d in sep.cycle_darts] if side_id else []
+        arcs = own + stand_ins
+        dart = [-1] * (2 * g.m)      # parent dart -> piece dart
+        for i, a in enumerate(arcs):
+            dart[2 * a] = 2 * i
+            dart[2 * a + 1] = 2 * i + 1
+        tails = [local[g.tails[a]] for a in arcs]
+        heads = [local[g.heads[a]] for a in arcs]
+        caps = [g.caps[a] for a in own] + [0] * len(stand_ins)
+        keys = [g.keys[a] for a in own] + [NO_KEY] * len(stand_ins)
+        rot = [[dart[d] for d in g.rot[p] if dart[d] >= 0] for p in nodes]
+        piece_faces = [[dart[d] for d in walk]
+                       for walk, s in zip(faces, side) if s == side_id]
+        piece_faces.append([dart[d] for d in holes[side_id]])
 
-        rot = [[2 * arc_local[d >> 1] + (d & 1) for d in g.rot[p] if d >> 1 in arc_local]
-               for p in nodes]
-
-        pg = PlanarGraph(
-            [x[1] for x in arcs],
-            [x[2] for x in arcs],
-            [x[3] for x in arcs],
-            rot,
-            keys=[x[4] for x in arcs],
-        )
-        piece = Piece(
+        pg = triangulated(tails, heads, caps, keys, rot, piece_faces)
+        parent_arcs = own + [None] * (pg.m - len(own))
+        pieces.append(Piece(
             graph=pg,
             boundary_local=[local[p] for p in sep.boundary],
             parent_nodes=nodes,
-            parent_arcs=[x[0] for x in arcs],
+            parent_arcs=parent_arcs,
             local_of=local,
-        )
-        pieces.append(piece)
+        ))
     return pieces[0], pieces[1]
-

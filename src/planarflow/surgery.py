@@ -11,44 +11,40 @@ chords, which can never carry flow) or terminal attachments at least as
 large as the terminal's own capacity, so the maximum flow value between
 any terminal sets is unchanged.  The apex of the per-piece pushes is not
 embedded at all: attach_apex only lists its arcs for the solvers.
+
+Surgery keeps the faces along with the rotations: each edit knows the
+walks its darts land in, so its result carries its face list and no
+face is walked again.  triangulate_and_biconnect, which runs once on the
+input graph, checks its result; the rest trust their construction (the
+engine re-checks every piece under audit=full).
 """
 
 from __future__ import annotations
 
 from .errors import FaceNotIncident
 from .flow import FlowStore
-from .graph import NO_KEY, PlanarGraph, walk_faces
+from .graph import NO_KEY, PlanarGraph
 
 
 class EmbeddingEditor:
-    """Mutable copy of a PlanarGraph for surgery; freeze() re-validates."""
+    """Arc arrays and rotations edited in place: it owns the lists it is
+    given, the rotation lists too.  Whether two nodes are adjacent is
+    read from a neighbour set built on first use per node, so an edit
+    costs only what it touches."""
 
-    def __init__(self, g: PlanarGraph):
-        self.tails = list(g.tails)
-        self.heads = list(g.heads)
-        self.caps = list(g.caps)
-        self.keys = list(g.keys)
-        self.rot = [list(r) for r in g.rot]
-        self.pairs = g.adjacency_pairs()
+    def __init__(self, tails, heads, caps, keys, rot):
+        self.tails, self.heads, self.caps, self.keys = tails, heads, caps, keys
+        self.rot = rot
+        self._nbrs = {}
 
     def dart_head(self, d):
         return self.heads[d >> 1] if (d & 1) == 0 else self.tails[d >> 1]
 
     def adjacent(self, u, v):
-        return ((u, v) if u < v else (v, u)) in self.pairs
-
-    def _new_arc(self, u, v, cap, key):
-        a = len(self.tails)
-        self.tails.append(u)
-        self.heads.append(v)
-        self.caps.append(cap)
-        self.keys.append(key)
-        self.pairs.add((u, v) if u < v else (v, u))
-        return a
-
-    def _splice_after(self, node, anchor, dart):
-        r = self.rot[node]
-        r.insert(r.index(anchor) + 1, dart)
+        nbrs = self._nbrs.get(u)
+        if nbrs is None:
+            nbrs = self._nbrs[u] = {self.dart_head(d) for d in self.rot[u]}
+        return v in nbrs
 
     def add_chord(self, walk, s, t):
         """Add a zero-capacity arc between corners s and t of a face walk.
@@ -59,22 +55,28 @@ class EmbeddingEditor:
         """
         u = self.dart_head(walk[s])
         v = self.dart_head(walk[t])
-        a = self._new_arc(u, v, 0, NO_KEY)
+        a = len(self.tails)
+        self.tails.append(u)
+        self.heads.append(v)
+        self.caps.append(0)
+        self.keys.append(NO_KEY)
+        for x, y in ((u, v), (v, u)):
+            if x in self._nbrs:
+                self._nbrs[x].add(y)
         du, dv = 2 * a, 2 * a + 1
-        self._splice_after(u, walk[s] ^ 1, du)
-        self._splice_after(v, walk[t] ^ 1, dv)
+        ru, rv = self.rot[u], self.rot[v]
+        ru.insert(ru.index(walk[s] ^ 1) + 1, du)
+        rv.insert(rv.index(walk[t] ^ 1) + 1, dv)
         r = len(walk)
         walk1 = [du] + [walk[(t + 1 + i) % r] for i in range((s - t) % r)]
         walk2 = [dv] + [walk[(s + 1 + i) % r] for i in range((t - s) % r)]
         return a, walk1, walk2
 
-    def faces(self):
-        return walk_faces(self.tails, self.heads, self.rot)[0]
 
-    def freeze(self) -> PlanarGraph:
-        g = PlanarGraph(self.tails, self.heads, self.caps, self.rot, keys=self.keys)
-        g.check_embedding()
-        return g
+def _spliced(seq, after, items):
+    """A copy of seq with items inserted right after the element after."""
+    i = seq.index(after) + 1
+    return seq[:i] + items + seq[i:]
 
 
 def _chord_candidates(nodes):
@@ -92,19 +94,22 @@ def _chord_candidates(nodes):
             yield s, (s + gap) % r
 
 
-def _triangulate(ed: EmbeddingEditor):
-    """Chord every face down to a triangle on three distinct nodes, from
-    one worklist of face walks.  Walks of length <= 3 are done: with no
-    loops, their corners are distinct.  A longer walk that visits a node
-    twice gets a biconnection chord where one fits, any other walk the
-    first chord by increasing gap.  A simple walk of length >= 4 always
-    has one: two chords with interleaved ends cannot both run outside the
-    disc it bounds, so its corners are not a clique."""
+def _triangulate(ed: EmbeddingEditor, stack):
+    """Chord the face walks on the worklist down to triangles on three
+    distinct nodes, and return those triangles.  The worklist is a stack:
+    the last walk is chorded first and both halves go back on it.  Walks
+    of length <= 3 are done: with no loops, their corners are distinct.
+    A longer walk that visits a node twice gets a biconnection chord
+    where one fits, any other walk the first chord by increasing gap.  A
+    simple walk of length >= 4 always has one: two chords with
+    interleaved ends cannot both run outside the disc it bounds, so its
+    corners are not a clique."""
     heads, tails = ed.heads, ed.tails
-    stack = [w for w in ed.faces() if len(w) > 3]
+    done = []
     while stack:
         walk = stack.pop()
         if len(walk) <= 3:
+            done.append(walk)
             continue
         nodes = [tails[d >> 1] if d & 1 else heads[d >> 1] for d in walk]
         for s, t in _chord_candidates(nodes):
@@ -115,20 +120,44 @@ def _triangulate(ed: EmbeddingEditor):
                 break
         else:
             raise AssertionError(f"face of length {len(walk)} has no addable chord")
+    return done
+
+
+def triangulated(tails, heads, caps, keys, rot, faces) -> PlanarGraph:
+    """The graph of these arrays (which it takes over) and face walks,
+    with every face longer than three chorded into triangles.
+
+    The worklist holds just the long faces, in walk_faces order: each
+    walk turned to start at its lowest dart, the walks sorted by that
+    dart.  So the chords depend only on the embedding, not on how the
+    faces were found or numbered.  Faces of length <= 3 are kept as given.
+    """
+    ed = EmbeddingEditor(tails, heads, caps, keys, rot)
+    kept, stack = [], []
+    for walk in faces:
+        if len(walk) <= 3:
+            kept.append(walk)
+        else:
+            i = walk.index(min(walk))
+            stack.append(walk[i:] + walk[:i])
+    stack.sort()
+    faces = kept + _triangulate(ed, stack)
+    return PlanarGraph(tails, heads, caps, rot, keys=keys, faces=faces)
 
 
 def triangulate_and_biconnect(g: PlanarGraph) -> PlanarGraph:
-    """Return a simple two-connected triangulation of g.
+    """Return a simple two-connected triangulation of g, checked.
 
     Added arcs have zero capacity in both dart directions and no flow
     key, so the maximum flow between any terminal sets is exactly that of
-    the input.  Requires n >= 3.
+    the input.  The result carries its faces.  Requires n >= 3.
     """
     if g.n < 3:
         raise ValueError("triangulation requires at least 3 nodes")
-    ed = EmbeddingEditor(g)
-    _triangulate(ed)
-    return ed.freeze()
+    gt = triangulated(list(g.tails), list(g.heads), list(g.caps), list(g.keys),
+                      [list(r) for r in g.rot], g.faces())
+    gt.check_embedding()
+    return gt
 
 
 def detach_terminal_from_cycle(g: PlanarGraph, detaches, store: FlowStore):
@@ -142,26 +171,39 @@ def detach_terminal_from_cycle(g: PlanarGraph, detaches, store: FlowStore):
     constrains the terminal, so the max-flow value with v' substituted
     for v in the terminal set is unchanged.  New nodes and arcs are
     numbered in entry order.  Returns (graph, new_nodes).
+
+    The graph is g's arrays plus the new arcs.  It carries g's faces,
+    with each new arc's two darts spliced into the walk of its corner
+    right after anchor_dart ^ 1, and is not re-checked.
     """
-    ed = EmbeddingEditor(g)
+    tails, heads, caps, keys = list(g.tails), list(g.heads), list(g.caps), list(g.keys)
+    rot = list(g.rot)
+    faces = list(g.faces())
+    face_of = g.dart_faces()
     new_nodes = []
     for v, anchor_dart, role, cap in detaches:
         if role not in ("source", "sink"):
             raise ValueError("role must be 'source' or 'sink'")
         if g.dart_tail(anchor_dart) != v:
             raise FaceNotIncident(f"dart {anchor_dart} does not leave node {v}")
-        v_new = len(ed.rot)
-        key = store.new_key(cap)
+        v_new = len(rot)
+        a = len(tails)
         if role == "source":
-            a = ed._new_arc(v_new, v, cap, key)
+            tails.append(v_new)
+            heads.append(v)
             dart_at_new, dart_at_v = 2 * a, 2 * a + 1
         else:
-            a = ed._new_arc(v, v_new, cap, key)
+            tails.append(v)
+            heads.append(v_new)
             dart_at_v, dart_at_new = 2 * a, 2 * a + 1
-        ed.rot.append([dart_at_new])
-        ed._splice_after(v, anchor_dart, dart_at_v)
+        caps.append(cap)
+        keys.append(store.new_key(cap))
+        rot.append([dart_at_new])
+        rot[v] = _spliced(rot[v], anchor_dart, [dart_at_v])
+        f = face_of[anchor_dart ^ 1]
+        faces[f] = _spliced(faces[f], anchor_dart ^ 1, [dart_at_v, dart_at_new])
         new_nodes.append(v_new)
-    return ed.freeze(), new_nodes
+    return PlanarGraph(tails, heads, caps, rot, keys=keys, faces=faces), new_nodes
 
 
 def attach_apex(g: PlanarGraph, boundary, inf_cap: int):

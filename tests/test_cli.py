@@ -205,6 +205,9 @@ def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, linen
     ["gen", "--kind", "grid", "--n", "9", "--s-frac", "-0.5"],
     ["gen", "--kind", "grid", "--n", "9", "--t-frac", "nan"],
     ["gen", "--kind", "grid", "--n", "9", "--s-frac", "inf"],
+    ["solve", "{tmp}/not-utf8.bin"],
+    ["import-dimacs", "{tmp}/not-utf8.bin"],
+    ["solve", "{inst}", "--config", "{tmp}/not-utf8.bin"],
 ], ids=["missing-instance", "missing-dimacs", "unknown-config-key",
         "non-integer-base-case", "base-case-1", "trace-in-missing-dir",
         "bench-unknown-kind", "bench-non-integer-size", "bench-grid-size-0",
@@ -212,10 +215,12 @@ def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, linen
         "check-tri-n-2", "bench-tri-sizes-0-minus-5", "gen-negative-cap-max",
         "check-negative-cap-max", "bench-negative-cap-max", "check-count-minus-1",
         "check-count-0", "bench-repeats-0", "bench-repeats-minus-2",
-        "gen-s-frac-1.5", "gen-s-frac-minus-0.5", "gen-t-frac-nan", "gen-s-frac-inf"])
+        "gen-s-frac-1.5", "gen-s-frac-minus-0.5", "gen-t-frac-nan", "gen-s-frac-inf",
+        "solve-not-utf8", "import-dimacs-not-utf8", "config-not-utf8"])
 def test_bad_outside_input_exits_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "unknown-key.cfg").write_text("bogus = 1\n")
     (tmp_path / "bad-base-case.cfg").write_text("base_case = x\n")
+    (tmp_path / "not-utf8.bin").write_bytes(b"\xff")
     inst = tmp_path / "inst.txt"
     inst.write_text(generate("tri", 20, 1).text())
     argv = [a.format(tmp=tmp_path, inst=inst) for a in argv]

@@ -8,7 +8,7 @@ from planarflow.engine import MsmsEngine, msms_max_flow
 from planarflow.errors import AuditFailure, SettlementStuck
 from planarflow.flow import FlowStore, is_feasible, residual_reachable
 from planarflow.generate import generate
-from planarflow.graph import build_graph
+from planarflow.graph import PlanarGraph, build_graph, is_triangulated_biconnected, walk_faces
 from planarflow.solvers import oracle_max_flow
 
 
@@ -213,3 +213,95 @@ def test_audit_mode_counts_checks():
                              EngineConfig(audit="full", base_case=16))
     assert res_none.audits == 0
     assert res_full.audits > 10
+
+
+def cyclic_faces(walks):
+    """Each walk turned to start at its lowest dart, the walks sorted."""
+    out = []
+    for walk in walks:
+        i = walk.index(min(walk))
+        out.append(walk[i:] + walk[:i])
+    return sorted(out)
+
+
+def record_pieces(monkeypatch):
+    """Collect every piece the engine's splits produce."""
+    pieces = []
+    real_split = engine.split_into_pieces
+
+    def split(g, sep):
+        result = real_split(g, sep)
+        pieces.extend(result)
+        return result
+    monkeypatch.setattr(engine, "split_into_pieces", split)
+    return pieces
+
+
+@pytest.mark.parametrize("kind", ["grid", "tri"])
+@pytest.mark.parametrize("n", [30, 90, 400])
+@pytest.mark.parametrize("base_case", [3, 32])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pieces_inherit_their_face_walks(monkeypatch, kind, n, base_case, seed):
+    """Every piece carries exactly the face walks of its rotation, though
+    a run walks none of them, and is a two-connected triangulation, so
+    the pieces that split need no check."""
+    g, ts = generate(kind, n, seed).build()
+    pieces = record_pieces(monkeypatch)
+    separated = []
+    real_find = engine.find_cycle_separator
+    monkeypatch.setattr(engine, "find_cycle_separator",
+                        lambda h: separated.append(h) or real_find(h))
+    res = msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(base_case=base_case))
+    assert res.value == oracle_value(g, ts.sources, ts.sinks)
+    assert pieces or n <= base_case
+    for piece in pieces:
+        h = piece.graph
+        assert cyclic_faces(h.faces()) == walk_faces(h.tails, h.heads, h.rot)[0]
+        assert is_triangulated_biconnected(h)
+    for h in separated:
+        assert is_triangulated_biconnected(h)
+
+
+def test_one_triangulation_and_one_check_per_solve(monkeypatch):
+    """A recursive solve triangulates and checks the embedding once, at
+    the root; under audit=full the engine also checks every piece once."""
+    g, ts = generate("grid", 400, 1).build()
+    calls = {"triangulate": 0}
+    checked = []
+    real_tri = engine.triangulate_and_biconnect
+    real_check = PlanarGraph.check_embedding
+
+    def triangulate(h):
+        calls["triangulate"] += 1
+        return real_tri(h)
+
+    def check(h):
+        checked.append(h)
+        return real_check(h)
+    monkeypatch.setattr(engine, "triangulate_and_biconnect", triangulate)
+    monkeypatch.setattr(PlanarGraph, "check_embedding", check)
+
+    res = MsmsEngine(g, ts.sources, ts.sinks, EngineConfig(audit="none")).run()
+    assert sum(rec.kind == "split" for rec in res.stats.levels) > 10
+    assert calls["triangulate"] == 1
+    assert len(checked) <= 1
+
+    calls["triangulate"] = 0
+    checked.clear()
+    pieces = record_pieces(monkeypatch)
+    MsmsEngine(g, ts.sources, ts.sinks, EngineConfig(audit="full")).run()
+    assert calls["triangulate"] == 1 and len(pieces) > 20
+    assert sorted(map(id, checked[1:])) == sorted(id(p.graph) for p in pieces)
+
+
+def test_piece_with_wrong_faces_fails_the_full_audit(monkeypatch):
+    g, ts = generate("tri", 120, 4).build()
+    real_split = engine.split_into_pieces
+
+    def split(gd, sep):
+        p1, p2 = real_split(gd, sep)
+        p2.graph._faces = p2.graph.faces()[1:]
+        return p1, p2
+    monkeypatch.setattr(engine, "split_into_pieces", split)
+    with pytest.raises(AuditFailure, match="^depth 0 piece 1: .* faces given"):
+        msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(audit="full"))

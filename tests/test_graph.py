@@ -91,6 +91,29 @@ def test_check_embedding_rejects_bad_rotation(rot, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("faces, message", [
+    ([[0, 2, 4], [1, 5, 3]], None),
+    ([[4, 0, 2], [3, 1, 5]], None),
+    ([[1, 5, 3], [0, 2, 4]], None),
+    ([[0, 4, 2], [1, 5, 3]], "given face 0 [0, 4, 2] disagrees with the face walk [0, 2, 4]"),
+    ([[0, 2, 4]], "1 faces given but the rotation system has 2"),
+    ([[0, 2, 4], [2, 4, 0]], "given face 1 [2, 4, 0] is not a face walk"),
+    ([[0, 2, 4], [1, 5, 3], []], "given face 2 [] is not a face walk"),
+    ([[0, 2, 4], [1, 5, 3, 6]], "given face 1 [1, 5, 3, 6] disagrees with the face walk [1, 5, 3]"),
+])
+def test_check_embedding_compares_given_faces(faces, message):
+    # the triangle 0 -> 1 -> 2 -> 0 with its two face walks
+    g = PlanarGraph([0, 1, 2], [1, 2, 0], [1, 1, 1], [[0, 5], [2, 1], [4, 3]],
+                    faces=faces)
+    if message is None:
+        g.check_embedding()
+        assert g.faces() is faces
+    else:
+        with pytest.raises(EmbeddingInvalid) as err:
+            g.check_embedding()
+        assert str(err.value) == message
+
+
 def reference_walk_faces(tails, heads, rot):
     """The face walk by rotation position lookups, as first written."""
     num_darts = 2 * len(tails)

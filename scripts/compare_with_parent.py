@@ -15,8 +15,11 @@ planarflow only from that tree's src/.  The instances:
 
 Every answer of both trees is verified on the raw input arcs by
 perfbench/verify.py's check_flow.  The report counts instances whose
-value, audits or arc_flows differ; the exit status is 0 when values and
-audits agree everywhere and every answer passes, else 1.
+value, audits, arc_flows or recursion shape differ; the shape is every
+level's depth, n, kind, boundary size and child sizes, in recursion
+order, so equal shapes mean the same separators split the same pieces.
+The exit status is 0 when values and audits agree everywhere and every
+answer passes, else 1: differing arc_flows and shapes are reported only.
 """
 
 from __future__ import annotations
@@ -76,6 +79,9 @@ def work(tree):
             row.update(
                 value=res.value, audits=res.audits,
                 flows=hashlib.sha256(repr(res.arc_flows).encode()).hexdigest(),
+                shape=hashlib.sha256(repr([
+                    (r.depth, r.n, r.kind, r.boundary, tuple(r.child_sizes))
+                    for r in res.stats.levels]).encode()).hexdigest(),
                 check=check_flow(inst.num_nodes, inst.arcs, inst.sources,
                                  inst.sinks, res.arc_flows, res.value))
         except Exception as e:   # reported, not raised: the other rows still count
@@ -110,7 +116,7 @@ def main(argv=None):
         rows[side] = [json.loads(line) for line in out.splitlines()]
 
     bad = 0
-    counts = {"value": 0, "audits": 0, "flows": 0}
+    counts = {"value": 0, "audits": 0, "flows": 0, "shape": 0}
     audits = {"parent": [0, 0], "change": [0, 0]}   # 36-instance set, deep sweep
     for i, (p, c) in enumerate(zip(rows["parent"], rows["change"])):
         for side, row in (("parent", p), ("change", c)):
@@ -125,12 +131,13 @@ def main(argv=None):
         for key in counts:
             if p.get(key) != c.get(key):
                 counts[key] += 1
-                if key != "flows":
+                if key in ("value", "audits"):
                     print(f"{p['name']}: {key} {p.get(key)} (parent) "
                           f"!= {c.get(key)} (change)")
     total = len(rows["change"])
     print(f"{total} instances: values differ on {counts['value']}, audits on "
-          f"{counts['audits']}, arc_flows on {counts['flows']}; audits summed "
+          f"{counts['audits']}, arc_flows on {counts['flows']}, recursion "
+          f"shape on {counts['shape']}; audits summed "
           f"over the 36-instance set and the deep sweep: {audits['parent']} "
           f"(parent), {audits['change']} (change); "
           f"{bad} failed answers or instance mismatches")

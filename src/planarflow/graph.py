@@ -19,7 +19,6 @@ can never carry flow use ``NO_KEY``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -65,8 +64,11 @@ class PlanarGraph:
     """Immutable embedded directed planar graph.
 
     Safe to share across concurrent readers; surgery operations return
-    new graphs instead of mutating.  faces, when given, lists every face
-    walk of the rotation system, in any order and from any start dart.
+    new graphs instead of mutating.  The graph takes ownership of the
+    lists it is given, the rotation lists too, and copies none of them:
+    callers hand over lists that nobody edits afterwards.  faces, when
+    given, lists every face walk of the rotation system, in any order and
+    from any start dart.
     """
 
     __slots__ = (
@@ -75,13 +77,13 @@ class PlanarGraph:
     )
 
     def __init__(self, tails, heads, caps, rot, keys=None, faces=None):
-        self.tails = list(tails)
-        self.heads = list(heads)
-        self.caps = list(caps)
-        self.rot = [list(r) for r in rot]
-        self.n = len(self.rot)
-        self.m = len(self.tails)
-        self.keys = list(keys) if keys is not None else list(range(self.m))
+        self.tails = tails
+        self.heads = heads
+        self.caps = caps
+        self.rot = rot
+        self.n = len(rot)
+        self.m = len(tails)
+        self.keys = keys if keys is not None else list(range(self.m))
         self._faces = faces
         self._face_of = None
 
@@ -135,7 +137,7 @@ class PlanarGraph:
         for d, c in enumerate(counts):
             if c != 1:
                 raise EmbeddingInvalid(f"dart {d} appears {c} times in the rotation system")
-        if self.n - self._count_reachable(0) > 0:
+        if -1 in bfs_tree(self)[2]:
             raise Disconnected("graph is not connected")
         faces, face_of = walk_faces(tails, heads, self.rot)
         if self.n - self.m + len(faces) != 2:
@@ -146,26 +148,32 @@ class PlanarGraph:
         else:
             _check_given_faces(self._faces, faces, face_of)
 
-    def _count_reachable(self, start: int) -> int:
-        if self.n == 0:
-            return 0
-        tails, heads, rot = self.tails, self.heads, self.rot
-        seen = bytearray(self.n)
-        seen[start] = 1
-        queue = deque([start])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for d in rot[v]:
-                w = tails[d >> 1] if d & 1 else heads[d >> 1]
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    queue.append(w)
-        return count
-
     def total_capacity(self) -> int:
         return sum(self.caps)
+
+
+def bfs_tree(g: PlanarGraph):
+    """Breadth-first spanning tree from node 0, darts taken in rotation
+    order: (parent, parent_arc, depth) per node, each -1 for a node the
+    search does not reach; the root has depth 0 and no parent or arc."""
+    parent = [-1] * g.n
+    parent_arc = [-1] * g.n
+    depth = [-1] * g.n
+    if g.n == 0:
+        return parent, parent_arc, depth
+    tails, heads, rot = g.tails, g.heads, g.rot
+    depth[0] = 0
+    queue = [0]
+    for v in queue:
+        below = depth[v] + 1
+        for d in rot[v]:
+            w = tails[d >> 1] if d & 1 else heads[d >> 1]
+            if depth[w] < 0:
+                parent[w] = v
+                parent_arc[w] = d >> 1
+                depth[w] = below
+                queue.append(w)
+    return parent, parent_arc, depth
 
 
 def _check_given_faces(given, faces, face_of):

@@ -7,10 +7,17 @@ two-connected triangulation some fundamental cycle always leaves at most
 2n/3 nodes strictly on each side; the boundary length is measured and
 reported rather than guaranteed by a theorem constant.
 
-Candidate evaluation is O(1) per non-tree arc: the faces enclosed by a
-fundamental cycle form a subtree of the dual spanning tree built on the
-non-tree arcs, and for a triangulation with k cycle nodes and f enclosed
-faces the strictly enclosed node count is (f - k) / 2 + 1.
+Candidate evaluation is O(1) per non-tree arc, from one pass up the
+dual spanning tree that the non-tree arcs form.  That tree is rooted at
+a face with node 0, the BFS root, as a corner, so the faces below a
+non-tree arc are the side of its cycle that does not strictly hold
+node 0.  Two subtree totals then give the cycle: the face count f, and
+the least corner depth top, which is the depth of the cycle's top node
+lca(u, v), since every node strictly inside the cycle lies deeper.
+So the cycle has k = depth(u) + depth(v) - 2 * top + 1 nodes, and for a
+triangulation the strictly enclosed node count is (f - k) / 2 + 1.  The
+chosen cycle is read off by walking parent pointers up to depth top.
+One face flood (_flood) builds that dual tree and also finds the sides.
 
 Sides come from faces: the cycle's arcs cut the faces into two regions,
 side 0 holding the face of each cycle dart's reverse, and the Separator
@@ -23,11 +30,10 @@ level walks its faces again.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import PreconditionNotTriangulated
-from .graph import NO_KEY, PlanarGraph
+from .graph import NO_KEY, PlanarGraph, bfs_tree
 from .surgery import triangulated
 
 # Documented boundary-size constant: every separator this module returns
@@ -74,58 +80,6 @@ class Piece:
     local_of: dict = field(default_factory=dict)  # parent node id -> local id
 
 
-def _bfs_tree(g: PlanarGraph):
-    parent = [-1] * g.n
-    parent_arc = [-1] * g.n
-    depth = [0] * g.n
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = deque([0])
-    tails, heads = g.tails, g.heads
-    while queue:
-        v = queue.popleft()
-        for d in g.rot[v]:
-            w = tails[d >> 1] if d & 1 else heads[d >> 1]
-            if not seen[w]:
-                seen[w] = 1
-                parent[w] = v
-                parent_arc[w] = d >> 1
-                depth[w] = depth[v] + 1
-                queue.append(w)
-    return parent, parent_arc, depth
-
-
-class _Lca:
-    def __init__(self, parent, depth):
-        n = len(parent)
-        self.depth = depth
-        levels = max(1, max(depth).bit_length())
-        up = [parent[:]]
-        for j in range(1, levels):
-            prev = up[j - 1]
-            up.append([prev[prev[v]] if prev[v] >= 0 else -1 for v in range(n)])
-        self.up = up
-
-    def query(self, u, v):
-        depth, up = self.depth, self.up
-        if depth[u] < depth[v]:
-            u, v = v, u
-        diff = depth[u] - depth[v]
-        j = 0
-        while diff:
-            if diff & 1:
-                u = up[j][u]
-            diff >>= 1
-            j += 1
-        if u == v:
-            return u
-        for j in range(len(up) - 1, -1, -1):
-            if up[j][u] != up[j][v]:
-                u = up[j][u]
-                v = up[j][v]
-        return up[0][u]
-
-
 def find_cycle_separator(g: PlanarGraph) -> Separator:
     """Balanced simple-cycle separator of a two-connected triangulation.
 
@@ -138,87 +92,54 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
             "separator requires a two-connected triangulation")
     faces = g.faces()
     face_of = g.dart_faces()
-    n = g.n
+    n, tails, heads = g.n, g.tails, g.heads
 
-    parent, parent_arc, depth = _bfs_tree(g)
+    parent, parent_arc, depth = bfs_tree(g)
     in_tree = bytearray(g.m)
-    for v in range(n):
-        if parent_arc[v] >= 0:
-            in_tree[parent_arc[v]] = 1
+    for a in parent_arc[1:]:
+        in_tree[a] = 1
 
-    # dual spanning tree over the non-tree arcs, rooted at face 0; the root
-    # changes no score: seen from the other side of a cycle, inside and
-    # outside trade places
-    num_faces = len(faces)
-    dual_adj = [[] for _ in range(num_faces)]
-    for a in range(g.m):
-        if not in_tree[a]:
-            f1 = face_of[2 * a]
-            f2 = face_of[2 * a + 1]
-            dual_adj[f1].append((f2, a))
-            dual_adj[f2].append((f1, a))
-    dual_parent_arc = [-1] * num_faces
-    dual_order = [0]
-    seen = bytearray(num_faces)
-    seen[0] = 1
-    queue = deque([0])
-    while queue:
-        f = queue.popleft()
-        for (f2, a) in dual_adj[f]:
-            if not seen[f2]:
-                seen[f2] = 1
-                dual_parent_arc[f2] = a
-                dual_order.append(f2)
-                queue.append(f2)
-    subtree = [1] * num_faces
-    child_face = {}
-    for f in reversed(dual_order):
-        a = dual_parent_arc[f]
-        if a >= 0:
-            child_face[a] = f
-            pf = face_of[2 * a] if face_of[2 * a] != f else face_of[2 * a + 1]
-            subtree[pf] += subtree[f]
-
-    lca = _Lca(parent, depth)
+    # The non-tree arcs span the dual.  Rooting it at a face with corner
+    # node 0 makes the faces below non-tree arc a the side of a's cycle
+    # that does not strictly hold node 0.  Their corners are the cycle's
+    # nodes and the nodes strictly inside, whose tree paths to node 0
+    # must pass through a cycle node, so the least corner depth below a
+    # is the depth of the cycle's top node, lca(tail, head).
+    order, via = _flood(faces, face_of, face_of[g.rot[0][0]], in_tree)
+    head_depth = [x for t, h in zip(tails, heads) for x in (depth[h], depth[t])]  # per dart
+    top = [min(head_depth[x], head_depth[y], head_depth[z]) for x, y, z in faces]
+    count = [1] * len(faces)
     best = None
-    for a in range(g.m):
-        if in_tree[a]:
+    for f in reversed(order):
+        d = via[f]
+        if d < 0:
             continue
-        u, v = g.tails[a], g.heads[a]
-        w = lca.query(u, v)
-        k = depth[u] + depth[v] - 2 * depth[w] + 1
-        f_in = subtree[child_face[a]]
-        assert (f_in - k) % 2 == 0
-        inside = (f_in - k) // 2 + 1
-        outside = n - k - inside
-        score = (max(inside, outside), k, a)
+        a = d >> 1
+        k = depth[tails[a]] + depth[heads[a]] - 2 * top[f] + 1
+        if (count[f] - k) % 2:
+            raise AssertionError(
+                f"arc {a}: {count[f]} enclosed faces and {k} cycle nodes "
+                "differ in parity")
+        inside = (count[f] - k) // 2 + 1
+        score = (max(inside, n - k - inside), k, a)
         if best is None or score < best:
-            best = score
-    _, _, a_star = best
+            best, top_depth = score, top[f]
+        p = face_of[d]
+        count[p] += count[f]
+        top[p] = min(top[p], top[f])
+    a_star = best[2]
 
-    u, v = g.tails[a_star], g.heads[a_star]
-    w = lca.query(u, v)
-    path_u = []
-    x = u
-    while x != w:
-        path_u.append(x)
-        x = parent[x]
-    path_v = []
-    x = v
-    while x != w:
-        path_v.append(x)
-        x = parent[x]
-    boundary = path_u + [w] + list(reversed(path_v))
-    # darts along boundary[i] -> boundary[i+1], closing with the non-tree arc
-    darts = []
-    for i in range(len(boundary)):
-        x = boundary[i]
-        y = boundary[(i + 1) % len(boundary)]
-        if i + 1 < len(boundary):
-            a = parent_arc[x] if parent[x] == y else parent_arc[y]
-        else:
-            a = a_star
-        darts.append(2 * a if g.tails[a] == x else 2 * a + 1)
+    # tree paths from both ends of a_star up to the top node
+    up_u, up_v = [tails[a_star]], [heads[a_star]]
+    for up in (up_u, up_v):
+        while depth[up[-1]] > top_depth:
+            up.append(parent[up[-1]])
+    boundary = up_u + up_v[-2::-1]
+    # arc i joins boundary[i] and boundary[i + 1]: tree arcs up to the top
+    # node and down again, closing with a_star; dart i leaves boundary[i]
+    arcs = ([parent_arc[x] for x in up_u[:-1]]
+            + [parent_arc[x] for x in up_v[-2::-1]] + [a_star])
+    darts = [2 * a + (tails[a] != x) for x, a in zip(boundary, arcs)]
 
     face_side, inside, outside = _sides(g, darts)
     if not (len(inside) <= 2 * n / 3 and len(outside) <= 2 * n / 3):
@@ -246,16 +167,8 @@ def _sides(g: PlanarGraph, cycle_darts):
     for d in cycle_darts:
         on_cycle[d >> 1] = 1
     side = [1] * len(faces)
-    start = face_of[cycle_darts[0] ^ 1]
-    side[start] = 0
-    stack = [start]
-    while stack:
-        for d in faces[stack.pop()]:
-            if not on_cycle[d >> 1]:
-                f = face_of[d ^ 1]
-                if side[f]:
-                    side[f] = 0
-                    stack.append(f)
+    for f in _flood(faces, face_of, face_of[cycle_darts[0] ^ 1], on_cycle)[0]:
+        side[f] = 0
     _check_orientation(side, face_of, cycle_darts)
 
     on_cycle_node = bytearray(g.n)
@@ -266,6 +179,26 @@ def _sides(g: PlanarGraph, cycle_darts):
         if not on_cycle_node[v]:
             (outside if side[face_of[r[0]]] else inside).add(v)
     return side, inside, outside
+
+
+def _flood(faces, face_of, start, blocked):
+    """Breadth-first search of the faces from face start, crossing every
+    arc a with blocked[a] == 0.  Returns the faces reached, in search
+    order, and per face the dart of its search parent's walk it was
+    entered by (-1 for start and for the faces not reached)."""
+    via = [-1] * len(faces)
+    seen = bytearray(len(faces))
+    seen[start] = 1
+    order = [start]
+    for f in order:
+        for d in faces[f]:
+            if not blocked[d >> 1]:
+                f2 = face_of[d ^ 1]
+                if not seen[f2]:
+                    seen[f2] = 1
+                    via[f2] = d
+                    order.append(f2)
+    return order, via
 
 
 def _check_orientation(side, face_of, cycle_darts):

@@ -14,7 +14,7 @@ from planarflow.errors import (
 )
 from planarflow.flow import FlowStore
 from planarflow.generate import MIN_NODES, generate
-from planarflow.graph import PlanarGraph, TerminalSets, build_graph, walk_faces
+from planarflow.graph import PlanarGraph, TerminalSets, bfs_tree, build_graph, walk_faces
 from planarflow.surgery import detach_terminal_from_cycle, triangulate_and_biconnect
 
 
@@ -58,6 +58,13 @@ def test_disconnected_rejected():
     rotations = [[1], [0], [3], [2]]
     with pytest.raises(Disconnected):
         build_graph(4, arcs, rotations)
+    g = PlanarGraph([0, 2], [1, 3], [1, 1], [[0], [1], [2], [3]])
+    assert bfs_tree(g) == ([-1, 0, -1, -1], [-1, 0, -1, -1], [0, 1, -1, -1])
+
+
+def test_empty_graph_fails_euler():
+    with pytest.raises(NonPlanarEmbedding):
+        build_graph(0, [], [])
 
 
 def test_rotation_listing_non_neighbor_rejected():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from collections import deque
 
 import pytest
 
@@ -39,6 +40,99 @@ def check_separator(g, sep):
     for i, d in enumerate(sep.cycle_darts):
         assert g.dart_tail(d) == sep.boundary[i]
         assert g.dart_head(d) == sep.boundary[(i + 1) % k]
+
+
+def strict_sides(g, cycle):
+    """The two strict sides of a simple cycle of nodes, found without
+    faces: at each cycle node the rotation scan labels the darts from the
+    dart to the next cycle node round to the dart to the previous one 0,
+    the rest 1, and each component of the off-cycle nodes takes the label
+    of the darts that reach it."""
+    k = len(cycle)
+    at = {x: i for i, x in enumerate(cycle)}
+    label = {}
+    for i, x in enumerate(cycle):
+        heads = [g.dart_head(d) for d in g.rot[x]]
+        j = heads.index(cycle[(i + 1) % k])
+        prev = cycle[i - 1]
+        side = 0
+        for step in range(1, len(heads)):
+            w = heads[(j + step) % len(heads)]
+            if w == prev:
+                side = 1
+            elif w not in at:
+                assert label.setdefault(w, side) == side
+    sides = (set(), set())
+    for v0 in [v for v in range(g.n) if v not in at]:
+        if any(v0 in s for s in sides):
+            continue
+        comp, queue, seen = set(), deque([v0]), {v0}
+        while queue:
+            v = queue.popleft()
+            comp.add(v)
+            for d in g.rot[v]:
+                w = g.dart_head(d)
+                if w not in at and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        (side,) = {label[v] for v in comp if v in label}
+        sides[side].update(comp)
+    return frozenset(sides[0]), frozenset(sides[1])
+
+
+def best_fundamental_cycle(g):
+    """Brute force over the fundamental cycles of the BFS tree from node
+    0 (darts in rotation order): the one with the least (larger strict
+    side, k, arc), as (score, cycle nodes from tail up to the top node
+    and down to head, strict sides)."""
+    parent, depth = [-1] * g.n, [-1] * g.n
+    tree = set()
+    depth[0] = 0
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for d in g.rot[v]:
+            w = g.dart_head(d)
+            if depth[w] < 0:
+                depth[w], parent[w] = depth[v] + 1, v
+                tree.add(d >> 1)
+                queue.append(w)
+    best = None
+    for a in range(g.m):
+        if a in tree:
+            continue
+        up_u, up_v = [g.tails[a]], [g.heads[a]]
+        while up_u[-1]:
+            up_u.append(parent[up_u[-1]])
+        while up_v[-1] not in up_u:
+            up_v.append(parent[up_v[-1]])
+        cycle = up_u[:up_u.index(up_v[-1]) + 1] + up_v[-2::-1]
+        sides = strict_sides(g, cycle)
+        score = (max(map(len, sides)), len(cycle), a)
+        if best is None or score < best[0]:
+            best = (score, cycle, sides)
+    return best
+
+
+@pytest.mark.parametrize("kind", ["grid", "tri"])
+@pytest.mark.parametrize("n", [10, 50, 200])
+def test_separator_is_the_best_fundamental_cycle(kind, n):
+    """The search minimizes the larger side over all fundamental cycles,
+    on the root triangulation and on both pieces of its split, whose
+    face numbers come from the parent's."""
+    for seed in range(5):
+        if kind == "grid":
+            g = build_from_arrays(grid_arrays(n, random.Random(seed)))
+        else:
+            g = tri_graph(n, seed)
+        gt = triangulate_and_biconnect(g)
+        pieces = split_into_pieces(gt, find_cycle_separator(gt))
+        for level in [gt] + [p.graph for p in pieces if p.graph.n >= 3]:
+            (_, k, a), cycle, sides = best_fundamental_cycle(level)
+            sep = find_cycle_separator(level)
+            assert sep.cycle_darts[-1] >> 1 == a
+            assert sep.boundary == cycle and sep.k == k
+            assert {sep.inside, sep.outside} == set(sides)
 
 
 def test_requires_triangulation():

@@ -14,8 +14,9 @@ import math
 import time
 from dataclasses import dataclass
 
-from .config import EngineConfig
+from .config import EngineConfig, with_overrides
 from .engine import MsmsEngine
+from .errors import InvariantFailure
 from .generate import generate
 from .solvers import oracle_max_flow
 
@@ -26,7 +27,9 @@ SCOPE_NOTE = ("asymptotic bound of the underlying algorithm is out of scope: "
               "below is measured, not asserted")
 
 CSV_HEADER = ("kind,n,seed,value,seconds,depth,max_boundary,"
-              "max_boundary_ratio,max_child_ratio")
+              "max_boundary_ratio,max_child_ratio,direct_seconds")
+
+DIRECT_BASE_CASE = 10 ** 9     # no recursion: one direct solve of the whole graph
 
 
 @dataclass
@@ -40,28 +43,42 @@ class BenchRow:
     max_boundary: int
     max_boundary_ratio: float
     max_child_ratio: float
+    direct_seconds: float
 
     def csv(self) -> str:
         return (f"{self.kind},{self.n},{self.seed},{self.value},"
                 f"{self.seconds:.6f},{self.depth},{self.max_boundary},"
-                f"{self.max_boundary_ratio:.4f},{self.max_child_ratio:.4f}")
+                f"{self.max_boundary_ratio:.4f},{self.max_child_ratio:.4f},"
+                f"{self.direct_seconds:.6f}")
 
 
-def run_one(kind, n, seed, cap_max=10 ** 6, config: EngineConfig | None = None) -> BenchRow:
-    inst = generate(kind, n, seed, cap_max=cap_max)
+def _timed_solve(inst, config):
     g, ts = inst.build()
     start = time.perf_counter()
-    eng = MsmsEngine(g, ts.sources, ts.sinks, config or EngineConfig())
-    res = eng.run()
-    elapsed = time.perf_counter() - start
+    res = MsmsEngine(g, ts.sources, ts.sinks, config).run()
+    return res, time.perf_counter() - start
+
+
+def run_one(kind, n, seed, cap_max=10 ** 6, config: EngineConfig | None = None,
+            s_frac=0.1, t_frac=0.1) -> BenchRow:
+    """Time the recursive solve of one seeded instance, then a direct
+    solve of the same instance as the reference; their values must agree."""
+    inst = generate(kind, n, seed, cap_max=cap_max, s_frac=s_frac, t_frac=t_frac)
+    config = config or EngineConfig()
+    res, elapsed = _timed_solve(inst, config)
+    direct, direct_elapsed = _timed_solve(
+        inst, with_overrides(config, base_case=DIRECT_BASE_CASE))
+    if direct.value != res.value:
+        raise InvariantFailure(f"{kind} n={n} seed={seed}: recursive value "
+                               f"{res.value} != direct value {direct.value}")
     max_child_ratio = 0.0
     for rec in res.stats.levels:
         if rec.kind == "split":
             for child in rec.child_sizes:
                 max_child_ratio = max(max_child_ratio, child / rec.n)
-    return BenchRow(kind, g.n, seed, res.value, elapsed, res.stats.max_depth,
-                    res.stats.max_boundary, res.stats.max_boundary_ratio,
-                    max_child_ratio)
+    return BenchRow(kind, inst.num_nodes, seed, res.value, elapsed,
+                    res.stats.max_depth, res.stats.max_boundary,
+                    res.stats.max_boundary_ratio, max_child_ratio, direct_elapsed)
 
 
 @dataclass

@@ -204,13 +204,18 @@ def cmd_bench(args) -> int:
     kinds = args.kinds.split(",")
     for kind in kinds:
         for n in sizes:
-            _check_gen_args(kind, n, args.cap_max)
+            _check_gen_args(kind, n, args.cap_max, args.s_frac, args.t_frac)
     rows = []
-    for kind in kinds:
-        for n in sizes:
-            for r in range(args.repeats):
-                rows.append(run_one(kind, n, args.seed + r, cap_max=args.cap_max,
-                                    config=cfg))
+    try:
+        for kind in kinds:
+            for n in sizes:
+                for r in range(args.repeats):
+                    rows.append(run_one(kind, n, args.seed + r, cap_max=args.cap_max,
+                                        config=cfg, s_frac=args.s_frac,
+                                        t_frac=args.t_frac))
+    except InvariantFailure as e:
+        print(f"{_failure_kind(e)}: {e}", file=sys.stderr)
+        return EXIT_AUDIT
     sys.stdout.write(report(rows, BOUNDARY_CONSTANT))
     return 0
 
@@ -274,6 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap-max", type=int, default=10 ** 6, dest="cap_max")
+    p.add_argument("--s-frac", type=float, default=0.1, dest="s_frac")
+    p.add_argument("--t-frac", type=float, default=0.1, dest="t_frac")
     p.add_argument("--config")
     p.add_argument("--audit", choices=["none", "final", "full"])
     p.add_argument("--base-case", type=int, dest="base_case")

@@ -68,7 +68,7 @@ class PlanarGraph:
     lists it is given, the rotation lists too, and copies none of them:
     callers hand over lists that nobody edits afterwards.  faces, when
     given, lists every face walk of the rotation system, in any order and
-    from any start dart.
+    from any start dart; face_of, when given with it, is dart_faces().
     """
 
     __slots__ = (
@@ -76,7 +76,7 @@ class PlanarGraph:
         "rot", "_faces", "_face_of",
     )
 
-    def __init__(self, tails, heads, caps, rot, keys=None, faces=None):
+    def __init__(self, tails, heads, caps, rot, keys=None, faces=None, face_of=None):
         self.tails = tails
         self.heads = heads
         self.caps = caps
@@ -85,7 +85,7 @@ class PlanarGraph:
         self.m = len(tails)
         self.keys = keys if keys is not None else list(range(self.m))
         self._faces = faces
-        self._face_of = None
+        self._face_of = face_of
 
     # -- dart accessors ----------------------------------------------------
 

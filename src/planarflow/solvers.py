@@ -14,10 +14,13 @@ long as nothing else writes those arcs' flow in between, and each call
 costs only what it explores.
 
 All of them, and the oracle, run one deterministic blocking-flow core
-(shortest augmenting paths, lowest-index admissible dart first) on flat
-dart arrays, so repeated runs produce identical flows.  The core starts
-from a whole source set and stops at any sink of a sink set, so no
-supersource or supersink is added.
+on flat dart arrays, so repeated runs produce identical flows.  Each
+phase labels nodes with their residual distance to the whole sink set
+(a BFS back from the sinks that stops at the first source it pops) and
+augments only along darts that lower that label by one, lowest-index
+admissible dart first, so every path is a shortest path to a sink.  No
+supersource or supersink is added.  Values are those of any max flow;
+which maximum flow, hence arc_flows, depends on this choice of paths.
 """
 
 from __future__ import annotations
@@ -87,42 +90,46 @@ def _dinic(adj, head, res, sources, sinks, limit=None):
     darts lists the darts of every augmenting path (with repeats).
 
     Dart d runs into head[d] with residual res[d]; d ^ 1 is its reverse,
-    so a dart's tail is head[d ^ 1].  Each phase labels levels by a BFS
-    seeded with every source, stopping at the first sink it pops, then
-    runs a blocking-flow DFS from each source in the given order that
-    ends at any sink.  Deterministic: BFS and DFS both scan adj[v] in
-    order, so the first admissible dart is always used first.
+    so a dart's tail is head[d ^ 1].  Each phase labels every node with
+    its residual distance to the sink set, by a BFS from all sinks over
+    reversed darts (d leaves v and res[d ^ 1] > 0) that stops at the
+    first source it pops.  Then a DFS from each labelled source, in the
+    given order, takes only darts d with res[d] > 0 that lower the label
+    by one, so every step lies on a shortest path to a sink and a dead
+    end comes only from darts saturated in this phase.  Deterministic:
+    BFS and DFS both scan adj[v] in order, so the first admissible dart
+    is always used first.
     """
     n = len(adj)
-    is_sink = bytearray(n)
-    for t in sinks:
-        is_sink[t] = 1
-    unseen = n + 1           # level of an unlabelled or pruned node
+    is_source = bytearray(n)
+    for s in sources:
+        is_source[s] = 1
+    unseen = n + 1           # label of an unlabelled or pruned node
     total = 0
     touched = []
     while limit is None or total < limit:
-        level = [unseen] * n
-        for s in sources:
-            level[s] = 0
-        queue = deque(sources)
+        dist = [unseen] * n
+        for t in sinks:
+            dist[t] = 0
+        queue = deque(sinks)
         while queue:
             v = queue.popleft()
-            if is_sink[v]:
+            if is_source[v]:
                 break
-            lv = level[v] + 1
+            dv = dist[v] + 1
             for d in adj[v]:
-                if res[d] > 0 and level[head[d]] == unseen:
-                    level[head[d]] = lv
+                if res[d ^ 1] > 0 and dist[head[d]] == unseen:
+                    dist[head[d]] = dv
                     queue.append(head[d])
         else:
-            break            # no sink is reachable: the flow is maximum
+            break            # no source reaches a sink: the flow is maximum
         ptr = [0] * n
         for s in sources:
             # depth-first blocking flow from s with an explicit dart stack
             path = []
             v = s
-            while limit is None or total < limit:
-                if is_sink[v]:
+            while dist[s] != unseen and (limit is None or total < limit):
+                if not dist[v]:           # label 0: a sink
                     push = min(res[d] for d in path)
                     if limit is not None:
                         push = min(push, limit - total)
@@ -135,21 +142,20 @@ def _dinic(adj, head, res, sources, sinks, limit=None):
                     v = s
                     continue
                 darts = adj[v]
-                want = level[v] + 1
+                want = dist[v] - 1
                 i = ptr[v]
                 while i < len(darts) and not (
-                        res[darts[i]] > 0 and level[head[darts[i]]] == want):
+                        res[darts[i]] > 0 and dist[head[darts[i]]] == want):
                     i += 1
                 ptr[v] = i
                 if i < len(darts):
                     path.append(darts[i])
                     v = head[darts[i]]
-                elif path:
-                    level[v] = unseen     # dead end; prune
-                    v = head[path.pop() ^ 1]
-                    ptr[v] += 1
                 else:
-                    break                 # s reaches no sink in this phase
+                    dist[v] = unseen      # dead end; prune
+                    if path:
+                        v = head[path.pop() ^ 1]
+                        ptr[v] += 1
     return total, touched
 
 

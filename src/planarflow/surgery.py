@@ -174,12 +174,13 @@ def detach_terminal_from_cycle(g: PlanarGraph, detaches, store: FlowStore):
 
     The graph is g's arrays plus the new arcs.  It carries g's faces,
     with each new arc's two darts spliced into the walk of its corner
-    right after anchor_dart ^ 1, and is not re-checked.
+    right after anchor_dart ^ 1, and g's dart_faces() extended to match;
+    it is not re-checked.
     """
     tails, heads, caps, keys = list(g.tails), list(g.heads), list(g.caps), list(g.keys)
     rot = list(g.rot)
     faces = list(g.faces())
-    face_of = g.dart_faces()
+    face_of = list(g.dart_faces())
     new_nodes = []
     for v, anchor_dart, role, cap in detaches:
         if role not in ("source", "sink"):
@@ -202,8 +203,10 @@ def detach_terminal_from_cycle(g: PlanarGraph, detaches, store: FlowStore):
         rot[v] = _spliced(rot[v], anchor_dart, [dart_at_v])
         f = face_of[anchor_dart ^ 1]
         faces[f] = _spliced(faces[f], anchor_dart ^ 1, [dart_at_v, dart_at_new])
+        face_of += (f, f)
         new_nodes.append(v_new)
-    return PlanarGraph(tails, heads, caps, rot, keys=keys, faces=faces), new_nodes
+    return PlanarGraph(tails, heads, caps, rot, keys=keys, faces=faces,
+                       face_of=face_of), new_nodes
 
 
 def attach_apex(g: PlanarGraph, boundary, inf_cap: int):

@@ -7,6 +7,7 @@ is still unreachable.
 """
 
 import random
+from collections import deque
 
 from planarflow.flow import FlowStore
 from planarflow.solvers import (
@@ -27,6 +28,43 @@ def random_digraph(rng, n, density=0.5, cap_max=9):
             if u != v and rng.random() < density:
                 arcs.append((u, v, rng.randint(0, cap_max)))
     return arcs
+
+
+def edmonds_karp(n, arcs, sources, sinks):
+    """Max-flow value from a source set to a disjoint sink set by BFS
+    augmenting paths (Edmonds-Karp) on a residual capacity matrix with a
+    supersource n and a supersink n + 1; shares no code with the solvers."""
+    size = n + 2
+    cap = [[0] * size for _ in range(size)]
+    for (u, v, c) in arcs:
+        cap[u][v] += c
+    inf = 1 + sum(c for (_, _, c) in arcs)
+    for s in sources:
+        cap[n][s] = inf
+    for t in sinks:
+        cap[t][n + 1] = inf
+    value = 0
+    while True:
+        parent = [-1] * size
+        parent[n] = n
+        queue = deque([n])
+        while queue and parent[n + 1] < 0:
+            u = queue.popleft()
+            for v in range(size):
+                if parent[v] < 0 and cap[u][v] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if parent[n + 1] < 0:
+            return value
+        path, v = [], n + 1
+        while v != n:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(cap[u][v] for (u, v) in path)
+        for (u, v) in path:
+            cap[u][v] -= push
+            cap[v][u] += push
+        value += push
 
 
 def oracle_value_for_graph(g, sources, sinks):

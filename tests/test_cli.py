@@ -133,10 +133,31 @@ def test_bench_report_format(capsys):
     out = capsys.readouterr().out
     lines = out.splitlines()
     assert lines[0].startswith("kind,n,seed,value,seconds,depth,max_boundary")
+    assert lines[0].endswith(",direct_seconds")
+    for row in lines[1:3]:
+        assert row.startswith("grid,") and float(row.split(",")[-1]) > 0
     assert any("out of scope" in l for l in lines)
     assert any("empirical scaling exponent" in l for l in lines)
     assert any(f"{BALANCE_CONSTANT:.4f}" in l for l in lines)
     assert f"{BALANCE_CONSTANT:.4f}" == "0.7368"
+
+
+def test_bench_exits_3_when_the_direct_value_differs(monkeypatch, capsys):
+    from types import SimpleNamespace
+
+    import planarflow.bench as bench
+    real = bench._timed_solve
+
+    def skewed(inst, config):
+        res, seconds = real(inst, config)
+        if config.base_case == bench.DIRECT_BASE_CASE:
+            res = SimpleNamespace(value=res.value + 1)
+        return res, seconds
+
+    monkeypatch.setattr(bench, "_timed_solve", skewed)
+    assert main(["bench", "--kinds", "grid", "--sizes", "30"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "!= direct value" in err
 
 
 def test_config_file(tmp_path, capsys):
@@ -205,6 +226,7 @@ def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, linen
     ["gen", "--kind", "grid", "--n", "9", "--s-frac", "-0.5"],
     ["gen", "--kind", "grid", "--n", "9", "--t-frac", "nan"],
     ["gen", "--kind", "grid", "--n", "9", "--s-frac", "inf"],
+    ["bench", "--kinds", "grid", "--sizes", "9", "--s-frac", "1.5"],
     ["solve", "{tmp}/not-utf8.bin"],
     ["import-dimacs", "{tmp}/not-utf8.bin"],
     ["solve", "{inst}", "--config", "{tmp}/not-utf8.bin"],
@@ -216,6 +238,7 @@ def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, linen
         "check-negative-cap-max", "bench-negative-cap-max", "check-count-minus-1",
         "check-count-0", "bench-repeats-0", "bench-repeats-minus-2",
         "gen-s-frac-1.5", "gen-s-frac-minus-0.5", "gen-t-frac-nan", "gen-s-frac-inf",
+        "bench-s-frac-1.5",
         "solve-not-utf8", "import-dimacs-not-utf8", "config-not-utf8"])
 def test_bad_outside_input_exits_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "unknown-key.cfg").write_text("bogus = 1\n")

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from support import residual_net
+from support import edmonds_karp, residual_net
 
 from planarflow.flow import (
     FlowStore,
@@ -308,16 +308,141 @@ def test_oracle_cut_certificate_on_random_instances():
         assert value(limited_max_flow, n, sources, sinks, delta) == min(delta, cut)
 
 
+def _assert_pseudoflow_of_value(store, keyed, deltas, sources, sinks, value):
+    """Apply deltas to the store: every arc's flow stays in [0, cap], the
+    deltas conserve flow off the terminals and carry value from the
+    sources into the sinks."""
+    ends = {key: (t, h) for (t, h, _, key) in keyed}
+    store.apply(deltas)
+    assert all(0 <= store.vals[key] <= c for (_, _, c, key) in keyed)
+    excess = {}
+    for key, d in deltas:
+        t, h = ends[key]
+        excess[t] = excess.get(t, 0) - d
+        excess[h] = excess.get(h, 0) + d
+    assert all(not x for v, x in excess.items() if v not in sources and v not in sinks)
+    assert -sum(excess.get(s, 0) for s in sources) == value
+    assert sum(excess.get(t, 0) for t in sinks) == value
+
+
+def _check_against_edmonds_karp(rng, n, arcs, flows, sources, sinks):
+    """All four subroutines on the residual net of arcs under flows (the
+    apex n as msss's sink and as ssms's source included, and limits that
+    stop a phase part way), and the oracle on the raw arcs, against
+    edmonds_karp."""
+    residual = [arc for (t, h, c), f in zip(arcs, flows)
+                for arc in ((t, h, c - f), (h, t, f))]
+    want = edmonds_karp(n, residual, sources, sinks)
+    inf = 1 + sum(c for (_, _, c) in arcs)
+    runs = [
+        (solve_msms_residual, (sources, sinks), (), sources, sinks, want),
+        (msss_max_flow, (sources, sinks[0]), (), sources, sinks[:1],
+         edmonds_karp(n, residual, sources, sinks[:1])),
+        (ssms_max_flow, (sources[0], sinks), (), sources[:1], sinks,
+         edmonds_karp(n, residual, sources[:1], sinks)),
+        (msss_max_flow, (sources, n), [(t, n, inf, 0) for t in sinks],
+         sources, sinks, want),
+        (ssms_max_flow, (n, sinks), [(n, s, inf, 0) for s in sources],
+         sources, sinks, want),
+    ]
+    for delta in sorted({0, want // 2, max(want - 1, 0), want, want + 1,
+                         rng.randint(0, 2 * want + 1)}):
+        runs.append((limited_max_flow, (sources, sinks, delta), (), sources,
+                     sinks, min(delta, want)))
+    for solver, terminals, scratch, srcs, snks, expect in runs:
+        store = FlowStore()
+        keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
+        store.apply([(key, f) for (_, _, _, key), f in zip(keyed, flows) if f])
+        net = residual_net(n + 1 if scratch else n, keyed, store, scratch)
+        value, deltas = solver(store, net, *terminals)
+        assert value == expect, solver.__name__
+        _assert_pseudoflow_of_value(store, keyed, deltas, srcs, snks, value)
+
+    oracle = oracle_max_flow(n, arcs, sources, sinks)
+    assert oracle.value == oracle.cut_capacity == edmonds_karp(n, arcs, sources, sinks)
+    store = FlowStore()
+    keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
+    _assert_pseudoflow_of_value(store, keyed, sorted(oracle.flows.items()),
+                                sources, sinks, oracle.value)
+
+
+# (n, arcs, sources, sinks), each built so the core meets one situation
+_EDMONDS_KARP_CASES = {
+    # source 0 is one dart from the sink, source 1 four darts: the first
+    # phase's BFS pops 0 and stops with 1 unlabelled
+    "unequal-distances-one-unlabelled": (
+        6, [(0, 5, 2), (1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3)], [0, 1], [5]),
+    # source 1 lies on source 0's shortest path 0-1-2-4; the path
+    # saturates 1's only dart, so 0's DFS prunes 1 before 1's turn
+    "source-on-a-path-pruned-by-an-earlier-dfs": (
+        5, [(2, 4, 1), (3, 2, 1), (1, 2, 1), (0, 1, 5), (0, 3, 1)], [0, 1], [4]),
+    # three paths of one phase: limits 1 and 2 stop inside it
+    "limit-inside-a-phase": (
+        5, [(0, 1, 1), (1, 4, 1), (0, 2, 1), (2, 4, 1), (0, 3, 1), (3, 4, 1)],
+        [0], [4]),
+    # two sources and two sinks: sink 5 hangs off source 1, and source 4
+    # reaches the sinks only through node 0, one dart further out
+    "sink-behind-a-source": (
+        6, [(0, 1, 4), (1, 2, 2), (2, 3, 3), (1, 5, 1), (4, 0, 2), (0, 3, 1)],
+        [1, 4], [3, 5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDMONDS_KARP_CASES))
+def test_solvers_match_edmonds_karp_on_hand_built_phases(case):
+    n, arcs, sources, sinks = _EDMONDS_KARP_CASES[case]
+    _check_against_edmonds_karp(random.Random(case), n, arcs, [0] * len(arcs),
+                                sources, sinks)
+
+
+def test_solvers_match_edmonds_karp_on_random_digraphs():
+    """n = 10-40, 1-4 sources and 1-4 sinks, sparse enough for sources to
+    sit at unequal distances from the sinks; half the trials start from a
+    random pseudoflow, so the residual net has reverse darts."""
+    rng = random.Random(2024)
+    for _ in range(120):
+        n = rng.randint(10, 40)
+        arcs = random_digraph(rng, n, density=rng.uniform(1.5, 4.0) / n)
+        flows = [0] * len(arcs)
+        if rng.random() < 0.5:
+            flows = [rng.randint(0, c) for (_, _, c) in arcs]
+        nodes = list(range(n))
+        rng.shuffle(nodes)
+        k, l = rng.randint(1, 4), rng.randint(1, 4)
+        _check_against_edmonds_karp(rng, n, arcs, flows, sorted(nodes[:k]),
+                                    sorted(nodes[k:k + l]))
+
+
 def test_solver_runs_are_deterministic():
+    """Two runs of each subroutine on fresh stores and nets, the second
+    given its terminal sets in reverse order, return equal values and
+    deltas; two oracle runs return equal values and flows."""
     rng = random.Random(5)
-    arcs = random_digraph(rng, 7)
-    store1 = FlowStore()
-    keyed1 = [(t, h, c, store1.new_key(c)) for (t, h, c) in arcs]
-    v1, d1 = msss_max_flow(store1, residual_net(7, keyed1, store1), {0, 1}, 6)
-    store2 = FlowStore()
-    keyed2 = [(t, h, c, store2.new_key(c)) for (t, h, c) in arcs]
-    v2, d2 = msss_max_flow(store2, residual_net(7, keyed2, store2), {0, 1}, 6)
-    assert (v1, d1) == (v2, d2)
+    n = 12
+    arcs = random_digraph(rng, n)
+    inf = 1 + sum(c for (_, _, c) in arcs)
+    apex_arcs = [arc for b in (2, 5, 9) for arc in ((b, n, inf, 0), (n, b, inf, 0))]
+    calls = [
+        (msss_max_flow, ([0, 1], 6), ()),
+        (ssms_max_flow, (0, [6, 7]), ()),
+        (limited_max_flow, ([0, 1], [6, 7], 5), ()),
+        (solve_msms_residual, ([0, 1, n], [6, 7]), apex_arcs),
+    ]
+
+    def run(solver, terminals, scratch):
+        store = FlowStore()
+        keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
+        net = residual_net(n + 1 if scratch else n, keyed, store, scratch)
+        return solver(store, net, *terminals)
+
+    for solver, terminals, scratch in calls:
+        first = run(solver, terminals, scratch)
+        flipped = [x[::-1] if isinstance(x, list) else x for x in terminals]
+        assert first[0] > 0 and first[1]
+        assert run(solver, flipped, scratch) == first
+    one = oracle_max_flow(n, arcs, [0, 1], [6, 7])
+    two = oracle_max_flow(n, arcs, [1, 0], [7, 6])
+    assert one.value > 0 and (one.value, one.flows) == (two.value, two.flows)
 
 
 def _random_call(rng, store, net, n, apex):

@@ -153,6 +153,8 @@ def test_detach_source_and_sink_in_one_call():
     assert g2.keys[g.m:] == [g.m, g.m + 1] and len(store.vals) == g.m + 2
     assert store.caps[g.m:] == g2.caps[g.m:] == [2, 3]
     g2.check_embedding()
+    face_of = {d: f for f, walk in enumerate(g2.faces()) for d in walk}
+    assert g2.dart_faces() == [face_of[d] for d in range(2 * g2.m)]
     assert oracle_value_for_graph(g2, {s_new}, {t_new}) == oracle_value_for_graph(g, {0}, {2})
 
 

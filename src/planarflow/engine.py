@@ -14,10 +14,15 @@ its result is accumulated immediately.
 The input is triangulated once, at the root; every piece inherits its
 triangulation and its faces from the split (see separator.py).
 
-Instrumentation is config-gated: audit level "full" re-checks every
-reachability invariant the correctness argument relies on after each
-step, and every piece's faces and triangulation, "final" checks
-feasibility and maximality per level, "none" trusts the algorithm.
+Instrumentation is config-gated.  Audit level "final" checks, after each
+level's settlement and once more on the input graph, that the flow
+conserves and leaves no residual source-to-sink path.  "full" adds the
+reachability invariants the correctness argument relies on, after every
+leaf solve, piece recursion, apex push and walk step (README, "Audits"),
+with one shared residual search per step (see _audit_separated), and
+checks every piece's faces and triangulation.  "none" trusts the
+algorithm.  `audits` counts the checks made; an AuditFailure names the
+depth, the phase, the piece or walk step, and up to five offending nodes.
 """
 
 from __future__ import annotations
@@ -127,8 +132,7 @@ class MsmsEngine:
             self._check(is_feasible(self.root, self.store, self.sources, self.sinks),
                         "final flow is not feasible on the input graph")
             reach = residual_reachable(self.root, self.store, self.sources)
-            self._check(not (reach & self.sinks),
-                        "residual source-to-sink path after termination")
+            self._check_unreached(reach, self.sinks, "final flow", "source reaches a sink")
         value = flow_value(self.root, self.store, self.sinks)
         flows = [self.store.vals[k] for k in range(self.root.m)]
         return MsmsResult(value, flows, self.stats, self.audits)
@@ -139,6 +143,14 @@ class MsmsEngine:
         self.audits += 1
         if not ok:
             raise AuditFailure(message)
+
+    def _check_unreached(self, reach, targets, where, what):
+        """One audit: no node of targets is in the reached set.  A failure
+        names where it happened and up to five offending nodes, sorted."""
+        self.audits += 1
+        hit = reach.intersection(targets)
+        if hit:
+            raise AuditFailure(f"{where}: {what} (nodes {sorted(hit)[:5]})")
 
     def _emit(self, record: dict):
         if self.trace is not None:
@@ -176,7 +188,7 @@ class MsmsEngine:
             keys1 = {k for k in piece1.graph.keys if k != NO_KEY}
             keys2 = {k for k in piece2.graph.keys if k != NO_KEY}
             self._check(not (keys1 & keys2),
-                        "sibling pieces share flow-carrying arcs")
+                        f"depth {depth}: sibling pieces share flow-carrying arcs")
 
         boundary = sep.boundary
         for side, piece in enumerate((piece1, piece2)):
@@ -184,13 +196,13 @@ class MsmsEngine:
             sub_sources = {local[v] for v in sources if v in local}
             sub_sinks = {local[v] for v in sinks if v in local}
             self._solve(piece.graph, sub_sources, sub_sinks, depth + 1)
-            self._audit_piece_recursed(piece, sub_sources, sub_sinks)
+            self._audit_piece_recursed(piece, side, sub_sources, sub_sinks, depth)
             self._push_boundary_phase(piece, side, sub_sources, sub_sinks, depth)
 
-        self._audit_after_first_loop(gd, sources, sinks, boundary)
+        self._audit_after_first_loop(gd, sources, sinks, boundary, depth)
         self._redistribute_boundary(gd, boundary, sources, sinks, depth)
         self._settle_pseudoflow(gd, sources, sinks)
-        self._audit_level_final(gd, sources, sinks)
+        self._audit_level_final(gd, sources, sinks, depth)
 
     def _base_solve(self, g, sources, sinks, depth, kind):
         self.stats.record(LevelRecord(depth, g.n, kind))
@@ -200,8 +212,8 @@ class MsmsEngine:
         self._emit({"op": "solve_leaf", "depth": depth, "n": g.n, "value": value})
         if self.cfg.audit == "full":
             reach = residual_reachable(g, self.store, sources)
-            self._check(not (reach & set(sinks)),
-                        "leaf solve left a residual source-to-sink path")
+            self._check_unreached(reach, sinks, f"depth {depth} {kind} solve",
+                                  "source reaches a sink")
 
     def _detach_boundary_terminals(self, gt, sep, sources, sinks):
         """Replace every terminal on the separator cycle with a fresh
@@ -251,14 +263,14 @@ class MsmsEngine:
             store.apply(deltas)
         self._emit({"op": "push_sources_to_boundary", "depth": depth,
                     "piece": side, "value": value_in})
-        self._audit_piece_sources_blocked(piece, sub_sources, sub_sinks)
+        self._audit_piece_sources_blocked(piece, side, sub_sources, sub_sinks, depth)
 
         if sub_sinks:
             value_out, deltas = ssms_max_flow(store, net, apex, sub_sinks)
             store.apply(deltas)
         self._emit({"op": "push_boundary_to_sinks", "depth": depth,
                     "piece": side, "value": value_out})
-        self._audit_piece_complete(piece, sub_sources, sub_sinks)
+        self._audit_piece_complete(piece, side, sub_sources, sub_sinks, depth)
 
     # -- boundary redistribution -------------------------------------------------
 
@@ -289,7 +301,7 @@ class MsmsEngine:
                     "node": node, "imbalance": imbalance, "pushed": pushed,
                     "boundary_inflow": [inflow(gd, self.store, b) for b in boundary],
                 })
-            self._audit_redistribute_iteration(gd, boundary, sources, sinks, i)
+            self._audit_redistribute_iteration(gd, boundary, sources, sinks, i, depth)
 
     # -- settlement ---------------------------------------------------------------
 
@@ -364,84 +376,102 @@ class MsmsEngine:
                 raise AuditFailure(
                     f"depth {depth} piece {side}: not a two-connected triangulation")
 
-    def _audit_piece_recursed(self, piece, sub_sources, sub_sinks):
+    def _audit_piece_recursed(self, piece, side, sub_sources, sub_sinks, depth):
         """After the recursive call: no residual source-to-sink path
         inside the piece."""
         if self.cfg.audit != "full":
             return
         reach = residual_reachable(piece.graph, self.store, sub_sources)
-        self._check(not (reach & sub_sinks),
-                    "piece recursion left a residual source-to-sink path")
+        self._check_unreached(reach, sub_sinks, f"depth {depth} piece {side} recursion",
+                              "source reaches a sink")
 
-    def _audit_piece_sources_blocked(self, piece, sub_sources, sub_sinks):
+    def _audit_piece_sources_blocked(self, piece, side, sub_sources, sub_sinks, depth):
         """After pushing sources to the apex: within the piece there is no
         residual path from the sources to the sinks, nor to the boundary.
         (A residual path into the apex passes a boundary node first.)"""
         if self.cfg.audit != "full":
             return
         reach = residual_reachable(piece.graph, self.store, sub_sources)
-        boundary = set(piece.boundary_local)
-        self._check(not (reach & sub_sinks),
-                    "source push exposed a residual source-to-sink path")
-        self._check(not (reach & boundary),
-                    "residual source-to-boundary path after the source push")
+        where = f"depth {depth} piece {side} source push"
+        self._check_unreached(reach, sub_sinks, where, "source reaches a sink")
+        self._check_unreached(reach, piece.boundary_local, where,
+                              "source reaches a boundary node")
 
-    def _audit_separated(self, g, sources, sinks, boundary, phase):
-        """Within g: sources reach neither sinks nor boundary, and the
-        boundary does not reach the sinks, along residual darts."""
-        reach_s = residual_reachable(g, self.store, sources)
-        self._check(not (reach_s & sinks),
-                    f"{phase}: residual source-to-sink path")
-        self._check(not (reach_s & boundary),
-                    f"{phase}: residual source-to-boundary path")
-        reach_c = residual_reachable(g, self.store, boundary)
-        self._check(not (reach_c & sinks),
-                    f"{phase}: residual boundary-to-sink path")
+    def _audit_separated(self, g, sources, sinks, boundary, where, walk=None):
+        """Within g, along residual darts: sources reach neither sinks nor
+        boundary, and the boundary does not reach the sinks.  After a walk
+        step, walk = (pos, unprocessed, neg) adds the walk invariants: an
+        overfull processed node (pos) reaches neither an unprocessed node
+        nor a drained processed one (neg), and an unprocessed node reaches
+        no drained one.
 
-    def _audit_piece_complete(self, piece, sub_sources, sub_sinks):
+        One search through one seen array serves every start class, so no
+        node is visited twice.  Order rule: a class is searched before
+        every class it must not reach, so sources, then pos, then the
+        unprocessed nodes, then the rest of the boundary.  A search skips
+        what an earlier one reached, and that hides no violation once the
+        earlier checks pass: the sources' reach holds no boundary node and
+        no sink, and pos's holds no unprocessed and no drained node, so a
+        node reached earlier leads to no node a later check looks for.  A
+        run therefore fails at the same step as with one search per class;
+        when several invariants break at once, the message may name
+        another of them.
+        """
+        store = self.store
+        seen = bytearray(g.n)
+        reach = residual_reachable(g, store, sources, seen)
+        self._check_unreached(reach, sinks, where, "source reaches a sink")
+        self._check_unreached(reach, boundary, where, "source reaches a boundary node")
+        from_boundary = set()
+        if walk is not None:
+            pos, unprocessed, neg = walk
+            from_boundary = residual_reachable(g, store, pos, seen)
+            self._check_unreached(from_boundary, unprocessed, where,
+                                  "overfull processed node reaches an unprocessed node")
+            if pos and neg:
+                self._check_unreached(from_boundary, neg, where,
+                                      "overfull processed node reaches a drained one")
+            reach = residual_reachable(g, store, unprocessed, seen)
+            self._check_unreached(reach, neg, where,
+                                  "unprocessed node reaches a drained processed node")
+            from_boundary |= reach
+        from_boundary |= residual_reachable(g, store, boundary, seen)
+        self._check_unreached(from_boundary, sinks, where, "boundary node reaches a sink")
+
+    def _audit_piece_complete(self, piece, side, sub_sources, sub_sinks, depth):
         """After both apex pushes, within the piece."""
         if self.cfg.audit != "full":
             return
-        self._audit_separated(piece.graph, sub_sources, sub_sinks,
-                              set(piece.boundary_local), "piece phase")
+        self._audit_separated(piece.graph, sub_sources, sub_sinks, piece.boundary_local,
+                              f"depth {depth} piece {side} apex pushes")
 
-    def _audit_after_first_loop(self, gd, sources, sinks, boundary):
+    def _audit_after_first_loop(self, gd, sources, sinks, boundary, depth):
         """Both pieces done: the same separation, globally."""
         if self.cfg.audit != "full":
             return
-        self._audit_separated(gd, sources, set(sinks), set(boundary), "first loop")
+        self._audit_separated(gd, sources, sinks, boundary, f"depth {depth} before the walk")
 
-    def _audit_redistribute_iteration(self, gd, boundary, sources, sinks, i):
-        """The four walk invariants, checked after iteration i."""
+    def _audit_redistribute_iteration(self, gd, boundary, sources, sinks, i, depth):
+        """The separation and the three walk invariants, after step i.
+        Step i < len(boundary) - 1, so the unprocessed suffix is never empty."""
         if self.cfg.audit != "full":
             return
         store = self.store
-        self._audit_separated(gd, sources, set(sinks), set(boundary), "walk")
-
         processed = boundary[: i + 1]
-        unprocessed = boundary[i + 1:]
-        pos = [p for p in processed if inflow(gd, store, p) > 0]
-        neg = [p for p in processed if inflow(gd, store, p) < 0]
-        if unprocessed:
-            reach_un = residual_reachable(gd, store, set(unprocessed))
-            self._check(not (reach_un & set(neg)),
-                        "walk: unprocessed node reaches a drained processed node")
-            reaching_un = residual_reachable(gd, store, set(unprocessed), reverse=True)
-            self._check(not (reaching_un & set(pos)),
-                        "walk: overfull processed node reaches an unprocessed node")
-        if pos and neg:
-            reach_pos = residual_reachable(gd, store, set(pos))
-            self._check(not (reach_pos & set(neg)),
-                        "walk: overfull processed node reaches a drained one")
+        balance = [inflow(gd, store, p) for p in processed]
+        pos = [p for p, b in zip(processed, balance) if b > 0]
+        neg = [p for p, b in zip(processed, balance) if b < 0]
+        self._audit_separated(gd, sources, sinks, boundary, f"depth {depth} walk step {i}",
+                              (pos, boundary[i + 1:], neg))
 
-    def _audit_level_final(self, gd, sources, sinks):
+    def _audit_level_final(self, gd, sources, sinks, depth):
         if self.cfg.audit == "none":
             return
         self._check(is_feasible(gd, self.store, sources, sinks),
-                    "level settlement did not restore conservation")
+                    f"depth {depth} settlement: level flow does not conserve")
         reach = residual_reachable(gd, self.store, sources)
-        self._check(not (reach & set(sinks)),
-                    "level finished with a residual source-to-sink path")
+        self._check_unreached(reach, sinks, f"depth {depth} settlement",
+                              "source reaches a sink")
 
 
 def msms_max_flow(graph: PlanarGraph, sources, sinks,

@@ -108,15 +108,15 @@ def flow_value(g: PlanarGraph, store: FlowStore, sinks) -> int:
     return sum(acc[t] for t in sinks)
 
 
-def residual_reachable(g: PlanarGraph, store: FlowStore, start, reverse=False) -> set:
+def residual_reachable(g: PlanarGraph, store: FlowStore, start, seen=None) -> set:
     """Nodes reachable from the start set along darts with positive residual.
 
-    With reverse=True: the nodes that reach the start set instead.  The
-    search then stands at v and crosses dart d only if rev(d), the dart
-    from head(d) into v, has positive residual.
+    With a caller's seen array (one byte per node of g), the search skips
+    the nodes already marked, marks the nodes it reaches and returns only
+    those: searches that share one array visit each node once between them.
     """
-    back = 1 if reverse else 0
-    seen = bytearray(g.n)
+    if seen is None:
+        seen = bytearray(g.n)
     reached = []
     for v in start:
         if not seen[v]:
@@ -129,7 +129,7 @@ def residual_reachable(g: PlanarGraph, store: FlowStore, start, reverse=False) -
             key = keys[d >> 1]
             if key == NO_KEY:
                 continue
-            res = caps[key] - vals[key] if (d & 1) == back else vals[key]
+            res = vals[key] if d & 1 else caps[key] - vals[key]
             if res > 0:
                 w = tails[d >> 1] if d & 1 else heads[d >> 1]
                 if not seen[w]:

@@ -10,7 +10,7 @@ disagree with it.
 
 Every arc owns two darts.  Dart ``2*a`` points with arc ``a`` and carries
 its capacity; dart ``2*a + 1`` points against it and carries capacity
-zero.  ``rev(d) == d ^ 1``.
+zero.  The reverse of dart ``d`` is ``d ^ 1``.
 
 Arcs carry a *flow key*, the index of their entry in a
 :class:`planarflow.flow.FlowStore`.  Artificial zero-capacity arcs that
@@ -36,7 +36,7 @@ def walk_faces(tails, heads, rot):
     """Face walks of a rotation system, plus the face index of every dart.
 
     Walks start at their lowest-index dart and are listed in that order.
-    The successor of dart d is the dart after rev(d) in the clockwise
+    The successor of dart d is the dart after d ^ 1 in the clockwise
     rotation at the head of d.
     """
     num_darts = 2 * len(tails)

@@ -207,6 +207,10 @@ def import_dimacs_max(text: str) -> InstanceFile:
             t, h, c = (_int_field(lineno, x) for x in parts[1:])
             if c < 0:
                 raise ParseError(lineno, "capacity must be non-negative")
+            if num_nodes is None or not (0 < t <= num_nodes and 0 < h <= num_nodes):
+                raise ParseError(lineno, "arc endpoint outside the problem line's nodes")
+            if t == h:
+                raise ParseError(lineno, f"arc joins node {t} to itself")
             pair = (min(t, h) - 1, max(t, h) - 1)
             if pair in line_of_pair:
                 raise ParseError(lineno, f"nodes {t} and {h} already joined on line "

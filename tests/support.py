@@ -10,6 +10,7 @@ import random
 from collections import deque
 
 from planarflow.flow import FlowStore
+from planarflow.graph import NO_KEY
 from planarflow.solvers import (
     ResidualNet,
     graph_arcs,
@@ -246,3 +247,49 @@ def sink_push_trial(rng):
                                     push_sources, push_sinks)
     store.apply(deltas)
     return not (reach(n, ka, store, observers) & protected)
+
+
+def walk_violations(g, store, sources, sinks, boundary, i):
+    """The six reachability predicates of walk step i, each checked by its
+    own breadth-first search over g's keyed arcs: forward from a class,
+    or backward from the unprocessed nodes for the overfull-to-unprocessed
+    one.  Returns the names of the predicates that fail."""
+    forward = [[] for _ in range(g.n)]
+    backward = [[] for _ in range(g.n)]
+    balance = [0] * g.n
+    for a in range(g.m):
+        key = g.keys[a]
+        if key == NO_KEY:
+            continue
+        t, h = g.tails[a], g.heads[a]
+        f, c = store.vals[key], store.caps[key]
+        balance[h] += f
+        balance[t] -= f
+        for u, w, res in ((t, h, c - f), (h, t, f)):
+            if res > 0:
+                forward[u].append(w)
+                backward[w].append(u)
+
+    def bfs(adj, start):
+        seen = set(start)
+        queue = deque(seen)
+        while queue:
+            for w in adj[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        return seen
+
+    processed, unprocessed = boundary[: i + 1], boundary[i + 1:]
+    pos = {p for p in processed if balance[p] > 0}
+    neg = {p for p in processed if balance[p] < 0}
+    from_sources = bfs(forward, sources)
+    failed = {
+        "source reaches a sink": from_sources & set(sinks),
+        "source reaches a boundary node": from_sources & set(boundary),
+        "boundary node reaches a sink": bfs(forward, boundary) & set(sinks),
+        "unprocessed node reaches a drained processed node": bfs(forward, unprocessed) & neg,
+        "overfull processed node reaches an unprocessed node": bfs(backward, unprocessed) & pos,
+        "overfull processed node reaches a drained one": bfs(forward, pos) & neg,
+    }
+    return sorted(name for name, hit in failed.items() if hit)

@@ -187,6 +187,9 @@ def test_config_rejects_unknown_key(tmp_path):
     pytest.param("p max 2 1\np max 2 1", 1, id="p max 2 1 twice-2"),
     pytest.param("n 1 s\nn 2 s", 2, id="n 2 s after n 1 s-3"),
     pytest.param("n 2 t\nn 2 t", 3, id="n 2 t twice-4"),
+    ("a 2 9 5", 4),
+    ("a 0 2 5", 4),
+    ("a 2 2 5", 4),
 ])
 def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, lineno):
     """bad_line replaces line lineno; the error names bad_line's last line."""
@@ -229,6 +232,9 @@ def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, linen
     ["bench", "--kinds", "grid", "--sizes", "9", "--s-frac", "1.5"],
     ["solve", "{tmp}/not-utf8.bin"],
     ["import-dimacs", "{tmp}/not-utf8.bin"],
+    ["import-dimacs", "{tmp}/arc-endpoint-9.max"],
+    ["import-dimacs", "{tmp}/arc-endpoint-0.max"],
+    ["import-dimacs", "{tmp}/arc-loop.max"],
     ["solve", "{inst}", "--config", "{tmp}/not-utf8.bin"],
 ], ids=["missing-instance", "missing-dimacs", "unknown-config-key",
         "non-integer-base-case", "base-case-1", "trace-in-missing-dir",
@@ -239,17 +245,29 @@ def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, linen
         "check-count-0", "bench-repeats-0", "bench-repeats-minus-2",
         "gen-s-frac-1.5", "gen-s-frac-minus-0.5", "gen-t-frac-nan", "gen-s-frac-inf",
         "bench-s-frac-1.5",
-        "solve-not-utf8", "import-dimacs-not-utf8", "config-not-utf8"])
+        "solve-not-utf8", "import-dimacs-not-utf8", "import-dimacs-arc-endpoint-9",
+        "import-dimacs-arc-endpoint-0", "import-dimacs-arc-loop", "config-not-utf8"])
 def test_bad_outside_input_exits_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "unknown-key.cfg").write_text("bogus = 1\n")
     (tmp_path / "bad-base-case.cfg").write_text("base_case = x\n")
     (tmp_path / "not-utf8.bin").write_bytes(b"\xff")
+    bad_arcs = {  # file -> (arc line, the error it must get at its own line)
+        "arc-endpoint-9.max": ("a 3 9 5", "arc endpoint outside the problem line's nodes"),
+        "arc-endpoint-0.max": ("a 0 2 5", "arc endpoint outside the problem line's nodes"),
+        "arc-loop.max": ("a 3 3 5", "arc joins node 3 to itself"),
+    }
+    for name, (arc, _) in bad_arcs.items():
+        (tmp_path / name).write_text(f"p max 4 4\nn 1 s\nn 4 t\n{arc}\n")
     inst = tmp_path / "inst.txt"
     inst.write_text(generate("tri", 20, 1).text())
     argv = [a.format(tmp=tmp_path, inst=inst) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    name = argv[-1].rsplit("/", 1)[-1]
+    if name in bad_arcs:
+        assert err == f"import error: line 4: {bad_arcs[name][1]}\n"
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_import_dimacs(tmp_path, capsys):

@@ -6,10 +6,11 @@ from planarflow import engine
 from planarflow.config import EngineConfig
 from planarflow.engine import MsmsEngine, msms_max_flow
 from planarflow.errors import AuditFailure, SettlementStuck
-from planarflow.flow import FlowStore, is_feasible, residual_reachable
+from planarflow.flow import inflow_all, is_feasible, residual_reachable
 from planarflow.generate import generate
 from planarflow.graph import PlanarGraph, build_graph, is_triangulated_biconnected, walk_faces
 from planarflow.solvers import oracle_max_flow
+from support import walk_violations
 
 
 def oracle_value(g, sources, sinks):
@@ -190,21 +191,6 @@ def test_settlement_rejects_an_order_against_a_positive_arc(monkeypatch):
         eng._settle_pseudoflow(g, {0}, {2})
 
 
-def test_residual_reachable_reverse_mirrors_forward():
-    inst = generate("tri", 30, 9)
-    g, ts = inst.build()
-    store = FlowStore.for_graph(g)
-    rng = random.Random(1)
-    from planarflow.solvers import graph_arcs, solve_msms_residual
-    _, deltas = solve_msms_residual(store, graph_arcs(g, store),
-                                    ts.sources, ts.sinks)
-    store.apply(deltas)
-    for v in range(0, g.n, 7):
-        reaching = residual_reachable(g, store, {v}, reverse=True)
-        for u in range(g.n):
-            assert (u in reaching) == (v in residual_reachable(g, store, {u}))
-
-
 def test_audit_mode_counts_checks():
     inst = generate("grid", 90, 6)
     g, ts = inst.build()
@@ -212,7 +198,50 @@ def test_audit_mode_counts_checks():
     res_full = msms_max_flow(g, ts.sources, ts.sinks,
                              EngineConfig(audit="full", base_case=16))
     assert res_none.audits == 0
-    assert res_full.audits > 10
+    assert res_full.audits == 536
+
+
+def test_walk_that_pushes_nothing_fails_the_full_audit_at_a_named_step(monkeypatch):
+    monkeypatch.setattr(engine, "limited_max_flow",
+                        lambda store, net, src, dst, limit: (0, []))
+    g, ts = generate("grid", 200, 3).build()
+    with pytest.raises(AuditFailure, match=r"^depth \d+ walk step \d+: .* \(nodes \[\d"):
+        msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(audit="full", base_case=16))
+
+
+def test_walk_audit_is_exact_on_random_residual_states():
+    """The engine's shared-search walk audit fails exactly on the states
+    where separate searches find a broken predicate, and names one of
+    them; a passing audit makes the same number of checks as before."""
+    rng = random.Random(19)
+    outcomes = set()
+    for _ in range(1500):
+        kind = rng.choice(["grid", "tri"])
+        g, _ = generate(kind, rng.randint(6, 40), rng.randrange(10 ** 6),
+                        cap_max=rng.choice((1, 2, 5))).build()
+        nodes = list(range(g.n))
+        rng.shuffle(nodes)
+        a, b = rng.randint(1, 2), rng.randint(1, 2)
+        k = rng.randint(2, min(8, g.n - a - b))
+        sources, sinks, boundary = set(nodes[:a]), set(nodes[a:a + b]), nodes[a + b:a + b + k]
+        i = rng.randrange(k - 1)
+        eng = MsmsEngine(g, sources, sinks, EngineConfig(audit="full"))
+        eng.store.vals[:] = [rng.randint(0, c) for c in eng.store.caps]
+        expected = walk_violations(g, eng.store, sources, sinks, boundary, i)
+        try:
+            eng._audit_redistribute_iteration(g, boundary, sources, sinks, i, 2)
+        except AuditFailure as err:
+            where, what = str(err).split(": ", 1)
+            assert where == f"depth 2 walk step {i}"
+            assert what.rsplit(" (nodes ", 1)[0] in expected
+            outcomes.add("fails")
+        else:
+            assert expected == []
+            balance = inflow_all(g, eng.store)
+            signs = {(balance[p] > 0) - (balance[p] < 0) for p in boundary[: i + 1]}
+            assert eng.audits == 5 + ({1, -1} <= signs)
+            outcomes.add("passes")
+    assert outcomes == {"fails", "passes"}
 
 
 def cyclic_faces(walks):

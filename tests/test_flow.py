@@ -15,6 +15,7 @@ from planarflow.flow import (
     is_pseudoflow,
     residual_reachable,
 )
+from planarflow.generate import generate
 from planarflow.graph import build_graph
 from planarflow.solvers import graph_arcs, solve_msms_residual
 
@@ -108,6 +109,21 @@ def test_residual_reachability_before_and_after_saturation():
     store.apply([(0, 4)])
     assert residual_reachable(g, store, {0}) == {0}
     assert residual_reachable(g, store, {1}) == {0, 1}  # reverse dart now residual
+
+
+def test_residual_searches_sharing_a_seen_array_visit_each_node_once():
+    g, _ = generate("grid", 60, 0, cap_max=1).build()
+    store = FlowStore.for_graph(g)
+    rng = random.Random(0)
+    store.vals[:] = [rng.randint(0, c) for c in store.caps]
+    for a_start, b_start in [({2}, {9}), ({21}, {30}), ({2, 21}, {9, 30})]:
+        reach_a = residual_reachable(g, store, a_start)
+        reach_b = residual_reachable(g, store, b_start)
+        assert reach_a & reach_b and reach_b - reach_a   # the searches overlap
+        seen = bytearray(g.n)
+        assert residual_reachable(g, store, a_start, seen) == reach_a
+        assert residual_reachable(g, store, b_start, seen) == reach_b - reach_a
+        assert [v for v in range(g.n) if seen[v]] == sorted(reach_a | reach_b)
 
 
 def test_no_residual_source_sink_path_after_max_flow():

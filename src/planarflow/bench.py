@@ -18,6 +18,7 @@ from .config import EngineConfig, with_overrides
 from .engine import MsmsEngine
 from .errors import InvariantFailure
 from .generate import generate
+from .separator import BOUNDARY_CONSTANT
 from .solvers import oracle_max_flow
 
 BALANCE_CONSTANT = (1.0 / 3.0) ** 1.5 + (2.0 / 3.0) ** 1.5
@@ -101,8 +102,8 @@ class RunReport:
         return self.value == self.oracle_value and self.shape_ok
 
 
-def check_one(kind, n, seed, cap_max=10 ** 6, config: EngineConfig | None = None,
-              c_sep: float = 8.0) -> RunReport:
+def check_one(kind, n, seed, cap_max=10 ** 6,
+              config: EngineConfig | None = None) -> RunReport:
     """Solve one seeded instance with full audits and verify against the
     oracle; audit failures propagate as AuditFailure."""
     cfg = config or EngineConfig(audit="full")
@@ -118,7 +119,7 @@ def check_one(kind, n, seed, cap_max=10 ** 6, config: EngineConfig | None = None
         kind=kind, n=g.n, seed=seed, value=res.value, oracle_value=want,
         seconds=elapsed, depth=res.stats.max_depth,
         max_boundary=res.stats.max_boundary, audits=res.audits,
-        shape_ok=not res.stats.shape_violations(c_sep),
+        shape_ok=not res.stats.shape_violations(),
     )
 
 
@@ -137,7 +138,7 @@ def fit_exponent(rows) -> float | None:
     return sxy / sxx
 
 
-def report(rows, c_sep: float) -> str:
+def report(rows) -> str:
     lines = [CSV_HEADER]
     lines += [r.csv() for r in rows]
     exponent = fit_exponent(rows)
@@ -146,7 +147,7 @@ def report(rows, c_sep: float) -> str:
         lines.append("# empirical scaling exponent: insufficient data")
     else:
         lines.append(f"# empirical scaling exponent (log time vs log n): {exponent:.3f}")
-    lines.append(f"# boundary size constant in use: c_sep = {c_sep}")
+    lines.append(f"# boundary size constant in use: c_sep = {BOUNDARY_CONSTANT}")
     worst = max((r.max_child_ratio for r in rows), default=0.0)
     lines.append(f"# worst child/parent size ratio observed: {worst:.4f}"
                  f" (bound per level: 2/3 + c_sep/sqrt(n))")

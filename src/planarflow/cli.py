@@ -18,7 +18,6 @@ from .instance import (
     parse_instance_file,
     serialize_instance,
 )
-from .separator import BOUNDARY_CONSTANT
 
 EXIT_PARSE = 2
 EXIT_AUDIT = 3
@@ -173,8 +172,7 @@ def cmd_check(args) -> int:
     for i in range(args.count):
         seed = args.seed + i
         try:
-            rep = check_one(args.kind, args.n, seed, cap_max=args.cap_max,
-                            config=cfg, c_sep=BOUNDARY_CONSTANT)
+            rep = check_one(args.kind, args.n, seed, cap_max=args.cap_max, config=cfg)
         except InvariantFailure as e:
             audit_failures += 1
             print(f"FAILED kind={args.kind} n={args.n} seed={seed} "
@@ -216,7 +214,7 @@ def cmd_bench(args) -> int:
     except InvariantFailure as e:
         print(f"{_failure_kind(e)}: {e}", file=sys.stderr)
         return EXIT_AUDIT
-    sys.stdout.write(report(rows, BOUNDARY_CONSTANT))
+    sys.stdout.write(report(rows))
     return 0
 
 

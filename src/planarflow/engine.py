@@ -1,15 +1,16 @@
 """Recursive multiple-source multiple-sink max flow on planar graphs.
 
 One level of the recursion: split the graph along a balanced cycle
-separator, recurse into both pieces, push flow between each piece's
-terminals and its boundary through a virtual infinite-capacity apex,
-walk the boundary nodes in cyclic order moving each one's imbalance onto
-the still-unwalked suffix with limited flows, and finally settle the
-remaining boundary imbalance back onto the terminals: cancel the flow
-cycles, then push each imbalance along the acyclic rest in the
-topological order the cancelling DFS returns.  All flow lives in
-one global store; every subroutine sees current residual capacities and
-its result is accumulated immediately.
+separator, recurse into both pieces, push flow in each piece from its
+sources into its boundary node set and from that set into its sinks (the
+set stands in for the paper's infinite-capacity apex), walk the boundary
+nodes in cyclic order moving each one's imbalance onto the still-unwalked
+suffix with limited flows, and finally settle the remaining boundary
+imbalance back onto the terminals: cancel the flow cycles, then push
+each imbalance along the acyclic rest in the topological order the
+cancelling DFS returns.  All flow lives in one global store; every
+subroutine sees current residual capacities and its result is
+accumulated immediately.
 
 The input is triangulated once, at the root; every piece inherits its
 triangulation and its faces from the split (see separator.py).
@@ -48,7 +49,7 @@ from .flow import (
     residual_reachable,
 )
 from .graph import NO_KEY, PlanarGraph, TerminalSets, is_triangulated_biconnected
-from .separator import find_cycle_separator, split_into_pieces
+from .separator import BOUNDARY_CONSTANT, find_cycle_separator, split_into_pieces
 from .solvers import (
     graph_arcs,
     limited_max_flow,
@@ -83,13 +84,14 @@ class RecursionStats:
             self.max_boundary_ratio = max(
                 self.max_boundary_ratio, rec.boundary / sqrt(rec.n))
 
-    def shape_violations(self, c_sep: float):
-        """Splits where a child exceeds (2/3) parent + c_sep * sqrt(parent)."""
+    def shape_violations(self):
+        """Splits where a child exceeds (2/3) parent + c * sqrt(parent),
+        with c = separator.BOUNDARY_CONSTANT."""
         bad = []
         for rec in self.levels:
             if rec.kind != "split":
                 continue
-            bound = (2.0 / 3.0) * rec.n + c_sep * sqrt(rec.n)
+            bound = (2.0 / 3.0) * rec.n + BOUNDARY_CONSTANT * sqrt(rec.n)
             for child in rec.child_sizes:
                 if child > bound:
                     bad.append((rec.n, child, bound))
@@ -110,12 +112,15 @@ class MsmsEngine:
     def __init__(self, graph: PlanarGraph, sources, sinks,
                  config: EngineConfig | None = None, trace=None):
         TerminalSets(frozenset(sources), frozenset(sinks))
+        bad = sorted(v for v in {*sources, *sinks} if v not in range(graph.n))
+        if bad:
+            raise ValueError(f"terminal ids outside the graph's nodes 0..{graph.n - 1}: "
+                             f"{bad[:5]}")
         self.root = graph
         self.sources = set(sources)
         self.sinks = set(sinks)
         self.cfg = config or EngineConfig()
         self.store = FlowStore.for_graph(graph)
-        self.inf = 1 + graph.total_capacity()
         self.trace = trace
         self.stats = RecursionStats()
         self.audits = 0
@@ -221,9 +226,10 @@ class MsmsEngine:
 
         The new arc's capacity is the terminal's real directional
         capacity (arcs out of a source, into a sink): large enough that
-        the max-flow value is exactly preserved, small enough that the
-        arc cannot combine with an apex arc to carry unbounded junk flow
-        that would saturate the apex attachment.
+        the max-flow value is exactly preserved.  It must be finite: the
+        arc joins a boundary node to a terminal of the piece, so the source
+        push (into the boundary) or the sink push (out of it) would send an
+        unbounded flow across it.
         """
         sources = set(sources)
         sinks = set(sinks)
@@ -249,24 +255,24 @@ class MsmsEngine:
     # -- per-piece boundary pushes (apex phases) --------------------------------
 
     def _push_boundary_phase(self, piece, side, sub_sources, sub_sinks, depth):
-        """Push sources to the boundary, then the boundary to sinks, through
-        a virtual apex.  Its arcs are solver scratch, so their flow is never
-        stored: that is what leaves the imbalance on the boundary nodes.
-        Both pushes run on one residual net of the piece."""
+        """Push the sources into the boundary node set, then that set into
+        the sinks; the set stands in for the paper's apex (see attach_apex).
+        That leaves the imbalance on the boundary nodes.  Both pushes run
+        on one residual net of the piece."""
         store = self.store
         if sub_sources or sub_sinks:
-            apex, apex_arcs = attach_apex(piece.graph, piece.boundary_local, self.inf)
-            net = graph_arcs(piece.graph, store, apex_arcs)
+            boundary = attach_apex(piece.graph, piece.boundary_local)
+            net = graph_arcs(piece.graph, store)
         value_in = value_out = 0
         if sub_sources:
-            value_in, deltas = msss_max_flow(store, net, sub_sources, apex)
+            value_in, deltas = msss_max_flow(store, net, sub_sources, boundary)
             store.apply(deltas)
         self._emit({"op": "push_sources_to_boundary", "depth": depth,
                     "piece": side, "value": value_in})
         self._audit_piece_sources_blocked(piece, side, sub_sources, sub_sinks, depth)
 
         if sub_sinks:
-            value_out, deltas = ssms_max_flow(store, net, apex, sub_sinks)
+            value_out, deltas = ssms_max_flow(store, net, boundary, sub_sinks)
             store.apply(deltas)
         self._emit({"op": "push_boundary_to_sinks", "depth": depth,
                     "piece": side, "value": value_out})
@@ -386,9 +392,8 @@ class MsmsEngine:
                               "source reaches a sink")
 
     def _audit_piece_sources_blocked(self, piece, side, sub_sources, sub_sinks, depth):
-        """After pushing sources to the apex: within the piece there is no
-        residual path from the sources to the sinks, nor to the boundary.
-        (A residual path into the apex passes a boundary node first.)"""
+        """After the source push: within the piece there is no residual
+        path from the sources to the sinks, nor to the boundary."""
         if self.cfg.audit != "full":
             return
         reach = residual_reachable(piece.graph, self.store, sub_sources)
@@ -439,7 +444,7 @@ class MsmsEngine:
         self._check_unreached(from_boundary, sinks, where, "boundary node reaches a sink")
 
     def _audit_piece_complete(self, piece, side, sub_sources, sub_sinks, depth):
-        """After both apex pushes, within the piece."""
+        """After both pushes, within the piece."""
         if self.cfg.audit != "full":
             return
         self._audit_separated(piece.graph, sub_sources, sub_sinks, piece.boundary_local,

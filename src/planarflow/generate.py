@@ -145,7 +145,7 @@ def generate(kind, n, seed, cap_max=9, s_frac=0.1, t_frac=0.1) -> InstanceFile:
     rng = random.Random(seed)
     if kind == "grid":
         tails, heads, caps, rot = grid_arrays(n, rng, cap_max)
-    elif kind in ("tri", "triangulation"):
+    elif kind == "tri":
         tails, heads, caps, rot = random_triangulation_arrays(n, rng, cap_max)
     else:
         raise ValueError(f"unknown instance kind {kind!r}")

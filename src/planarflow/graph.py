@@ -148,9 +148,6 @@ class PlanarGraph:
         else:
             _check_given_faces(self._faces, faces, face_of)
 
-    def total_capacity(self) -> int:
-        return sum(self.caps)
-
 
 def bfs_tree(g: PlanarGraph):
     """Breadth-first spanning tree from node 0, darts taken in rotation

@@ -173,7 +173,7 @@ def import_dimacs_max(text: str) -> InstanceFile:
     a rows-by-cols grid over nodes numbered row-major; anything else is
     rejected, since the format carries no embedding.
     """
-    num_nodes = None
+    num_nodes = num_arcs = None
     arcs = []
     line_of_pair = {}
     ends = {}             # "s" and "t" -> node
@@ -186,7 +186,9 @@ def import_dimacs_max(text: str) -> InstanceFile:
                 raise ParseError(lineno, "expected 'p max <nodes> <arcs>'")
             if num_nodes is not None:
                 raise ParseError(lineno, "duplicate problem line")
-            num_nodes = _int_field(lineno, parts[2])
+            num_nodes, num_arcs = _int_field(lineno, parts[2]), _int_field(lineno, parts[3])
+            if num_nodes < 1 or num_arcs < 0:
+                raise ParseError(lineno, "need at least 1 node and at least 0 arcs")
         elif parts[0] == "n":
             if len(parts) != 3:
                 raise ParseError(lineno, "expected 'n <node> s|t'")
@@ -217,8 +219,12 @@ def import_dimacs_max(text: str) -> InstanceFile:
                                          f"{line_of_pair[pair]}")
             line_of_pair[pair] = lineno
             arcs.append((t - 1, h - 1, c))
+        else:
+            raise ParseError(lineno, f"unknown line tag {parts[0]!r}")
     if num_nodes is None or len(ends) < 2:
         raise ParseError(1, "missing problem line or terminal descriptors")
+    if len(arcs) != num_arcs:
+        raise ParseError(1, f"problem line promises {num_arcs} arcs, found {len(arcs)}")
 
     for rows in range(1, num_nodes + 1):
         if num_nodes % rows:

@@ -19,8 +19,11 @@ phase labels nodes with their residual distance to the whole sink set
 (a BFS back from the sinks that stops at the first source it pops) and
 augments only along darts that lower that label by one, lowest-index
 admissible dart first, so every path is a shortest path to a sink.  No
-supersource or supersink is added.  Values are those of any max flow;
-which maximum flow, hence arc_flows, depends on this choice of paths.
+node or arc is ever added: terminal sets stand in for the paper's
+supersource, supersink, per-piece apex and boundary-suffix chain, with
+the same values since every finite cut keeps each such set on one side.
+Values are those of any max flow; which maximum flow, hence arc_flows,
+depends on this choice of paths.
 """
 
 from __future__ import annotations
@@ -32,22 +35,18 @@ from .graph import NO_KEY, PlanarGraph
 
 
 class ResidualNet:
-    """Residual dart arrays of keyed arcs under a store's flow, followed
-    by a tail of unkeyed scratch arcs.
+    """Residual dart arrays of keyed arcs under a store's flow.
 
     The net's arc a, its a-th keyed arc, owns dart 2a (tail to head,
     residual cap - flow) and dart 2a + 1 (head to tail, residual flow);
-    keys[a] is its flow key.  The
-    scratch arcs come after every keyed arc, and every solver call leaves
-    them as built.  len(net) is the number of keyed arcs.
+    keys[a] is its flow key.  len(net) is the number of keyed arcs.
     """
 
-    __slots__ = ("adj", "head", "res", "keys", "scratch_res")
+    __slots__ = ("adj", "head", "res", "keys")
 
-    def __init__(self, num_nodes, arcs, store, scratch=()):
+    def __init__(self, num_nodes, arcs, store):
         """arcs: (tail, head, key) triples, read once; NO_KEY arcs are
-        skipped.  scratch: (tail, head, res_fwd, res_rev) arcs whose flow
-        is never returned."""
+        skipped."""
         vals, caps = store.vals, store.caps
         adj = [[] for _ in range(num_nodes)]
         head, res, keys = [], [], []
@@ -60,28 +59,15 @@ class ResidualNet:
             head += (h, t)
             res += (caps[key] - f, f)
             keys.append(key)
-        _add_darts(adj, head, res, scratch)
         self.adj, self.head, self.res, self.keys = adj, head, res, keys
-        self.scratch_res = res[2 * len(keys):]
 
     def __len__(self):
         return len(self.keys)
 
 
-def graph_arcs(g: PlanarGraph, store, scratch=()) -> ResidualNet:
-    """The residual net of g's keyed arcs under the store's flow.  Scratch
-    arcs may end at node g.n, the apex."""
-    return ResidualNet(g.n + 1 if scratch else g.n,
-                       zip(g.tails, g.heads, g.keys), store, scratch)
-
-
-def _add_darts(adj, head, res, arcs):
-    """Append darts 2a and 2a + 1 for each (tail, head, res_fwd, res_rev)."""
-    for (t, h, fwd, rev) in arcs:
-        adj[t].append(len(head))
-        adj[h].append(len(head) + 1)
-        head += (h, t)
-        res += (fwd, rev)
+def graph_arcs(g: PlanarGraph, store) -> ResidualNet:
+    """The residual net of g's keyed arcs under the store's flow."""
+    return ResidualNet(g.n, zip(g.tails, g.heads, g.keys), store)
 
 
 def _dinic(adj, head, res, sources, sinks, limit=None):
@@ -165,7 +151,7 @@ def _solve_terminal_sets(store, net, sources, sinks, limit=None):
 
     An arc's delta is its final reverse residual minus its stored flow,
     read only for the keyed arcs an augmenting path used.  The net keeps
-    its final residuals, except that the scratch tail is reset.
+    its final residuals.
     """
     if set(sources) & set(sinks):
         raise ValueError("sources and sinks overlap")
@@ -176,12 +162,9 @@ def _solve_terminal_sets(store, net, sources, sinks, limit=None):
                           sorted(sinks), limit)
     deltas = []
     for a in sorted({d >> 1 for d in darts}):
-        if a >= len(keys):
-            break         # scratch arcs follow every keyed arc
         delta = res[2 * a + 1] - vals[keys[a]]
         if delta:
             deltas.append((keys[a], delta))
-    res[2 * len(keys):] = net.scratch_res
     return value, deltas
 
 
@@ -192,20 +175,17 @@ def _solve_terminal_sets(store, net, sources, sinks, limit=None):
 # (value, deltas); the caller applies the deltas to keep the two in step.
 
 
-def msss_max_flow(store, net, sources, sink):
-    """Maximum flow from a source set to one sink in the residual graph.
-
-    After the deltas are accumulated, no residual path from the sources
-    to the sink remains.  The net's scratch arcs may carry flow, but it
-    is not part of the returned deltas.
-    """
-    return _solve_terminal_sets(store, net, sources, [sink])
+def msss_max_flow(store, net, sources, sinks):
+    """The source push of one piece: maximum flow from its sources into
+    its boundary node set, the apex's stand-in (see surgery.attach_apex).
+    Afterwards no residual path from the sources to the sinks remains."""
+    return _solve_terminal_sets(store, net, sources, sinks)
 
 
-def ssms_max_flow(store, net, source, sinks):
-    """Maximum flow from one source to a sink set; scratch as for
-    msss_max_flow."""
-    return _solve_terminal_sets(store, net, [source], sinks)
+def ssms_max_flow(store, net, sources, sinks):
+    """The sink push of one piece: maximum flow from its boundary node set
+    into its sinks.  Afterwards no residual path between them remains."""
+    return _solve_terminal_sets(store, net, sources, sinks)
 
 
 def limited_max_flow(store, net, sources, sinks, delta):
@@ -254,7 +234,11 @@ def oracle_max_flow(num_nodes, arcs, sources, sinks) -> OracleResult:
         return OracleResult(0, {}, frozenset(sources), 0)
     adj = [[] for _ in range(num_nodes)]
     head, res = [], []
-    _add_darts(adj, head, res, ((t, h, c, 0) for (t, h, c) in arcs))
+    for (t, h, c) in arcs:
+        adj[t].append(len(head))
+        adj[h].append(len(head) + 1)
+        head += (h, t)
+        res += (c, 0)
     value, _ = _dinic(adj, head, res, sorted(sources), sorted(sinks))
     flows = {a: res[2 * a + 1] for a in range(len(arcs)) if res[2 * a + 1]}
 

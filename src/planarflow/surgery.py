@@ -9,8 +9,8 @@ dart.  Everything below is built from that one splice rule.
 Added arcs are either zero-capacity (triangulation and biconnection
 chords, which can never carry flow) or terminal attachments at least as
 large as the terminal's own capacity, so the maximum flow value between
-any terminal sets is unchanged.  The apex of the per-piece pushes is not
-embedded at all: attach_apex only lists its arcs for the solvers.
+any terminal sets is unchanged.  The apex of the per-piece pushes adds
+nothing: attach_apex names the boundary node set that stands in for it.
 
 Surgery keeps the faces along with the rotations: each edit knows the
 walks its darts land in, so its result carries its face list and no
@@ -209,16 +209,14 @@ def detach_terminal_from_cycle(g: PlanarGraph, detaches, store: FlowStore):
                        face_of=face_of), new_nodes
 
 
-def attach_apex(g: PlanarGraph, boundary, inf_cap: int):
-    """Join a virtual apex node g.n, not embedded, to every boundary node.
+def attach_apex(g: PlanarGraph, boundary):
+    """The terminal set that stands in for the paper's apex of g: the
+    boundary nodes, in cycle order.
 
-    Returns (apex, arcs): per boundary node b in order, the arcs b -> apex
-    and apex -> b of capacity inf_cap, in the unkeyed scratch form
-    (tail, head, res_fwd, res_rev) whose flow never reaches the store.
+    The paper joins a virtual apex to every boundary node by
+    infinite-capacity arcs and pushes sources -> apex, then apex -> sinks.
+    Every finite cut puts the whole boundary on the apex's side, so a
+    flow into this set as sinks, or out of it as sources, has the same
+    value.  No node or arc is added to g.
     """
-    apex = g.n
-    arcs = []
-    for b in boundary:
-        arcs.append((b, apex, inf_cap, 0))
-        arcs.append((apex, b, inf_cap, 0))
-    return apex, arcs
+    return list(boundary)

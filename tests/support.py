@@ -77,10 +77,60 @@ def keyed(store, arcs):
     return [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
 
 
-def residual_net(n, keyed_arcs, store, scratch=()):
+def residual_net(n, keyed_arcs, store):
     """The residual net of (tail, head, cap, key) arcs under the store."""
-    return ResidualNet(n, ((t, h, key) for (t, h, _, key) in keyed_arcs),
-                       store, scratch)
+    return ResidualNet(n, ((t, h, key) for (t, h, _, key) in keyed_arcs), store)
+
+
+def apex_arcs(store, apex, boundary, inf):
+    """The paper's apex, kept as a reference for the boundary-set pushes:
+    node apex joined to each boundary node b by keyed arcs b -> apex and
+    apex -> b of capacity inf, as (tail, head, cap, key) tuples.
+
+    The arcs follow the boundary in increasing node order, the order in
+    which the solvers start from a terminal set.  So the blocking-flow
+    core's search from the apex meets the boundary in the same order as
+    its search from the set itself, and a push into the apex takes the
+    same paths as a push into the set, plus one apex arc each."""
+    return [(t, h, inf, store.new_key(inf))
+            for b in sorted(boundary) for (t, h) in ((b, apex), (apex, b))]
+
+
+def check_pushes_against_apex(n, arcs, flows, sources, sinks, boundary):
+    """The source push into the boundary set, then the sink push out of
+    it, on one net of arcs (tail, head, cap) carrying flows, against the
+    same two pushes through the apex reference on a copy.
+
+    The source push must return the apex push's value and its deltas on
+    the real arcs; the sink push must return the apex push's value and
+    leave no residual path from the boundary to the sinks.  Returns the
+    arcs' flows after both pushes."""
+    inf = 1 + sum(c for (_, _, c) in arcs)
+
+    def seeded():
+        store = FlowStore()
+        ka = keyed(store, arcs)
+        store.apply([(key, f) for (_, _, _, key), f in zip(ka, flows) if f])
+        return store, ka
+
+    store, ka = seeded()
+    net = residual_net(n, ka, store)
+    ref, ref_ka = seeded()
+    ref_net = residual_net(n + 1, ref_ka + apex_arcs(ref, n, boundary, inf), ref)
+    real = len(arcs)     # keys of the real arcs; the apex arcs come after
+
+    into = msss_max_flow(store, net, sources, boundary)
+    ref_into = msss_max_flow(ref, ref_net, sources, [n])
+    assert into == (ref_into[0], [(k, d) for k, d in ref_into[1] if k < real])
+    store.apply(into[1])
+    ref.apply(ref_into[1])
+
+    out = ssms_max_flow(store, net, boundary, sinks)
+    ref_out = ssms_max_flow(ref, ref_net, [n], sinks)
+    assert out[0] == ref_out[0]
+    store.apply(out[1])
+    assert not (reach(n, ka, store, boundary) & set(sinks))
+    return store.vals
 
 
 def reach(n, keyed_arcs, store, start):
@@ -196,11 +246,11 @@ def fuzz_sequence(pool, rng, ops_lo=2, ops_hi=4):
         if choice == 0:
             srcs = set(rng.sample(sources, rng.randint(1, len(sources))))
             t = rng.choice(sinks)
-            _, deltas = msss_max_flow(store, net, srcs, t)
+            _, deltas = msss_max_flow(store, net, srcs, {t})
         elif choice == 1:
             s = rng.choice(sources)
             snks = set(rng.sample(sinks, rng.randint(1, len(sinks))))
-            _, deltas = ssms_max_flow(store, net, s, snks)
+            _, deltas = ssms_max_flow(store, net, {s}, snks)
         elif choice == 2:
             s = rng.choice(sources)
             t = rng.choice(sinks)

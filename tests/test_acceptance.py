@@ -131,7 +131,7 @@ def test_criterion_5_recursion_shape():
                 depth_bound = math.ceil(math.log(g.n) / math.log(1.5)) + DEPTH_SLACK
                 if res.stats.max_depth > depth_bound:
                     bad.append((kind, n, seed, "depth", res.stats.max_depth))
-                viols = res.stats.shape_violations(BOUNDARY_CONSTANT)
+                viols = res.stats.shape_violations()
                 if viols:
                     bad.append((kind, n, seed, "child-size", viols[:2]))
                 max_depths.append((g.n, res.stats.max_depth, depth_bound))
@@ -156,7 +156,7 @@ def test_criterion_6_invariant_fuzz_100k_sequences():
 def test_criterion_7_bench_reports_scaling_not_asymptotics():
     rows = [run_one(kind, n, seed=3, cap_max=10 ** 4)
             for kind in ("grid", "tri") for n in (64, 128, 256, 512)]
-    text = report(rows, BOUNDARY_CONSTANT)
+    text = report(rows)
     assert "out of scope" in text
     assert "empirical scaling exponent" in text
     exponent = fit_exponent(rows)

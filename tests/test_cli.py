@@ -235,6 +235,11 @@ def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, linen
     ["import-dimacs", "{tmp}/arc-endpoint-9.max"],
     ["import-dimacs", "{tmp}/arc-endpoint-0.max"],
     ["import-dimacs", "{tmp}/arc-loop.max"],
+    ["import-dimacs", "{tmp}/arc-count-7.max"],
+    ["import-dimacs", "{tmp}/arc-count-x.max"],
+    ["import-dimacs", "{tmp}/arc-count-minus-1.max"],
+    ["import-dimacs", "{tmp}/nodes-0.max"],
+    ["import-dimacs", "{tmp}/unknown-tag.max"],
     ["solve", "{inst}", "--config", "{tmp}/not-utf8.bin"],
 ], ids=["missing-instance", "missing-dimacs", "unknown-config-key",
         "non-integer-base-case", "base-case-1", "trace-in-missing-dir",
@@ -246,26 +251,41 @@ def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, linen
         "gen-s-frac-1.5", "gen-s-frac-minus-0.5", "gen-t-frac-nan", "gen-s-frac-inf",
         "bench-s-frac-1.5",
         "solve-not-utf8", "import-dimacs-not-utf8", "import-dimacs-arc-endpoint-9",
-        "import-dimacs-arc-endpoint-0", "import-dimacs-arc-loop", "config-not-utf8"])
+        "import-dimacs-arc-endpoint-0", "import-dimacs-arc-loop",
+        "import-dimacs-arc-count-7", "import-dimacs-arc-count-x",
+        "import-dimacs-arc-count-minus-1", "import-dimacs-nodes-0",
+        "import-dimacs-unknown-tag", "config-not-utf8"])
 def test_bad_outside_input_exits_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "unknown-key.cfg").write_text("bogus = 1\n")
     (tmp_path / "bad-base-case.cfg").write_text("base_case = x\n")
     (tmp_path / "not-utf8.bin").write_bytes(b"\xff")
-    bad_arcs = {  # file -> (arc line, the error it must get at its own line)
-        "arc-endpoint-9.max": ("a 3 9 5", "arc endpoint outside the problem line's nodes"),
-        "arc-endpoint-0.max": ("a 0 2 5", "arc endpoint outside the problem line's nodes"),
-        "arc-loop.max": ("a 3 3 5", "arc joins node 3 to itself"),
+    head = "n 1 s\nn 2 t\na 1 2 3\n"
+    bad_dimacs = {  # file -> (text, the error it must get, at the line that holds it)
+        "arc-endpoint-9.max": ("p max 4 1\nn 1 s\nn 4 t\na 3 9 5\n",
+                               "line 4: arc endpoint outside the problem line's nodes"),
+        "arc-endpoint-0.max": ("p max 4 1\nn 1 s\nn 4 t\na 0 2 5\n",
+                               "line 4: arc endpoint outside the problem line's nodes"),
+        "arc-loop.max": ("p max 4 1\nn 1 s\nn 4 t\na 3 3 5\n",
+                         "line 4: arc joins node 3 to itself"),
+        "arc-count-7.max": ("p max 2 7\n" + head,
+                            "line 1: problem line promises 7 arcs, found 1"),
+        "arc-count-x.max": ("p max 2 x\n" + head, "line 1: expected an integer, got 'x'"),
+        "arc-count-minus-1.max": ("p max 2 -1\n" + head,
+                                  "line 1: need at least 1 node and at least 0 arcs"),
+        "nodes-0.max": ("p max 0 1\n" + head,
+                        "line 1: need at least 1 node and at least 0 arcs"),
+        "unknown-tag.max": ("p max 2 1\nx foo\n" + head, "line 2: unknown line tag 'x'"),
     }
-    for name, (arc, _) in bad_arcs.items():
-        (tmp_path / name).write_text(f"p max 4 4\nn 1 s\nn 4 t\n{arc}\n")
+    for name, (text, _) in bad_dimacs.items():
+        (tmp_path / name).write_text(text)
     inst = tmp_path / "inst.txt"
     inst.write_text(generate("tri", 20, 1).text())
     argv = [a.format(tmp=tmp_path, inst=inst) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     name = argv[-1].rsplit("/", 1)[-1]
-    if name in bad_arcs:
-        assert err == f"import error: line 4: {bad_arcs[name][1]}\n"
+    if name in bad_dimacs:
+        assert err == f"import error: {bad_dimacs[name][1]}\n"
     else:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 

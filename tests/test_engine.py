@@ -8,9 +8,15 @@ from planarflow.engine import MsmsEngine, msms_max_flow
 from planarflow.errors import AuditFailure, SettlementStuck
 from planarflow.flow import inflow_all, is_feasible, residual_reachable
 from planarflow.generate import generate
-from planarflow.graph import PlanarGraph, build_graph, is_triangulated_biconnected, walk_faces
+from planarflow.graph import (
+    NO_KEY,
+    PlanarGraph,
+    build_graph,
+    is_triangulated_biconnected,
+    walk_faces,
+)
 from planarflow.solvers import oracle_max_flow
-from support import walk_violations
+from support import check_pushes_against_apex, walk_violations
 
 
 def oracle_value(g, sources, sinks):
@@ -91,7 +97,7 @@ def test_terminals_on_separator_are_handled():
 
 
 def test_store_holds_only_root_arcs_and_detach_arcs():
-    # apex arcs are solver scratch and the walk adds no arcs: no store key
+    # the apex pushes and the walk add no arcs: no store key beyond the detaches
     inst = generate("grid", 400, 1)
     g, ts = inst.build()
     records = []
@@ -120,7 +126,7 @@ def test_stats_shape_bound_holds():
     inst = generate("tri", 400, 23)
     g, ts = inst.build()
     res = msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(base_case=24))
-    assert res.stats.shape_violations(c_sep=8.0) == []
+    assert res.stats.shape_violations() == []
     assert res.stats.max_depth <= 30
 
 
@@ -207,6 +213,56 @@ def test_walk_that_pushes_nothing_fails_the_full_audit_at_a_named_step(monkeypat
     g, ts = generate("grid", 200, 3).build()
     with pytest.raises(AuditFailure, match=r"^depth \d+ walk step \d+: .* \(nodes \[\d"):
         msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(audit="full", base_case=16))
+
+
+@pytest.mark.parametrize("push, message", [
+    ("msss_max_flow", r"^depth \d+ piece [01] source push: "),
+    ("ssms_max_flow", r"^depth \d+ piece [01] apex pushes: boundary node reaches a sink"),
+], ids=["source-push", "sink-push"])
+def test_apex_push_that_pushes_nothing_fails_the_full_audit(monkeypatch, push, message):
+    monkeypatch.setattr(engine, push, lambda store, net, sources, sinks: (0, []))
+    g, ts = generate("grid", 200, 3).build()
+    with pytest.raises(AuditFailure, match=message):
+        msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(audit="full", base_case=16))
+
+
+@pytest.mark.parametrize("kind, n, seed", [("grid", 200, 3), ("tri", 300, 8)])
+def test_boundary_set_pushes_match_the_apex_on_real_pieces(monkeypatch, kind, n, seed):
+    """At every piece of a recursive solve, from the flow the recursion
+    left there, the pushes into and out of the boundary set match the
+    pushes through the paper's apex (see check_pushes_against_apex), and
+    the engine's own pushes leave the same flow as that check's."""
+    phases = []
+    push = MsmsEngine._push_boundary_phase
+
+    def recording(self, piece, side, sub_sources, sub_sinks, depth):
+        g = piece.graph
+        keys = [k for k in g.keys if k != NO_KEY]
+        arcs = [(t, h, self.store.caps[k])
+                for t, h, k in zip(g.tails, g.heads, g.keys) if k != NO_KEY]
+        before = [self.store.vals[k] for k in keys]
+        push(self, piece, side, sub_sources, sub_sinks, depth)
+        after = [self.store.vals[k] for k in keys]
+        phases.append(((g.n, arcs, before, sorted(sub_sources), sorted(sub_sinks),
+                        piece.boundary_local), after))
+
+    monkeypatch.setattr(MsmsEngine, "_push_boundary_phase", recording)
+    g, ts = generate(kind, n, seed).build()
+    msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(base_case=16))
+    assert len(phases) > 4
+    for phase, after in phases:
+        assert check_pushes_against_apex(*phase) == after
+
+
+@pytest.mark.parametrize("base_case", [10 ** 9, 8], ids=["direct", "recursive"])
+def test_terminal_ids_outside_the_graph_are_rejected(base_case):
+    g, _ = generate("tri", 50, 1).build()
+    cfg = EngineConfig(base_case=base_case, audit="full")
+    for sources, sinks in (({-1}, {1}), ({0}, {g.n}), ({-1, 0}, {g.n, g.n + 7})):
+        with pytest.raises(ValueError, match=r"outside the graph's nodes 0\.\.49"):
+            msms_max_flow(g, sources, sinks, cfg)
+    with pytest.raises(ValueError, match=r": \[-2, -1, 50, 51, 52\]$"):
+        msms_max_flow(g, {-2, -1, 0}, {50, 51, 52, 53}, cfg)
 
 
 def test_walk_audit_is_exact_on_random_residual_states():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from support import edmonds_karp, residual_net
+from support import apex_arcs, check_pushes_against_apex, edmonds_karp, residual_net
 
 from planarflow.flow import (
     FlowStore,
@@ -39,7 +39,7 @@ def random_digraph(rng, n, density=0.45, cap_max=9):
 
 def test_msss_two_sources():
     g, store = fan_into_sink()
-    value, deltas = msss_max_flow(store, graph_arcs(g, store), {0, 1}, 2)
+    value, deltas = msss_max_flow(store, graph_arcs(g, store), {0, 1}, {2})
     store.apply(deltas)
     assert value == 2
     assert flow_value(g, store, {2}) == 2
@@ -49,7 +49,7 @@ def test_msss_unreachable_sink_is_zero():
     arcs = [(2, 0, 5), (2, 1, 5)]
     g = build_graph(3, arcs, [[2], [2], [0, 1]])
     store = FlowStore.for_graph(g)
-    value, deltas = msss_max_flow(store, graph_arcs(g, store), {0, 1}, 2)
+    value, deltas = msss_max_flow(store, graph_arcs(g, store), {0, 1}, {2})
     assert value == 0 and deltas == []
 
 
@@ -65,7 +65,7 @@ def test_msss_leaves_no_residual_path_to_sink():
         store = FlowStore()
         keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
         value, deltas = msss_max_flow(store, residual_net(n, keyed, store),
-                                      sources, sink)
+                                      sources, {sink})
         store.apply(deltas)
         oracle = oracle_max_flow(n, arcs, sources, {sink})
         assert value == oracle.value
@@ -97,7 +97,7 @@ def test_ssms_single_sink_matches_plain_max_flow():
     arcs = [(0, 1, 2), (1, 2, 3)]
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
-    value, deltas = ssms_max_flow(store, graph_arcs(g, store), 0, {2})
+    value, deltas = ssms_max_flow(store, graph_arcs(g, store), {0}, {2})
     store.apply(deltas)
     assert value == 2
     assert is_feasible(g, store, {0}, {2})
@@ -107,7 +107,7 @@ def test_ssms_source_with_no_outgoing_capacity_is_zero():
     arcs = [(1, 0, 4), (1, 2, 4)]
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
-    value, deltas = ssms_max_flow(store, graph_arcs(g, store), 0, {2})
+    value, deltas = ssms_max_flow(store, graph_arcs(g, store), {0}, {2})
     assert value == 0 and deltas == []
 
 
@@ -123,7 +123,7 @@ def test_ssms_matches_oracle_and_leaves_a_maximal_feasible_flow():
         store = FlowStore()
         keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
         value, deltas = ssms_max_flow(store, residual_net(n, keyed, store),
-                                      source, sinks)
+                                      {source}, sinks)
         store.apply(deltas)
         assert value == oracle_max_flow(n, arcs, {source}, sinks).value
         # the returned assignment is a feasible source-to-sinks flow
@@ -169,16 +169,17 @@ def test_limited_flow_rejects_overlapping_sets():
         limited_max_flow(store, graph_arcs(g, store), [0, 1], [1, 2], 3)
 
 
-def test_msss_scratch_arcs_carry_flow_but_return_no_deltas():
-    # 0 -> 1 (cap 2) plus an unkeyed scratch link 1 -> 2 to reach the sink
-    arcs = [(0, 1, 2), (2, 1, 9)]
+def test_msss_paths_stop_at_the_first_sink():
+    # 0 -> 1 (cap 2) -> 2 (cap 9), both 1 and 2 sinks: the flow ends at 1
+    arcs = [(0, 1, 2), (1, 2, 9)]
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
-    value, deltas = msss_max_flow(store, graph_arcs(g, store, [(1, 2, 100, 0)]),
-                                  [0], 2)
+    net = graph_arcs(g, store)
+    value, deltas = msss_max_flow(store, net, [0], {1, 2})
+    store.apply(deltas)
     assert value == 2
     assert deltas == [(0, 2)]
-    assert msss_max_flow(store, graph_arcs(g, store), [0], 2) == (0, [])
+    assert msss_max_flow(store, net, [0], {1, 2}) == (0, [])
 
 
 def test_limited_flow_into_a_set_matches_linked_chain():
@@ -291,21 +292,23 @@ def test_oracle_cut_certificate_on_random_instances():
                 assert net_in.get(v, 0) == 0
         assert sum(net_in.get(t, 0) for t in sinks) == res.value
 
-        def value(solver, num_nodes, *terminals, scratch=()):
+        def value(solver, *terminals, apex_to=()):
             store = FlowStore()
             keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
-            net = residual_net(num_nodes, keyed, store, scratch)
+            if apex_to:
+                keyed += apex_arcs(store, n, apex_to, inf)
+            net = residual_net(n + 1 if apex_to else n, keyed, store)
             return solver(store, net, *terminals)[0]
 
-        # the apex is node n, joined by scratch arcs above any cut
+        # the apex is node n, joined by keyed arcs above any cut
         inf = 1 + sum(c for (_, _, c) in arcs)
-        assert value(solve_msms_residual, n, sources, sinks) == cut
-        assert value(msss_max_flow, n + 1, sources, n,
-                     scratch=[(t, n, inf, 0) for t in sinks]) == cut
-        assert value(ssms_max_flow, n + 1, n, sinks,
-                     scratch=[(n, s, inf, 0) for s in sources]) == cut
+        assert value(solve_msms_residual, sources, sinks) == cut
+        assert value(msss_max_flow, sources, sinks) == cut
+        assert value(ssms_max_flow, sources, sinks) == cut
+        assert value(msss_max_flow, sources, {n}, apex_to=sinks) == cut
+        assert value(ssms_max_flow, {n}, sinks, apex_to=sources) == cut
         delta = rng.randint(0, 2 * cut + 1)
-        assert value(limited_max_flow, n, sources, sinks, delta) == min(delta, cut)
+        assert value(limited_max_flow, sources, sinks, delta) == min(delta, cut)
 
 
 def _assert_pseudoflow_of_value(store, keyed, deltas, sources, sinks, value):
@@ -327,33 +330,30 @@ def _assert_pseudoflow_of_value(store, keyed, deltas, sources, sinks, value):
 
 def _check_against_edmonds_karp(rng, n, arcs, flows, sources, sinks):
     """All four subroutines on the residual net of arcs under flows (the
-    apex n as msss's sink and as ssms's source included, and limits that
-    stop a phase part way), and the oracle on the raw arcs, against
-    edmonds_karp."""
+    source and sink pushes with one terminal and with whole sets, and
+    limits that stop a phase part way), and the oracle on the raw arcs,
+    against edmonds_karp."""
     residual = [arc for (t, h, c), f in zip(arcs, flows)
                 for arc in ((t, h, c - f), (h, t, f))]
     want = edmonds_karp(n, residual, sources, sinks)
-    inf = 1 + sum(c for (_, _, c) in arcs)
     runs = [
-        (solve_msms_residual, (sources, sinks), (), sources, sinks, want),
-        (msss_max_flow, (sources, sinks[0]), (), sources, sinks[:1],
+        (solve_msms_residual, (sources, sinks), sources, sinks, want),
+        (msss_max_flow, (sources, sinks[:1]), sources, sinks[:1],
          edmonds_karp(n, residual, sources, sinks[:1])),
-        (ssms_max_flow, (sources[0], sinks), (), sources[:1], sinks,
+        (ssms_max_flow, (sources[:1], sinks), sources[:1], sinks,
          edmonds_karp(n, residual, sources[:1], sinks)),
-        (msss_max_flow, (sources, n), [(t, n, inf, 0) for t in sinks],
-         sources, sinks, want),
-        (ssms_max_flow, (n, sinks), [(n, s, inf, 0) for s in sources],
-         sources, sinks, want),
+        (msss_max_flow, (sources, sinks), sources, sinks, want),
+        (ssms_max_flow, (sources, sinks), sources, sinks, want),
     ]
     for delta in sorted({0, want // 2, max(want - 1, 0), want, want + 1,
                          rng.randint(0, 2 * want + 1)}):
-        runs.append((limited_max_flow, (sources, sinks, delta), (), sources,
+        runs.append((limited_max_flow, (sources, sinks, delta), sources,
                      sinks, min(delta, want)))
-    for solver, terminals, scratch, srcs, snks, expect in runs:
+    for solver, terminals, srcs, snks, expect in runs:
         store = FlowStore()
         keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
         store.apply([(key, f) for (_, _, _, key), f in zip(keyed, flows) if f])
-        net = residual_net(n + 1 if scratch else n, keyed, store, scratch)
+        net = residual_net(n, keyed, store)
         value, deltas = solver(store, net, *terminals)
         assert value == expect, solver.__name__
         _assert_pseudoflow_of_value(store, keyed, deltas, srcs, snks, value)
@@ -420,45 +420,43 @@ def test_solver_runs_are_deterministic():
     rng = random.Random(5)
     n = 12
     arcs = random_digraph(rng, n)
-    inf = 1 + sum(c for (_, _, c) in arcs)
-    apex_arcs = [arc for b in (2, 5, 9) for arc in ((b, n, inf, 0), (n, b, inf, 0))]
+    boundary = [2, 5, 9]
     calls = [
-        (msss_max_flow, ([0, 1], 6), ()),
-        (ssms_max_flow, (0, [6, 7]), ()),
-        (limited_max_flow, ([0, 1], [6, 7], 5), ()),
-        (solve_msms_residual, ([0, 1, n], [6, 7]), apex_arcs),
+        (msss_max_flow, ([0, 1], [6])),
+        (ssms_max_flow, ([0], [6, 7])),
+        (limited_max_flow, ([0, 1], [6, 7], 5)),
+        (solve_msms_residual, ([0, 1], [6, 7])),
+        (msss_max_flow, ([0, 1], boundary)),
+        (ssms_max_flow, (boundary, [6, 7])),
     ]
 
-    def run(solver, terminals, scratch):
+    def run(solver, terminals):
         store = FlowStore()
         keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
-        net = residual_net(n + 1 if scratch else n, keyed, store, scratch)
-        return solver(store, net, *terminals)
+        return solver(store, residual_net(n, keyed, store), *terminals)
 
-    for solver, terminals, scratch in calls:
-        first = run(solver, terminals, scratch)
+    for solver, terminals in calls:
+        first = run(solver, terminals)
         flipped = [x[::-1] if isinstance(x, list) else x for x in terminals]
         assert first[0] > 0 and first[1]
-        assert run(solver, flipped, scratch) == first
+        assert run(solver, flipped) == first
     one = oracle_max_flow(n, arcs, [0, 1], [6, 7])
     two = oracle_max_flow(n, arcs, [1, 0], [7, 6])
     assert one.value > 0 and (one.value, one.flows) == (two.value, two.flows)
 
 
-def _random_call(rng, store, net, n, apex):
+def _random_call(rng, store, net, n):
     """One msss, ssms, limited or leaf call on net with random terminals;
-    the apex, when given, may serve as the single source or sink."""
+    the pushes take one terminal or a whole set on their set side."""
     nodes = list(range(n))
     rng.shuffle(nodes)
     cut = rng.randint(1, n - 1)
     srcs, snks = nodes[:cut], nodes[cut:]
     choice = rng.randrange(4)
     if choice == 0:
-        sink = apex if apex is not None and rng.random() < 0.5 else snks[0]
-        return msss_max_flow(store, net, srcs, sink)
+        return msss_max_flow(store, net, srcs, snks if rng.random() < 0.5 else snks[:1])
     if choice == 1:
-        source = apex if apex is not None and rng.random() < 0.5 else srcs[0]
-        return ssms_max_flow(store, net, source, snks)
+        return ssms_max_flow(store, net, srcs if rng.random() < 0.5 else srcs[:1], snks)
     if choice == 2:
         return limited_max_flow(store, net, srcs, snks, rng.randint(0, 12))
     return solve_msms_residual(store, net, srcs, snks)
@@ -474,50 +472,64 @@ def test_one_net_stays_current_across_calls():
         arcs = random_digraph(rng, n)
         store = FlowStore()
         keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
-        apex, scratch = None, ()
-        if rng.random() < 0.5:
-            apex, inf = n, 1 + sum(c for (_, _, c) in arcs)
-            scratch = [arc for b in rng.sample(range(n), rng.randint(1, n))
-                       for arc in ((b, apex, inf, 0), (apex, b, inf, 0))]
-        size = n + 1 if scratch else n
-        net = residual_net(size, keyed, store, scratch)
+        net = residual_net(n, keyed, store)
         for _ in range(rng.randint(1, 8)):
             before = list(net.res)
-            value, deltas = _random_call(rng, store, net, n, apex)
+            value, deltas = _random_call(rng, store, net, n)
             store.apply(deltas)
-            assert net.res == residual_net(size, keyed, store, scratch).res
+            assert net.res == residual_net(n, keyed, store).res
             if value == 0:
                 assert deltas == [] and net.res == before
 
 
 def test_apex_pushes_on_one_net_match_two_fresh_nets():
-    """The source push into the apex and the sink push out of it give the
-    same values and deltas on one shared net as on a fresh net each."""
+    """The source push into the boundary set and the sink push out of it
+    give the same values and deltas on one shared net as on a fresh net
+    each."""
     rng = random.Random(41)
     for _ in range(60):
         n = rng.randint(3, 9)
         arcs = random_digraph(rng, n)
-        inf = 1 + sum(c for (_, _, c) in arcs)
         nodes = list(range(n))
         rng.shuffle(nodes)
         a = rng.randint(1, n - 2)
         b = rng.randint(1, n - 1 - a)
-        sources, sinks, boundary = nodes[:a], nodes[a:a + b], nodes[a + b:] or nodes[:1]
-        scratch = [arc for v in boundary for arc in ((v, n, inf, 0), (n, v, inf, 0))]
+        sources, sinks, boundary = nodes[:a], nodes[a:a + b], nodes[a + b:]
         shared, fresh = FlowStore(), FlowStore()
         keyed = [(t, h, c, shared.new_key(c)) for (t, h, c) in arcs]
         for (_, _, c) in arcs:
             fresh.new_key(c)
 
         def apex_pushes(store, net_for):
-            into = msss_max_flow(store, net_for(store), sources, n)
+            into = msss_max_flow(store, net_for(store), sources, boundary)
             store.apply(into[1])
-            out = ssms_max_flow(store, net_for(store), n, sinks)
+            out = ssms_max_flow(store, net_for(store), boundary, sinks)
             store.apply(out[1])
             return into, out
 
-        net = residual_net(n + 1, keyed, shared, scratch)
+        net = residual_net(n, keyed, shared)
         one = apex_pushes(shared, lambda store: net)
-        two = apex_pushes(fresh, lambda store: residual_net(n + 1, keyed, store, scratch))
+        two = apex_pushes(fresh, lambda store: residual_net(n, keyed, store))
         assert one == two
         assert shared.vals == fresh.vals
+
+
+def test_boundary_set_pushes_match_the_apex_on_random_digraphs():
+    """The source push into a boundary set takes the paths and returns
+    the value of the source push into the paper's apex joined to that
+    set; the sink push out of the set has the apex push's value and
+    blocks every residual path from the set to the sinks.  Half the
+    trials start from a random pseudoflow."""
+    rng = random.Random(43)
+    for _ in range(150):
+        n = rng.randint(7, 24)
+        arcs = random_digraph(rng, n, density=rng.uniform(1.5, 5.0) / n)
+        flows = [0] * len(arcs)
+        if rng.random() < 0.5:
+            flows = [rng.randint(0, c) for (_, _, c) in arcs]
+        nodes = list(range(n))
+        rng.shuffle(nodes)
+        a, b = rng.randint(1, 3), rng.randint(1, 3)
+        k = rng.randint(1, n - a - b)
+        check_pushes_against_apex(n, arcs, flows, nodes[:a], nodes[a:a + b],
+                                  nodes[a + b:a + b + k])

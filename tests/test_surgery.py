@@ -115,7 +115,7 @@ def test_triangulation_preserves_value_on_random_instances():
 def test_detach_source_preserves_value():
     g = triangle()
     store = FlowStore.for_graph(g)
-    inf = 1 + g.total_capacity()
+    inf = 1 + sum(g.caps)
     g2, new_nodes = detach_terminal_from_cycle(g, [(0, g.rot[0][0], "source", inf)], store)
     assert new_nodes == [3]
     s_new = new_nodes[0]
@@ -128,7 +128,7 @@ def test_detach_source_preserves_value():
 def test_detach_sink_preserves_value():
     g = triangle()
     store = FlowStore.for_graph(g)
-    inf = 1 + g.total_capacity()
+    inf = 1 + sum(g.caps)
     g2, (t_new,) = detach_terminal_from_cycle(g, [(2, g.rot[2][0], "sink", inf)], store)
     assert g2.tails[-1] == 2 and g2.heads[-1] == t_new
     assert oracle_value_for_graph(g2, {0}, {t_new}) == oracle_value_for_graph(g, {0}, {2})
@@ -159,26 +159,30 @@ def test_detach_source_and_sink_in_one_call():
 
 
 def check_apex_against_oracle(boundary):
-    """The apex arcs are scratch, never keys: pushing to or from the apex
-    matches an oracle on the written-out net in both directions."""
+    """attach_apex adds nothing and returns the boundary in cycle order.
+    Pushing into or out of that set matches an oracle on the net with
+    the paper's apex written out, in both directions.  A terminal on the
+    boundary overlaps the set and is rejected (the engine detaches such
+    terminals before the pushes)."""
     g = triangle()
-    inf = 1 + g.total_capacity()
-    apex, apex_arcs = attach_apex(g, boundary, inf)
-    assert apex == g.n
-    assert apex_arcs == [arc for b in boundary
-                         for arc in ((b, apex, inf, 0), (apex, b, inf, 0))]
+    inf = 1 + sum(g.caps)
+    terminals = attach_apex(g, boundary)
+    assert terminals == list(boundary)
+    apex = g.n
     written_out = [(g.tails[a], g.heads[a], g.caps[a]) for a in range(g.m)]
-    written_out += [(t, h, c) for t, h, c, _ in apex_arcs]
+    written_out += [arc for b in boundary for arc in ((b, apex, inf), (apex, b, inf))]
     store = FlowStore.for_graph(g)
     for v in (0, 2):
-        value, deltas = msss_max_flow(store, graph_arcs(g, store, apex_arcs),
-                                      {v}, apex)
-        assert value == oracle_max_flow(g.n + 1, written_out, {v}, {apex}).value
-        assert all(key < g.m for key, _ in deltas)
-        value, deltas = ssms_max_flow(store, graph_arcs(g, store, apex_arcs),
-                                      apex, {v})
-        assert value == oracle_max_flow(g.n + 1, written_out, {apex}, {v}).value
-        assert all(key < g.m for key, _ in deltas)
+        if v in boundary:
+            with pytest.raises(ValueError):
+                msss_max_flow(store, graph_arcs(g, store), {v}, terminals)
+            with pytest.raises(ValueError):
+                ssms_max_flow(store, graph_arcs(g, store), terminals, {v})
+            continue
+        value, _ = msss_max_flow(store, graph_arcs(g, store), {v}, terminals)
+        assert value == oracle_max_flow(g.n + 1, written_out, {v}, {apex}).value > 0
+        value, _ = ssms_max_flow(store, graph_arcs(g, store), terminals, {v})
+        assert value == oracle_max_flow(g.n + 1, written_out, {apex}, {v}).value > 0
 
 
 def test_attach_apex_three_boundary_nodes():

@@ -15,7 +15,8 @@ planarflow only from that tree's src/.  The instances:
 
 Every answer of both trees is verified on the raw input arcs by
 perfbench/verify.py's check_flow.  The report counts instances whose
-value, audits, arc_flows or recursion shape differ; the shape is every
+value, audits, arc_flows or recursion shape differ, and names each one
+on its own line; the shape is every
 level's depth, n, kind, boundary size and child sizes, in recursion
 order, so equal shapes mean the same separators split the same pieces.
 The exit status is 0 when values and audits agree everywhere and every
@@ -117,6 +118,7 @@ def main(argv=None):
 
     bad = 0
     counts = {"value": 0, "audits": 0, "flows": 0, "shape": 0}
+    labels = {"flows": "arc_flows differ", "shape": "recursion shape differs"}
     audits = {"parent": [0, 0], "change": [0, 0]}   # 36-instance set, deep sweep
     for i, (p, c) in enumerate(zip(rows["parent"], rows["change"])):
         for side, row in (("parent", p), ("change", c)):
@@ -131,7 +133,9 @@ def main(argv=None):
         for key in counts:
             if p.get(key) != c.get(key):
                 counts[key] += 1
-                if key in ("value", "audits"):
+                if key in labels:
+                    print(f"{p['name']}: {labels[key]}")
+                else:
                     print(f"{p['name']}: {key} {p.get(key)} (parent) "
                           f"!= {c.get(key)} (change)")
     total = len(rows["change"])

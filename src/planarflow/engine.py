@@ -1,16 +1,17 @@
 """Recursive multiple-source multiple-sink max flow on planar graphs.
 
 One level of the recursion: split the graph along a balanced cycle
-separator, recurse into both pieces, push flow in each piece from its
-sources into its boundary node set and from that set into its sinks (the
-set stands in for the paper's infinite-capacity apex), walk the boundary
-nodes in cyclic order moving each one's imbalance onto the still-unwalked
-suffix with limited flows, and finally settle the remaining boundary
-imbalance back onto the terminals: cancel the flow cycles, then push
-each imbalance along the acyclic rest in the topological order the
-cancelling DFS returns.  All flow lives in one global store; every
-subroutine sees current residual capacities and its result is
-accumulated immediately.
+separator, recurse into both pieces, push flow in the level graph from
+its sources into the boundary node set and from that set into its sinks
+(the set stands in for the paper's infinite-capacity apex, and one push
+does the work of both pieces' pushes), walk the boundary nodes in cyclic
+order moving each one's imbalance onto the still-unwalked suffix with
+limited flows, and finally settle the remaining boundary imbalance back
+onto the terminals: cancel the flow cycles, then push each imbalance
+along the acyclic rest in the topological order the cancelling DFS
+returns.  All flow lives in one global store; every subroutine sees
+current residual capacities and its result is accumulated immediately.
+A split level's pushes and walk share one residual net of its graph.
 
 The input is triangulated once, at the root; every piece inherits its
 triangulation and its faces from the split (see separator.py).
@@ -19,11 +20,12 @@ Instrumentation is config-gated.  Audit level "final" checks, after each
 level's settlement and once more on the input graph, that the flow
 conserves and leaves no residual source-to-sink path.  "full" adds the
 reachability invariants the correctness argument relies on, after every
-leaf solve, piece recursion, apex push and walk step (README, "Audits"),
+leaf solve, piece recursion, boundary push and walk step (README, "Audits"),
 with one shared residual search per step (see _audit_separated), and
 checks every piece's faces and triangulation.  "none" trusts the
 algorithm.  `audits` counts the checks made; an AuditFailure names the
-depth, the phase, the piece or walk step, and up to five offending nodes.
+depth, the phase, the piece or walk step, and up to five offending nodes
+(for a feasibility check, the non-terminals that do not conserve).
 """
 
 from __future__ import annotations
@@ -134,8 +136,8 @@ class MsmsEngine:
         self._ran = True
         self._solve(self.root, self.sources, self.sinks, 0)
         if self.cfg.audit != "none":
-            self._check(is_feasible(self.root, self.store, self.sources, self.sinks),
-                        "final flow is not feasible on the input graph")
+            self._check_feasible(self.root, self.sources, self.sinks,
+                                 "final flow is not feasible on the input graph")
             reach = residual_reachable(self.root, self.store, self.sources)
             self._check_unreached(reach, self.sinks, "final flow", "source reaches a sink")
         value = flow_value(self.root, self.store, self.sinks)
@@ -148,6 +150,17 @@ class MsmsEngine:
         self.audits += 1
         if not ok:
             raise AuditFailure(message)
+
+    def _check_feasible(self, g, sources, sinks, message):
+        """One audit: is_feasible.  A failure names up to five sorted
+        non-terminals whose net inflow is not zero."""
+        self.audits += 1
+        if is_feasible(g, self.store, sources, sinks):
+            return
+        terminals = set(sources) | set(sinks)
+        acc = inflow_all(g, self.store)
+        bad = [v for v in range(g.n) if acc[v] and v not in terminals][:5]
+        raise AuditFailure(message + (f" (nodes {bad})" if bad else ""))
 
     def _check_unreached(self, reach, targets, where, what):
         """One audit: no node of targets is in the reached set.  A failure
@@ -195,17 +208,20 @@ class MsmsEngine:
             self._check(not (keys1 & keys2),
                         f"depth {depth}: sibling pieces share flow-carrying arcs")
 
-        boundary = sep.boundary
+        parts = []
         for side, piece in enumerate((piece1, piece2)):
             local = piece.local_of
             sub_sources = {local[v] for v in sources if v in local}
             sub_sinks = {local[v] for v in sinks if v in local}
             self._solve(piece.graph, sub_sources, sub_sinks, depth + 1)
-            self._audit_piece_recursed(piece, side, sub_sources, sub_sinks, depth)
-            self._push_boundary_phase(piece, side, sub_sources, sub_sinks, depth)
+            parts.append((piece, sub_sources, sub_sinks))
+            self._audit_piece_recursed(*parts[-1], side, depth)
 
+        net = graph_arcs(gd, self.store)
+        boundary = sep.boundary
+        self._push_boundary(net, gd, boundary, sources, sinks, parts, depth)
         self._audit_after_first_loop(gd, sources, sinks, boundary, depth)
-        self._redistribute_boundary(gd, boundary, sources, sinks, depth)
+        self._redistribute_boundary(net, gd, boundary, sources, sinks, depth)
         self._settle_pseudoflow(gd, sources, sinks)
         self._audit_level_final(gd, sources, sinks, depth)
 
@@ -252,44 +268,48 @@ class MsmsEngine:
                         "replacement": v_new})
         return g, sources, sinks
 
-    # -- per-piece boundary pushes (apex phases) --------------------------------
+    # -- boundary pushes (apex phases) -------------------------------------------
 
-    def _push_boundary_phase(self, piece, side, sub_sources, sub_sinks, depth):
-        """Push the sources into the boundary node set, then that set into
-        the sinks; the set stands in for the paper's apex (see attach_apex).
-        That leaves the imbalance on the boundary nodes.  Both pushes run
-        on one residual net of the piece."""
+    def _push_boundary(self, net, gd, boundary, sources, sinks, parts, depth):
+        """Push the level's sources into the boundary node set, then that
+        set into the sinks; the set stands in for the paper's apex (see
+        attach_apex).  That leaves the imbalance on the boundary nodes.
+
+        Both pushes run on the level's net, once for both pieces, with the
+        values of the two pieces' own pushes.  A source's path into the
+        set ends at the first boundary node it meets, so it stays in the
+        source's piece.  With the set contracted to one node, the rest of
+        gd falls apart into the pieces' interiors, so the sink push's
+        value is the sum of the pieces'; a path of it may cross from one
+        boundary node through the other piece to another, which only
+        moves imbalance between boundary nodes for the walk to handle.
+        The per-piece invariants hold afterwards, since the level-wide
+        ones do."""
         store = self.store
-        if sub_sources or sub_sinks:
-            boundary = attach_apex(piece.graph, piece.boundary_local)
-            net = graph_arcs(piece.graph, store)
-        value_in = value_out = 0
-        if sub_sources:
-            value_in, deltas = msss_max_flow(store, net, sub_sources, boundary)
-            store.apply(deltas)
-        self._emit({"op": "push_sources_to_boundary", "depth": depth,
-                    "piece": side, "value": value_in})
-        self._audit_piece_sources_blocked(piece, side, sub_sources, sub_sinks, depth)
+        boundary_set = attach_apex(gd, boundary)
+        value, deltas = msss_max_flow(store, net, sources, boundary_set)
+        store.apply(deltas)
+        self._emit({"op": "push_sources_to_boundary", "depth": depth, "value": value})
+        for side, part in enumerate(parts):
+            self._audit_piece_sources_blocked(*part, side, depth)
 
-        if sub_sinks:
-            value_out, deltas = ssms_max_flow(store, net, boundary, sub_sinks)
-            store.apply(deltas)
-        self._emit({"op": "push_boundary_to_sinks", "depth": depth,
-                    "piece": side, "value": value_out})
-        self._audit_piece_complete(piece, side, sub_sources, sub_sinks, depth)
+        value, deltas = ssms_max_flow(store, net, boundary_set, sinks)
+        store.apply(deltas)
+        self._emit({"op": "push_boundary_to_sinks", "depth": depth, "value": value})
+        for side, part in enumerate(parts):
+            self._audit_piece_complete(*part, side, depth)
 
     # -- boundary redistribution -------------------------------------------------
 
-    def _redistribute_boundary(self, gd, boundary, sources, sinks, depth):
+    def _redistribute_boundary(self, net, gd, boundary, sources, sinks, depth):
         """Walk the boundary in cyclic order; move each node's imbalance
         onto the unwalked suffix, so conservation violations drain toward
         the end.  Step i is one limited flow from boundary[i] into the
         suffix boundary[i+1:] taken as a sink set (the other way round for
         a deficit).  The paper chains the suffix with infinite-capacity
         arcs instead; every finite cut keeps a chained suffix on one side,
-        so both flows have the same value.  Only the walk writes gd's flow
-        here, so every step runs on one residual net of gd."""
-        net = graph_arcs(gd, self.store)
+        so both flows have the same value.  Every step runs on the level's
+        net, which the pushes left in step with the store."""
         for i in range(len(boundary) - 1):
             node = boundary[i]
             imbalance = inflow(gd, self.store, node)
@@ -382,7 +402,7 @@ class MsmsEngine:
                 raise AuditFailure(
                     f"depth {depth} piece {side}: not a two-connected triangulation")
 
-    def _audit_piece_recursed(self, piece, side, sub_sources, sub_sinks, depth):
+    def _audit_piece_recursed(self, piece, sub_sources, sub_sinks, side, depth):
         """After the recursive call: no residual source-to-sink path
         inside the piece."""
         if self.cfg.audit != "full":
@@ -391,7 +411,7 @@ class MsmsEngine:
         self._check_unreached(reach, sub_sinks, f"depth {depth} piece {side} recursion",
                               "source reaches a sink")
 
-    def _audit_piece_sources_blocked(self, piece, side, sub_sources, sub_sinks, depth):
+    def _audit_piece_sources_blocked(self, piece, sub_sources, sub_sinks, side, depth):
         """After the source push: within the piece there is no residual
         path from the sources to the sinks, nor to the boundary."""
         if self.cfg.audit != "full":
@@ -443,7 +463,7 @@ class MsmsEngine:
         from_boundary |= residual_reachable(g, store, boundary, seen)
         self._check_unreached(from_boundary, sinks, where, "boundary node reaches a sink")
 
-    def _audit_piece_complete(self, piece, side, sub_sources, sub_sinks, depth):
+    def _audit_piece_complete(self, piece, sub_sources, sub_sinks, side, depth):
         """After both pushes, within the piece."""
         if self.cfg.audit != "full":
             return
@@ -472,8 +492,8 @@ class MsmsEngine:
     def _audit_level_final(self, gd, sources, sinks, depth):
         if self.cfg.audit == "none":
             return
-        self._check(is_feasible(gd, self.store, sources, sinks),
-                    f"depth {depth} settlement: level flow does not conserve")
+        self._check_feasible(gd, sources, sinks,
+                             f"depth {depth} settlement: level flow does not conserve")
         reach = residual_reachable(gd, self.store, sources)
         self._check_unreached(reach, sinks, f"depth {depth} settlement",
                               "source reaches a sink")

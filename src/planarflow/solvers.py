@@ -8,10 +8,10 @@ the keyed arcs it changed, in arc order, ready for FlowStore.apply.
 Subroutines never write the store and never build a net.
 
 The caller applies each call's deltas to the store, which puts the store
-back in step with the net.  So one net serves every call of a phase (the
-leaf solve, one piece's two apex pushes, one level's boundary walk) as
-long as nothing else writes those arcs' flow in between, and each call
-costs only what it explores.
+back in step with the net.  So one net serves every call of a leaf solve,
+or of a split level's two boundary pushes and its whole walk, as long as
+nothing else writes those arcs' flow in between, and each call costs only
+what it explores.
 
 All of them, and the oracle, run one deterministic blocking-flow core
 on flat dart arrays, so repeated runs produce identical flows.  Each
@@ -176,15 +176,17 @@ def _solve_terminal_sets(store, net, sources, sinks, limit=None):
 
 
 def msss_max_flow(store, net, sources, sinks):
-    """The source push of one piece: maximum flow from its sources into
-    its boundary node set, the apex's stand-in (see surgery.attach_apex).
-    Afterwards no residual path from the sources to the sinks remains."""
+    """The source push of one split level: maximum flow from its sources
+    into its boundary node set, the apex's stand-in (see
+    surgery.attach_apex).  Afterwards no residual path from the sources to
+    the sinks remains."""
     return _solve_terminal_sets(store, net, sources, sinks)
 
 
 def ssms_max_flow(store, net, sources, sinks):
-    """The sink push of one piece: maximum flow from its boundary node set
-    into its sinks.  Afterwards no residual path between them remains."""
+    """The sink push of one split level: maximum flow from its boundary
+    node set into its sinks.  Afterwards no residual path between them
+    remains."""
     return _solve_terminal_sets(store, net, sources, sinks)
 
 

@@ -9,8 +9,12 @@ dart.  Everything below is built from that one splice rule.
 Added arcs are either zero-capacity (triangulation and biconnection
 chords, which can never carry flow) or terminal attachments at least as
 large as the terminal's own capacity, so the maximum flow value between
-any terminal sets is unchanged.  The apex of the per-piece pushes adds
-nothing: attach_apex names the boundary node set that stands in for it.
+any terminal sets is unchanged.  The apex of a level's boundary pushes
+adds nothing: attach_apex names the boundary node set that stands in for
+it.
+
+A face whose corners are all distinct is chorded ear by ear, at O(1) per
+chord, with exactly the chords the general candidate search would add.
 
 Surgery keeps the faces along with the rotations: each edit knows the
 walks its darts land in, so its result carries its face list and no
@@ -20,6 +24,8 @@ engine re-checks every piece under audit=full).
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from .errors import FaceNotIncident
 from .flow import FlowStore
@@ -46,15 +52,11 @@ class EmbeddingEditor:
             nbrs = self._nbrs[u] = {self.dart_head(d) for d in self.rot[u]}
         return v in nbrs
 
-    def add_chord(self, walk, s, t):
-        """Add a zero-capacity arc between corners s and t of a face walk.
-
-        Returns (arc, walk1, walk2) where the two walks are the faces the
-        chord splits the old face into: walk1 contains the new forward
-        dart, walk2 the reverse.
-        """
-        u = self.dart_head(walk[s])
-        v = self.dart_head(walk[t])
+    def link(self, u, v, after_u, after_v):
+        """Add a zero-capacity arc u -> v whose darts land right after
+        after_u in u's rotation and right after after_v in v's; returns
+        its darts (du, dv), the objects the rotations hold, for the face
+        walks to share."""
         a = len(self.tails)
         self.tails.append(u)
         self.heads.append(v)
@@ -65,12 +67,23 @@ class EmbeddingEditor:
                 self._nbrs[x].add(y)
         du, dv = 2 * a, 2 * a + 1
         ru, rv = self.rot[u], self.rot[v]
-        ru.insert(ru.index(walk[s] ^ 1) + 1, du)
-        rv.insert(rv.index(walk[t] ^ 1) + 1, dv)
+        ru.insert(ru.index(after_u) + 1, du)
+        rv.insert(rv.index(after_v) + 1, dv)
+        return du, dv
+
+    def add_chord(self, walk, s, t):
+        """Add a zero-capacity arc between corners s and t of a face walk.
+
+        Returns (arc, walk1, walk2) where the two walks are the faces the
+        chord splits the old face into: walk1 contains the new forward
+        dart, walk2 the reverse.
+        """
+        du, dv = self.link(self.dart_head(walk[s]), self.dart_head(walk[t]),
+                           walk[s] ^ 1, walk[t] ^ 1)
         r = len(walk)
         walk1 = [du] + [walk[(t + 1 + i) % r] for i in range((s - t) % r)]
         walk2 = [dv] + [walk[(s + 1 + i) % r] for i in range((t - s) % r)]
-        return a, walk1, walk2
+        return du >> 1, walk1, walk2
 
 
 def _spliced(seq, after, items):
@@ -103,7 +116,14 @@ def _triangulate(ed: EmbeddingEditor, stack):
     where one fits, any other walk the first chord by increasing gap.  A
     simple walk of length >= 4 always has one: two chords with
     interleaved ends cannot both run outside the disc it bounds, so its
-    corners are not a clique."""
+    corners are not a clique.
+
+    A walk with distinct corners is cut ear by ear instead, at O(1) per
+    chord: its first candidate is the corner pair (0, 2), which cuts off
+    the ear [dv, w[1], w[2]], and the rest [du] + w[3:] + [w[0]] is the
+    walk the stack would pop next.  Only a blocked ear sends the rest to
+    the candidate loop, so the chords and triangles come out exactly as
+    that loop alone makes them."""
     heads, tails = ed.heads, ed.tails
     done = []
     while stack:
@@ -112,6 +132,22 @@ def _triangulate(ed: EmbeddingEditor, stack):
             done.append(walk)
             continue
         nodes = [tails[d >> 1] if d & 1 else heads[d >> 1] for d in walk]
+        if len(set(nodes)) == len(nodes):
+            rest = deque(walk)
+            while len(rest) > 3:
+                u, v = ed.dart_head(rest[0]), ed.dart_head(rest[2])
+                if ed.adjacent(u, v):
+                    break
+                w0, w1, w2 = rest.popleft(), rest.popleft(), rest.popleft()
+                du, dv = ed.link(u, v, w0 ^ 1, w2 ^ 1)
+                done.append([dv, w1, w2])
+                rest.appendleft(du)
+                rest.append(w0)
+            walk = list(rest)
+            if len(walk) <= 3:
+                done.append(walk)
+                continue
+            nodes = [tails[d >> 1] if d & 1 else heads[d >> 1] for d in walk]
         for s, t in _chord_candidates(nodes):
             if nodes[s] != nodes[t] and not ed.adjacent(nodes[s], nodes[t]):
                 _, w1, w2 = ed.add_chord(walk, s, t)

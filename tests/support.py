@@ -9,6 +9,9 @@ is still unreachable.
 import random
 from collections import deque
 
+import pytest
+
+from planarflow import surgery
 from planarflow.flow import FlowStore
 from planarflow.graph import NO_KEY
 from planarflow.solvers import (
@@ -343,3 +346,60 @@ def walk_violations(g, store, sources, sinks, boundary, i):
         "overfull processed node reaches a drained one": bfs(forward, pos) & neg,
     }
     return sorted(name for name, hit in failed.items() if hit)
+
+
+def generic_triangulate(ed, stack):
+    """The chording loop with no ear path, kept as the reference for
+    surgery._triangulate: every walk longer than three takes the first
+    addable chord from surgery._chord_candidates, and both halves go back
+    on the stack."""
+    heads, tails = ed.heads, ed.tails
+    done = []
+    while stack:
+        walk = stack.pop()
+        if len(walk) <= 3:
+            done.append(walk)
+            continue
+        nodes = [tails[d >> 1] if d & 1 else heads[d >> 1] for d in walk]
+        for s, t in surgery._chord_candidates(nodes):
+            if nodes[s] != nodes[t] and not ed.adjacent(nodes[s], nodes[t]):
+                _, w1, w2 = ed.add_chord(walk, s, t)
+                stack.append(w1)
+                stack.append(w2)
+                break
+        else:
+            raise AssertionError(f"face of length {len(walk)} has no addable chord")
+    return done
+
+
+def triangulated_both_ways(tails, heads, caps, keys, rot, faces):
+    """surgery.triangulated on two copies of its inputs: as it is, and
+    with generic_triangulate as its chording loop.  Returns both graphs."""
+    def copy():
+        return (list(tails), list(heads), list(caps), list(keys),
+                [list(r) for r in rot], [list(f) for f in faces])
+
+    fast = surgery.triangulated(*copy())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surgery, "_triangulate", generic_triangulate)
+        ref = surgery.triangulated(*copy())
+    return fast, ref
+
+
+def same_embedding(g, h):
+    """Identical arc arrays, rotations and face lists."""
+    return ((g.tails, g.heads, g.keys, g.rot, g.faces())
+            == (h.tails, h.heads, h.keys, h.rot, h.faces()))
+
+
+def piece_pushes(store, piece, sub_sources, sub_sinks):
+    """One piece's two boundary-set pushes on a net of its own, the
+    reference for the level push: its sources into its boundary nodes,
+    then those into its sinks.  Applies both to the store and returns
+    their values."""
+    net = graph_arcs(piece.graph, store)
+    value_in, deltas = msss_max_flow(store, net, sub_sources, piece.boundary_local)
+    store.apply(deltas)
+    value_out, deltas = ssms_max_flow(store, net, piece.boundary_local, sub_sinks)
+    store.apply(deltas)
+    return value_in, value_out

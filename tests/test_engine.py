@@ -6,7 +6,7 @@ from planarflow import engine
 from planarflow.config import EngineConfig
 from planarflow.engine import MsmsEngine, msms_max_flow
 from planarflow.errors import AuditFailure, SettlementStuck
-from planarflow.flow import inflow_all, is_feasible, residual_reachable
+from planarflow.flow import FlowStore, inflow_all, is_feasible, residual_reachable
 from planarflow.generate import generate
 from planarflow.graph import (
     NO_KEY,
@@ -16,7 +16,7 @@ from planarflow.graph import (
     walk_faces,
 )
 from planarflow.solvers import oracle_max_flow
-from support import check_pushes_against_apex, walk_violations
+from support import check_pushes_against_apex, piece_pushes, walk_violations
 
 
 def oracle_value(g, sources, sinks):
@@ -226,32 +226,90 @@ def test_apex_push_that_pushes_nothing_fails_the_full_audit(monkeypatch, push, m
         msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(audit="full", base_case=16))
 
 
+def record_level_pushes(monkeypatch, around):
+    """Call around(engine, gd, boundary, sources, sinks, parts) before
+    every level's boundary pushes and keep what it returns, paired with
+    the flow those pushes leave on gd's keyed arcs."""
+    levels = []
+    push = MsmsEngine._push_boundary
+
+    def recording(self, net, gd, boundary, sources, sinks, parts, depth):
+        before = around(self, gd, boundary, sources, sinks, parts)
+        push(self, net, gd, boundary, sources, sinks, parts, depth)
+        levels.append((before, [self.store.vals[k] for k in gd.keys if k != NO_KEY]))
+    monkeypatch.setattr(MsmsEngine, "_push_boundary", recording)
+    return levels
+
+
 @pytest.mark.parametrize("kind, n, seed", [("grid", 200, 3), ("tri", 300, 8)])
 def test_boundary_set_pushes_match_the_apex_on_real_pieces(monkeypatch, kind, n, seed):
-    """At every piece of a recursive solve, from the flow the recursion
-    left there, the pushes into and out of the boundary set match the
-    pushes through the paper's apex (see check_pushes_against_apex), and
-    the engine's own pushes leave the same flow as that check's."""
-    phases = []
-    push = MsmsEngine._push_boundary_phase
+    """At every split level of a recursive solve, from the flow both
+    pieces' recursions left there, the pushes into and out of the level
+    graph's boundary set match the pushes through the paper's apex joined
+    to every boundary node (see check_pushes_against_apex), and the
+    engine's own pushes leave the same flow as that check's."""
+    def state(eng, gd, boundary, sources, sinks, parts):
+        keyed = [(t, h, k) for t, h, k in zip(gd.tails, gd.heads, gd.keys) if k != NO_KEY]
+        return (gd.n, [(t, h, eng.store.caps[k]) for t, h, k in keyed],
+                [eng.store.vals[k] for _, _, k in keyed], sorted(sources),
+                sorted(sinks), boundary)
 
-    def recording(self, piece, side, sub_sources, sub_sinks, depth):
-        g = piece.graph
-        keys = [k for k in g.keys if k != NO_KEY]
-        arcs = [(t, h, self.store.caps[k])
-                for t, h, k in zip(g.tails, g.heads, g.keys) if k != NO_KEY]
-        before = [self.store.vals[k] for k in keys]
-        push(self, piece, side, sub_sources, sub_sinks, depth)
-        after = [self.store.vals[k] for k in keys]
-        phases.append(((g.n, arcs, before, sorted(sub_sources), sorted(sub_sinks),
-                        piece.boundary_local), after))
-
-    monkeypatch.setattr(MsmsEngine, "_push_boundary_phase", recording)
+    levels = record_level_pushes(monkeypatch, state)
     g, ts = generate(kind, n, seed).build()
     msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(base_case=16))
-    assert len(phases) > 4
-    for phase, after in phases:
-        assert check_pushes_against_apex(*phase) == after
+    assert len(levels) > 4
+    for level, after in levels:
+        assert check_pushes_against_apex(*level) == after
+
+
+@pytest.mark.parametrize("kind, n, seed", [("grid", 400, 1), ("tri", 400, 2)])
+def test_level_pushes_have_the_values_of_the_piece_pushes(monkeypatch, kind, n, seed):
+    """From the store both recursions left, the level's source push and
+    sink push each move the sum of what the two pieces' own pushes move."""
+    def piece_values(eng, gd, boundary, sources, sinks, parts):
+        store = FlowStore()
+        store.caps, store.vals = list(eng.store.caps), list(eng.store.vals)
+        return [sum(v) for v in zip(*(piece_pushes(store, *part) for part in parts))]
+
+    levels = record_level_pushes(monkeypatch, piece_values)
+    records = []
+    g, ts = generate(kind, n, seed).build()
+    msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(base_case=16), trace=records.append)
+    into = [r["value"] for r in records if r["op"] == "push_sources_to_boundary"]
+    out = [r["value"] for r in records if r["op"] == "push_boundary_to_sinks"]
+    assert len(levels) == len(into) == len(out) > 10
+    assert [before for before, _ in levels] == [list(v) for v in zip(into, out)]
+    assert any(sum(v) for v in zip(into, out))
+
+
+@pytest.mark.parametrize("kind, n, base_case", [("grid", 400, 16), ("tri", 300, 8),
+                                                ("grid", 60, 3)])
+def test_one_residual_net_per_level(monkeypatch, kind, n, base_case):
+    """A solve builds one residual net per split level, for its pushes and
+    its walk, and one per leaf (grid n = 60 has a guard-base leaf)."""
+    builds = []
+    real = engine.graph_arcs
+    monkeypatch.setattr(engine, "graph_arcs", lambda g, store: builds.append(g) or real(g, store))
+    g, ts = generate(kind, n, 1).build()
+    res = msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(base_case=base_case))
+    kinds = [rec.kind for rec in res.stats.levels]
+    assert kinds.count("split") > 0
+    assert len(builds) == len(kinds) - kinds.count("empty")
+
+
+@pytest.mark.parametrize("audit", ["final", "full"])
+def test_feasibility_audit_names_the_nodes_that_do_not_conserve(monkeypatch, audit):
+    monkeypatch.setattr(MsmsEngine, "_settle_pseudoflow", lambda self, gd, sources, sinks: None)
+    g, ts = generate("grid", 200, 3).build()
+    with pytest.raises(AuditFailure, match=r"^depth \d+ settlement: level flow does not "
+                                           r"conserve \(nodes \[\d+(, \d+){0,4}\]\)$"):
+        msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(audit=audit, base_case=16))
+
+    monkeypatch.setattr(MsmsEngine, "_audit_level_final",
+                        lambda self, gd, sources, sinks, depth: None)
+    with pytest.raises(AuditFailure, match=r"^final flow is not feasible on the input "
+                                           r"graph \(nodes \[\d"):
+        msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(audit=audit, base_case=16))
 
 
 @pytest.mark.parametrize("base_case", [10 ** 9, 8], ids=["direct", "recursive"])

@@ -1,10 +1,15 @@
 import itertools
+import math
 import random
 
 import pytest
 
+from planarflow import separator, surgery
+from planarflow.config import EngineConfig
+from planarflow.engine import msms_max_flow
 from planarflow.errors import FaceNotIncident
 from planarflow.flow import FlowStore
+from planarflow.generate import generate
 from planarflow.graph import NO_KEY, build_graph, is_triangulated_biconnected
 from planarflow.solvers import (
     graph_arcs,
@@ -17,7 +22,12 @@ from planarflow.surgery import (
     detach_terminal_from_cycle,
     triangulate_and_biconnect,
 )
-from support import oracle_value_for_graph
+from support import (
+    generic_triangulate,
+    oracle_value_for_graph,
+    same_embedding,
+    triangulated_both_ways,
+)
 
 
 def triangle():
@@ -110,6 +120,94 @@ def test_triangulation_preserves_value_on_random_instances():
         s = rng.randrange(n)
         t = rng.choice([v for v in range(n) if v != s])
         assert oracle_value_for_graph(g, {s}, {t}) == oracle_value_for_graph(out, {s}, {t})
+
+
+def chorded_both_ways(g):
+    return triangulated_both_ways(g.tails, g.heads, g.caps, g.keys, g.rot, g.faces())
+
+
+@pytest.mark.parametrize("kind", ["grid", "tri"])
+def test_ear_path_matches_the_generic_loop_on_root_faces(kind):
+    for seed in range(4):
+        g, _ = generate(kind, 300, seed).build()
+        fast, ref = chorded_both_ways(g)
+        assert same_embedding(fast, ref)
+
+
+def test_ear_path_matches_the_generic_loop_on_piece_holes(monkeypatch):
+    """Every hole and pendant face a split chords, in real solves."""
+    calls = []
+    real = separator.triangulated
+
+    def recording(tails, heads, caps, keys, rot, faces):
+        calls.append((list(tails), list(heads), list(caps), list(keys),
+                      [list(r) for r in rot], [list(f) for f in faces]))
+        return real(tails, heads, caps, keys, rot, faces)
+    monkeypatch.setattr(separator, "triangulated", recording)
+    for kind in ("grid", "tri"):
+        g, ts = generate(kind, 400, 5).build()
+        msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(base_case=16))
+    assert len(calls) > 40
+    for args in calls:
+        fast, ref = triangulated_both_ways(*args)
+        assert same_embedding(fast, ref)
+
+
+def polygon_with_outside_chord(k, a, b):
+    """A k-cycle 0 -> 1 -> ... -> 0 on a circle, plus an arc a -> b drawn
+    outside it, with rotations sorted by angle."""
+    arcs = [(i, (i + 1) % k, 1) for i in range(k)] + [(a, b, 1)]
+    spot = [(math.cos(2 * math.pi * i / k), math.sin(2 * math.pi * i / k))
+            for i in range(k)]
+
+    def angle(v, w):
+        if {v, w} == {a, b}:      # leaves straight outward
+            return math.atan2(spot[v][1], spot[v][0]) % (2 * math.pi)
+        return math.atan2(spot[w][1] - spot[v][1],
+                          spot[w][0] - spot[v][0]) % (2 * math.pi)
+    nbrs = [[(i - 1) % k, (i + 1) % k] + [u for u in (a, b) if {i, u} == {a, b}]
+            for i in range(k)]
+    return build_graph(k, arcs, [sorted(ns, key=lambda w: angle(v, w))
+                                 for v, ns in enumerate(nbrs)])
+
+
+@pytest.mark.parametrize("k, a, b", [(4, 0, 2), (6, 2, 4), (7, 5, 3)],
+                         ids=["first-ear", "second-ear", "heptagon"])
+def test_blocked_ear_falls_back_to_the_candidate_loop(k, a, b):
+    """The inner k-face, turned to start at node 0's corner: its ears run
+    0-2, 2-4, ..., so the outside arc a-b blocks one of them."""
+    g = polygon_with_outside_chord(k, a, b)
+    (walk,) = [f for f in g.faces() if len(f) == k]
+    i = next(i for i, d in enumerate(walk) if g.dart_head(d) == 0)
+    walk = walk[i:] + walk[:i]
+    corners = [g.dart_head(d) for d in walk]
+    assert {a, b} in ({corners[0], corners[2]}, {corners[2], corners[4 % k]})
+
+    outs = []
+    for chord in (surgery._triangulate, generic_triangulate):
+        ed = surgery.EmbeddingEditor(list(g.tails), list(g.heads), list(g.caps),
+                                     list(g.keys), [list(r) for r in g.rot])
+        outs.append((chord(ed, [list(walk)]), ed.tails, ed.heads, ed.rot))
+    assert outs[0] == outs[1]
+    faces, tails, heads, _ = outs[0]
+    assert len(faces) == k - 2 and len(tails) == g.m + k - 3
+    pairs = {frozenset(p) for p in zip(tails, heads)}
+    assert len(pairs) == len(tails)     # no arc a-b was added twice
+
+
+def test_repeated_corner_walks_match_the_generic_loop():
+    """Faces that visit a node twice, around a path or a tree, go to the
+    candidate loop whole."""
+    fast, ref = chorded_both_ways(path3())
+    assert same_embedding(fast, ref)
+    rng = random.Random(23)
+    repeated = 0
+    for _ in range(30):
+        g = random_planar_connected(rng, rng.randint(3, 30))
+        repeated += any(len({g.dart_head(d) for d in f}) < len(f) for f in g.faces())
+        fast, ref = chorded_both_ways(g)
+        assert same_embedding(fast, ref)
+    assert repeated > 5
 
 
 def test_detach_source_preserves_value():

@@ -15,12 +15,15 @@ planarflow only from that tree's src/.  The instances:
 
 Every answer of both trees is verified on the raw input arcs by
 perfbench/verify.py's check_flow.  The report counts instances whose
-value, audits, arc_flows or recursion shape differ, and names each one
-on its own line; the shape is every
-level's depth, n, kind, boundary size and child sizes, in recursion
-order, so equal shapes mean the same separators split the same pieces.
-The exit status is 0 when values and audits agree everywhere and every
-answer passes, else 1: differing arc_flows and shapes are reported only.
+value, audits, arc_flows, recursion shape or separators differ, and
+names each one on its own line.  The shape is every level's depth, n,
+kind, boundary size and child sizes, in recursion order, which shows
+equal sizes only; the separators are every cycle
+planarflow.engine.find_cycle_separator returns, its boundary and cycle
+darts, in call order, so equal separators mean the same cycles split the
+same pieces.  The exit status is 0 when values and audits agree
+everywhere and every answer passes, else 1: differing arc_flows, shapes
+and separators are reported only.
 """
 
 from __future__ import annotations
@@ -69,7 +72,16 @@ def work(tree):
 
     if not Path(planarflow.__file__).resolve().is_relative_to(src):
         sys.exit(f"imported planarflow from {planarflow.__file__}, not {src}")
+    cycles = []
+    find = planarflow.engine.find_cycle_separator
+
+    def recording_find(g):
+        sep = find(g)
+        cycles.append((sep.boundary, sep.cycle_darts))
+        return sep
+    planarflow.engine.find_cycle_separator = recording_find
     for name, kind, n, seed, cap, cfg in instance_specs():
+        cycles.clear()
         text = planarflow.generate(kind, n, seed, cap_max=cap).text()
         row = {"name": name, "sha256": hashlib.sha256(text.encode()).hexdigest()}
         try:
@@ -83,6 +95,7 @@ def work(tree):
                 shape=hashlib.sha256(repr([
                     (r.depth, r.n, r.kind, r.boundary, tuple(r.child_sizes))
                     for r in res.stats.levels]).encode()).hexdigest(),
+                separators=hashlib.sha256(repr(cycles).encode()).hexdigest(),
                 check=check_flow(inst.num_nodes, inst.arcs, inst.sources,
                                  inst.sinks, res.arc_flows, res.value))
         except Exception as e:   # reported, not raised: the other rows still count
@@ -117,8 +130,9 @@ def main(argv=None):
         rows[side] = [json.loads(line) for line in out.splitlines()]
 
     bad = 0
-    counts = {"value": 0, "audits": 0, "flows": 0, "shape": 0}
-    labels = {"flows": "arc_flows differ", "shape": "recursion shape differs"}
+    counts = {"value": 0, "audits": 0, "flows": 0, "shape": 0, "separators": 0}
+    labels = {"flows": "arc_flows differ", "shape": "recursion shape differs",
+              "separators": "separators differ"}
     audits = {"parent": [0, 0], "change": [0, 0]}   # 36-instance set, deep sweep
     for i, (p, c) in enumerate(zip(rows["parent"], rows["change"])):
         for side, row in (("parent", p), ("change", c)):
@@ -141,7 +155,8 @@ def main(argv=None):
     total = len(rows["change"])
     print(f"{total} instances: values differ on {counts['value']}, audits on "
           f"{counts['audits']}, arc_flows on {counts['flows']}, recursion "
-          f"shape on {counts['shape']}; audits summed "
+          f"shape on {counts['shape']}, separators on {counts['separators']}; "
+          f"audits summed "
           f"over the 36-instance set and the deep sweep: {audits['parent']} "
           f"(parent), {audits['change']} (change); "
           f"{bad} failed answers or instance mismatches")

@@ -342,21 +342,25 @@ class MsmsEngine:
             self.store.apply([(key, -d) for key, d in sorted(circulation.items())])
 
         store = self.store
+        vals = store.vals
         rank = [0] * gd.n
         for i, v in enumerate(order):
             rank[v] = i
+        # the arcs still positive after the cancellation carry all the
+        # flow, so they alone give the net inflows
+        positive = [a for a, key in enumerate(gd.keys) if key != NO_KEY and vals[key] > 0]
         pos_out = [[] for _ in range(gd.n)]
         pos_in = [[] for _ in range(gd.n)]
-        for a in range(gd.m):
-            key = gd.keys[a]
-            if key != NO_KEY and store.vals[key] > 0:
-                t, h = gd.tails[a], gd.heads[a]
-                if rank[t] >= rank[h]:
-                    raise SettlementStuck("positive flow darts still contain a cycle")
-                pos_out[t].append(a)
-                pos_in[h].append(a)
-
-        balance = inflow_all(gd, store)
+        balance = [0] * gd.n
+        for a in positive:
+            t, h = gd.tails[a], gd.heads[a]
+            if rank[t] >= rank[h]:
+                raise SettlementStuck("positive flow darts still contain a cycle")
+            pos_out[t].append(a)
+            pos_in[h].append(a)
+            x = vals[gd.keys[a]]
+            balance[h] += x
+            balance[t] -= x
         terminals = set(sources) | set(sinks)
 
         # excess drains back toward emitters, then deficits forward

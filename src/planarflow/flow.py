@@ -152,16 +152,12 @@ def decompose_acyclic(g: PlanarGraph, store: FlowStore):
     flow; so every positive arc of the stored flow minus the circulation
     runs forward in order, which makes it a topological order of them.
     """
-    remaining = {}
+    vals = store.vals
+    remaining = {a: vals[key] for a, key in enumerate(g.keys)
+                 if key != NO_KEY and vals[key] > 0}
     out_arcs = [[] for _ in range(g.n)]
-    for a in range(g.m):
-        key = g.keys[a]
-        if key == NO_KEY:
-            continue
-        v = store.vals[key]
-        if v > 0:
-            remaining[a] = v
-            out_arcs[g.tails[a]].append(a)
+    for a in remaining:
+        out_arcs[g.tails[a]].append(a)
 
     circulation = {}
 

@@ -137,7 +137,7 @@ class PlanarGraph:
         for d, c in enumerate(counts):
             if c != 1:
                 raise EmbeddingInvalid(f"dart {d} appears {c} times in the rotation system")
-        if -1 in bfs_tree(self)[2]:
+        if -1 in bfs_tree(self)[1]:
             raise Disconnected("graph is not connected")
         faces, face_of = walk_faces(tails, heads, self.rot)
         if self.n - self.m + len(faces) != 2:
@@ -149,28 +149,39 @@ class PlanarGraph:
             _check_given_faces(self._faces, faces, face_of)
 
 
-def bfs_tree(g: PlanarGraph):
+def dart_heads(g: PlanarGraph):
+    """The head of every dart: dart 2a runs to heads[a], dart 2a + 1 to
+    tails[a]."""
+    head = [0] * (2 * g.m)
+    head[0::2] = g.heads
+    head[1::2] = g.tails
+    return head
+
+
+def bfs_tree(g: PlanarGraph, head=None):
     """Breadth-first spanning tree from node 0, darts taken in rotation
-    order: (parent, parent_arc, depth) per node, each -1 for a node the
-    search does not reach; the root has depth 0 and no parent or arc."""
-    parent = [-1] * g.n
-    parent_arc = [-1] * g.n
+    order: (parent_dart, depth) per node, each -1 for a node the search
+    does not reach; the root has depth 0 and no parent dart.  A node's
+    parent dart runs from its parent to it, so the parent is the head of
+    its reverse.  head, when given, is dart_heads(g)."""
+    parent_dart = [-1] * g.n
     depth = [-1] * g.n
     if g.n == 0:
-        return parent, parent_arc, depth
-    tails, heads, rot = g.tails, g.heads, g.rot
+        return parent_dart, depth
+    if head is None:
+        head = dart_heads(g)
+    rot = g.rot
     depth[0] = 0
     queue = [0]
     for v in queue:
         below = depth[v] + 1
         for d in rot[v]:
-            w = tails[d >> 1] if d & 1 else heads[d >> 1]
+            w = head[d]
             if depth[w] < 0:
-                parent[w] = v
-                parent_arc[w] = d >> 1
+                parent_dart[w] = d
                 depth[w] = below
                 queue.append(w)
-    return parent, parent_arc, depth
+    return parent_dart, depth
 
 
 def _check_given_faces(given, faces, face_of):

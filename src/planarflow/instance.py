@@ -17,6 +17,7 @@ and drops comments, so serialize(parse(x)) is idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import ParseError, TerminalOverlap
 from .graph import TerminalSets, build_graph
@@ -136,9 +137,11 @@ def parse_instance_file(text: str) -> InstanceFile:
         raise ParseError(1, "missing problem line")
     if len(arcs) != num_arcs:
         raise ParseError(1, f"problem line promises {num_arcs} arcs, found {len(arcs)}")
-    if set(rotations) != set(range(num_nodes)):
-        missing = sorted(set(range(num_nodes)) - set(rotations))
-        raise ParseError(1, f"missing rotation lines for nodes {[v + 1 for v in missing]}")
+    if len(rotations) != num_nodes:   # its keys are in range and distinct
+        absent = num_nodes - len(rotations)
+        first = list(islice((v + 1 for v in range(num_nodes) if v not in rotations), 5))
+        raise ParseError(1, f"missing rotation lines for {absent} nodes: "
+                            f"{first}{' and more' if absent > 5 else ''}")
     return InstanceFile(
         num_nodes=num_nodes,
         arcs=arcs,
@@ -226,6 +229,9 @@ def import_dimacs_max(text: str) -> InstanceFile:
     if len(arcs) != num_arcs:
         raise ParseError(1, f"problem line promises {num_arcs} arcs, found {len(arcs)}")
 
+    if num_nodes > num_arcs + 1:   # a connected grid has >= num_nodes - 1 arcs
+        raise ParseError(1, f"{num_nodes} nodes but only {num_arcs} arcs: "
+                            "too few for a grid on them")
     for rows in range(1, num_nodes + 1):
         if num_nodes % rows:
             continue

@@ -16,24 +16,28 @@ the least corner depth top, which is the depth of the cycle's top node
 lca(u, v), since every node strictly inside the cycle lies deeper.
 So the cycle has k = depth(u) + depth(v) - 2 * top + 1 nodes, and for a
 triangulation the strictly enclosed node count is (f - k) / 2 + 1.  The
-chosen cycle is read off by walking parent pointers up to depth top.
-One face flood (_flood) builds that dual tree and also finds the sides.
+chosen cycle is read off by walking parent darts up to depth top.  One
+list of dart heads serves the BFS tree, the corner depths and that walk,
+and one face flood (_flood) builds the dual tree.
 
-Sides come from faces: the cycle's arcs cut the faces into two regions,
-side 0 holding the face of each cycle dart's reverse, and the Separator
-keeps the side of every face.  Every arc and node off the cycle lies on
-the side of its faces, boundary chords included.  split_into_pieces
-reads those sides and hands each piece its share of the faces plus the
-hole, chorded into triangles, so a piece arrives triangulated and no
-level walks its faces again.
+Sides come from the same dual tree (tree-cotree duality): cutting the
+chosen arc's dual edge splits it into the faces below that edge and the
+rest, which are the two regions the cycle's arcs cut the faces into.
+Side 0 is the region holding the face of each cycle dart's reverse, and
+the Separator keeps the side of every face.  Every arc and node off the
+cycle lies on the side of its faces, boundary chords included.
+split_into_pieces reads those sides and hands each piece its share of
+the faces plus the hole, chorded into triangles, so a piece arrives
+triangulated and no level walks its faces again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .errors import PreconditionNotTriangulated
-from .graph import NO_KEY, PlanarGraph, bfs_tree
+from .graph import NO_KEY, PlanarGraph, bfs_tree, dart_heads
 from .surgery import triangulated
 
 # Documented boundary-size constant: every separator this module returns
@@ -44,6 +48,10 @@ from .surgery import triangulated
 # not guaranteed by the BFS-tree fundamental-cycle method used here.
 BOUNDARY_CONSTANT = 8.0
 
+# bytes.translate tables that turn a byte mask of sides into the mask of
+# side 0, or of side 1; a 2 is on neither
+_PICK = (bytes.maketrans(b"\0\1\2", b"\1\0\0"), bytes.maketrans(b"\0\1\2", b"\0\1\0"))
+
 
 @dataclass
 class Separator:
@@ -51,7 +59,7 @@ class Separator:
 
     boundary: list            # node ids in cycle order
     cycle_darts: list         # dart i runs boundary[i] -> boundary[i+1]
-    inside: frozenset         # nodes strictly on side 0 (see _sides)
+    inside: frozenset         # nodes strictly on side 0
     outside: frozenset        # nodes strictly on side 1
     n: int
     face_side: list           # side (0 or 1) of every face of the graph
@@ -92,12 +100,13 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
             "separator requires a two-connected triangulation")
     faces = g.faces()
     face_of = g.dart_faces()
-    n, tails, heads = g.n, g.tails, g.heads
+    n = g.n
 
-    parent, parent_arc, depth = bfs_tree(g)
+    head = dart_heads(g)
+    parent_dart, depth = bfs_tree(g, head)
     in_tree = bytearray(g.m)
-    for a in parent_arc[1:]:
-        in_tree[a] = 1
+    for d in parent_dart[1:]:
+        in_tree[d >> 1] = 1
 
     # The non-tree arcs span the dual.  Rooting it at a face with corner
     # node 0 makes the faces below non-tree arc a the side of a's cycle
@@ -106,79 +115,69 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
     # must pass through a cycle node, so the least corner depth below a
     # is the depth of the cycle's top node, lca(tail, head).
     order, via = _flood(faces, face_of, face_of[g.rot[0][0]], in_tree)
-    head_depth = [x for t, h in zip(tails, heads) for x in (depth[h], depth[t])]  # per dart
+    head_depth = [depth[x] for x in head]
     top = [min(head_depth[x], head_depth[y], head_depth[z]) for x, y, z in faces]
     count = [1] * len(faces)
-    best = None
-    for f in reversed(order):
+    # the least (larger strict side, k, arc), compared field by field;
+    # every candidate's larger side is below n
+    best_big = best_k = best_a = n
+    for f in order[:0:-1]:        # children before parents, the root left out
         d = via[f]
-        if d < 0:
-            continue
-        a = d >> 1
-        k = depth[tails[a]] + depth[heads[a]] - 2 * top[f] + 1
-        if (count[f] - k) % 2:
+        k = head_depth[d] + head_depth[d ^ 1] - 2 * top[f] + 1
+        c = count[f]
+        if (c - k) % 2:
             raise AssertionError(
-                f"arc {a}: {count[f]} enclosed faces and {k} cycle nodes "
+                f"arc {d >> 1}: {c} enclosed faces and {k} cycle nodes "
                 "differ in parity")
-        inside = (count[f] - k) // 2 + 1
-        score = (max(inside, n - k - inside), k, a)
-        if best is None or score < best:
-            best, top_depth = score, top[f]
+        enclosed = (c - k) // 2 + 1
+        big = n - k - enclosed
+        if enclosed > big:
+            big = enclosed
+        if big < best_big or big == best_big and (
+                k < best_k or k == best_k and d >> 1 < best_a):
+            best_big, best_k, best_a, best_face = big, k, d >> 1, f
         p = face_of[d]
-        count[p] += count[f]
-        top[p] = min(top[p], top[f])
-    a_star = best[2]
+        count[p] += c
+        if top[f] < top[p]:
+            top[p] = top[f]
+    a_star, top_depth = best_a, top[best_face]
 
     # tree paths from both ends of a_star up to the top node
-    up_u, up_v = [tails[a_star]], [heads[a_star]]
+    up_u, up_v = [g.tails[a_star]], [g.heads[a_star]]
     for up in (up_u, up_v):
         while depth[up[-1]] > top_depth:
-            up.append(parent[up[-1]])
+            up.append(head[parent_dart[up[-1]] ^ 1])
     boundary = up_u + up_v[-2::-1]
-    # arc i joins boundary[i] and boundary[i + 1]: tree arcs up to the top
-    # node and down again, closing with a_star; dart i leaves boundary[i]
-    arcs = ([parent_arc[x] for x in up_u[:-1]]
-            + [parent_arc[x] for x in up_v[-2::-1]] + [a_star])
-    darts = [2 * a + (tails[a] != x) for x, a in zip(boundary, arcs)]
+    # dart i runs boundary[i] -> boundary[i + 1]: up the tree from the
+    # tail, down to the head, and back along a_star
+    darts = ([parent_dart[x] ^ 1 for x in up_u[:-1]]
+             + [parent_dart[x] for x in up_v[-2::-1]] + [2 * a_star + 1])
 
-    face_side, inside, outside = _sides(g, darts)
+    # Cutting a_star's dual edge splits the dual tree into the faces
+    # below it and the rest, the two regions the cycle bounds.  Side 0
+    # holds the face of every cycle dart's reverse, 2 * a_star among them.
+    d = via[best_face]
+    below = (d & 1) ^ 1       # best_face holds d ^ 1
+    side = [below ^ 1] * len(faces)
+    side[best_face] = below
+    for f in order[order.index(best_face) + 1:]:
+        if side[face_of[via[f]]] == below:
+            side[f] = below
+    _check_orientation(side, face_of, darts)
+
+    # a node off the cycle lies on the side of its faces
+    on_cycle = bytearray(n)
+    for v in boundary:
+        on_cycle[v] = 1
+    inside, outside = [], []
+    for v, r in enumerate(g.rot):
+        if not on_cycle[v]:
+            (outside if side[face_of[r[0]]] else inside).append(v)
     if not (len(inside) <= 2 * n / 3 and len(outside) <= 2 * n / 3):
         raise AssertionError(
             f"separator balance violated: {len(inside)}/{len(outside)} of {n}")
     return Separator(boundary, darts, frozenset(inside), frozenset(outside), n,
-                     face_side)
-
-
-def _sides(g: PlanarGraph, cycle_darts):
-    """Side (0 or 1) of every face, and the nodes strictly on each side.
-
-    The cycle's arcs cut the faces into two regions.  Side 0 is the
-    region of the face of each cycle dart's reverse, found by one flood
-    from cycle_darts[0] ^ 1 that crosses every arc off the cycle and no
-    cycle arc; every face it does not reach is on side 1.  A node off the
-    cycle lies on the side of its faces.  Raises AssertionError unless
-    every cycle dart has its reverse's face on side 0 and its own on
-    side 1.
-    """
-    faces = g.faces()
-    face_of = g.dart_faces()
-    tails, heads = g.tails, g.heads
-    on_cycle = bytearray(g.m)
-    for d in cycle_darts:
-        on_cycle[d >> 1] = 1
-    side = [1] * len(faces)
-    for f in _flood(faces, face_of, face_of[cycle_darts[0] ^ 1], on_cycle)[0]:
-        side[f] = 0
-    _check_orientation(side, face_of, cycle_darts)
-
-    on_cycle_node = bytearray(g.n)
-    for d in cycle_darts:
-        on_cycle_node[heads[d >> 1] if d & 1 else tails[d >> 1]] = 1
-    inside, outside = set(), set()
-    for v, r in enumerate(g.rot):
-        if not on_cycle_node[v]:
-            (outside if side[face_of[r[0]]] else inside).add(v)
-    return side, inside, outside
+                     side)
 
 
 def _flood(faces, face_of, start, blocked):
@@ -227,41 +226,54 @@ def split_into_pieces(g: PlanarGraph, sep: Separator):
     """
     faces = g.faces()
     face_of = g.dart_faces()
+    g_tails, g_heads, g_caps, g_keys, g_rot = g.tails, g.heads, g.caps, g.keys, g.rot
     side = sep.face_side
     _check_orientation(side, face_of, sep.cycle_darts)
-    arc_side = [side[f] for f in face_of[::2]]
+    arc_sides = bytearray(map(side.__getitem__, face_of[::2]))
     for d in sep.cycle_darts:
-        arc_side[d >> 1] = 0
+        arc_sides[d >> 1] = 0
     strict = (sorted(sep.inside), sorted(sep.outside))
     for v in range(sep.n, g.n):   # detached terminals, numbered after sep's graph
-        strict[side[face_of[g.rot[v][0]]]].append(v)
+        strict[side[face_of[g_rot[v][0]]]].append(v)
     holes = (sep.cycle_darts, [d ^ 1 for d in reversed(sep.cycle_darts)])
+    # Every face is a triangle but the ones a detach grew, each holding
+    # its terminal's dart.  Triangles are copied by unpacking; the grown
+    # faces, marked 2 so neither side picks them there, go after them,
+    # which changes nothing, since triangulated sorts the faces it chords.
+    grown = {face_of[g_rot[v][0]] for v in range(sep.n, g.n)}
+    face_sides = bytearray(side)
+    for f in grown:
+        face_sides[f] = 2
 
     pieces = []
     for side_id in (0, 1):
-        nodes = list(sep.boundary) + strict[side_id]
-        local = {p: i for i, p in enumerate(nodes)}
-        own = [a for a in range(g.m) if arc_side[a] == side_id]
+        nodes = list(sep.boundary) + strict[side_id]     # the boundary first
+        local = dict(zip(nodes, range(len(nodes))))
+        own = list(compress(range(g.m), arc_sides.translate(_PICK[side_id])))
         stand_ins = [d >> 1 for d in sep.cycle_darts] if side_id else []
         arcs = own + stand_ins
         dart = [-1] * (2 * g.m)      # parent dart -> piece dart
         for i, a in enumerate(arcs):
             dart[2 * a] = 2 * i
             dart[2 * a + 1] = 2 * i + 1
-        tails = [local[g.tails[a]] for a in arcs]
-        heads = [local[g.heads[a]] for a in arcs]
-        caps = [g.caps[a] for a in own] + [0] * len(stand_ins)
-        keys = [g.keys[a] for a in own] + [NO_KEY] * len(stand_ins)
-        rot = [[dart[d] for d in g.rot[p] if dart[d] >= 0] for p in nodes]
-        piece_faces = [[dart[d] for d in walk]
-                       for walk, s in zip(faces, side) if s == side_id]
+        tails = [local[g_tails[a]] for a in arcs]
+        heads = [local[g_heads[a]] for a in arcs]
+        caps = [g_caps[a] for a in own] + [0] * len(stand_ins)
+        keys = [g_keys[a] for a in own] + [NO_KEY] * len(stand_ins)
+        # a boundary node keeps the darts on this side; a strict node's
+        # darts all lie on its side
+        rot = [[dart[d] for d in g_rot[p] if dart[d] >= 0] for p in sep.boundary]
+        rot += [[dart[d] for d in g_rot[p]] for p in strict[side_id]]
+        piece_faces = [[dart[x], dart[y], dart[z]]
+                       for x, y, z in compress(faces, face_sides.translate(_PICK[side_id]))]
+        piece_faces += [[dart[d] for d in faces[f]] for f in grown if side[f] == side_id]
         piece_faces.append([dart[d] for d in holes[side_id]])
 
         pg = triangulated(tails, heads, caps, keys, rot, piece_faces)
         parent_arcs = own + [None] * (pg.m - len(own))
         pieces.append(Piece(
             graph=pg,
-            boundary_local=[local[p] for p in sep.boundary],
+            boundary_local=list(range(len(sep.boundary))),
             parent_nodes=nodes,
             parent_arcs=parent_arcs,
             local_of=local,

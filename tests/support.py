@@ -11,7 +11,7 @@ from collections import deque
 
 import pytest
 
-from planarflow import surgery
+from planarflow import separator, surgery
 from planarflow.flow import FlowStore
 from planarflow.graph import NO_KEY
 from planarflow.solvers import (
@@ -403,3 +403,157 @@ def piece_pushes(store, piece, sub_sources, sub_sinks):
     value_out, deltas = ssms_max_flow(store, net, piece.boundary_local, sub_sinks)
     store.apply(deltas)
     return value_in, value_out
+
+
+def reference_find_cycle_separator(g):
+    """The separator search as it was before the sides were read off the
+    dual tree, kept as the reference for separator.find_cycle_separator:
+    a BFS tree of parent nodes and arcs, a score tuple per non-tree arc,
+    and the sides found by a second flood (reference_sides)."""
+    faces = g.faces()
+    face_of = g.dart_faces()
+    n, tails, heads = g.n, g.tails, g.heads
+
+    parent, parent_arc, depth = [-1] * n, [-1] * n, [-1] * n
+    depth[0] = 0
+    queue = [0]
+    for v in queue:
+        for d in g.rot[v]:
+            w = tails[d >> 1] if d & 1 else heads[d >> 1]
+            if depth[w] < 0:
+                parent[w], parent_arc[w], depth[w] = v, d >> 1, depth[v] + 1
+                queue.append(w)
+    in_tree = bytearray(g.m)
+    for a in parent_arc[1:]:
+        in_tree[a] = 1
+
+    order, via = reference_flood(faces, face_of, face_of[g.rot[0][0]], in_tree)
+    head_depth = [x for t, h in zip(tails, heads) for x in (depth[h], depth[t])]
+    top = [min(head_depth[x], head_depth[y], head_depth[z]) for x, y, z in faces]
+    count = [1] * len(faces)
+    best = None
+    for f in reversed(order):
+        d = via[f]
+        if d < 0:
+            continue
+        a = d >> 1
+        k = depth[tails[a]] + depth[heads[a]] - 2 * top[f] + 1
+        inside = (count[f] - k) // 2 + 1
+        score = (max(inside, n - k - inside), k, a)
+        if best is None or score < best:
+            best, top_depth = score, top[f]
+        p = face_of[d]
+        count[p] += count[f]
+        top[p] = min(top[p], top[f])
+    a_star = best[2]
+
+    up_u, up_v = [tails[a_star]], [heads[a_star]]
+    for up in (up_u, up_v):
+        while depth[up[-1]] > top_depth:
+            up.append(parent[up[-1]])
+    boundary = up_u + up_v[-2::-1]
+    arcs = ([parent_arc[x] for x in up_u[:-1]]
+            + [parent_arc[x] for x in up_v[-2::-1]] + [a_star])
+    darts = [2 * a + (tails[a] != x) for x, a in zip(boundary, arcs)]
+    face_side, inside, outside = reference_sides(g, darts)
+    return separator.Separator(boundary, darts, frozenset(inside),
+                               frozenset(outside), n, face_side)
+
+
+def reference_sides(g, cycle_darts):
+    """Side (0 or 1) of every face, by a flood from the face of
+    cycle_darts[0] ^ 1 that crosses no cycle arc, and the nodes strictly
+    on each side."""
+    faces = g.faces()
+    face_of = g.dart_faces()
+    on_cycle = bytearray(g.m)
+    for d in cycle_darts:
+        on_cycle[d >> 1] = 1
+    side = [1] * len(faces)
+    for f in reference_flood(faces, face_of, face_of[cycle_darts[0] ^ 1], on_cycle)[0]:
+        side[f] = 0
+    on_cycle_node = {g.dart_tail(d) for d in cycle_darts}
+    inside, outside = set(), set()
+    for v, r in enumerate(g.rot):
+        if v not in on_cycle_node:
+            (outside if side[face_of[r[0]]] else inside).add(v)
+    return side, inside, outside
+
+
+def reference_split_into_pieces(g, sep):
+    """The split with a per-dart side filter at every node and one
+    comprehension call per face, kept as the reference for
+    separator.split_into_pieces."""
+    faces = g.faces()
+    face_of = g.dart_faces()
+    side = sep.face_side
+    arc_side = [side[f] for f in face_of[::2]]
+    for d in sep.cycle_darts:
+        arc_side[d >> 1] = 0
+    strict = (sorted(sep.inside), sorted(sep.outside))
+    for v in range(sep.n, g.n):
+        strict[side[face_of[g.rot[v][0]]]].append(v)
+    holes = (sep.cycle_darts, [d ^ 1 for d in reversed(sep.cycle_darts)])
+
+    pieces = []
+    for side_id in (0, 1):
+        nodes = list(sep.boundary) + strict[side_id]
+        local = {p: i for i, p in enumerate(nodes)}
+        own = [a for a in range(g.m) if arc_side[a] == side_id]
+        stand_ins = [d >> 1 for d in sep.cycle_darts] if side_id else []
+        arcs = own + stand_ins
+        dart = [-1] * (2 * g.m)
+        for i, a in enumerate(arcs):
+            dart[2 * a] = 2 * i
+            dart[2 * a + 1] = 2 * i + 1
+        tails = [local[g.tails[a]] for a in arcs]
+        heads = [local[g.heads[a]] for a in arcs]
+        caps = [g.caps[a] for a in own] + [0] * len(stand_ins)
+        keys = [g.keys[a] for a in own] + [NO_KEY] * len(stand_ins)
+        rot = [[dart[d] for d in g.rot[p] if dart[d] >= 0] for p in nodes]
+        piece_faces = [[dart[d] for d in walk]
+                       for walk, s in zip(faces, side) if s == side_id]
+        piece_faces.append([dart[d] for d in holes[side_id]])
+        pg = surgery.triangulated(tails, heads, caps, keys, rot, piece_faces)
+        pieces.append(separator.Piece(
+            graph=pg,
+            boundary_local=[local[p] for p in sep.boundary],
+            parent_nodes=nodes,
+            parent_arcs=own + [None] * (pg.m - len(own)),
+            local_of=local,
+        ))
+    return pieces[0], pieces[1]
+
+
+def reference_flood(faces, face_of, start, blocked):
+    """Breadth-first search of the faces from face start, crossing every
+    arc a with blocked[a] == 0: the faces reached in search order, and
+    per face the dart of its search parent's walk it was entered by."""
+    via = [-1] * len(faces)
+    seen = bytearray(len(faces))
+    seen[start] = 1
+    order = [start]
+    for f in order:
+        for d in faces[f]:
+            if not blocked[d >> 1]:
+                f2 = face_of[d ^ 1]
+                if not seen[f2]:
+                    seen[f2] = 1
+                    via[f2] = d
+                    order.append(f2)
+    return order, via
+
+
+def same_separator(s, t):
+    """Equal boundary, cycle darts, strict sides and face sides."""
+    return ((s.boundary, s.cycle_darts, s.inside, s.outside, s.face_side)
+            == (t.boundary, t.cycle_darts, t.inside, t.outside, t.face_side))
+
+
+def same_piece(p, q):
+    """Equal arc arrays, rotations, faces and maps to the parent."""
+    g, h = p.graph, q.graph
+    return ((g.tails, g.heads, g.caps, g.keys, g.rot, g.faces(), p.boundary_local,
+             p.parent_nodes, p.parent_arcs, p.local_of)
+            == (h.tails, h.heads, h.caps, h.keys, h.rot, h.faces(), q.boundary_local,
+                q.parent_nodes, q.parent_arcs, q.local_of))

@@ -240,6 +240,8 @@ def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, linen
     ["import-dimacs", "{tmp}/arc-count-minus-1.max"],
     ["import-dimacs", "{tmp}/nodes-0.max"],
     ["import-dimacs", "{tmp}/unknown-tag.max"],
+    ["import-dimacs", "{tmp}/nodes-10-to-the-12.max"],
+    ["solve", "{tmp}/nodes-10-to-the-12.txt"],
     ["solve", "{inst}", "--config", "{tmp}/not-utf8.bin"],
 ], ids=["missing-instance", "missing-dimacs", "unknown-config-key",
         "non-integer-base-case", "base-case-1", "trace-in-missing-dir",
@@ -254,7 +256,8 @@ def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, linen
         "import-dimacs-arc-endpoint-0", "import-dimacs-arc-loop",
         "import-dimacs-arc-count-7", "import-dimacs-arc-count-x",
         "import-dimacs-arc-count-minus-1", "import-dimacs-nodes-0",
-        "import-dimacs-unknown-tag", "config-not-utf8"])
+        "import-dimacs-unknown-tag", "import-dimacs-nodes-10-to-the-12",
+        "solve-nodes-10-to-the-12", "config-not-utf8"])
 def test_bad_outside_input_exits_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "unknown-key.cfg").write_text("bogus = 1\n")
     (tmp_path / "bad-base-case.cfg").write_text("base_case = x\n")
@@ -275,17 +278,30 @@ def test_bad_outside_input_exits_2_with_one_line(tmp_path, capsys, argv):
         "nodes-0.max": ("p max 0 1\n" + head,
                         "line 1: need at least 1 node and at least 0 arcs"),
         "unknown-tag.max": ("p max 2 1\nx foo\n" + head, "line 2: unknown line tag 'x'"),
+        "nodes-10-to-the-12.max": (
+            "p max 1000000000000 1\n" + head,
+            "line 1: 1000000000000 nodes but only 1 arcs: too few for a grid on them"),
     }
     for name, (text, _) in bad_dimacs.items():
         (tmp_path / name).write_text(text)
     inst = tmp_path / "inst.txt"
     inst.write_text(generate("tri", 20, 1).text())
+    bad_instances = {  # file -> (text, the error it must get)
+        "nodes-10-to-the-12.txt": (  # a 9-node grid promising 10**12 nodes
+            generate("grid", 9, 1).text().replace("p pmf 9 ", "p pmf 1000000000000 "),
+            "line 1: missing rotation lines for 999999999991 nodes: "
+            "[10, 11, 12, 13, 14] and more"),
+    }
+    for name, (text, _) in bad_instances.items():
+        (tmp_path / name).write_text(text)
     argv = [a.format(tmp=tmp_path, inst=inst) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     name = argv[-1].rsplit("/", 1)[-1]
     if name in bad_dimacs:
         assert err == f"import error: {bad_dimacs[name][1]}\n"
+    elif name in bad_instances:
+        assert err == f"parse error: {bad_instances[name][1]}\n"
     else:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 

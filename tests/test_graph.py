@@ -59,7 +59,32 @@ def test_disconnected_rejected():
     with pytest.raises(Disconnected):
         build_graph(4, arcs, rotations)
     g = PlanarGraph([0, 2], [1, 3], [1, 1], [[0], [1], [2], [3]])
-    assert bfs_tree(g) == ([-1, 0, -1, -1], [-1, 0, -1, -1], [0, 1, -1, -1])
+    parent_dart, depth = bfs_tree(g)
+    # node 1 hangs below node 0 by dart 0 of arc 0; nodes 2 and 3 are not reached
+    assert parent_dart == [-1, 0, -1, -1] and depth == [0, 1, -1, -1]
+    assert (g.dart_tail(parent_dart[1]), parent_dart[1] >> 1) == (0, 0)
+
+
+@pytest.mark.parametrize("kind", ["grid", "tri"])
+def test_bfs_tree_parent_darts(kind):
+    """Each parent dart runs from a node one level up, taken in rotation
+    order from the first node of that level to reach the child: the tree
+    an independent breadth-first search builds."""
+    g, _ = generate(kind, 60, 4).build()
+    parent, depth = [-1] * g.n, [-1] * g.n
+    depth[0] = 0
+    queue = [0]
+    for v in queue:
+        for d in g.rot[v]:
+            w = g.dart_head(d)
+            if depth[w] < 0:
+                parent[w], depth[w] = v, depth[v] + 1
+                queue.append(w)
+    parent_dart, tree_depth = bfs_tree(g)
+    assert tree_depth == depth and parent_dart[0] == -1
+    for w in range(1, g.n):
+        d = parent_dart[w]
+        assert (g.dart_tail(d), g.dart_head(d)) == (parent[w], w)
 
 
 def test_empty_graph_fails_euler():

@@ -5,12 +5,19 @@ from collections import deque
 
 import pytest
 
+from planarflow import EngineConfig, engine, msms_max_flow
 from planarflow.errors import PreconditionNotTriangulated
 from planarflow.flow import FlowStore
 from planarflow.generate import generate, grid_arrays, random_triangulation_arrays
 from planarflow.graph import NO_KEY, build_graph
 from planarflow.separator import find_cycle_separator, split_into_pieces
 from planarflow.surgery import detach_terminal_from_cycle, triangulate_and_biconnect
+from support import (
+    reference_find_cycle_separator,
+    reference_split_into_pieces,
+    same_piece,
+    same_separator,
+)
 
 
 def build_from_arrays(arrays):
@@ -282,3 +289,42 @@ def test_split_rejects_a_mis_oriented_cycle(flipped):
     darts[flipped] ^= 1
     with pytest.raises(AssertionError):
         split_into_pieces(g, dataclasses.replace(sep, cycle_darts=darts))
+
+
+@pytest.mark.parametrize("kind", ["grid", "tri"])
+def test_separator_and_split_match_the_reference_on_root_triangulations(kind):
+    for seed in range(4):
+        g, _ = generate(kind, 300, seed).build()
+        gt = triangulate_and_biconnect(g)
+        sep = find_cycle_separator(gt)
+        assert same_separator(sep, reference_find_cycle_separator(gt))
+        pieces = split_into_pieces(gt, sep)
+        assert all(map(same_piece, pieces, reference_split_into_pieces(gt, sep)))
+
+
+def test_separator_and_split_match_the_reference_in_recursive_solves(monkeypatch):
+    """Every find and split call of recursive solves, the levels whose
+    cycle terminals were detached included."""
+    calls = {"find": 0, "split": 0, "detached": 0}
+    real_find, real_split = engine.find_cycle_separator, engine.split_into_pieces
+
+    def find(g):
+        sep = real_find(g)
+        assert same_separator(sep, reference_find_cycle_separator(g))
+        calls["find"] += 1
+        return sep
+
+    def split(g, sep):
+        pieces = real_split(g, sep)
+        assert all(map(same_piece, pieces, reference_split_into_pieces(g, sep)))
+        calls["split"] += 1
+        calls["detached"] += g.n > sep.n
+        return pieces
+    monkeypatch.setattr(engine, "find_cycle_separator", find)
+    monkeypatch.setattr(engine, "split_into_pieces", split)
+    for kind in ("grid", "tri"):
+        for seed in range(2):
+            g, ts = generate(kind, 400, seed).build()
+            msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(base_case=8))
+    assert calls["find"] == calls["split"] > 100
+    assert calls["detached"] > 20

@@ -7,14 +7,20 @@ its sources into the boundary node set and from that set into its sinks
 does the work of both pieces' pushes), walk the boundary nodes in cyclic
 order moving each one's imbalance onto the still-unwalked suffix with
 limited flows, and finally settle the remaining boundary imbalance back
-onto the terminals: cancel the flow cycles, then push each imbalance
-along the acyclic rest in the topological order the cancelling DFS
-returns.  All flow lives in one global store; every subroutine sees
-current residual capacities and its result is accumulated immediately.
-A split level's pushes and walk share one residual net of its graph.
+onto the terminals.  The settle works on the level's change only: the
+arcs whose flow moved since the level built its net, when the pieces'
+flows conserved.  It cancels the change's cycles, then moves each
+imbalance back along the acyclic rest in the topological order the
+cancelling DFS returns.  All flow lives in one global store; every
+subroutine sees current residual capacities and its result is
+accumulated immediately.  A split level's pushes and walk share one
+residual net of its graph.
 
 The input is triangulated once, at the root; every piece inherits its
-triangulation and its faces from the split (see separator.py).
+triangulation and its faces from the split (see separator.py).  A
+piece's graph is built only when its level splits, or under
+audit=full: an empty piece needs only its size, and a leaf is solved
+from the piece's arc arrays.
 
 Instrumentation is config-gated.  Audit level "final" checks, after each
 level's settlement and once more on the input graph, that the flow
@@ -31,7 +37,9 @@ depth, the phase, the piece or walk step, and up to five offending nodes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count
 from math import sqrt
+from operator import ne
 
 from .config import EngineConfig
 from .errors import (
@@ -176,7 +184,10 @@ class MsmsEngine:
 
     # -- recursion -------------------------------------------------------------
 
-    def _solve(self, g: PlanarGraph, sources, sinks, depth):
+    def _solve(self, g, sources, sinks, depth):
+        """Solve one level: g is the input graph at depth 0 and a Piece
+        below, whose graph is read only if the level splits (or under
+        audit=full)."""
         if not sources or not sinks:
             self.stats.record(LevelRecord(depth, g.n, "empty"))
             return
@@ -184,14 +195,14 @@ class MsmsEngine:
             self._base_solve(g, sources, sinks, depth, "base")
             return
 
-        if depth == 0:
-            g = triangulate_and_biconnect(g)   # pieces inherit it from here on
-        sep = find_cycle_separator(g)
+        # the input is triangulated here; pieces inherit it from there on
+        gt = triangulate_and_biconnect(g) if depth == 0 else g.graph
+        sep = find_cycle_separator(gt)
         gd, lvl_sources, lvl_sinks = self._detach_boundary_terminals(
-            g, sep, sources, sinks)
+            gt, sep, sources, sinks)
         piece1, piece2 = split_into_pieces(gd, sep)
         self._audit_pieces_embedded(depth, (piece1, piece2))
-        if max(piece1.graph.n, piece2.graph.n) >= g.n:
+        if max(piece1.n, piece2.n) >= g.n:
             # a split that cannot shrink the problem; finish directly
             # (the just-created detach arcs stay at zero flow and are dropped)
             self._base_solve(g, sources, sinks, depth, "guard-base")
@@ -199,12 +210,12 @@ class MsmsEngine:
         sources, sinks = lvl_sources, lvl_sinks
 
         self.stats.record(LevelRecord(
-            depth, g.n, "split", sep.k, (piece1.graph.n, piece2.graph.n)))
+            depth, g.n, "split", sep.k, (piece1.n, piece2.n)))
         self._emit({"op": "separator", "depth": depth, "n": g.n, "k": sep.k,
-                    "pieces": [piece1.graph.n, piece2.graph.n]})
+                    "pieces": [piece1.n, piece2.n]})
         if self.cfg.audit == "full":
-            keys1 = {k for k in piece1.graph.keys if k != NO_KEY}
-            keys2 = {k for k in piece2.graph.keys if k != NO_KEY}
+            keys1 = {k for k in piece1.keys if k != NO_KEY}
+            keys2 = {k for k in piece2.keys if k != NO_KEY}
             self._check(not (keys1 & keys2),
                         f"depth {depth}: sibling pieces share flow-carrying arcs")
 
@@ -213,26 +224,30 @@ class MsmsEngine:
             local = piece.local_of
             sub_sources = {local[v] for v in sources if v in local}
             sub_sinks = {local[v] for v in sinks if v in local}
-            self._solve(piece.graph, sub_sources, sub_sinks, depth + 1)
+            self._solve(piece, sub_sources, sub_sinks, depth + 1)
             parts.append((piece, sub_sources, sub_sinks))
             self._audit_piece_recursed(*parts[-1], side, depth)
 
         net = graph_arcs(gd, self.store)
+        snapshot = net.res[1::2]
         boundary = sep.boundary
         self._push_boundary(net, gd, boundary, sources, sinks, parts, depth)
         self._audit_after_first_loop(gd, sources, sinks, boundary, depth)
         self._redistribute_boundary(net, gd, boundary, sources, sinks, depth)
-        self._settle_pseudoflow(gd, sources, sinks)
+        self._settle_pseudoflow(net, snapshot, sources, sinks)
         self._audit_level_final(gd, sources, sinks, depth)
 
     def _base_solve(self, g, sources, sinks, depth, kind):
+        """Solve g (the input graph, or a Piece below depth 0) directly,
+        on one net of its keyed arcs; a piece's graph is read only by the
+        full audit."""
         self.stats.record(LevelRecord(depth, g.n, kind))
         value, deltas = solve_msms_residual(self.store, graph_arcs(g, self.store),
                                             sources, sinks)
         self.store.apply(deltas)
         self._emit({"op": "solve_leaf", "depth": depth, "n": g.n, "value": value})
         if self.cfg.audit == "full":
-            reach = residual_reachable(g, self.store, sources)
+            reach = residual_reachable(g.graph if depth else g, self.store, sources)
             self._check_unreached(reach, sinks, f"depth {depth} {kind} solve",
                                   "source reaches a sink")
 
@@ -331,63 +346,85 @@ class MsmsEngine:
 
     # -- settlement ---------------------------------------------------------------
 
-    def _settle_pseudoflow(self, gd, sources, sinks):
-        """Convert the boundary pseudoflow into a feasible flow: cancel
-        flow cycles, then, in the topological order of the remaining
-        positive darts that the cancelling DFS returns, push excess back
-        toward where it came from and deficits forward toward where they
-        were headed."""
-        circulation, order = decompose_acyclic(gd, self.store)
-        if circulation:
-            self.store.apply([(key, -d) for key, d in sorted(circulation.items())])
+    def _settle_pseudoflow(self, net, snapshot, sources, sinks):
+        """Convert the level's pseudoflow into a feasible flow by settling
+        its change: snapshot holds the flow of every keyed arc of the net
+        when the level built it, after both pieces' recursions, and that
+        flow conserves at every non-terminal.  So only the darts whose
+        flow moved since then can carry an imbalance, each oriented by the
+        sign of its move and carrying its size.  Cancel the cycles of that
+        change, then, in the topological order of its remaining darts
+        that the cancelling DFS returns, push excess back toward where it
+        came from and deficits forward toward where they were headed.
 
-        store = self.store
-        vals = store.vals
-        rank = [0] * gd.n
-        for i, v in enumerate(order):
-            rank[v] = i
-        # the arcs still positive after the cancellation carry all the
-        # flow, so they alone give the net inflows
-        positive = [a for a, key in enumerate(gd.keys) if key != NO_KEY and vals[key] > 0]
-        pos_out = [[] for _ in range(gd.n)]
-        pos_in = [[] for _ in range(gd.n)]
-        balance = [0] * gd.n
-        for a in positive:
-            t, h = gd.tails[a], gd.heads[a]
+        Settling only the change is exact: the pushes and the walk leave
+        no residual path from a source or an overfull node to a sink or a
+        drained node, so no drain crosses the saturated cut, and every
+        flow between the snapshot's and the current one is within the
+        capacities.  The net is not updated."""
+        head = net.head
+        flows = net.res[1::2]
+        amounts = {}
+        for a in compress(count(), map(ne, flows, snapshot)):
+            x = flows[a] - snapshot[a]
+            if x > 0:
+                amounts[2 * a] = x
+            else:
+                amounts[2 * a + 1] = -x
+        circulation, order = decompose_acyclic(head, amounts)
+        for d, x in circulation.items():
+            amounts[d] -= x
+
+        rank = {v: i for i, v in enumerate(order)}
+        pos_out = {v: [] for v in order}
+        pos_in = {v: [] for v in order}
+        balance = dict.fromkeys(order, 0)
+        for d, x in amounts.items():
+            if not x:
+                continue
+            t, h = head[d ^ 1], head[d]
             if rank[t] >= rank[h]:
                 raise SettlementStuck("positive flow darts still contain a cycle")
-            pos_out[t].append(a)
-            pos_in[h].append(a)
-            x = vals[gd.keys[a]]
+            pos_out[t].append(d)
+            pos_in[h].append(d)
             balance[h] += x
             balance[t] -= x
         terminals = set(sources) | set(sinks)
 
         # excess drains back toward emitters, then deficits forward
         # toward absorbers; sign turns a deficit into a positive need
-        for nodes, arcs_at, far_ends, sign, what in (
-                (reversed(order), pos_in, gd.tails, 1, "excess"),
-                (order, pos_out, gd.heads, -1, "deficit")):
+        for nodes, darts_at, step, sign, what in (
+                (reversed(order), pos_in, 1, 1, "excess"),
+                (order, pos_out, 0, -1, "deficit")):
             for v in nodes:
                 need = sign * balance[v]
                 if v in terminals or need <= 0:
                     continue
-                for a in arcs_at[v]:
-                    key = gd.keys[a]
-                    take = min(store.vals[key], need)
+                for d in darts_at[v]:
+                    take = min(amounts[d], need)
                     if take > 0:
-                        store.vals[key] -= take
+                        amounts[d] -= take
                         balance[v] -= sign * take
-                        balance[far_ends[a]] += sign * take
+                        balance[head[d ^ step]] += sign * take
                         need -= take
                     if need == 0:
                         break
                 if need:
                     raise SettlementStuck(f"{what} {need} stranded at node {v}")
 
-        for v in range(gd.n):
+        for v in order:
             if v not in terminals and balance[v] != 0:
                 raise SettlementStuck(f"node {v} still violates conservation")
+
+        # the change kept on dart d moves arc d >> 1 away from its snapshot
+        keys = net.keys
+        deltas = []
+        for d, x in amounts.items():          # in arc order
+            a = d >> 1
+            delta = snapshot[a] + (-x if d & 1 else x) - flows[a]
+            if delta:
+                deltas.append((keys[a], delta))
+        self.store.apply(deltas)
 
     # -- invariant audits -------------------------------------------------------------
 

@@ -138,69 +138,76 @@ def residual_reachable(g: PlanarGraph, store: FlowStore, start, seen=None) -> se
     return set(reached)
 
 
-def decompose_acyclic(g: PlanarGraph, store: FlowStore):
-    """Cancel the flow cycles on g; return (circulation, order).
+def decompose_acyclic(head, amounts):
+    """Cancel the cycles of a flow on a set of darts; return
+    (circulation, order).
 
-    circulation maps key -> value, has zero inflow everywhere, and is what
-    the caller subtracts from the store to leave an acyclic flow; the
-    store itself is not changed.  Cycles are canceled by repeated DFS on
-    the positive-flow darts, removing the minimum flow around each cycle.
+    Dart d runs from head[d ^ 1] to head[d]; amounts maps each dart of
+    the set to the flow it carries, zero allowed.  circulation maps dart
+    -> amount, has zero inflow everywhere, and is what the caller
+    subtracts from amounts to leave an acyclic flow; amounts itself is
+    not changed.  Cycles are canceled by repeated DFS on the darts with
+    positive amount, removing the minimum around each cycle.
 
-    order lists every node in reverse DFS finishing order.  A node
-    finishes only when each of its out-arcs with positive remaining flow
-    leads to an already finished node, and later cancellations only lower
-    flow; so every positive arc of the stored flow minus the circulation
-    runs forward in order, which makes it a topological order of them.
+    order lists every end of a dart of the set, in reverse DFS finishing
+    order, the DFS roots taken in order of first appearance in amounts.
+    A node finishes only when each of its darts with positive remaining
+    amount leads to an already finished node, and later cancellations
+    only lower amounts; so every dart still positive after the
+    cancellation runs forward in order, which makes it a topological
+    order of them.
     """
-    vals = store.vals
-    remaining = {a: vals[key] for a, key in enumerate(g.keys)
-                 if key != NO_KEY and vals[key] > 0}
-    out_arcs = [[] for _ in range(g.n)]
-    for a in remaining:
-        out_arcs[g.tails[a]].append(a)
+    remaining = {d: x for d, x in amounts.items() if x > 0}
+    out_darts = {}
+    for d in amounts:
+        out_darts.setdefault(head[d ^ 1], [])
+        out_darts.setdefault(head[d], [])
+    for d in remaining:
+        out_darts[head[d ^ 1]].append(d)
 
     circulation = {}
 
-    # Iterative DFS over arcs with remaining positive flow; when a node on
-    # the current path is revisited we found a flow cycle and cancel it.
-    state = bytearray(g.n)  # 0 unvisited, 1 on stack, 2 done
-    ptr = [0] * g.n
+    # Iterative DFS over darts with remaining positive amount; when a node
+    # on the current path is revisited we found a cycle and cancel it.
+    state = dict.fromkeys(out_darts, 0)  # 0 unvisited, 1 on stack, 2 done
+    ptr = dict.fromkeys(out_darts, 0)
     finished = []
-    for root in range(g.n):
+    for root in out_darts:
         if state[root] != 0:
             continue
         stack = [root]
-        path_arcs = []
+        path = []
         state[root] = 1
         while stack:
             v = stack[-1]
+            darts = out_darts[v]
             advanced = False
-            while ptr[v] < len(out_arcs[v]):
-                a = out_arcs[v][ptr[v]]
-                if remaining.get(a, 0) <= 0:
+            while ptr[v] < len(darts):
+                d = darts[ptr[v]]
+                if remaining[d] <= 0:
                     ptr[v] += 1
                     continue
-                w = g.heads[a]
+                w = head[d]
                 if state[w] == 1:
                     # cancel the cycle closing at w
-                    cycle = [a]
-                    for pa in reversed(path_arcs):
-                        cycle.append(pa)
-                        if g.tails[pa] == w:
+                    cycle = [d]
+                    for pd in reversed(path):
+                        cycle.append(pd)
+                        if head[pd ^ 1] == w:
                             break
                     delta = min(remaining[c] for c in cycle)
                     for c in cycle:
                         remaining[c] -= delta
-                        circulation[g.keys[c]] = circulation.get(g.keys[c], 0) + delta
-                    # unwind the stack to w so exhausted arcs get re-scanned
+                        circulation[c] = circulation.get(c, 0) + delta
+                    # unwind the stack to w so exhausted darts get re-scanned
                     while stack[-1] != w:
                         state[stack.pop()] = 0
-                        path_arcs.pop()
+                        path.pop()
                     advanced = True
                     break
                 if state[w] == 0:
                     stack.append(w)
-                    path_arcs.append(a)
+                    path.append(d)
                     state[w] = 1
                     advanced = True
                     break
@@ -210,8 +217,8 @@ def decompose_acyclic(g: PlanarGraph, store: FlowStore):
                 finished.append(v)
                 ptr[v] = 0
                 stack.pop()
-                if path_arcs:
-                    path_arcs.pop()
+                if path:
+                    path.pop()
 
     finished.reverse()
     return circulation, finished

@@ -5,8 +5,8 @@ node, the clockwise cyclic order of the darts leaving it.  The rotation
 system is the single source of truth for the embedding.  Its faces are
 walked from it on first use, or given at construction by surgery that
 already knows them (a piece inherits its parent's faces);
-check_embedding walks the rotation itself and rejects given faces that
-disagree with it.
+check_embedding rejects given faces that do not step from each dart to
+the successor the rotation implies.
 
 Every arc owns two darts.  Dart ``2*a`` points with arc ``a`` and carries
 its capacity; dart ``2*a + 1`` points against it and carries capacity
@@ -40,10 +40,7 @@ def walk_faces(tails, heads, rot):
     rotation at the head of d.
     """
     num_darts = 2 * len(tails)
-    succ = [0] * num_darts
-    for r in rot:
-        for i, d in enumerate(r):
-            succ[r[i - 1] ^ 1] = d
+    succ = _successors(rot, num_darts)
     face_of = [-1] * num_darts
     faces = []
     for d0 in range(num_darts):
@@ -58,6 +55,15 @@ def walk_faces(tails, heads, rot):
             d = succ[d]
         faces.append(walk)
     return faces, face_of
+
+
+def _successors(rot, num_darts):
+    """The successor of every dart in its face walk."""
+    succ = [0] * num_darts
+    for r in rot:
+        for i, d in enumerate(r):
+            succ[r[i - 1] ^ 1] = d
+    return succ
 
 
 class PlanarGraph:
@@ -123,30 +129,41 @@ class PlanarGraph:
     def check_embedding(self):
         """Raise unless the rotation system is a planar embedding of a
         connected graph (Euler's formula n - m + f = 2) and the given
-        faces, if any, are its face walks."""
+        faces, if any, are its face walks.
+
+        Given faces are checked dart by dart against the successors the
+        rotation implies, and walked only when that check fails, to name
+        the bad face."""
         if self.n == 1 and self.m == 0:
             return  # a bare node embeds in the sphere with one face
-        tails, heads = self.tails, self.heads
-        counts = [0] * (2 * self.m)
-        for v, r in enumerate(self.rot):
+        tails, heads, rot = self.tails, self.heads, self.rot
+        num_darts = 2 * self.m
+        tail = [0] * num_darts
+        tail[0::2] = tails
+        tail[1::2] = heads
+        counts = [0] * num_darts
+        for v, r in enumerate(rot):
             for d in r:
-                tail = heads[d >> 1] if d & 1 else tails[d >> 1]
-                if tail != v:
-                    raise EmbeddingInvalid(f"dart {d} listed at node {v} but leaves node {tail}")
+                if tail[d] != v:
+                    raise EmbeddingInvalid(
+                        f"dart {d} listed at node {v} but leaves node {tail[d]}")
                 counts[d] += 1
-        for d, c in enumerate(counts):
-            if c != 1:
-                raise EmbeddingInvalid(f"dart {d} appears {c} times in the rotation system")
+        if counts.count(1) != num_darts:
+            d = next(d for d, c in enumerate(counts) if c != 1)
+            raise EmbeddingInvalid(f"dart {d} appears {counts[d]} times in the rotation system")
         if -1 in bfs_tree(self)[1]:
             raise Disconnected("graph is not connected")
-        faces, face_of = walk_faces(tails, heads, self.rot)
-        if self.n - self.m + len(faces) != 2:
+        given, faces = self._faces, None
+        if given is None or not _are_face_walks(given, rot, num_darts):
+            faces, face_of = walk_faces(tails, heads, rot)
+        num_faces = len(given if faces is None else faces)
+        if self.n - self.m + num_faces != 2:
             raise NonPlanarEmbedding(
-                f"Euler check failed: n={self.n} m={self.m} f={len(faces)}")
-        if self._faces is None:
+                f"Euler check failed: n={self.n} m={self.m} f={num_faces}")
+        if given is None:
             self._faces, self._face_of = faces, face_of
-        else:
-            _check_given_faces(self._faces, faces, face_of)
+        elif faces is not None:
+            _check_given_faces(given, faces, face_of)
 
 
 def dart_heads(g: PlanarGraph):
@@ -182,6 +199,27 @@ def bfs_tree(g: PlanarGraph, head=None):
                 depth[w] = below
                 queue.append(w)
     return parent_dart, depth
+
+
+def _are_face_walks(given, rot, num_darts):
+    """Whether the given walks are the face walks of the rotation system,
+    each once: the walks hold every dart once, and each steps from every
+    dart to its successor, the last one back to the first."""
+    if sum(map(len, given)) != num_darts:
+        return False
+    succ = _successors(rot, num_darts)
+    seen = bytearray(num_darts)
+    try:
+        for walk in given:
+            prev = walk[-1]
+            for d in walk:
+                if succ[prev] != d or seen[d]:
+                    return False
+                seen[d] = 1
+                prev = d
+    except IndexError:      # an empty walk, or a dart out of range
+        return False
+    return True
 
 
 def _check_given_faces(given, faces, face_of):

@@ -28,12 +28,16 @@ the Separator keeps the side of every face.  Every arc and node off the
 cycle lies on the side of its faces, boundary chords included.
 split_into_pieces reads those sides and hands each piece its share of
 the faces plus the hole, chorded into triangles, so a piece arrives
-triangulated and no level walks its faces again.
+triangulated and no level walks its faces again.  It fills each piece's
+node maps and arc arrays at once but builds the piece graph (rotations,
+faces, chords) on first read, so at audit=none the pieces that never
+split, the empty ones and the leaves, are never built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from itertools import compress
 
 from .errors import PreconditionNotTriangulated
@@ -69,23 +73,59 @@ class Separator:
         return len(self.boundary)
 
 
-@dataclass
 class Piece:
     """One side of a split, with its map back to the parent graph.
+
+    n, boundary_local (the piece-local ids of the boundary, in cycle
+    order), parent_nodes (piece-local node id -> parent node id) and
+    local_of (parent node id -> local id) are filled at once.  So are
+    tails, heads and keys, the arc arrays of the piece graph: its own
+    arcs, in parent arc order, then the stand-ins.  The graph itself,
+    rotations, faces and triangulation chords, is built on the first
+    read of graph, which then drops what it was built from; the build
+    appends the chords to those same arc arrays.
 
     Arc i of the piece graph corresponds to parent arc parent_arcs[i],
     or None for a zero-capacity arc the split added: the stand-ins that
     keep the boundary ring connected in the piece that does not own the
-    cycle arcs, and the chords that triangulate the piece.  Flow keys
-    are shared with the parent, so accumulating through a piece updates
-    the global assignment directly.
+    cycle arcs, and the chords that triangulate the piece.  Neither
+    carries a flow key, so a residual net of the arc arrays is the net
+    of the graph, built or not (see solvers.graph_arcs).  Flow keys are
+    shared with the parent, so accumulating through a piece updates the
+    global assignment directly.
     """
 
-    graph: PlanarGraph
-    boundary_local: list      # piece-local ids of the boundary, cycle order
-    parent_nodes: list        # piece-local node id -> parent node id
-    parent_arcs: list         # piece-local arc id -> parent arc id or None
-    local_of: dict = field(default_factory=dict)  # parent node id -> local id
+    __slots__ = ("boundary_local", "parent_nodes", "local_of", "tails", "heads",
+                 "keys", "_own", "_build", "_graph")
+
+    def __init__(self, boundary_local, parent_nodes, local_of, tails, heads, keys,
+                 own, build):
+        """own: the parent arcs of the piece's own arcs; build: a call
+        that returns the piece graph, made at most once."""
+        self.boundary_local = boundary_local
+        self.parent_nodes = parent_nodes
+        self.local_of = local_of
+        self.tails, self.heads, self.keys = tails, heads, keys
+        self._own = own
+        self._build = build
+        self._graph = None
+
+    @property
+    def n(self):
+        return len(self.parent_nodes)
+
+    @property
+    def graph(self) -> PlanarGraph:
+        if self._graph is None:
+            self._graph = self._build()
+            self._build = None
+        return self._graph
+
+    @property
+    def parent_arcs(self):
+        """Piece-local arc id -> parent arc id, or None for an arc the
+        split added; reads graph."""
+        return self._own + [None] * (self.graph.m - len(self._own))
 
 
 def find_cycle_separator(g: PlanarGraph) -> Separator:
@@ -222,11 +262,12 @@ def split_into_pieces(g: PlanarGraph, sep: Separator):
     A piece's faces are g's faces on its side, renumbered, plus the hole:
     the one face the other side leaves, bounded by the cycle.  Only the
     hole and the faces around detached terminals are longer than three,
-    so only they are chorded (see surgery.triangulated).
+    so only they are chorded (see surgery.triangulated).  The split
+    fills each piece's node maps and arc arrays; rotations, faces and
+    chords wait for the first read of piece.graph.
     """
-    faces = g.faces()
     face_of = g.dart_faces()
-    g_tails, g_heads, g_caps, g_keys, g_rot = g.tails, g.heads, g.caps, g.keys, g.rot
+    g_tails, g_heads, g_keys, g_rot = g.tails, g.heads, g.keys, g.rot
     side = sep.face_side
     _check_orientation(side, face_of, sep.cycle_darts)
     arc_sides = bytearray(map(side.__getitem__, face_of[::2]))
@@ -235,7 +276,42 @@ def split_into_pieces(g: PlanarGraph, sep: Separator):
     strict = (sorted(sep.inside), sorted(sep.outside))
     for v in range(sep.n, g.n):   # detached terminals, numbered after sep's graph
         strict[side[face_of[g_rot[v][0]]]].append(v)
-    holes = (sep.cycle_darts, [d ^ 1 for d in reversed(sep.cycle_darts)])
+    stand_ins = [d >> 1 for d in sep.cycle_darts]
+
+    pieces = []
+    for side_id in (0, 1):
+        nodes = list(sep.boundary) + strict[side_id]     # the boundary first
+        local = dict(zip(nodes, range(len(nodes))))
+        own = list(compress(range(g.m), arc_sides.translate(_PICK[side_id])))
+        arcs = own + stand_ins if side_id else own
+        tails = list(map(local.__getitem__, map(g_tails.__getitem__, arcs)))
+        heads = list(map(local.__getitem__, map(g_heads.__getitem__, arcs)))
+        keys = list(map(g_keys.__getitem__, own))
+        keys += [NO_KEY] * (len(arcs) - len(own))
+        pieces.append(Piece(list(range(len(sep.boundary))), nodes, local, tails, heads,
+                            keys, own, partial(_build_piece, g, sep, side_id, nodes, arcs,
+                                               len(own), tails, heads, keys)))
+    return pieces[0], pieces[1]
+
+
+def _build_piece(g, sep, side_id, nodes, arcs, owned, tails, heads, keys):
+    """The graph of one side of split_into_pieces: its nodes, the
+    boundary first, and its arcs (the first owned of them its own, the
+    rest stand-ins) with the arc arrays the split made for them, plus
+    its rotations and faces, chorded."""
+    faces = g.faces()
+    face_of = g.dart_faces()
+    g_caps, g_rot, side = g.caps, g.rot, sep.face_side
+    dart = [-1] * (2 * g.m)      # parent dart -> piece dart
+    for i, a in enumerate(arcs):
+        dart[2 * a] = 2 * i
+        dart[2 * a + 1] = 2 * i + 1
+    caps = list(map(g_caps.__getitem__, arcs[:owned])) + [0] * (len(arcs) - owned)
+    # a boundary node keeps the darts on this side; a strict node's darts
+    # all lie on its side
+    k = len(sep.boundary)
+    rot = [[dart[d] for d in g_rot[p] if dart[d] >= 0] for p in nodes[:k]]
+    rot += [[dart[d] for d in g_rot[p]] for p in nodes[k:]]
     # Every face is a triangle but the ones a detach grew, each holding
     # its terminal's dart.  Triangles are copied by unpacking; the grown
     # faces, marked 2 so neither side picks them there, go after them,
@@ -244,38 +320,10 @@ def split_into_pieces(g: PlanarGraph, sep: Separator):
     face_sides = bytearray(side)
     for f in grown:
         face_sides[f] = 2
-
-    pieces = []
-    for side_id in (0, 1):
-        nodes = list(sep.boundary) + strict[side_id]     # the boundary first
-        local = dict(zip(nodes, range(len(nodes))))
-        own = list(compress(range(g.m), arc_sides.translate(_PICK[side_id])))
-        stand_ins = [d >> 1 for d in sep.cycle_darts] if side_id else []
-        arcs = own + stand_ins
-        dart = [-1] * (2 * g.m)      # parent dart -> piece dart
-        for i, a in enumerate(arcs):
-            dart[2 * a] = 2 * i
-            dart[2 * a + 1] = 2 * i + 1
-        tails = [local[g_tails[a]] for a in arcs]
-        heads = [local[g_heads[a]] for a in arcs]
-        caps = [g_caps[a] for a in own] + [0] * len(stand_ins)
-        keys = [g_keys[a] for a in own] + [NO_KEY] * len(stand_ins)
-        # a boundary node keeps the darts on this side; a strict node's
-        # darts all lie on its side
-        rot = [[dart[d] for d in g_rot[p] if dart[d] >= 0] for p in sep.boundary]
-        rot += [[dart[d] for d in g_rot[p]] for p in strict[side_id]]
-        piece_faces = [[dart[x], dart[y], dart[z]]
-                       for x, y, z in compress(faces, face_sides.translate(_PICK[side_id]))]
-        piece_faces += [[dart[d] for d in faces[f]] for f in grown if side[f] == side_id]
-        piece_faces.append([dart[d] for d in holes[side_id]])
-
-        pg = triangulated(tails, heads, caps, keys, rot, piece_faces)
-        parent_arcs = own + [None] * (pg.m - len(own))
-        pieces.append(Piece(
-            graph=pg,
-            boundary_local=list(range(len(sep.boundary))),
-            parent_nodes=nodes,
-            parent_arcs=parent_arcs,
-            local_of=local,
-        ))
-    return pieces[0], pieces[1]
+    piece_faces = [[dart[x], dart[y], dart[z]]
+                   for x, y, z in compress(faces, face_sides.translate(_PICK[side_id]))]
+    piece_faces += [[dart[d] for d in faces[f]] for f in grown if side[f] == side_id]
+    hole = (sep.cycle_darts if side_id == 0
+            else [d ^ 1 for d in reversed(sep.cycle_darts)])
+    piece_faces.append([dart[d] for d in hole])
+    return triangulated(tails, heads, caps, keys, rot, piece_faces)

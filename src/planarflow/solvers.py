@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import NO_KEY, PlanarGraph
+from .graph import NO_KEY
 
 
 class ResidualNet:
@@ -65,8 +65,10 @@ class ResidualNet:
         return len(self.keys)
 
 
-def graph_arcs(g: PlanarGraph, store) -> ResidualNet:
-    """The residual net of g's keyed arcs under the store's flow."""
+def graph_arcs(g, store) -> ResidualNet:
+    """The residual net of g's keyed arcs under the store's flow.  g is
+    a PlanarGraph or anything else with its n, tails, heads and keys,
+    such as a separator.Piece before its graph is built."""
     return ResidualNet(g.n, zip(g.tails, g.heads, g.keys), store)
 
 

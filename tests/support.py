@@ -12,8 +12,8 @@ from collections import deque
 import pytest
 
 from planarflow import separator, surgery
-from planarflow.flow import FlowStore
-from planarflow.graph import NO_KEY
+from planarflow.flow import FlowStore, decompose_acyclic
+from planarflow.graph import NO_KEY, dart_heads
 from planarflow.solvers import (
     ResidualNet,
     graph_arcs,
@@ -516,12 +516,8 @@ def reference_split_into_pieces(g, sep):
         piece_faces.append([dart[d] for d in holes[side_id]])
         pg = surgery.triangulated(tails, heads, caps, keys, rot, piece_faces)
         pieces.append(separator.Piece(
-            graph=pg,
-            boundary_local=[local[p] for p in sep.boundary],
-            parent_nodes=nodes,
-            parent_arcs=own + [None] * (pg.m - len(own)),
-            local_of=local,
-        ))
+            [local[p] for p in sep.boundary], nodes, local, pg.tails, pg.heads, pg.keys,
+            own, lambda pg=pg: pg))
     return pieces[0], pieces[1]
 
 
@@ -557,3 +553,138 @@ def same_piece(p, q):
              p.parent_nodes, p.parent_arcs, p.local_of)
             == (h.tails, h.heads, h.caps, h.keys, h.rot, h.faces(), q.boundary_local,
                 q.parent_nodes, q.parent_arcs, q.local_of))
+
+
+def reference_decompose_acyclic(g, store):
+    """decompose_acyclic as it was before it took a dart set, kept as the
+    reference: cancel the flow cycles on g; return (circulation, order).
+
+    circulation maps key -> value, has zero inflow everywhere, and is what
+    the caller subtracts from the store to leave an acyclic flow; the
+    store itself is not changed.  Cycles are canceled by repeated DFS on
+    the positive-flow darts, removing the minimum flow around each cycle.
+
+    order lists every node in reverse DFS finishing order.  A node
+    finishes only when each of its out-arcs with positive remaining flow
+    leads to an already finished node, and later cancellations only lower
+    flow; so every positive arc of the stored flow minus the circulation
+    runs forward in order, which makes it a topological order of them.
+    """
+    vals = store.vals
+    remaining = {a: vals[key] for a, key in enumerate(g.keys)
+                 if key != NO_KEY and vals[key] > 0}
+    out_arcs = [[] for _ in range(g.n)]
+    for a in remaining:
+        out_arcs[g.tails[a]].append(a)
+
+    circulation = {}
+
+    # Iterative DFS over arcs with remaining positive flow; when a node on
+    # the current path is revisited we found a flow cycle and cancel it.
+    state = bytearray(g.n)  # 0 unvisited, 1 on stack, 2 done
+    ptr = [0] * g.n
+    finished = []
+    for root in range(g.n):
+        if state[root] != 0:
+            continue
+        stack = [root]
+        path_arcs = []
+        state[root] = 1
+        while stack:
+            v = stack[-1]
+            advanced = False
+            while ptr[v] < len(out_arcs[v]):
+                a = out_arcs[v][ptr[v]]
+                if remaining.get(a, 0) <= 0:
+                    ptr[v] += 1
+                    continue
+                w = g.heads[a]
+                if state[w] == 1:
+                    # cancel the cycle closing at w
+                    cycle = [a]
+                    for pa in reversed(path_arcs):
+                        cycle.append(pa)
+                        if g.tails[pa] == w:
+                            break
+                    delta = min(remaining[c] for c in cycle)
+                    for c in cycle:
+                        remaining[c] -= delta
+                        circulation[g.keys[c]] = circulation.get(g.keys[c], 0) + delta
+                    # unwind the stack to w so exhausted arcs get re-scanned
+                    while stack[-1] != w:
+                        state[stack.pop()] = 0
+                        path_arcs.pop()
+                    advanced = True
+                    break
+                if state[w] == 0:
+                    stack.append(w)
+                    path_arcs.append(a)
+                    state[w] = 1
+                    advanced = True
+                    break
+                ptr[v] += 1
+            if not advanced and (not stack or stack[-1] == v):
+                state[v] = 2
+                finished.append(v)
+                ptr[v] = 0
+                stack.pop()
+                if path_arcs:
+                    path_arcs.pop()
+
+    finished.reverse()
+    return circulation, finished
+
+def reference_settle_pseudoflow(store, gd, sources, sinks):
+    """The settlement as it was before it worked on a level's change,
+    kept as the reference: cancel the flow cycles on every keyed arc of
+    gd, then drain each non-terminal's excess back and fill its deficit
+    forward along the positive arcs, in topological order.  Writes the
+    store; raises AssertionError where the engine raises SettlementStuck."""
+    circulation, order = reference_decompose_acyclic(gd, store)
+    if circulation:
+        store.apply([(key, -d) for key, d in sorted(circulation.items())])
+    vals = store.vals
+    rank = [0] * gd.n
+    for i, v in enumerate(order):
+        rank[v] = i
+    positive = [a for a, key in enumerate(gd.keys) if key != NO_KEY and vals[key] > 0]
+    pos_out = [[] for _ in range(gd.n)]
+    pos_in = [[] for _ in range(gd.n)]
+    balance = [0] * gd.n
+    for a in positive:
+        t, h = gd.tails[a], gd.heads[a]
+        assert rank[t] < rank[h], "positive flow darts still contain a cycle"
+        pos_out[t].append(a)
+        pos_in[h].append(a)
+        x = vals[gd.keys[a]]
+        balance[h] += x
+        balance[t] -= x
+    terminals = set(sources) | set(sinks)
+    for nodes, arcs_at, far_ends, sign in (
+            (reversed(order), pos_in, gd.tails, 1),
+            (order, pos_out, gd.heads, -1)):
+        for v in nodes:
+            need = sign * balance[v]
+            if v in terminals or need <= 0:
+                continue
+            for a in arcs_at[v]:
+                key = gd.keys[a]
+                take = min(vals[key], need)
+                if take > 0:
+                    vals[key] -= take
+                    balance[v] -= sign * take
+                    balance[far_ends[a]] += sign * take
+                    need -= take
+                if need == 0:
+                    break
+            assert not need, f"{need} stranded at node {v}"
+    assert all(balance[v] == 0 for v in range(gd.n) if v not in terminals)
+
+
+def decompose_flow(g, store):
+    """decompose_acyclic on the flow of g's keyed arcs, read as its change
+    from an all-zero snapshot: each arc's forward dart with its flow.
+    Returns (circulation by flow key, order)."""
+    amounts = {2 * a: store.vals[key] for a, key in enumerate(g.keys) if key != NO_KEY}
+    circulation, order = decompose_acyclic(dart_heads(g), amounts)
+    return {g.keys[d >> 1]: x for d, x in circulation.items()}, order

@@ -1,8 +1,9 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from planarflow import engine
+from planarflow import engine, separator, surgery
 from planarflow.config import EngineConfig
 from planarflow.engine import MsmsEngine, msms_max_flow
 from planarflow.errors import AuditFailure, SettlementStuck
@@ -15,8 +16,13 @@ from planarflow.graph import (
     is_triangulated_biconnected,
     walk_faces,
 )
-from planarflow.solvers import oracle_max_flow
-from support import check_pushes_against_apex, piece_pushes, walk_violations
+from planarflow.solvers import graph_arcs, oracle_max_flow
+from support import (
+    check_pushes_against_apex,
+    piece_pushes,
+    reference_settle_pseudoflow,
+    walk_violations,
+)
 
 
 def oracle_value(g, sources, sinks):
@@ -149,12 +155,20 @@ def test_second_run_raises():
         eng.run()
     assert len(res.stats.levels) == levels
 
+
+def settle(eng, g, sources, sinks):
+    """The engine's settlement of g's whole flow, read as its change from
+    an all-zero snapshot."""
+    net = graph_arcs(g, eng.store)
+    eng._settle_pseudoflow(net, [0] * len(net), sources, sinks)
+
+
 def test_settlement_mechanics_excess_returns_to_source():
     # source -> x -> sink path carrying 5; park 2 extra units on x by hand
     g = build_graph(3, [(0, 1, 9), (1, 2, 5)], [[1], [0, 2], [1]])
     eng = MsmsEngine(g, {0}, {2}, EngineConfig())
     eng.store.apply([(0, 7), (1, 5)])  # inflow(x) = +2
-    eng._settle_pseudoflow(g, {0}, {2})
+    settle(eng, g, {0}, {2})
     assert eng.store.vals == [5, 5]
     assert is_feasible(g, eng.store, {0}, {2})
 
@@ -163,7 +177,7 @@ def test_settlement_mechanics_deficit_drains_from_sink():
     g = build_graph(3, [(0, 1, 9), (1, 2, 5)], [[1], [0, 2], [1]])
     eng = MsmsEngine(g, {0}, {2}, EngineConfig())
     eng.store.apply([(0, 3), (1, 5)])  # inflow(x) = -2
-    eng._settle_pseudoflow(g, {0}, {2})
+    settle(eng, g, {0}, {2})
     assert eng.store.vals == [3, 3]
 
 
@@ -171,7 +185,7 @@ def test_settlement_noop_when_conserving():
     g = build_graph(3, [(0, 1, 9), (1, 2, 5)], [[1], [0, 2], [1]])
     eng = MsmsEngine(g, {0}, {2}, EngineConfig())
     eng.store.apply([(0, 4), (1, 4)])
-    eng._settle_pseudoflow(g, {0}, {2})
+    settle(eng, g, {0}, {2})
     assert eng.store.vals == [4, 4]
 
 
@@ -183,7 +197,7 @@ def test_settlement_cancels_a_cycle_then_returns_excess_and_drains_deficit():
     eng = MsmsEngine(g, {0}, {4}, EngineConfig())
     # cycle 1-2-3 carries 2; inflow(1) = +3 and inflow(3) = -1
     eng.store.apply([(0, 5), (1, 4), (2, 4), (3, 2), (4, 3)])
-    eng._settle_pseudoflow(g, {0}, {4})
+    settle(eng, g, {0}, {4})
     assert eng.store.vals == [2, 2, 2, 0, 2]
     assert is_feasible(g, eng.store, {0}, {4})
 
@@ -192,9 +206,48 @@ def test_settlement_rejects_an_order_against_a_positive_arc(monkeypatch):
     g = build_graph(3, [(0, 1, 9), (1, 2, 5)], [[1], [0, 2], [1]])
     eng = MsmsEngine(g, {0}, {2}, EngineConfig())
     eng.store.apply([(0, 4), (1, 4)])
-    monkeypatch.setattr(engine, "decompose_acyclic", lambda g, store: ({}, [2, 1, 0]))
+    monkeypatch.setattr(engine, "decompose_acyclic", lambda head, amounts: ({}, [2, 1, 0]))
     with pytest.raises(SettlementStuck, match="still contain a cycle"):
-        eng._settle_pseudoflow(g, {0}, {2})
+        settle(eng, g, {0}, {2})
+
+
+@pytest.mark.parametrize("kind", ["grid", "tri"])
+@pytest.mark.parametrize("n, base_case", [(400, 3), (400, 8), (300, 32), (120, 3)])
+def test_settling_the_change_matches_the_whole_level_reference(monkeypatch, kind, n,
+                                                               base_case):
+    """At every split level, settling only the arcs whose flow moved since
+    the snapshot leaves a flow that conserves at every non-terminal, moves
+    no other arc, and has the value of the whole-level reference settle."""
+    levels = []
+    real = MsmsEngine._settle_pseudoflow
+
+    def recording(self, net, snapshot, sources, sinks):
+        level = SimpleNamespace(n=len(net.adj), m=len(net), tails=net.head[1::2],
+                                heads=net.head[0::2], keys=net.keys)
+        ref = FlowStore()
+        ref.caps, ref.vals = self.store.caps, list(self.store.vals)
+        reference_settle_pseudoflow(ref, level, sources, sinks)
+        moved = [f != s for f, s in zip(net.res[1::2], snapshot)]
+        real(self, net, snapshot, sources, sinks)
+        levels.append((level, snapshot, moved, ref.vals, list(self.store.vals),
+                       set(sources) | set(sinks), sinks))
+    monkeypatch.setattr(MsmsEngine, "_settle_pseudoflow", recording)
+
+    for seed in range(2):
+        levels.clear()
+        g, ts = generate(kind, n, seed).build()
+        res = msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(base_case=base_case))
+        assert res.value == oracle_value(g, ts.sources, ts.sinks)
+        assert len(levels) > 2
+        for level, snapshot, moved, ref_vals, vals, terminals, sinks in levels:
+            balance = inflow_all(level, SimpleNamespace(vals=vals))
+            assert all(b == 0 for v, b in enumerate(balance) if v not in terminals)
+            ref_balance = inflow_all(level, SimpleNamespace(vals=ref_vals))
+            assert sum(balance[t] for t in sinks) == sum(ref_balance[t] for t in sinks)
+            assert all(vals[key] == x for key, x, m in zip(level.keys, snapshot, moved)
+                       if not m)
+        assert sum(sum(moved) for _, _, moved, *_ in levels) < sum(
+            len(level.keys) for level, *_ in levels)
 
 
 def test_audit_mode_counts_checks():
@@ -299,7 +352,8 @@ def test_one_residual_net_per_level(monkeypatch, kind, n, base_case):
 
 @pytest.mark.parametrize("audit", ["final", "full"])
 def test_feasibility_audit_names_the_nodes_that_do_not_conserve(monkeypatch, audit):
-    monkeypatch.setattr(MsmsEngine, "_settle_pseudoflow", lambda self, gd, sources, sinks: None)
+    monkeypatch.setattr(MsmsEngine, "_settle_pseudoflow",
+                        lambda self, net, snapshot, sources, sinks: None)
     g, ts = generate("grid", 200, 3).build()
     with pytest.raises(AuditFailure, match=r"^depth \d+ settlement: level flow does not "
                                            r"conserve \(nodes \[\d+(, \d+){0,4}\]\)$"):
@@ -435,6 +489,62 @@ def test_one_triangulation_and_one_check_per_solve(monkeypatch):
     MsmsEngine(g, ts.sources, ts.sinks, EngineConfig(audit="full")).run()
     assert calls["triangulate"] == 1 and len(pieces) > 20
     assert sorted(map(id, checked[1:])) == sorted(id(p.graph) for p in pieces)
+
+
+def count_builds(monkeypatch):
+    """Count the triangulated graphs a solve builds: the root's, through
+    triangulate_and_biconnect, and every piece's."""
+    builds = []
+    for module in (surgery, separator):
+        real = module.triangulated
+        monkeypatch.setattr(module, "triangulated",
+                            lambda *args, real=real: builds.append(1) or real(*args))
+    return builds
+
+
+def record_level_kinds(monkeypatch):
+    """Pair every level's graph or piece with the kind of its level."""
+    kinds = []
+    real = MsmsEngine._solve
+
+    def solve(self, g, sources, sinks, depth):
+        i = len(self.stats.levels)
+        real(self, g, sources, sinks, depth)
+        kinds.append((g, self.stats.levels[i].kind))
+    monkeypatch.setattr(MsmsEngine, "_solve", solve)
+    return kinds
+
+
+@pytest.mark.parametrize("kind, n, base_case", [("grid", 400, 8), ("tri", 400, 8),
+                                                ("tri", 400, 3), ("grid", 300, 32),
+                                                ("grid", 60, 3)])
+def test_only_the_pieces_that_split_are_built(monkeypatch, kind, n, base_case):
+    """At audit=none a piece's graph is built only when its level splits
+    or falls back to a guard-base solve; empty pieces and leaves are
+    solved from the arc arrays the split filled."""
+    builds = count_builds(monkeypatch)
+    kinds = record_level_kinds(monkeypatch)
+    g, ts = generate(kind, n, 1).build()
+    res = msms_max_flow(g, ts.sources, ts.sinks,
+                        EngineConfig(base_case=base_case, audit="none"))
+    assert res.value == oracle_value(g, ts.sources, ts.sinks)
+    levels = [rec.kind for rec in res.stats.levels]
+    assert len(builds) == levels.count("split") + levels.count("guard-base")
+    pieces = kinds[:-1]                 # the root's level finishes last
+    found = {k for _, k in pieces}
+    assert found >= {"split", "empty"} and found & {"base", "guard-base"}
+    for piece, k in pieces:
+        assert (piece._graph is not None) == (k in ("split", "guard-base"))
+
+
+def test_every_piece_is_built_under_the_full_audit(monkeypatch):
+    builds = count_builds(monkeypatch)
+    pieces = record_pieces(monkeypatch)
+    g, ts = generate("grid", 300, 2).build()
+    res = msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(base_case=8, audit="full"))
+    assert res.value == oracle_value(g, ts.sources, ts.sinks)
+    assert len(pieces) > 20 and all(p._graph is not None for p in pieces)
+    assert len(builds) == len(pieces) + 1
 
 
 def test_piece_with_wrong_faces_fails_the_full_audit(monkeypatch):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from planarflow.errors import CapacityViolation
 from planarflow.flow import (
     FlowStore,
-    decompose_acyclic,
     flow_value,
     inflow,
     inflow_all,
@@ -18,6 +17,7 @@ from planarflow.flow import (
 from planarflow.generate import generate
 from planarflow.graph import build_graph
 from planarflow.solvers import graph_arcs, solve_msms_residual
+from support import decompose_flow
 
 
 def single_arc(cap=5):
@@ -157,7 +157,7 @@ def assert_cancelled_and_ordered(g, store, circ, order):
 def test_decompose_pure_circulation():
     g, store = triangle(caps=(2, 2, 2))
     store.apply([(0, 2), (1, 2), (2, 2)])
-    circ, order = decompose_acyclic(g, store)
+    circ, order = decompose_flow(g, store)
     assert circ == {0: 2, 1: 2, 2: 2}
     assert store.vals == [2, 2, 2]          # the store is left alone
     assert_cancelled_and_ordered(g, store, circ, order)
@@ -168,7 +168,7 @@ def test_decompose_pure_path():
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
     store.apply([(0, 2), (1, 2)])
-    circ, order = decompose_acyclic(g, store)
+    circ, order = decompose_flow(g, store)
     assert circ == {}
     assert order == [0, 1, 2]
 
@@ -180,7 +180,7 @@ def test_decompose_mixed_path_and_cycle():
     g = build_graph(6, arcs, rot)
     store = FlowStore.for_graph(g)
     store.apply([(0, 2), (1, 2), (2, 1), (3, 1), (4, 1)])
-    circ, order = decompose_acyclic(g, store)
+    circ, order = decompose_flow(g, store)
     assert circ == {2: 1, 3: 1, 4: 1}
     assert_cancelled_and_ordered(g, store, circ, order)
 
@@ -220,6 +220,6 @@ def test_decomposition_parts_sum_to_flow(n, seed):
                                     ts.sources, ts.sinks)
     store.apply(deltas)
     before = list(store.vals)
-    circ, order = decompose_acyclic(g, store)
+    circ, order = decompose_flow(g, store)
     assert store.vals == before
     assert_cancelled_and_ordered(g, store, circ, order)

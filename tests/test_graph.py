@@ -114,6 +114,7 @@ def test_every_dart_in_exactly_one_rotation():
     ([[0, 2], [1, 5], [3, 4]], "dart 2 listed at node 0 but leaves node 1"),
     ([[0, 5, 0], [1, 2], [3, 4]], "dart 0 appears 2 times in the rotation system"),
     ([[0], [1, 2], [3, 4]], "dart 5 appears 0 times in the rotation system"),
+    ([[0, 0], [1, 2], [3, 4]], "dart 0 appears 2 times in the rotation system"),
 ])
 def test_check_embedding_rejects_bad_rotation(rot, message):
     # darts of the triangle 0 -> 1 -> 2 -> 0: 2a leaves tails[a], 2a+1 heads[a]

@@ -1,6 +1,6 @@
 import random
 
-from support import sink_push_trial, source_push_trial
+from support import decompose_flow, sink_push_trial, source_push_trial
 
 
 def run_trials(trial, seed, wanted):
@@ -27,7 +27,7 @@ def test_sink_side_push_preserves_unreachability():
 
 def test_circulation_crosses_no_cut():
     # canceling the cyclic part never changes net flow into any node set
-    from planarflow.flow import FlowStore, decompose_acyclic, inflow_all
+    from planarflow.flow import FlowStore, inflow_all
     from planarflow.graph import build_graph
     from planarflow.generate import generate
 
@@ -44,7 +44,7 @@ def test_circulation_crosses_no_cut():
             _, deltas = solve_msms_residual(
                 store, graph_arcs(g, store), set(nodes[:cut]), set(nodes[cut:]))
             store.apply(deltas)
-        circ, _ = decompose_acyclic(g, store)
+        circ, _ = decompose_flow(g, store)
         probe = FlowStore.for_graph(g)
         probe.apply(sorted(circ.items()))
         balance = inflow_all(g, probe)

@@ -5,12 +5,13 @@ from collections import deque
 
 import pytest
 
-from planarflow import EngineConfig, engine, msms_max_flow
+from planarflow import EngineConfig, engine, msms_max_flow, separator
 from planarflow.errors import PreconditionNotTriangulated
 from planarflow.flow import FlowStore
 from planarflow.generate import generate, grid_arrays, random_triangulation_arrays
 from planarflow.graph import NO_KEY, build_graph
 from planarflow.separator import find_cycle_separator, split_into_pieces
+from planarflow.solvers import graph_arcs
 from planarflow.surgery import detach_terminal_from_cycle, triangulate_and_biconnect
 from support import (
     reference_find_cycle_separator,
@@ -289,6 +290,35 @@ def test_split_rejects_a_mis_oriented_cycle(flipped):
     darts[flipped] ^= 1
     with pytest.raises(AssertionError):
         split_into_pieces(g, dataclasses.replace(sep, cycle_darts=darts))
+
+
+@pytest.mark.parametrize("kind", ["grid", "tri"])
+def test_a_piece_is_built_on_the_first_read_of_its_graph(monkeypatch, kind):
+    """The split fills node maps and arc arrays only; the first read of
+    piece.graph builds it once, and its keyed arcs give the same residual
+    net as the arrays did before the build."""
+    builds = []
+    real = separator.triangulated
+    monkeypatch.setattr(separator, "triangulated",
+                        lambda *args: builds.append(1) or real(*args))
+    g, ts = generate(kind, 300, 5).build()
+    gt = triangulate_and_biconnect(g)
+    store = FlowStore.for_graph(g)
+    store.vals[:] = [c // 2 for c in store.caps]
+    sep = find_cycle_separator(gt)
+    pieces = split_into_pieces(gt, sep)
+    assert not builds
+    nets = [graph_arcs(p, store) for p in pieces]
+    assert [p.n for p in pieces] == [len(p.parent_nodes) for p in pieces]
+    assert not builds
+    for i, (piece, net) in enumerate(zip(pieces, nets)):
+        h = piece.graph
+        assert len(builds) == i + 1 and piece.graph is h and piece.n == h.n
+        built = graph_arcs(h, store)
+        assert (net.adj, net.head, net.res, net.keys) == (
+            built.adj, built.head, built.res, built.keys)
+    assert all(map(same_piece, pieces, reference_split_into_pieces(gt, sep)))
+    assert len(builds) == 2
 
 
 @pytest.mark.parametrize("kind", ["grid", "tri"])

@@ -149,7 +149,7 @@ class MsmsEngine:
             reach = residual_reachable(self.root, self.store, self.sources)
             self._check_unreached(reach, self.sinks, "final flow", "source reaches a sink")
         value = flow_value(self.root, self.store, self.sinks)
-        flows = [self.store.vals[k] for k in range(self.root.m)]
+        flows = self.store.vals[:self.root.m]
         return MsmsResult(value, flows, self.stats, self.audits)
 
     # -- audit plumbing --------------------------------------------------------
@@ -291,15 +291,14 @@ class MsmsEngine:
         attach_apex).  That leaves the imbalance on the boundary nodes.
 
         Both pushes run on the level's net, once for both pieces, with the
-        values of the two pieces' own pushes.  A source's path into the
-        set ends at the first boundary node it meets, so it stays in the
-        source's piece.  With the set contracted to one node, the rest of
-        gd falls apart into the pieces' interiors, so the sink push's
-        value is the sum of the pieces'; a path of it may cross from one
-        boundary node through the other piece to another, which only
-        moves imbalance between boundary nodes for the walk to handle.
-        The per-piece invariants hold afterwards, since the level-wide
-        ones do."""
+        values of the two pieces' own pushes.  Every terminal of a push is
+        a root of its search tree, so a path meets the boundary set only
+        at one end: a source's path ends at the first boundary node it
+        meets, and a path of the sink push leaves its boundary node into
+        one piece's interior and stays there.  With the set contracted to
+        one node, the rest of gd falls apart into those interiors, so each
+        push's value is the sum of the pieces'.  The per-piece invariants
+        hold afterwards, since the level-wide ones do."""
         store = self.store
         boundary_set = attach_apex(gd, boundary)
         value, deltas = msss_max_flow(store, net, sources, boundary_set)

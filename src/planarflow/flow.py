@@ -28,12 +28,11 @@ class FlowStore:
 
     @classmethod
     def for_graph(cls, g: PlanarGraph) -> "FlowStore":
+        if g.keys != list(range(g.m)):
+            raise ValueError("graph arcs must carry identity keys to seed a store")
         store = cls()
-        for a in range(g.m):
-            if g.keys[a] != a:
-                raise ValueError("graph arcs must carry identity keys to seed a store")
-            store.caps.append(g.caps[a])
-            store.vals.append(0)
+        store.caps = list(g.caps)
+        store.vals = [0] * g.m
         return store
 
     def new_key(self, cap: int) -> int:
@@ -104,8 +103,7 @@ def is_feasible(g: PlanarGraph, store: FlowStore, sources, sinks) -> bool:
 
 def flow_value(g: PlanarGraph, store: FlowStore, sinks) -> int:
     """Value of a feasible flow: the sum of inflows at the sinks."""
-    acc = inflow_all(g, store)
-    return sum(acc[t] for t in sinks)
+    return sum(inflow(g, store, t) for t in sinks)
 
 
 def residual_reachable(g: PlanarGraph, store: FlowStore, start, seen=None) -> set:

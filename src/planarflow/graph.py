@@ -115,8 +115,12 @@ class PlanarGraph:
         if self._face_of is None:
             face_of = [0] * (2 * self.m)
             for f, walk in enumerate(self.faces()):
-                for d in walk:
-                    face_of[d] = f
+                if len(walk) == 3:
+                    x, y, z = walk
+                    face_of[x] = face_of[y] = face_of[z] = f
+                else:
+                    for d in walk:
+                        face_of[d] = f
             self._face_of = face_of
         return self._face_of
 

@@ -13,17 +13,20 @@ or of a split level's two boundary pushes and its whole walk, as long as
 nothing else writes those arcs' flow in between, and each call costs only
 what it explores.
 
-All of them, and the oracle, run one deterministic blocking-flow core
-on flat dart arrays, so repeated runs produce identical flows.  Each
-phase labels nodes with their residual distance to the whole sink set
-(a BFS back from the sinks that stops at the first source it pops) and
-augments only along darts that lower that label by one, lowest-index
-admissible dart first, so every path is a shortest path to a sink.  No
-node or arc is ever added: terminal sets stand in for the paper's
-supersource, supersink, per-piece apex and boundary-suffix chain, with
-the same values since every finite cut keeps each such set on one side.
-Values are those of any max flow; which maximum flow, hence arc_flows,
-depends on this choice of paths.
+All of them run one deterministic search-tree core (Boykov and
+Kolmogorov, IEEE TPAMI 26(9), 2004) on flat dart arrays, so repeated
+runs produce identical flows.  The source set roots one tree and the
+sink set another; they grow until they meet, each meeting is augmented,
+and the trees survive the augmentation: only the branches it cut are
+mended.  No node or arc is ever added: terminal sets stand in for the
+paper's supersource, supersink, per-piece apex and boundary-suffix
+chain, with the same values since every finite cut keeps each such set
+on one side, and since every terminal stays a root, a path holds
+exactly one source and one sink.  Values are those of any max flow;
+which maximum flow, hence arc_flows, depends on the paths taken.
+
+The oracle keeps a blocking-flow core of its own, so that the engine's
+values are checked against code they do not share.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ def graph_arcs(g, store) -> ResidualNet:
     return ResidualNet(g.n, zip(g.tails, g.heads, g.keys), store)
 
 
-def _dinic(adj, head, res, sources, sinks, limit=None):
+def _dinic(adj, head, res, sources, sinks):
     """Blocking-flow max flow from a source set to a disjoint sink set;
     returns (value, darts) and leaves the final residuals in res, where
     darts lists the darts of every augmenting path (with repeats).
@@ -95,7 +98,7 @@ def _dinic(adj, head, res, sources, sinks, limit=None):
     unseen = n + 1           # label of an unlabelled or pruned node
     total = 0
     touched = []
-    while limit is None or total < limit:
+    while True:
         dist = [unseen] * n
         for t in sinks:
             dist[t] = 0
@@ -116,11 +119,9 @@ def _dinic(adj, head, res, sources, sinks, limit=None):
             # depth-first blocking flow from s with an explicit dart stack
             path = []
             v = s
-            while dist[s] != unseen and (limit is None or total < limit):
+            while dist[s] != unseen:
                 if not dist[v]:           # label 0: a sink
                     push = min(res[d] for d in path)
-                    if limit is not None:
-                        push = min(push, limit - total)
                     for d in path:
                         res[d] -= push
                         res[d ^ 1] += push
@@ -147,6 +148,164 @@ def _dinic(adj, head, res, sources, sinks, limit=None):
     return total, touched
 
 
+_ROOT, _ORPHAN = -1, -2     # parent marks of a terminal and of an orphan
+
+
+def _search_trees(adj, head, res, sources, sinks, limit=None):
+    """Boykov-Kolmogorov max flow from a source set to a disjoint sink
+    set; returns (value, darts) and leaves the final residuals in res,
+    where darts lists, with repeats, a dart of every arc that an
+    augmenting path used.
+
+    Dart d runs into head[d] with residual res[d]; d ^ 1 is its reverse.
+    The sources root a source tree of darts with residual away from them,
+    the sinks a sink tree of darts with residual toward them.  A node's
+    parent dart is the tree dart that enters it, so its parent is
+    head[parent ^ 1] in either tree.  Each tree keeps a FIFO queue, and
+    the tree whose queue is shorter grows next (the source tree on a
+    tie), so a narrow tree can close before a wide one spends its
+    growth.  A growing tree pops a node and scans its darts, taking every
+    free neighbour it has residual toward (in the sink tree: from), and
+    augmenting when the neighbour is in the other tree.  The path is the
+    source chain, that meeting dart and the sink chain; it carries its
+    bottleneck, capped at what the limit leaves.
+
+    Every tree dart an augmentation saturates orphans its child.  An
+    orphan takes the first same-tree neighbour, in dart order, with
+    residual toward it whose parent chain reaches a root (a chain found
+    good is marked for the rest of the augmentation).  Otherwise it is
+    freed: its children become orphans, and every neighbour in either
+    tree that could take it goes back into that tree's queue.  A popped
+    node is out of its queue, and membership is kept per tree, since a
+    node can sit in both queues.
+
+    So no residual dart leaves the source tree from a node outside its
+    queue, and none enters the sink tree at such a node; the run stops as
+    soon as either queue is empty, since that tree is then closed under
+    residual darts (in its direction).  Terminals stay roots, so a
+    path holds exactly one source and one sink.  Deterministic: the
+    queues start in the given order and every scan follows adj[v].
+    """
+    n = len(adj)
+    tree = bytearray(n)          # 0 free, 1 source tree, 2 sink tree
+    parent = [_ROOT] * n
+    queues = (None, deque(sources), deque(sinks))
+    queued = (None, bytearray(n), bytearray(n))
+    for side in (1, 2):
+        for r in queues[side]:
+            tree[r] = side
+            queued[side][r] = 1
+    total = 0
+    touched = []
+    good = set()                 # chains found good in this augmentation
+
+    def rooted(x):
+        """Whether x's parent chain reaches a root."""
+        walked = []
+        while x not in good:
+            d = parent[x]
+            if d < 0:
+                if d == _ORPHAN:
+                    return False
+                break
+            walked.append(x)
+            x = head[d ^ 1]
+        good.update(walked)
+        return True
+
+    def augment(meet):
+        """Push along the path through meet, a dart from the source tree
+        into the sink tree, then mend both trees."""
+        nonlocal total
+        # the parent darts of both chains; the path runs along the source
+        # chain's and against the sink chain's
+        rise, fall = [], []
+        for chain, x in ((rise, head[meet ^ 1]), (fall, head[meet])):
+            d = parent[x]
+            while d >= 0:
+                chain.append(d)
+                x = head[d ^ 1]
+                d = parent[x]
+        push = res[meet]
+        for chain, flip in ((rise, 0), (fall, 1)):
+            for d in chain:
+                if res[d ^ flip] < push:
+                    push = res[d ^ flip]
+        if limit is not None and push > limit - total:
+            push = limit - total
+        total += push
+        touched.append(meet)
+        touched.extend(rise)
+        touched.extend(fall)
+        res[meet] -= push
+        res[meet ^ 1] += push
+        orphans = []
+        for chain, flip in ((rise, 0), (fall, 1)):
+            for d in chain:
+                p = d ^ flip
+                res[p ^ 1] += push
+                res[p] -= push
+                if not res[p]:           # a saturated tree dart orphans its child
+                    parent[head[d]] = _ORPHAN
+                    orphans.append(head[d])
+        good.clear()
+        for x in orphans:          # grows while it is read
+            side = tree[x]
+            for e in adj[x]:
+                if tree[head[e]] == side and (res[e ^ 1] if side == 1 else res[e]) \
+                        and rooted(head[e]):
+                    parent[x] = e ^ 1
+                    break
+            else:
+                tree[x] = 0
+                for e in adj[x]:
+                    y = head[e]
+                    ty = tree[y]
+                    if not ty:
+                        continue
+                    if parent[y] == e:           # x was y's parent
+                        parent[y] = _ORPHAN
+                        orphans.append(y)
+                    if (res[e ^ 1] if ty == 1 else res[e]) and not queued[ty][y]:
+                        queued[ty][y] = 1
+                        queues[ty].append(y)
+
+    while True:
+        side = 1 if len(queues[1]) <= len(queues[2]) else 2
+        queue, inq = queues[side], queued[side]
+        v = -1
+        while queue:
+            v = queue.popleft()
+            inq[v] = 0
+            if tree[v] == side:
+                break
+            v = -1
+        if v < 0:
+            return total, touched
+        flip = side - 1          # res[e ^ flip]: along e, or against it into v
+        for e in adj[v]:
+            if not res[e ^ flip]:
+                continue
+            w = head[e]
+            tw = tree[w]
+            if not tw:
+                tree[w] = side
+                parent[w] = e
+                if not inq[w]:
+                    inq[w] = 1
+                    queue.append(w)
+            elif tw != side:
+                meet = e ^ flip
+                while True:
+                    augment(meet)
+                    if total == limit:
+                        return total, touched
+                    if not res[meet] or tree[v] != side or tree[w] != tw:
+                        break
+                if tree[v] != side:
+                    break
+
+
 def _solve_terminal_sets(store, net, sources, sinks, limit=None):
     """Flow from a source set to a disjoint sink set on the net, which
     must match the store's flow on its keyed arcs.
@@ -160,8 +319,8 @@ def _solve_terminal_sets(store, net, sources, sinks, limit=None):
     if not sources or not sinks or limit == 0:
         return 0, []
     res, keys, vals = net.res, net.keys, store.vals
-    value, darts = _dinic(net.adj, net.head, res, sorted(sources),
-                          sorted(sinks), limit)
+    value, darts = _search_trees(net.adj, net.head, res, sorted(sources),
+                                 sorted(sinks), limit)
     deltas = []
     for a in sorted({d >> 1 for d in darts}):
         delta = res[2 * a + 1] - vals[keys[a]]
@@ -226,9 +385,10 @@ class OracleResult:
 def oracle_max_flow(num_nodes, arcs, sources, sinks) -> OracleResult:
     """Exact max-flow value for any directed integer-capacity graph.
 
-    The same blocking-flow core over the raw capacities, plus a witness
-    flow and a witness minimum cut; the cut capacity always equals the
-    flow value and is returned so callers can certify runs.
+    A blocking-flow core that the subroutines do not use, run on the raw
+    capacities, plus a witness flow and a witness minimum cut; the cut
+    capacity always equals the flow value and is returned so callers can
+    certify runs.
     """
     sources = set(sources)
     sinks = set(sinks)

@@ -11,7 +11,7 @@ from collections import deque
 
 import pytest
 
-from planarflow import separator, surgery
+from planarflow import separator, solvers, surgery
 from planarflow.flow import FlowStore, decompose_acyclic
 from planarflow.graph import NO_KEY, dart_heads
 from planarflow.solvers import (
@@ -88,49 +88,79 @@ def residual_net(n, keyed_arcs, store):
 def apex_arcs(store, apex, boundary, inf):
     """The paper's apex, kept as a reference for the boundary-set pushes:
     node apex joined to each boundary node b by keyed arcs b -> apex and
-    apex -> b of capacity inf, as (tail, head, cap, key) tuples.
-
-    The arcs follow the boundary in increasing node order, the order in
-    which the solvers start from a terminal set.  So the blocking-flow
-    core's search from the apex meets the boundary in the same order as
-    its search from the set itself, and a push into the apex takes the
-    same paths as a push into the set, plus one apex arc each."""
+    apex -> b of capacity inf, as (tail, head, cap, key) tuples, in
+    increasing boundary node order."""
     return [(t, h, inf, store.new_key(inf))
             for b in sorted(boundary) for (t, h) in ((b, apex), (apex, b))]
+
+
+def dinic_push(store, net, sources, sinks):
+    """A terminal-set flow through the oracle's blocking-flow core,
+    solvers._dinic, on a net that matches the store: (value, deltas) as a
+    subroutine returns them."""
+    value, darts = solvers._dinic(net.adj, net.head, net.res, sorted(sources),
+                                  sorted(sinks))
+    deltas = [(net.keys[a], net.res[2 * a + 1] - store.vals[net.keys[a]])
+              for a in sorted({d >> 1 for d in darts})]
+    return value, [(k, d) for k, d in deltas if d]
 
 
 def check_pushes_against_apex(n, arcs, flows, sources, sinks, boundary):
     """The source push into the boundary set, then the sink push out of
     it, on one net of arcs (tail, head, cap) carrying flows, against the
-    same two pushes through the apex reference on a copy.
+    same pushes through the apex reference.
 
-    The source push must return the apex push's value and its deltas on
-    the real arcs; the sink push must return the apex push's value and
-    leave no residual path from the boundary to the sinks.  Returns the
-    arcs' flows after both pushes."""
+    The formulation is checked with every push through the oracle's core
+    (dinic_push), whose labels put the apex one level above the set, so
+    the two source pushes take the same paths: the set push must return
+    the apex push's value and its deltas on the real arcs, and the two
+    sink pushes after them the same value.  The engine's own pushes, on
+    another copy, must return the apex pushes' values, the sink push's
+    from the flow the engine's source push left.  That source push must
+    change the flow within the capacities, conserve it off the sources
+    and the boundary and leave no residual path from the sources to the
+    boundary; the sink push must leave none from the boundary to the
+    sinks.  Returns the arcs' flows after the engine's pushes."""
     inf = 1 + sum(c for (_, _, c) in arcs)
 
-    def seeded():
+    def seeded(start, apex=False):
+        """A store and net of the arcs carrying start, with the apex as
+        node n if asked."""
         store = FlowStore()
         ka = keyed(store, arcs)
-        store.apply([(key, f) for (_, _, _, key), f in zip(ka, flows) if f])
-        return store, ka
+        store.apply([(key, f) for (_, _, _, key), f in zip(ka, start) if f])
+        if apex:
+            return store, residual_net(n + 1, ka + apex_arcs(store, n, boundary, inf), store)
+        return store, residual_net(n, ka, store)
 
-    store, ka = seeded()
-    net = residual_net(n, ka, store)
-    ref, ref_ka = seeded()
-    ref_net = residual_net(n + 1, ref_ka + apex_arcs(ref, n, boundary, inf), ref)
+    ref_set, ref_set_net = seeded(flows)
+    ref, ref_net = seeded(flows, apex=True)
     real = len(arcs)     # keys of the real arcs; the apex arcs come after
-
-    into = msss_max_flow(store, net, sources, boundary)
-    ref_into = msss_max_flow(ref, ref_net, sources, [n])
-    assert into == (ref_into[0], [(k, d) for k, d in ref_into[1] if k < real])
-    store.apply(into[1])
+    set_into = dinic_push(ref_set, ref_set_net, sources, boundary)
+    ref_into = dinic_push(ref, ref_net, sources, [n])
+    assert set_into == (ref_into[0], [(k, d) for k, d in ref_into[1] if k < real])
+    ref_set.apply(set_into[1])
     ref.apply(ref_into[1])
+    assert (dinic_push(ref_set, ref_set_net, boundary, sinks)[0]
+            == dinic_push(ref, ref_net, [n], sinks)[0])
 
+    store, net = seeded(flows)
+    ka = [(t, h, c, key) for key, (t, h, c) in enumerate(arcs)]   # store's keys
+    into = msss_max_flow(store, net, sources, boundary)
+    assert into[0] == ref_into[0]
+    store.apply(into[1])
+    assert all(0 <= store.vals[key] <= c for (_, _, c, key) in ka)
+    excess = {}
+    for (t, h, _, key), f in zip(ka, flows):
+        excess[h] = excess.get(h, 0) + store.vals[key] - f
+        excess[t] = excess.get(t, 0) - store.vals[key] + f
+    ends = set(sources) | set(boundary)
+    assert not [v for v, x in excess.items() if x and v not in ends]
+    assert not (reach(n, ka, store, sources) & set(boundary))
+
+    ref, ref_net = seeded(store.vals, apex=True)
     out = ssms_max_flow(store, net, boundary, sinks)
-    ref_out = ssms_max_flow(ref, ref_net, [n], sinks)
-    assert out[0] == ref_out[0]
+    assert out[0] == dinic_push(ref, ref_net, [n], sinks)[0]
     store.apply(out[1])
     assert not (reach(n, ka, store, boundary) & set(sinks))
     return store.vals

@@ -88,6 +88,16 @@ def test_feasibility_cases():
     assert not is_feasible(g, store2, {0}, {2})
 
 
+def test_store_for_graph_copies_capacities_and_rejects_other_keys():
+    g, store = triangle(caps=(4, 5, 6))
+    assert (store.caps, store.vals) == ([4, 5, 6], [0, 0, 0])
+    store.apply([(1, 2)])
+    assert g.caps == [4, 5, 6]
+    g.keys[2] = 0
+    with pytest.raises(ValueError, match="identity keys"):
+        FlowStore.for_graph(g)
+
+
 def test_flow_value():
     g, store = single_arc(cap=7)
     assert flow_value(g, store, {1}) == 0

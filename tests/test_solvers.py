@@ -331,7 +331,7 @@ def _assert_pseudoflow_of_value(store, keyed, deltas, sources, sinks, value):
 def _check_against_edmonds_karp(rng, n, arcs, flows, sources, sinks):
     """All four subroutines on the residual net of arcs under flows (the
     source and sink pushes with one terminal and with whole sets, and
-    limits that stop a phase part way), and the oracle on the raw arcs,
+    limits that stop a run part way), and the oracle on the raw arcs,
     against edmonds_karp."""
     residual = [arc for (t, h, c), f in zip(arcs, flows)
                 for arc in ((t, h, c - f), (h, t, f))]
@@ -366,7 +366,8 @@ def _check_against_edmonds_karp(rng, n, arcs, flows, sources, sinks):
                                 sources, sinks, oracle.value)
 
 
-# (n, arcs, sources, sinks), each built so the core meets one situation
+# (n, arcs, sources, sinks), each built so the oracle's blocking-flow
+# core, which _check_against_edmonds_karp runs too, meets one situation
 _EDMONDS_KARP_CASES = {
     # source 0 is one dart from the sink, source 1 four darts: the first
     # phase's BFS pops 0 and stops with 1 unlabelled
@@ -376,7 +377,8 @@ _EDMONDS_KARP_CASES = {
     # saturates 1's only dart, so 0's DFS prunes 1 before 1's turn
     "source-on-a-path-pruned-by-an-earlier-dfs": (
         5, [(2, 4, 1), (3, 2, 1), (1, 2, 1), (0, 1, 5), (0, 3, 1)], [0, 1], [4]),
-    # three paths of one phase: limits 1 and 2 stop inside it
+    # three paths of one phase; the limited flow's limits 1 and 2 stop
+    # its run part way
     "limit-inside-a-phase": (
         5, [(0, 1, 1), (1, 4, 1), (0, 2, 1), (2, 4, 1), (0, 3, 1), (3, 4, 1)],
         [0], [4]),
@@ -411,6 +413,90 @@ def test_solvers_match_edmonds_karp_on_random_digraphs():
         k, l = rng.randint(1, 4), rng.randint(1, 4)
         _check_against_edmonds_karp(rng, n, arcs, flows, sorted(nodes[:k]),
                                     sorted(nodes[k:k + l]))
+
+
+# (n, arcs, sources, sinks), each built so the search trees of the
+# subroutines' core meet one situation that a wrong rule turns into a
+# wrong value
+_SEARCH_TREE_CASES = {
+    # 0 takes 1 and 2, the sink 6 takes 5 and the dead ends 7 and 8, and
+    # 1 takes 3 and 4; 4 meets 5, and the path 0-1-4-5-6 saturates 0-1.
+    # The orphan 1's first neighbour with residual toward it, 3, is its
+    # own child, so its chain reaches no root; 1 takes 2 instead (taking
+    # 3 would close a parent cycle), and the next path runs 0-2-1-4-5-6
+    "orphan-re-adopted-through-another-parent": (
+        9, [(0, 1, 1), (0, 2, 5), (1, 3, 5), (3, 1, 5), (2, 1, 5), (1, 4, 4),
+            (4, 5, 4), (5, 6, 4), (7, 6, 1), (8, 6, 1)], [0], [6]),
+    # 3 takes 2 and 0, and the sink 1 meets 2; the path 3-2-1 saturates
+    # 3-2, and the orphan 2 takes 0, whose chain 0-3 is marked good.  The
+    # next path 3-0-2-1 saturates 3-0: the orphan 0's neighbour 2 now hangs
+    # below 0, so 0 is freed and 2 with it.  A mark kept from the first
+    # augmentation would vouch for 0's own old chain and close the parent
+    # cycle 0-2-0
+    "chain-marks-last-one-augmentation": (
+        4, [(3, 2, 1), (0, 2, 2), (3, 0, 1), (2, 1, 3)], [3], [1]),
+    # the source tree is 3-1-0 when 0 meets the sink 2, and the path
+    # 3-1-0-2 saturates 3-1.  The orphan 1's only neighbour with residual
+    # toward it is its own child 0, whose chain runs through 1, so 1 is
+    # freed and 0 with it: a child left in the tree would carry a second
+    # unit out of the freed 1
+    "orphan-freed-with-its-child": (
+        4, [(3, 1, 1), (1, 0, 2), (0, 2, 2)], [3], [2]),
+    # the source queue holds 3 and the isolated 4, so the sink tree grows
+    # first: 6 takes 2 and 1.  The popped 3 meets 2, and the path 3-2-6
+    # saturates 2-6; 2's other way on leads to the free 0, so the orphan
+    # 2 is freed while 3 still has residual toward it.  3 must go back
+    # into the source queue to take 2 and find 3-2-0-1-6, or the source
+    # queue runs dry at 1 of 2 units
+    "freed-sink-tree-node-requeues-its-source-neighbour": (
+        7, [(3, 2, 2), (0, 1, 1), (2, 6, 1), (2, 0, 1), (1, 6, 1)], [3, 4], [6]),
+    # 1 takes 0 and 2 into the source tree; 5 meets 2, and the path 1-2-5
+    # saturates 1-2.  The orphan 2 is freed while it still sits in the
+    # source queue, and 5, back in its own queue, takes 2 into the sink
+    # tree.  2 must enter the sink queue too: its scan there takes 3,
+    # which meets 0 for the second unit, or the sink queue runs dry
+    "node-queued-for-one-tree-taken-by-the-other": (
+        6, [(2, 5, 2), (1, 0, 1), (3, 2, 1), (1, 2, 1), (0, 3, 1)], [1], [5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SEARCH_TREE_CASES))
+def test_search_trees_match_edmonds_karp_on_hand_built_nets(case):
+    n, arcs, sources, sinks = _SEARCH_TREE_CASES[case]
+    _check_against_edmonds_karp(random.Random(case), n, arcs, [0] * len(arcs),
+                                sources, sinks)
+
+
+def test_limited_flow_meets_every_limit_on_random_digraphs():
+    """limited_max_flow at every limit from 0 to the max flow + 1, on a
+    fresh net each time: the value is min(limit, max flow), the deltas are
+    a pseudoflow of that value, and a run short of its limit leaves no
+    residual path from the sources to the sinks.  Half the trials start
+    from a random pseudoflow."""
+    rng = random.Random(61)
+    for _ in range(60):
+        n = rng.randint(4, 24)
+        arcs = random_digraph(rng, n, density=rng.uniform(1.5, 4.0) / n)
+        flows = [0] * len(arcs)
+        if rng.random() < 0.5:
+            flows = [rng.randint(0, c) for (_, _, c) in arcs]
+        nodes = list(range(n))
+        rng.shuffle(nodes)
+        k, l = rng.randint(1, 4), rng.randint(1, 3)
+        sources, sinks = sorted(nodes[:k]), sorted(nodes[k:k + l])
+        residual = [arc for (t, h, c), f in zip(arcs, flows)
+                    for arc in ((t, h, c - f), (h, t, f))]
+        want = edmonds_karp(n, residual, sources, sinks)
+        for limit in range(want + 2):
+            store = FlowStore()
+            keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
+            store.apply([(key, f) for (_, _, _, key), f in zip(keyed, flows) if f])
+            value, deltas = limited_max_flow(store, residual_net(n, keyed, store),
+                                             sources, sinks, limit)
+            assert value == min(limit, want)
+            _assert_pseudoflow_of_value(store, keyed, deltas, sources, sinks, value)
+            if value < limit:
+                assert not (_reach(n, keyed, store, sources) & set(sinks))
 
 
 def test_solver_runs_are_deterministic():
@@ -515,11 +601,13 @@ def test_apex_pushes_on_one_net_match_two_fresh_nets():
 
 
 def test_boundary_set_pushes_match_the_apex_on_random_digraphs():
-    """The source push into a boundary set takes the paths and returns
-    the value of the source push into the paper's apex joined to that
-    set; the sink push out of the set has the apex push's value and
-    blocks every residual path from the set to the sinks.  Half the
-    trials start from a random pseudoflow."""
+    """Through the oracle's core, the source push into a boundary set
+    takes the paths of the source push into the paper's apex joined to
+    that set; the engine's pushes into and out of the set have the apex
+    pushes' values, change the flow feasibly and block every residual
+    path from the sources to the set and from the set to the sinks (see
+    check_pushes_against_apex).  Half the trials start from a random
+    pseudoflow."""
     rng = random.Random(43)
     for _ in range(150):
         n = rng.randint(7, 24)

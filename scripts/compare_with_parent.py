@@ -23,7 +23,8 @@ planarflow.engine.find_cycle_separator returns, its boundary and cycle
 darts, in call order, so equal separators mean the same cycles split the
 same pieces.  The exit status is 0 when values and audits agree
 everywhere and every answer passes, else 1: differing arc_flows, shapes
-and separators are reported only.
+and separators are reported only.  A last line gives both trees' src/
+sizes in lines of Python and the net change.
 """
 
 from __future__ import annotations
@@ -103,6 +104,11 @@ def work(tree):
         print(json.dumps(row), flush=True)
 
 
+def src_lines(tree):
+    """Lines in the .py files under tree/src, as wc -l counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (Path(tree) / "src").rglob("*.py"))
+
+
 def run_tree(tree):
     return subprocess.Popen([sys.executable, __file__, "--worker", str(tree)],
                             stdout=subprocess.PIPE, text=True)
@@ -160,6 +166,8 @@ def main(argv=None):
           f"over the 36-instance set and the deep sweep: {audits['parent']} "
           f"(parent), {audits['change']} (change); "
           f"{bad} failed answers or instance mismatches")
+    before, after = src_lines(args.parent_tree), src_lines(args.change_tree)
+    print(f"src/ lines: {before} (parent), {after} (change), net {after - before:+d}")
     ok = (len(rows["parent"]) == total == len(instance_specs()) and not bad
           and not counts["value"] and not counts["audits"])
     return 0 if ok else 1

@@ -24,8 +24,8 @@ from .solvers import oracle_max_flow
 BALANCE_CONSTANT = (1.0 / 3.0) ** 1.5 + (2.0 / 3.0) ** 1.5
 
 SCOPE_NOTE = ("asymptotic bound of the underlying algorithm is out of scope: "
-              "substituted subroutines here have relaxed asymptotics; the exponent "
-              "below is measured, not asserted")
+              "substituted subroutines here have relaxed asymptotics; the exponents "
+              "below are measured, not asserted")
 
 CSV_HEADER = ("kind,n,seed,value,seconds,depth,max_boundary,"
               "max_boundary_ratio,max_child_ratio,direct_seconds")
@@ -106,17 +106,11 @@ def check_one(kind, n, seed, cap_max=10 ** 6,
               config: EngineConfig | None = None) -> RunReport:
     """Solve one seeded instance with full audits and verify against the
     oracle; audit failures propagate as AuditFailure."""
-    cfg = config or EngineConfig(audit="full")
     inst = generate(kind, n, seed, cap_max=cap_max)
-    g, ts = inst.build()
-    start = time.perf_counter()
-    eng = MsmsEngine(g, ts.sources, ts.sinks, cfg)
-    res = eng.run()
-    elapsed = time.perf_counter() - start
-    arcs = [(g.tails[a], g.heads[a], g.caps[a]) for a in range(g.m)]
-    want = oracle_max_flow(g.n, arcs, ts.sources, ts.sinks).value
+    res, elapsed = _timed_solve(inst, config or EngineConfig(audit="full"))
+    want = oracle_max_flow(inst.num_nodes, inst.arcs, inst.sources, inst.sinks).value
     return RunReport(
-        kind=kind, n=g.n, seed=seed, value=res.value, oracle_value=want,
+        kind=kind, n=inst.num_nodes, seed=seed, value=res.value, oracle_value=want,
         seconds=elapsed, depth=res.stats.max_depth,
         max_boundary=res.stats.max_boundary, audits=res.audits,
         shape_ok=not res.stats.shape_violations(),
@@ -141,12 +135,14 @@ def fit_exponent(rows) -> float | None:
 def report(rows) -> str:
     lines = [CSV_HEADER]
     lines += [r.csv() for r in rows]
-    exponent = fit_exponent(rows)
     lines.append(f"# {SCOPE_NOTE}")
-    if exponent is None:
-        lines.append("# empirical scaling exponent: insufficient data")
-    else:
-        lines.append(f"# empirical scaling exponent (log time vs log n): {exponent:.3f}")
+    for kind in dict.fromkeys(r.kind for r in rows):   # one fit per family
+        exponent = fit_exponent([r for r in rows if r.kind == kind])
+        if exponent is None:
+            lines.append(f"# empirical scaling exponent for {kind}: insufficient data")
+        else:
+            lines.append(f"# empirical scaling exponent for {kind} "
+                         f"(log time vs log n): {exponent:.3f}")
     lines.append(f"# boundary size constant in use: c_sep = {BOUNDARY_CONSTANT}")
     worst = max((r.max_child_ratio for r in rows), default=0.0)
     lines.append(f"# worst child/parent size ratio observed: {worst:.4f}"

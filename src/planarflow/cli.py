@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .bench import check_one, report, run_one
-from .config import EngineConfig, parse_config_file, with_overrides
+from .config import AUDIT_LEVELS, EngineConfig, parse_config_file, with_overrides
 from .engine import MsmsEngine
 from .errors import AuditFailure, ConfigError, InvariantFailure, PlanarFlowError
 from .generate import MIN_NODES, generate
@@ -47,7 +47,8 @@ def _check_gen_args(kind, n, cap_max, s_frac=0.0, t_frac=0.0):
     """Reject a kind, node count, capacity bound or terminal fraction
     that generate() cannot build from."""
     if kind not in MIN_NODES:
-        raise ConfigError(f"unknown instance kind {kind!r}; expected grid or tri")
+        raise ConfigError(f"unknown instance kind {kind!r}; "
+                          f"expected {' or '.join(MIN_NODES)}")
     if n < MIN_NODES[kind]:
         raise ConfigError(f"a {kind} needs at least {MIN_NODES[kind]} nodes, got {n}")
     if cap_max < 0:
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random instance")
-    p.add_argument("--kind", choices=["grid", "tri"], required=True)
+    p.add_argument("--kind", choices=list(MIN_NODES), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap-max", type=int, default=9, dest="cap_max")
@@ -256,18 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-component", action="store_true", dest="per_component")
     p.add_argument("--config")
     p.add_argument("--trace")
-    p.add_argument("--audit", choices=["none", "final", "full"])
+    p.add_argument("--audit", choices=AUDIT_LEVELS)
     p.add_argument("--base-case", type=int, dest="base_case")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("check", help="solve seeded instances and verify against the oracle")
-    p.add_argument("--kind", choices=["grid", "tri"], required=True)
+    p.add_argument("--kind", choices=list(MIN_NODES), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap-max", type=int, default=10 ** 6, dest="cap_max")
     p.add_argument("--config")
-    p.add_argument("--audit", choices=["none", "final", "full"])
+    p.add_argument("--audit", choices=AUDIT_LEVELS)
     p.add_argument("--base-case", type=int, dest="base_case")
     p.set_defaults(fn=cmd_check)
 
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-frac", type=float, default=0.1, dest="s_frac")
     p.add_argument("--t-frac", type=float, default=0.1, dest="t_frac")
     p.add_argument("--config")
-    p.add_argument("--audit", choices=["none", "final", "full"])
+    p.add_argument("--audit", choices=AUDIT_LEVELS)
     p.add_argument("--base-case", type=int, dest="base_case")
     p.set_defaults(fn=cmd_bench)
 

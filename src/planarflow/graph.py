@@ -4,9 +4,10 @@ A graph is a list of capacitated arcs plus a rotation system: for every
 node, the clockwise cyclic order of the darts leaving it.  The rotation
 system is the single source of truth for the embedding.  Its faces are
 walked from it on first use, or given at construction by surgery that
-already knows them (a piece inherits its parent's faces);
-check_embedding rejects given faces that do not step from each dart to
-the successor the rotation implies.
+already knows them (a piece inherits its parent's faces).  walk_faces is
+the one routine that follows the rotation's face successors:
+check_embedding runs it once, over the given faces too, and rejects any
+that is not the face walk from its first dart.
 
 Every arc owns two darts.  Dart ``2*a`` points with arc ``a`` and carries
 its capacity; dart ``2*a + 1`` points against it and carries capacity
@@ -32,18 +33,39 @@ from .errors import (
 NO_KEY = -1
 
 
-def walk_faces(tails, heads, rot):
+def walk_faces(tails, heads, rot, given=None):
     """Face walks of a rotation system, plus the face index of every dart.
 
-    Walks start at their lowest-index dart and are listed in that order.
-    The successor of dart d is the dart after d ^ 1 in the clockwise
-    rotation at the head of d.
+    The given walks come first, in their order: each is followed from its
+    first dart, and the first one that is not the face walk starting there
+    raises EmbeddingInvalid.  The faces they leave out follow, each
+    starting at its lowest-index dart, in that order.  The successor of
+    dart d is the dart after d ^ 1 in the clockwise rotation at the head
+    of d.
     """
     num_darts = 2 * len(tails)
     succ = _successors(rot, num_darts)
     face_of = [-1] * num_darts
-    faces = []
-    for d0 in range(num_darts):
+    faces = [] if given is None else list(given)
+    for f, walk in enumerate(faces):
+        d0 = walk[0] if walk else -1
+        if not 0 <= d0 < num_darts or face_of[d0] >= 0:
+            raise EmbeddingInvalid(f"given face {f} {walk} is not a face walk")
+        d = d0
+        for x in walk:
+            if x != d or face_of[x] >= 0:
+                break
+            face_of[x] = f
+            d = succ[x]
+        else:
+            if d == d0:
+                continue        # it stepped to each dart's successor and closed
+        ref = [d0]
+        while succ[ref[-1]] != d0:
+            ref.append(succ[ref[-1]])
+        raise EmbeddingInvalid(f"given face {f} {walk} disagrees with the face walk {ref}")
+    left = num_darts - sum(map(len, faces))      # darts no given walk holds
+    for d0 in range(num_darts if left else 0):
         if face_of[d0] >= 0:
             continue
         f = len(faces)
@@ -135,9 +157,10 @@ class PlanarGraph:
         connected graph (Euler's formula n - m + f = 2) and the given
         faces, if any, are its face walks.
 
-        Given faces are checked dart by dart against the successors the
-        rotation implies, and walked only when that check fails, to name
-        the bad face."""
+        One walk_faces call follows the given faces and walks the ones
+        they leave out, so a wrong given face is named before Euler's
+        check runs, and a missing one is counted after it.  The checked
+        dart-to-face index is kept as dart_faces()."""
         if self.n == 1 and self.m == 0:
             return  # a bare node embeds in the sphere with one face
         tails, heads, rot = self.tails, self.heads, self.rot
@@ -157,17 +180,17 @@ class PlanarGraph:
             raise EmbeddingInvalid(f"dart {d} appears {counts[d]} times in the rotation system")
         if -1 in bfs_tree(self)[1]:
             raise Disconnected("graph is not connected")
-        given, faces = self._faces, None
-        if given is None or not _are_face_walks(given, rot, num_darts):
-            faces, face_of = walk_faces(tails, heads, rot)
-        num_faces = len(given if faces is None else faces)
-        if self.n - self.m + num_faces != 2:
+        given = self._faces
+        faces, face_of = walk_faces(tails, heads, rot, given)
+        if self.n - self.m + len(faces) != 2:
             raise NonPlanarEmbedding(
-                f"Euler check failed: n={self.n} m={self.m} f={num_faces}")
+                f"Euler check failed: n={self.n} m={self.m} f={len(faces)}")
         if given is None:
-            self._faces, self._face_of = faces, face_of
-        elif faces is not None:
-            _check_given_faces(given, faces, face_of)
+            self._faces = faces
+        elif len(given) != len(faces):
+            raise EmbeddingInvalid(
+                f"{len(given)} faces given but the rotation system has {len(faces)}")
+        self._face_of = face_of
 
 
 def dart_heads(g: PlanarGraph):
@@ -203,46 +226,6 @@ def bfs_tree(g: PlanarGraph, head=None):
                 depth[w] = below
                 queue.append(w)
     return parent_dart, depth
-
-
-def _are_face_walks(given, rot, num_darts):
-    """Whether the given walks are the face walks of the rotation system,
-    each once: the walks hold every dart once, and each steps from every
-    dart to its successor, the last one back to the first."""
-    if sum(map(len, given)) != num_darts:
-        return False
-    succ = _successors(rot, num_darts)
-    seen = bytearray(num_darts)
-    try:
-        for walk in given:
-            prev = walk[-1]
-            for d in walk:
-                if succ[prev] != d or seen[d]:
-                    return False
-                seen[d] = 1
-                prev = d
-    except IndexError:      # an empty walk, or a dart out of range
-        return False
-    return True
-
-
-def _check_given_faces(given, faces, face_of):
-    """Raise unless the given walks are the walked faces, each once, as
-    cyclic dart sequences."""
-    matched = bytearray(len(faces))
-    for i, walk in enumerate(given):
-        f = face_of[walk[0]] if walk and 0 <= walk[0] < len(face_of) else None
-        if f is None or matched[f]:
-            raise EmbeddingInvalid(f"given face {i} {walk} is not a face walk")
-        ref = faces[f]
-        j = ref.index(walk[0])
-        if walk != ref[j:] + ref[:j]:
-            raise EmbeddingInvalid(
-                f"given face {i} {walk} disagrees with the face walk {ref[j:] + ref[:j]}")
-        matched[f] = 1
-    if len(given) != len(faces):
-        raise EmbeddingInvalid(
-            f"{len(given)} faces given but the rotation system has {len(faces)}")
 
 
 def is_triangulated_biconnected(g: PlanarGraph) -> bool:

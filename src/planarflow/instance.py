@@ -232,37 +232,38 @@ def import_dimacs_max(text: str) -> InstanceFile:
     if num_nodes > num_arcs + 1:   # a connected grid has >= num_nodes - 1 arcs
         raise ParseError(1, f"{num_nodes} nodes but only {num_arcs} arcs: "
                             "too few for a grid on them")
-    for rows in range(1, num_nodes + 1):
-        if num_nodes % rows:
-            continue
-        cols = num_nodes // rows
-        expected = set()
-        for i in range(rows):
-            for j in range(cols):
-                v = i * cols + j
-                if j + 1 < cols:
-                    expected.add((v, v + 1))
-                if i + 1 < rows:
-                    expected.add((v, v + cols))
-        if line_of_pair.keys() == expected:
-            rotations = []
-            for v in range(num_nodes):
-                i, j = divmod(v, cols)
-                order = []
-                for (di, dj) in ((-1, 0), (0, 1), (1, 0), (0, -1)):
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < rows and 0 <= jj < cols:
-                        order.append(ii * cols + jj)
-                rotations.append(order)
-            return InstanceFile(
-                num_nodes=num_nodes,
-                arcs=arcs,
-                rotations=rotations,
-                sources=[ends["s"]],
-                sinks=[ends["t"]],
-                comments=["imported from DIMACS max"],
-            )
-    raise ParseError(1, "arc set is not grid-recognizable; cannot synthesize an embedding")
+    # the width is node 0's larger neighbour in a grid of two rows or more,
+    # else the grid is one row
+    nbrs0 = [h for (t, h) in line_of_pair if t == 0]
+    cols = max(nbrs0) if len(nbrs0) == 2 else num_nodes
+    rows = num_nodes // cols
+    expected = set()
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            if j + 1 < cols:
+                expected.add((v, v + 1))
+            if i + 1 < rows:
+                expected.add((v, v + cols))
+    if num_nodes % cols or line_of_pair.keys() != expected:
+        raise ParseError(1, "arc set is not grid-recognizable; cannot synthesize an embedding")
+    rotations = []
+    for v in range(num_nodes):
+        i, j = divmod(v, cols)
+        order = []
+        for (di, dj) in ((-1, 0), (0, 1), (1, 0), (0, -1)):
+            ii, jj = i + di, j + dj
+            if 0 <= ii < rows and 0 <= jj < cols:
+                order.append(ii * cols + jj)
+        rotations.append(order)
+    return InstanceFile(
+        num_nodes=num_nodes,
+        arcs=arcs,
+        rotations=rotations,
+        sources=[ends["s"]],
+        sinks=[ends["t"]],
+        comments=["imported from DIMACS max"],
+    )
 
 
 def _int_field(lineno, text):

@@ -1,11 +1,16 @@
-"""Max-flow subroutines of the recursion plus the generic oracle.
+"""The recursion's one max-flow subroutine plus the generic oracle.
 
-Every subroutine runs on a ResidualNet: flat dart arrays holding the
-residual capacities c_f that a FlowStore implies on one graph's keyed
-arcs.  It computes a flow of its own, updates the net's arrays in place
-and returns (value, deltas), where deltas lists (key, delta) pairs for
-the keyed arcs it changed, in arc order, ready for FlowStore.apply.
-Subroutines never write the store and never build a net.
+terminal_set_flow is a flow from a source set to a disjoint sink set,
+optionally under a limit.  The engine calls it under four names, one per
+call site: msss_max_flow, ssms_max_flow, limited_max_flow and
+solve_msms_residual are bindings of the same function.
+
+It runs on a ResidualNet: flat dart arrays holding the residual
+capacities c_f that a FlowStore implies on one graph's keyed arcs.  It
+computes a flow of its own, updates the net's arrays in place and
+returns (value, deltas), where deltas lists (key, delta) pairs for the
+keyed arcs it changed, in arc order, ready for FlowStore.apply.  It
+never writes the store and never builds a net.
 
 The caller applies each call's deltas to the store, which puts the store
 back in step with the net.  So one net serves every call of a leaf solve,
@@ -13,7 +18,7 @@ or of a split level's two boundary pushes and its whole walk, as long as
 nothing else writes those arcs' flow in between, and each call costs only
 what it explores.
 
-All of them run one deterministic search-tree core (Boykov and
+It runs one deterministic search-tree core (Boykov and
 Kolmogorov, IEEE TPAMI 26(9), 2004) on flat dart arrays, so repeated
 runs produce identical flows.  The source set roots one tree and the
 sink set another; they grow until they meet, each meeting is augmented,
@@ -306,14 +311,20 @@ def _search_trees(adj, head, res, sources, sinks, limit=None):
                     break
 
 
-def _solve_terminal_sets(store, net, sources, sinks, limit=None):
+def terminal_set_flow(store, net, sources, sinks, limit=None):
     """Flow from a source set to a disjoint sink set on the net, which
-    must match the store's flow on its keyed arcs.
+    must match the store's flow on its keyed arcs; returns (value,
+    deltas).
 
-    An arc's delta is its final reverse residual minus its stored flow,
-    read only for the keyed arcs an augmenting path used.  The net keeps
-    its final residuals.
+    The value is the max flow's, or min(limit, max flow) under a limit.
+    Whenever it falls short of the limit, no residual path from the
+    sources to the sinks remains.  Raises ValueError when the sets
+    overlap or the limit is negative.  An arc's delta is its final
+    reverse residual minus its stored flow, read only for the keyed arcs
+    an augmenting path used.  The net keeps its final residuals.
     """
+    if limit is not None and limit < 0:
+        raise ValueError("flow limit must be non-negative")
     if set(sources) & set(sinks):
         raise ValueError("sources and sinks overlap")
     if not sources or not sinks or limit == 0:
@@ -329,46 +340,12 @@ def _solve_terminal_sets(store, net, sources, sinks, limit=None):
     return value, deltas
 
 
-# -- the four subroutine contracts ------------------------------------------
-#
-# Each takes the store and a ResidualNet that matches it, raises
-# ValueError when its source and sink sets overlap, and returns
-# (value, deltas); the caller applies the deltas to keep the two in step.
-
-
-def msss_max_flow(store, net, sources, sinks):
-    """The source push of one split level: maximum flow from its sources
-    into its boundary node set, the apex's stand-in (see
-    surgery.attach_apex).  Afterwards no residual path from the sources to
-    the sinks remains."""
-    return _solve_terminal_sets(store, net, sources, sinks)
-
-
-def ssms_max_flow(store, net, sources, sinks):
-    """The sink push of one split level: maximum flow from its boundary
-    node set into its sinks.  Afterwards no residual path between them
-    remains."""
-    return _solve_terminal_sets(store, net, sources, sinks)
-
-
-def limited_max_flow(store, net, sources, sinks, delta):
-    """Flow of value min(delta, maxflow) from a source set to a sink set.
-
-    When the value falls short of delta, no residual path from the
-    sources to the sinks remains.
-    """
-    if delta < 0:
-        raise ValueError("flow limit must be non-negative")
-    return _solve_terminal_sets(store, net, sources, sinks, limit=delta)
-
-
-def solve_msms_residual(store, net, sources, sinks):
-    """Direct multi-source multi-sink max flow on the residual graph.
-
-    Used for recursion base cases; the oracle's flow, but against live
-    residual capacities.
-    """
-    return _solve_terminal_sets(store, net, sources, sinks)
+# The engine's four calls of it, each under its own name so that a
+# profile can tell them apart: a split level's source push from its
+# sources into its boundary node set (the apex's stand-in, see
+# surgery.attach_apex) and its sink push from that set into its sinks,
+# each boundary-walk step under its limit, and a leaf's direct solve.
+msss_max_flow = ssms_max_flow = limited_max_flow = solve_msms_residual = terminal_set_flow
 
 
 # -- acceptance oracle -------------------------------------------------------
@@ -385,7 +362,7 @@ class OracleResult:
 def oracle_max_flow(num_nodes, arcs, sources, sinks) -> OracleResult:
     """Exact max-flow value for any directed integer-capacity graph.
 
-    A blocking-flow core that the subroutines do not use, run on the raw
+    A blocking-flow core that terminal_set_flow does not use, run on the raw
     capacities, plus a witness flow and a witness minimum cut; the cut
     capacity always equals the flow value and is returned so callers can
     certify runs.

@@ -13,7 +13,8 @@ import pytest
 
 from planarflow import separator, solvers, surgery
 from planarflow.flow import FlowStore, decompose_acyclic
-from planarflow.graph import NO_KEY, dart_heads
+from planarflow.errors import EmbeddingInvalid, NonPlanarEmbedding
+from planarflow.graph import NO_KEY, dart_heads, walk_faces
 from planarflow.solvers import (
     ResidualNet,
     graph_arcs,
@@ -718,3 +719,72 @@ def decompose_flow(g, store):
     amounts = {2 * a: store.vals[key] for a, key in enumerate(g.keys) if key != NO_KEY}
     circulation, order = decompose_acyclic(dart_heads(g), amounts)
     return {g.keys[d >> 1]: x for d, x in circulation.items()}, order
+
+
+# -- the given-face check as it stood before walk_faces followed given faces --
+
+
+def _successors(rot, num_darts):
+    succ = [0] * num_darts
+    for r in rot:
+        for i, d in enumerate(r):
+            succ[r[i - 1] ^ 1] = d
+    return succ
+
+
+def are_face_walks(given, rot, num_darts):
+    """Whether the given walks are the face walks of the rotation system,
+    each once: the walks hold every dart once, and each steps from every
+    dart to its successor, the last one back to the first."""
+    if sum(map(len, given)) != num_darts:
+        return False
+    succ = _successors(rot, num_darts)
+    seen = bytearray(num_darts)
+    try:
+        for walk in given:
+            prev = walk[-1]
+            for d in walk:
+                if succ[prev] != d or seen[d]:
+                    return False
+                seen[d] = 1
+                prev = d
+    except IndexError:      # an empty walk, or a dart out of range
+        return False
+    return True
+
+
+def check_given_faces(given, faces, face_of):
+    """Raise unless the given walks are the walked faces, each once, as
+    cyclic dart sequences."""
+    matched = bytearray(len(faces))
+    for i, walk in enumerate(given):
+        f = face_of[walk[0]] if walk and 0 <= walk[0] < len(face_of) else None
+        if f is None or matched[f]:
+            raise EmbeddingInvalid(f"given face {i} {walk} is not a face walk")
+        ref = faces[f]
+        j = ref.index(walk[0])
+        if walk != ref[j:] + ref[:j]:
+            raise EmbeddingInvalid(
+                f"given face {i} {walk} disagrees with the face walk {ref[j:] + ref[:j]}")
+        matched[f] = 1
+    if len(given) != len(faces):
+        raise EmbeddingInvalid(
+            f"{len(given)} faces given but the rotation system has {len(faces)}")
+
+
+def reference_check_given_faces(tails, heads, rot, given):
+    """The face part of check_embedding by the two routines above, for a
+    rotation system of a connected graph that lists every dart once:
+    given faces that pass the successor check are counted as they are,
+    others are walked afresh, counted by Euler's formula and compared
+    walk by walk."""
+    num_darts = 2 * len(tails)
+    faces = None
+    if not are_face_walks(given, rot, num_darts):
+        faces, face_of = walk_faces(tails, heads, rot)
+    num_faces = len(given if faces is None else faces)
+    if len(rot) - len(tails) + num_faces != 2:
+        raise NonPlanarEmbedding(
+            f"Euler check failed: n={len(rot)} m={len(tails)} f={num_faces}")
+    if faces is not None:
+        check_given_faces(given, faces, face_of)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from planarflow.bench import BALANCE_CONSTANT
+from planarflow.bench import BALANCE_CONSTANT, BenchRow, fit_exponent, report
 from planarflow.cli import main
 from planarflow.errors import CapacityViolation, SettlementStuck
 from planarflow.generate import generate
@@ -140,6 +140,23 @@ def test_bench_report_format(capsys):
     assert any("empirical scaling exponent" in l for l in lines)
     assert any(f"{BALANCE_CONSTANT:.4f}" in l for l in lines)
     assert f"{BALANCE_CONSTANT:.4f}" == "0.7368"
+
+
+def test_bench_fits_one_exponent_per_kind():
+    """Two families with different slopes: each footer line is the fit of
+    its own kind's rows, not of both together."""
+    rows = [BenchRow(kind, n, 0, 0, scale * n ** slope, 0, 0, 0.0, 0.0, 0.0)
+            for kind, scale, slope in (("grid", 1e-6, 2.0), ("tri", 3e-5, 1.25))
+            for n in (100, 200, 400, 800)]
+    rows[1].seconds *= 1.1                 # off the line, so the fit is a fit
+    lines = report(rows).splitlines()
+    fits = [line for line in lines if "empirical scaling exponent" in line]
+    assert len(fits) == 2
+    for line, kind in zip(fits, ("grid", "tri")):
+        exponent = fit_exponent([r for r in rows if r.kind == kind])
+        assert line == (f"# empirical scaling exponent for {kind} "
+                        f"(log time vs log n): {exponent:.3f}")
+    assert fits[0] != fits[1]
 
 
 def test_bench_exits_3_when_the_direct_value_differs(monkeypatch, capsys):

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from planarflow import engine, separator, surgery
+from planarflow import engine, separator, solvers, surgery
 from planarflow.config import EngineConfig
 from planarflow.engine import MsmsEngine, msms_max_flow
 from planarflow.errors import AuditFailure, SettlementStuck
@@ -558,3 +558,28 @@ def test_piece_with_wrong_faces_fails_the_full_audit(monkeypatch):
     monkeypatch.setattr(engine, "split_into_pieces", split)
     with pytest.raises(AuditFailure, match="^depth 0 piece 1: .* faces given"):
         msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(audit="full"))
+
+
+SOLVER_NAMES = ("msss_max_flow", "ssms_max_flow", "limited_max_flow", "solve_msms_residual")
+
+
+def test_the_four_solver_names_are_one_terminal_set_flow():
+    """The engine calls one terminal-set flow under four names, so each
+    name takes a limit and rejects a negative one and overlapping sets."""
+    for name in SOLVER_NAMES:
+        assert getattr(solvers, name) is solvers.terminal_set_flow
+        assert getattr(engine, name) is solvers.terminal_set_flow
+    g = build_graph(3, [(0, 1, 5), (1, 2, 4)], [[1], [0, 2], [1]])
+    store = FlowStore.for_graph(g)
+    net = graph_arcs(g, store)
+    flow = solvers.terminal_set_flow
+    with pytest.raises(ValueError, match="^flow limit must be non-negative$"):
+        flow(store, net, [0], [2], -1)
+    with pytest.raises(ValueError, match="^sources and sinks overlap$"):
+        flow(store, net, [0, 1], [1, 2])
+    with pytest.raises(ValueError, match="^sources and sinks overlap$"):
+        flow(store, net, [0, 1], [1, 2], 3)
+    value, deltas = flow(store, net, [0], [2], 3)
+    assert (value, deltas) == (3, [(0, 3), (1, 3)])
+    store.apply(deltas)
+    assert flow(store, net, [0], [2]) == (1, [(0, 1), (1, 1)])

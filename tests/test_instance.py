@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -147,6 +149,57 @@ def test_dimacs_import_rejects_non_grid():
     text = "p max 4 3\nn 1 s\nn 4 t\na 1 2 1\na 1 3 1\na 1 4 1\n"
     with pytest.raises(ParseError):
         import_dimacs_max(text)
+
+
+def divisor_grid_rotations(num_nodes, pairs):
+    """The rotations of the first rows x cols grid, rows rising through
+    the divisors of num_nodes, whose node pairs are pairs; None if none
+    is.  The import once tried every divisor this way."""
+    for rows in range(1, num_nodes + 1):
+        if num_nodes % rows:
+            continue
+        cols = num_nodes // rows
+        expected = {(v, v + 1) for v in range(num_nodes) if (v + 1) % cols}
+        expected |= {(v, v + cols) for v in range(num_nodes - cols)}
+        if pairs == expected:
+            return [[u for u in (v - cols, v + 1, v + cols, v - 1)
+                     if 0 <= u < num_nodes and (min(u, v), max(u, v)) in pairs]
+                    for v in range(num_nodes)]
+    return None
+
+
+def test_dimacs_import_matches_the_divisor_search_on_small_grids():
+    """Every R x C grid and path, 1 <= R, C <= 6, imports as the divisor
+    search read it, arcs in any order and direction; with one arc more or
+    one arc less it is rejected exactly when that search found no grid."""
+    rng = random.Random(7)
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            n = rows * cols
+            if n < 2:
+                continue       # source and sink need two nodes
+            grid = sorted({(v, v + 1) for v in range(n) if (v + 1) % cols}
+                          | {(v, v + cols) for v in range(n - cols)})
+            others = [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if (u, v) not in grid]
+            variants = [grid, grid[1:], grid[:-1]]
+            variants += [grid + [rng.choice(others)] for _ in range(3) if others]
+            for pairs in variants:
+                pairs = list(pairs)
+                rng.shuffle(pairs)
+                arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs]
+                text = "\n".join([f"p max {n} {len(arcs)}", "n 1 s", f"n {n} t"]
+                                  + [f"a {t + 1} {h + 1} 5" for t, h in arcs])
+                want = divisor_grid_rotations(n, set(pairs))
+                if want is None:
+                    with pytest.raises(ParseError, match="too few for a grid|"
+                                                         "not grid-recognizable"):
+                        import_dimacs_max(text)
+                else:
+                    inst = import_dimacs_max(text)
+                    assert inst.rotations == want
+                    assert inst.arcs == [(t, h, 5) for t, h in arcs]
+                    assert (inst.sources, inst.sinks) == ([0], [n - 1])
 
 
 @given(st.sampled_from(["grid", "tri"]), st.integers(2, 80), st.integers(0, 10 ** 6))

@@ -62,6 +62,7 @@ from .graph import NO_KEY, PlanarGraph, TerminalSets, is_triangulated_biconnecte
 from .separator import BOUNDARY_CONSTANT, find_cycle_separator, split_into_pieces
 from .solvers import (
     graph_arcs,
+    input_net,
     limited_max_flow,
     msss_max_flow,
     solve_msms_residual,
@@ -239,11 +240,12 @@ class MsmsEngine:
 
     def _base_solve(self, g, sources, sinks, depth, kind):
         """Solve g (the input graph, or a Piece below depth 0) directly,
-        on one net of its keyed arcs; a piece's graph is read only by the
-        full audit."""
+        on one net of its keyed arcs: the input's own rotation and arrays
+        at depth 0, one built by graph_arcs below.  A piece's graph is
+        read only by the full audit."""
         self.stats.record(LevelRecord(depth, g.n, kind))
-        value, deltas = solve_msms_residual(self.store, graph_arcs(g, self.store),
-                                            sources, sinks)
+        net = graph_arcs(g, self.store) if depth else input_net(g, self.store)
+        value, deltas = solve_msms_residual(self.store, net, sources, sinks)
         self.store.apply(deltas)
         self._emit({"op": "solve_leaf", "depth": depth, "n": g.n, "value": value})
         if self.cfg.audit == "full":

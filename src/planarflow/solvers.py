@@ -6,7 +6,9 @@ call site: msss_max_flow, ssms_max_flow, limited_max_flow and
 solve_msms_residual are bindings of the same function.
 
 It runs on a ResidualNet: flat dart arrays holding the residual
-capacities c_f that a FlowStore implies on one graph's keyed arcs.  It
+capacities c_f that a FlowStore implies on one graph's keyed arcs.
+graph_arcs builds one for a split level or a leaf; the input's direct
+solve runs on the input's own rotation and arrays (input_net).  It
 computes a flow of its own, updates the net's arrays in place and
 returns (value, deltas), where deltas lists (key, delta) pairs for the
 keyed arcs it changed, in arc order, ready for FlowStore.apply.  It
@@ -23,12 +25,16 @@ Kolmogorov, IEEE TPAMI 26(9), 2004) on flat dart arrays, so repeated
 runs produce identical flows.  The source set roots one tree and the
 sink set another; they grow until they meet, each meeting is augmented,
 and the trees survive the augmentation: only the branches it cut are
-mended.  No node or arc is ever added: terminal sets stand in for the
-paper's supersource, supersink, per-piece apex and boundary-suffix
-chain, with the same values since every finite cut keeps each such set
-on one side, and since every terminal stays a root, a path holds
-exactly one source and one sink.  Values are those of any max flow;
-which maximum flow, hence arc_flows, depends on the paths taken.
+mended.  An orphan takes the first same-tree neighbour, in dart order,
+whose parent chain reaches a root; a per-node stamp of the augmentation
+that last found a node rooted ends each chain walk early, with the same
+choices as a walk to the root.  No node or arc is ever added: terminal
+sets stand in for the paper's supersource, supersink, per-piece apex
+and boundary-suffix chain, with the same values since every finite cut
+keeps each such set on one side, and since every terminal stays a root,
+a path holds exactly one source and one sink.  Values are those of any
+max flow; which maximum flow, hence arc_flows, depends on the paths
+taken, and so on the order of each node's darts.
 
 The oracle keeps a blocking-flow core of its own, so that the engine's
 values are checked against code they do not share.
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import sub
 
 from .graph import NO_KEY
 
@@ -48,6 +55,8 @@ class ResidualNet:
     The net's arc a, its a-th keyed arc, owns dart 2a (tail to head,
     residual cap - flow) and dart 2a + 1 (head to tail, residual flow);
     keys[a] is its flow key.  len(net) is the number of keyed arcs.
+    Nets built here list each node's darts in arc order; the input's own
+    net (input_net) lists them in the input's rotation order.
     """
 
     __slots__ = ("adj", "head", "res", "keys")
@@ -76,8 +85,30 @@ class ResidualNet:
 def graph_arcs(g, store) -> ResidualNet:
     """The residual net of g's keyed arcs under the store's flow.  g is
     a PlanarGraph or anything else with its n, tails, heads and keys,
-    such as a separator.Piece before its graph is built."""
+    such as a separator.Piece before its graph is built.  Every net but
+    the input's direct solve is built here; see input_net."""
     return ResidualNet(g.n, zip(g.tails, g.heads, g.keys), store)
+
+
+def input_net(g, store) -> ResidualNet:
+    """The residual net of the input graph g, on g's own arrays.
+
+    The store was seeded from g (FlowStore.for_graph), so arc a has key
+    a, and g has no chords: net dart d is g's dart d, and g.rot, which
+    lists the darts leaving each node, is already the adjacency.  The net
+    shares g.rot and g.keys instead of copying them; no solver writes
+    either.  Each adj[v] holds the same darts as graph_arcs(g, store)'s,
+    in rotation order, so a direct solve may take other paths (and
+    arc_flows may differ) but not another value.
+    """
+    m = g.m
+    flows = store.vals[:m]
+    head, res = [0] * (2 * m), [0] * (2 * m)
+    head[0::2], head[1::2] = g.heads, g.tails
+    res[0::2], res[1::2] = map(sub, store.caps[:m], flows), flows
+    net = ResidualNet.__new__(ResidualNet)
+    net.adj, net.head, net.res, net.keys = g.rot, head, res, g.keys
+    return net
 
 
 def _dinic(adj, head, res, sources, sinks):
@@ -173,12 +204,16 @@ def _search_trees(adj, head, res, sources, sinks, limit=None):
     free neighbour it has residual toward (in the sink tree: from), and
     augmenting when the neighbour is in the other tree.  The path is the
     source chain, that meeting dart and the sink chain; it carries its
-    bottleneck, capped at what the limit leaves.
+    bottleneck, capped at what the limit leaves.  Each chain is walked
+    twice, once for the bottleneck and once to push it.
 
     Every tree dart an augmentation saturates orphans its child.  An
     orphan takes the first same-tree neighbour, in dart order, with
-    residual toward it whose parent chain reaches a root (a chain found
-    good is marked for the rest of the augmentation).  Otherwise it is
+    residual toward it whose parent chain reaches a root.  Augmentations
+    are counted in now, and a chain found to reach a root gets stamp now
+    on every node it walked, so a later check in the same augmentation
+    stops at the first stamped node; a stamp from an earlier
+    augmentation vouches for nothing.  An orphan that finds no parent is
     freed: its children become orphans, and every neighbour in either
     tree that could take it goes back into that tree's queue.  A popped
     node is out of its queue, and membership is kept per tree, since a
@@ -194,90 +229,23 @@ def _search_trees(adj, head, res, sources, sinks, limit=None):
     n = len(adj)
     tree = bytearray(n)          # 0 free, 1 source tree, 2 sink tree
     parent = [_ROOT] * n
-    queues = (None, deque(sources), deque(sinks))
-    queued = (None, bytearray(n), bytearray(n))
-    for side in (1, 2):
-        for r in queues[side]:
-            tree[r] = side
-            queued[side][r] = 1
+    stamp = [0] * n              # the augmentation that last found v rooted
+    now = 0
+    q1, q2 = deque(sources), deque(sinks)
+    in1, in2 = bytearray(n), bytearray(n)
+    for r in q1:
+        tree[r] = in1[r] = 1
+    for r in q2:
+        tree[r] = 2
+        in2[r] = 1
     total = 0
     touched = []
-    good = set()                 # chains found good in this augmentation
-
-    def rooted(x):
-        """Whether x's parent chain reaches a root."""
-        walked = []
-        while x not in good:
-            d = parent[x]
-            if d < 0:
-                if d == _ORPHAN:
-                    return False
-                break
-            walked.append(x)
-            x = head[d ^ 1]
-        good.update(walked)
-        return True
-
-    def augment(meet):
-        """Push along the path through meet, a dart from the source tree
-        into the sink tree, then mend both trees."""
-        nonlocal total
-        # the parent darts of both chains; the path runs along the source
-        # chain's and against the sink chain's
-        rise, fall = [], []
-        for chain, x in ((rise, head[meet ^ 1]), (fall, head[meet])):
-            d = parent[x]
-            while d >= 0:
-                chain.append(d)
-                x = head[d ^ 1]
-                d = parent[x]
-        push = res[meet]
-        for chain, flip in ((rise, 0), (fall, 1)):
-            for d in chain:
-                if res[d ^ flip] < push:
-                    push = res[d ^ flip]
-        if limit is not None and push > limit - total:
-            push = limit - total
-        total += push
-        touched.append(meet)
-        touched.extend(rise)
-        touched.extend(fall)
-        res[meet] -= push
-        res[meet ^ 1] += push
-        orphans = []
-        for chain, flip in ((rise, 0), (fall, 1)):
-            for d in chain:
-                p = d ^ flip
-                res[p ^ 1] += push
-                res[p] -= push
-                if not res[p]:           # a saturated tree dart orphans its child
-                    parent[head[d]] = _ORPHAN
-                    orphans.append(head[d])
-        good.clear()
-        for x in orphans:          # grows while it is read
-            side = tree[x]
-            for e in adj[x]:
-                if tree[head[e]] == side and (res[e ^ 1] if side == 1 else res[e]) \
-                        and rooted(head[e]):
-                    parent[x] = e ^ 1
-                    break
-            else:
-                tree[x] = 0
-                for e in adj[x]:
-                    y = head[e]
-                    ty = tree[y]
-                    if not ty:
-                        continue
-                    if parent[y] == e:           # x was y's parent
-                        parent[y] = _ORPHAN
-                        orphans.append(y)
-                    if (res[e ^ 1] if ty == 1 else res[e]) and not queued[ty][y]:
-                        queued[ty][y] = 1
-                        queues[ty].append(y)
 
     while True:
-        side = 1 if len(queues[1]) <= len(queues[2]) else 2
-        queue, inq = queues[side], queued[side]
+        if len(q1) <= len(q2):
+            side, queue, inq = 1, q1, in1
+        else:
+            side, queue, inq = 2, q2, in2
         v = -1
         while queue:
             v = queue.popleft()
@@ -299,16 +267,98 @@ def _search_trees(adj, head, res, sources, sinks, limit=None):
                 if not inq[w]:
                     inq[w] = 1
                     queue.append(w)
-            elif tw != side:
-                meet = e ^ flip
-                while True:
-                    augment(meet)
-                    if total == limit:
-                        return total, touched
-                    if not res[meet] or tree[v] != side or tree[w] != tw:
+                continue
+            if tw == side:
+                continue
+            # meet runs from the source tree into the sink tree; the path
+            # runs along the source chain's parent darts and against the
+            # sink chain's
+            meet = e ^ flip
+            while True:
+                push = res[meet]
+                d = parent[head[meet ^ 1]]
+                while d >= 0:
+                    if res[d] < push:
+                        push = res[d]
+                    d = parent[head[d ^ 1]]
+                d = parent[head[meet]]
+                while d >= 0:
+                    if res[d ^ 1] < push:
+                        push = res[d ^ 1]
+                    d = parent[head[d ^ 1]]
+                if limit is not None and push > limit - total:
+                    push = limit - total
+                total += push
+                touched.append(meet)
+                res[meet] -= push
+                res[meet ^ 1] += push
+                # a saturated tree dart orphans its child
+                orphans = []
+                x = head[meet ^ 1]
+                d = parent[x]
+                while d >= 0:
+                    touched.append(d)
+                    res[d] -= push
+                    res[d ^ 1] += push
+                    if not res[d]:
+                        parent[x] = _ORPHAN
+                        orphans.append(x)
+                    x = head[d ^ 1]
+                    d = parent[x]
+                x = head[meet]
+                d = parent[x]
+                while d >= 0:
+                    touched.append(d)
+                    res[d ^ 1] -= push
+                    res[d] += push
+                    if not res[d ^ 1]:
+                        parent[x] = _ORPHAN
+                        orphans.append(x)
+                    x = head[d ^ 1]
+                    d = parent[x]
+                now += 1
+                for x in orphans:        # grows while it is read
+                    tx = tree[x]
+                    for e2 in adj[x]:
+                        y = head[e2]
+                        if tree[y] != tx or not (res[e2 ^ 1] if tx == 1 else res[e2]):
+                            continue
+                        z = y            # does y's chain reach a root?
+                        while stamp[z] != now:
+                            d = parent[z]
+                            if d < 0:
+                                break
+                            z = head[d ^ 1]
+                        if parent[z] == _ORPHAN:
+                            continue
+                        while y != z:
+                            stamp[y] = now
+                            y = head[parent[y] ^ 1]
+                        parent[x] = e2 ^ 1
                         break
-                if tree[v] != side:
+                    else:
+                        tree[x] = 0
+                        for e2 in adj[x]:
+                            y = head[e2]
+                            ty = tree[y]
+                            if not ty:
+                                continue
+                            if parent[y] == e2:          # x was y's parent
+                                parent[y] = _ORPHAN
+                                orphans.append(y)
+                            if ty == 1:
+                                if res[e2 ^ 1] and not in1[y]:
+                                    in1[y] = 1
+                                    q1.append(y)
+                            elif res[e2] and not in2[y]:
+                                in2[y] = 1
+                                q2.append(y)
+                if total == limit:
+                    return total, touched
+                if not res[meet] or tree[v] != side or tree[w] != tw:
                     break
+            if tree[v] != side:
+                break
 
 
 def terminal_set_flow(store, net, sources, sinks, limit=None):

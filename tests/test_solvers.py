@@ -1,8 +1,11 @@
+import copy
 import random
 
 import pytest
 from support import apex_arcs, check_pushes_against_apex, edmonds_karp, residual_net
 
+from planarflow.config import EngineConfig
+from planarflow.engine import msms_max_flow
 from planarflow.flow import (
     FlowStore,
     flow_value,
@@ -10,9 +13,12 @@ from planarflow.flow import (
     is_feasible,
     residual_reachable,
 )
+from planarflow.generate import generate
 from planarflow.graph import build_graph
 from planarflow.solvers import (
+    _search_trees,
     graph_arcs,
+    input_net,
     limited_max_flow,
     msss_max_flow,
     oracle_max_flow,
@@ -465,6 +471,127 @@ def test_search_trees_match_edmonds_karp_on_hand_built_nets(case):
     n, arcs, sources, sinks = _SEARCH_TREE_CASES[case]
     _check_against_edmonds_karp(random.Random(case), n, arcs, [0] * len(arcs),
                                 sources, sinks)
+
+
+class _CountedHeads(list):
+    """A dart-head list that counts its reads and fails past a budget,
+    so that a parent cycle, which walks a chain forever, fails a test
+    instead of hanging it."""
+
+    def __init__(self, heads, budget):
+        super().__init__(heads)
+        self.reads, self.budget = 0, budget
+
+    def __getitem__(self, i):
+        self.reads += 1
+        assert self.reads <= self.budget, f"more than {self.budget} head reads"
+        return super().__getitem__(i)
+
+
+def _core_on_counted_heads(n, arcs, sources, sinks, budget):
+    """_search_trees on the raw arcs with counted heads: (value, reads)."""
+    adj = [[] for _ in range(n)]
+    head, res = [], []
+    for (t, h, c) in arcs:
+        adj[t].append(len(head))
+        adj[h].append(len(head) + 1)
+        head += (h, t)
+        res += (c, 0)
+    counted = _CountedHeads(head, budget)
+    value, _ = _search_trees(adj, counted, res, sources, sinks)
+    return value, counted.reads
+
+
+# (n, arcs, sources, sinks), each built so that a stamp which vouches for
+# a chain it should not lets an orphan take its own descendant as parent:
+# the parent cycle then makes a chain walk run forever
+_STAMP_CASES = {
+    # the isolated sink 5 keeps the sink queue long.  2 takes 4 and 1, and
+    # 4 takes 0; 1 meets the sink 3, and the path 2-1-3 saturates 2-1.
+    # The orphan 1 takes 0, stamping 0 and 4.  The next path 2-4-0-1-3
+    # saturates 2-4, and the orphan 4's only neighbour with residual toward
+    # it is its own child 0: 0's stamp is from the last augmentation, so
+    # the check must walk on to the orphan 4 and free 4 (and 0 and 1)
+    "stamp-lasts-one-augmentation": (
+        6, [(2, 4, 1), (2, 1, 1), (0, 1, 2), (1, 3, 3), (4, 0, 3)], [2], [3, 5]),
+    # the source tree is the chain 2-3-0-1 when 1 meets the sink 4, and
+    # the path saturates 2-3.  The orphan 3 first tries its child 0, whose
+    # chain reaches the orphan 3, and then 1 below it: 0 must not have
+    # been stamped by the failed check, or 3 takes 1 and closes 3-1-0-3
+    "failed-chain-left-unstamped": (
+        5, [(3, 0, 2), (1, 4, 2), (0, 1, 2), (2, 3, 1), (1, 3, 3)], [2], [4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STAMP_CASES))
+def test_search_tree_stamps_vouch_only_for_rooted_chains(case):
+    n, arcs, sources, sinks = _STAMP_CASES[case]
+    value, _ = _core_on_counted_heads(n, arcs, sources, sinks, budget=1000)
+    assert value == edmonds_karp(n, arcs, sources, sinks)
+
+
+def test_orphans_sharing_one_chain_walk_it_once():
+    """k orphans of one augmentation each take the end of one L-node
+    chain: the first check stamps the chain, and the others stop at its
+    stamped end, so the run reads fewer heads than k walks of it alone.
+
+    Source 0 takes the hub 2 (over an arc of capacity 1) and the chain
+    3..L+2; the hub takes the orphans-to-be, and the first of them leads
+    to the sink 1 down a path longer than the chain.  Isolated sinks keep
+    the sink queue longer than the source queue, so the source tree
+    holds the whole chain before it meets the sink.  The first path
+    saturates 0-2, the hub is freed, and every node it held is orphaned.
+    """
+    L = k = 40
+    chain = list(range(3, 3 + L))
+    held = list(range(3 + L, 3 + L + k))
+    path = [held[0], *range(3 + L + k, 5 + 2 * L + k), 1]
+    n = 5 + 2 * L + k + (k + 4)
+    arcs = [(0, 2, 1), (0, chain[0], 10)]
+    arcs += [(a, b, 10) for a, b in zip(chain, chain[1:])]
+    arcs += [(2, x, 10) for x in held] + [(chain[-1], x, 10) for x in held]
+    arcs += [(a, b, 10) for a, b in zip(path, path[1:])]
+    sinks = [1, *range(5 + 2 * L + k, n)]
+    value, reads = _core_on_counted_heads(n, arcs, [0], sinks, budget=L * k)
+    assert value == edmonds_karp(n, arcs, [0], sinks) == 10
+    assert reads < L * k
+
+
+@pytest.mark.parametrize("kind", ["grid", "tri"])
+@pytest.mark.parametrize("n", [30, 400])
+def test_input_net_is_graph_arcs_in_rotation_order(kind, n):
+    """The input's own net has graph_arcs's head, res and keys, and the
+    same darts at every node, under a fresh store and under a random
+    flow with a detach key beyond the input's arcs; its adjacency is the
+    input's rotation itself."""
+    g, _ = generate(kind, n, 7).build()
+    store = FlowStore.for_graph(g)
+    rng = random.Random(n)
+    for _ in range(2):
+        net, ref = input_net(g, store), graph_arcs(g, store)
+        assert (net.head, net.res, net.keys) == (ref.head, ref.res, ref.keys)
+        assert [sorted(darts) for darts in net.adj] == [sorted(darts) for darts in ref.adj]
+        assert net.adj is g.rot and len(net) == len(ref) == g.m
+        store.apply([(a, rng.randint(0, c) - store.vals[a]) for a, c in enumerate(g.caps)])
+        store.new_key(5)
+
+
+@pytest.mark.parametrize("kind", ["grid", "tri"])
+def test_direct_solve_leaves_the_input_rotation_as_it_was(kind, monkeypatch):
+    """A direct solve runs on the input's own rotation, not on a net from
+    graph_arcs, and leaves that rotation as it found it."""
+    g, ts = generate(kind, 400, 3).build()
+    before = copy.deepcopy(g.rot)
+
+    def no_copy(*args):
+        raise AssertionError("the input's direct solve built a net by graph_arcs")
+
+    monkeypatch.setattr("planarflow.engine.graph_arcs", no_copy)
+    res = msms_max_flow(g, ts.sources, ts.sinks,
+                        EngineConfig(audit="full", base_case=10 ** 9))
+    assert g.rot == before
+    arcs = list(zip(g.tails, g.heads, g.caps))
+    assert res.value == oracle_max_flow(g.n, arcs, ts.sources, ts.sinks).value > 0
 
 
 def test_limited_flow_meets_every_limit_on_random_digraphs():

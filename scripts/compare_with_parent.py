@@ -25,6 +25,15 @@ same pieces.  The exit status is 0 when values and audits agree
 everywhere and every answer passes, else 1: differing arc_flows, shapes
 and separators are reported only.  A last line gives both trees' src/
 sizes in lines of Python and the net change.
+
+A malformed-input pass follows in the same subprocesses: each tree runs
+parse_instance_file(text).build() on 2,000 seeded mutations of small grid
+and tri instance texts (lines deleted, duplicated or inserted; fields
+retyped, dropped or swapped; tokens appended).  An outcome is the error's
+type, message and line, or the built graph's arrays, faces and
+terminals.  The pass reports how many outcomes differ, naming the first
+few, and the exit status is 1 if any does, or if either tree raises an
+exception that is not a PlanarFlowError.
 """
 
 from __future__ import annotations
@@ -32,11 +41,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+MALFORMED_TEXTS = 2000
+MALFORMED_SEED = 20240611
+SHOWN = 5           # differing malformed outcomes named one per line
 
 
 def instance_specs():
@@ -61,9 +75,71 @@ def instance_specs():
             for (kind, n, seed, cap, cfg) in specs]
 
 
+def _token(rng, n):
+    """A field for a mutated line: mostly a node id in or near 1..n."""
+    if rng.random() < 0.7:
+        return str(rng.randint(1, n) if rng.random() < 0.8 else rng.randint(-1, n + 1))
+    return rng.choice(("x", "1.5", "a", "r", str(10 ** 12)))
+
+
+def mutate(text, n, rng):
+    """One or two random edits of an instance text of n nodes."""
+    lines = text.splitlines()
+    for _ in range(rng.choice((1, 1, 2))):
+        i = rng.randrange(len(lines))
+        fields = lines[i].split()
+        op = rng.randrange(7)
+        if op == 0:                                 # delete a line
+            del lines[i]
+        elif op == 1:                               # duplicate a line
+            lines.insert(i, lines[i])
+        elif op == 2:                               # insert a line
+            tag = rng.choice("aarrstpcq")
+            lines.insert(i, " ".join([tag] + [_token(rng, n)
+                                              for _ in range(rng.randint(0, 4))]))
+        elif op == 3 and fields:                    # retype a field
+            fields[rng.randrange(len(fields))] = _token(rng, n)
+        elif op == 4 and fields:                    # drop a field
+            del fields[rng.randrange(len(fields))]
+        elif op == 5 and len(fields) > 1:           # swap two fields
+            a, b = rng.sample(range(len(fields)), 2)
+            fields[a], fields[b] = fields[b], fields[a]
+        else:                                       # append a token
+            fields.append(_token(rng, n))
+        if op >= 3:
+            lines[i] = " ".join(fields)
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+def malformed_outcomes(planarflow):
+    """Yield (sha256 of the text, outcome) for every mutated text."""
+    from planarflow.errors import PlanarFlowError
+    from planarflow.generate import MIN_NODES
+    from planarflow.instance import parse_instance_file
+
+    rng = random.Random(MALFORMED_SEED)
+    for i in range(MALFORMED_TEXTS):
+        kind = ("grid", "tri")[i % 2]
+        n = rng.randint(max(3, MIN_NODES[kind]), 30)
+        text = mutate(planarflow.generate(kind, n, i).text(), n, rng)
+        try:
+            g, ts = parse_instance_file(text).build()
+            graph = (g.tails, g.heads, g.caps, g.rot, g.faces(),
+                     sorted(ts.sources), sorted(ts.sinks))
+            outcome = {"graph": hashlib.sha256(repr(graph).encode()).hexdigest()}
+        except PlanarFlowError as e:
+            outcome = {"error": type(e).__name__, "message": str(e),
+                       "line": getattr(e, "line", None)}
+        except Exception as e:   # reported: only PlanarFlowError may escape
+            outcome = {"other": f"{type(e).__name__}: {e}"}
+        yield hashlib.sha256(text.encode()).hexdigest(), outcome
+
+
 def work(tree):
     """Solve every instance with the planarflow in tree/src; print one
-    JSON line per instance."""
+    JSON line per instance, then one per malformed text."""
     src = (Path(tree) / "src").resolve()
     sys.path.insert(0, str(src))
     sys.path.insert(0, str(REPO / "perfbench"))
@@ -102,6 +178,37 @@ def work(tree):
         except Exception as e:   # reported, not raised: the other rows still count
             row["error"] = f"{type(e).__name__}: {e}"
         print(json.dumps(row), flush=True)
+    for i, (sha, outcome) in enumerate(malformed_outcomes(planarflow)):
+        print(json.dumps({"malformed": i, "sha256": sha, **outcome}))
+
+
+def compare_malformed(parent, change):
+    """Print the malformed pass's report; return whether it passed."""
+    differ = []
+    other = 0
+    for p, c in zip(parent, change):
+        other += ("other" in p) + ("other" in c)
+        if p != c:
+            differ.append((p, c))
+    for p, c in differ[:SHOWN]:
+        print(f"malformed text {p['malformed']}: "
+              + ("the two trees mutate different texts" if p["sha256"] != c["sha256"]
+                 else f"{_outcome(p)} (parent) != {_outcome(c)} (change)"))
+    kinds = Counter(row.get("error") or ("built" if "graph" in row else "other")
+                    for row in change)
+    print(f"malformed pass: {len(change)} texts, outcomes differ on {len(differ)}, "
+          f"{other} exceptions outside PlanarFlowError; change outcomes: "
+          + ", ".join(f"{k} {v}" for k, v in kinds.most_common()))
+    return (len(parent) == len(change) == MALFORMED_TEXTS
+            and not differ and not other)
+
+
+def _outcome(row):
+    if "graph" in row:
+        return f"graph {row['graph'][:12]}"
+    if "other" in row:
+        return row["other"]
+    return f"{row['error']} at line {row['line']}: {row['message']}"
 
 
 def src_lines(tree):
@@ -127,13 +234,15 @@ def main(argv=None):
         ap.error("PARENT_TREE is required")
 
     procs = {"parent": run_tree(args.parent_tree), "change": run_tree(args.change_tree)}
-    rows = {}
+    rows, malformed = {}, {}
     for side, proc in procs.items():
         out, _ = proc.communicate()
         if proc.returncode:
             print(f"{side} worker exited {proc.returncode}")
             return 1
-        rows[side] = [json.loads(line) for line in out.splitlines()]
+        lines = [json.loads(line) for line in out.splitlines()]
+        rows[side] = [row for row in lines if "malformed" not in row]
+        malformed[side] = [row for row in lines if "malformed" in row]
 
     bad = 0
     counts = {"value": 0, "audits": 0, "flows": 0, "shape": 0, "separators": 0}
@@ -166,10 +275,11 @@ def main(argv=None):
           f"over the 36-instance set and the deep sweep: {audits['parent']} "
           f"(parent), {audits['change']} (change); "
           f"{bad} failed answers or instance mismatches")
+    malformed_ok = compare_malformed(malformed["parent"], malformed["change"])
     before, after = src_lines(args.parent_tree), src_lines(args.change_tree)
     print(f"src/ lines: {before} (parent), {after} (change), net {after - before:+d}")
     ok = (len(rows["parent"]) == total == len(instance_specs()) and not bad
-          and not counts["value"] and not counts["audits"])
+          and not counts["value"] and not counts["audits"] and malformed_ok)
     return 0 if ok else 1
 
 

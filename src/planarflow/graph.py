@@ -20,6 +20,7 @@ can never carry flow use ``NO_KEY``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import (
@@ -83,8 +84,11 @@ def _successors(rot, num_darts):
     """The successor of every dart in its face walk."""
     succ = [0] * num_darts
     for r in rot:
-        for i, d in enumerate(r):
-            succ[r[i - 1] ^ 1] = d
+        if r:
+            prev = r[-1]
+            for d in r:
+                succ[prev ^ 1] = d
+                prev = d
     return succ
 
 
@@ -160,8 +164,12 @@ class PlanarGraph:
         One walk_faces call follows the given faces and walks the ones
         they leave out, so a wrong given face is named before Euler's
         check runs, and a missing one is counted after it.  The checked
-        dart-to-face index is kept as dart_faces()."""
-        if self.n == 1 and self.m == 0:
+        dart-to-face index is kept as dart_faces().
+
+        Each of the 2m darts must be listed once, at the node it leaves.
+        A dart id outside 0..2m - 1 is out of range: a negative one by its
+        own test, a larger one where it indexes past the dart arrays."""
+        if self.n == 1 and self.m == 0 and not self.rot[0]:
             return  # a bare node embeds in the sphere with one face
         tails, heads, rot = self.tails, self.heads, self.rot
         num_darts = 2 * self.m
@@ -169,12 +177,18 @@ class PlanarGraph:
         tail[0::2] = tails
         tail[1::2] = heads
         counts = [0] * num_darts
-        for v, r in enumerate(rot):
-            for d in r:
-                if tail[d] != v:
-                    raise EmbeddingInvalid(
-                        f"dart {d} listed at node {v} but leaves node {tail[d]}")
-                counts[d] += 1
+        try:
+            for v, r in enumerate(rot):
+                for d in r:
+                    if d < 0:
+                        raise IndexError(d)
+                    if tail[d] != v:
+                        raise EmbeddingInvalid(
+                            f"dart {d} listed at node {v} but leaves node {tail[d]}")
+                    counts[d] += 1
+        except IndexError:      # d < 0, or d >= 2m in tail[d]
+            raise EmbeddingInvalid(f"dart {d} listed at node {v} is out of range: "
+                                   f"the graph has {num_darts} darts") from None
         if counts.count(1) != num_darts:
             d = next(d for d, c in enumerate(counts) if c != 1)
             raise EmbeddingInvalid(f"dart {d} appears {counts[d]} times in the rotation system")
@@ -260,40 +274,59 @@ def build_graph(n, arcs, rotations, labels=None) -> PlanarGraph:
     The graph must be simple (no self-loops, at most one arc per
     unordered node pair), connected, and the rotation system must pass
     the Euler check.
+
+    One pass over the arcs checks each arc in turn (endpoints in range,
+    not a self-loop, no earlier arc on its node pair, capacity not
+    negative) and files its two darts in their tails' neighbor maps.
+    The rotation is then read by taking each listed neighbor off its
+    node's map: every node lists each of its neighbors exactly once when
+    every take finds its neighbor and no map is left holding one.  Only
+    when that fails are the sorted neighbor lists compared node by node,
+    to name the first node that is wrong.
     """
     def name(v):
         return v if labels is None else labels[v]
 
     tails, heads, caps = [], [], []
-    pairs = set()
-    for a, (t, h, c) in enumerate(arcs):
+    # per node: neighbor -> dart leaving it; a wrong rotation count is
+    # reported after the arc checks, so n is not trusted until then
+    incident = [{} for _ in rotations] if len(rotations) == n else defaultdict(dict)
+    d = 0                                  # the forward dart of the arc at hand
+    for t, h, c in arcs:
         if not (0 <= t < n and 0 <= h < n):
-            raise EmbeddingInvalid(f"arc {a}: endpoint out of range")
+            raise EmbeddingInvalid(f"arc {d // 2}: endpoint out of range")
         if t == h:
             raise ParallelArcOrLoop(f"arc {name(t)} {name(h)} is a self-loop")
-        pair = (t, h) if t < h else (h, t)
-        if pair in pairs:
-            raise ParallelArcOrLoop(f"two arcs join nodes {name(pair[0])} and {name(pair[1])}")
+        out = incident[t]
+        if h in out:
+            raise ParallelArcOrLoop(
+                f"two arcs join nodes {name(min(t, h))} and {name(max(t, h))}")
         if c < 0:
             raise EmbeddingInvalid(f"arc {name(t)} {name(h)}: negative capacity {c}")
-        pairs.add(pair)
+        out[h] = d
+        incident[h][t] = d + 1
+        d += 2
         tails.append(t)
         heads.append(h)
         caps.append(c)
 
     if len(rotations) != n:
         raise EmbeddingInvalid(f"expected {n} rotation lines, got {len(rotations)}")
-    incident = [dict() for _ in range(n)]
-    for a in range(len(tails)):
-        incident[tails[a]][heads[a]] = 2 * a
-        incident[heads[a]][tails[a]] = 2 * a + 1
-    rot = []
-    for v, nbrs in enumerate(rotations):
-        if sorted(nbrs) != sorted(incident[v]):
-            raise EmbeddingInvalid(
-                f"node {name(v)}: rotation lists {sorted(map(name, nbrs))} "
-                f"but neighbors are {sorted(map(name, incident[v]))}")
-        rot.append([incident[v][u] for u in nbrs])
+    try:            # each lookup takes its neighbor off the node's map
+        rot = [[out.pop(u) for u in nbrs] for out, nbrs in zip(incident, rotations)]
+        ok = not any(incident)
+    except KeyError:
+        ok = False
+    if not ok:
+        neighbors = [[] for _ in range(n)]
+        for t, h in zip(tails, heads):
+            neighbors[t].append(h)
+            neighbors[h].append(t)
+        for v, nbrs in enumerate(rotations):
+            if sorted(nbrs) != sorted(neighbors[v]):
+                raise EmbeddingInvalid(
+                    f"node {name(v)}: rotation lists {sorted(map(name, nbrs))} "
+                    f"but neighbors are {sorted(map(name, neighbors[v]))}")
 
     g = PlanarGraph(tails, heads, caps, rot)
     g.check_embedding()

@@ -63,7 +63,12 @@ class InstanceFile:
 
 
 def parse_instance_file(text: str) -> InstanceFile:
-    """Parse the text format; errors carry 1-based line numbers."""
+    """Parse the text format; errors carry 1-based line numbers.
+
+    Each line is checked as it is read, so an error names the first bad
+    line in file order; the checks that need the whole file (a problem
+    line, the arc count, every rotation line) follow, reported at line 1.
+    """
     num_nodes = None
     num_arcs = None
     arcs = []
@@ -73,29 +78,11 @@ def parse_instance_file(text: str) -> InstanceFile:
     comments = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         tag = parts[0]
-        if tag == "c":
-            comments.append(line[2:] if len(line) > 2 else "")
-            continue
-        if tag == "p":
-            if num_nodes is not None:
-                raise ParseError(lineno, "duplicate problem line")
-            if len(parts) != 4 or parts[1] != "pmf":
-                raise ParseError(lineno, "expected 'p pmf <nodes> <arcs>'")
-            try:
-                num_nodes, num_arcs = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(lineno, "node and arc counts must be integers")
-            if num_nodes < 1 or num_arcs < 0:
-                raise ParseError(lineno, "counts out of range")
-            continue
-        if num_nodes is None:
-            raise ParseError(lineno, "data line before problem line")
-        if tag == "a":
+        if tag == "a" and num_nodes is not None:
             if len(parts) != 4:
                 raise ParseError(lineno, "expected 'a <tail> <head> <capacity>'")
             try:
@@ -107,19 +94,35 @@ def parse_instance_file(text: str) -> InstanceFile:
             if c < 0:
                 raise ParseError(lineno, "capacity must be non-negative")
             arcs.append((t - 1, h - 1, c))
-        elif tag == "r":
+        elif tag == "r" and num_nodes is not None:
             if len(parts) < 2:
                 raise ParseError(lineno, "expected 'r <node> <neighbors...>'")
             try:
-                ids = [int(x) for x in parts[1:]]
+                ids = [int(x) - 1 for x in parts[1:]]      # 0-based
             except ValueError:
                 raise ParseError(lineno, "rotation fields must be integers")
-            if not all(1 <= x <= num_nodes for x in ids):
+            if min(ids) < 0 or max(ids) >= num_nodes:
                 raise ParseError(lineno, f"node id out of range 1..{num_nodes}")
-            v = ids[0] - 1
+            v = ids[0]
             if v in rotations:
                 raise ParseError(lineno, f"duplicate rotation line for node {v + 1}")
-            rotations[v] = [x - 1 for x in ids[1:]]
+            rotations[v] = ids[1:]
+        elif tag == "c":
+            line = raw.strip()
+            comments.append(line[2:] if len(line) > 2 else "")
+        elif tag == "p":
+            if num_nodes is not None:
+                raise ParseError(lineno, "duplicate problem line")
+            if len(parts) != 4 or parts[1] != "pmf":
+                raise ParseError(lineno, "expected 'p pmf <nodes> <arcs>'")
+            try:
+                num_nodes, num_arcs = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ParseError(lineno, "node and arc counts must be integers")
+            if num_nodes < 1 or num_arcs < 0:
+                raise ParseError(lineno, "counts out of range")
+        elif num_nodes is None:
+            raise ParseError(lineno, "data line before problem line")
         elif tag in ("s", "t"):
             if len(parts) != 2:
                 raise ParseError(lineno, f"expected '{tag} <node>'")

@@ -13,8 +13,8 @@ import pytest
 
 from planarflow import separator, solvers, surgery
 from planarflow.flow import FlowStore, decompose_acyclic
-from planarflow.errors import EmbeddingInvalid, NonPlanarEmbedding
-from planarflow.graph import NO_KEY, dart_heads, walk_faces
+from planarflow.errors import EmbeddingInvalid, NonPlanarEmbedding, ParallelArcOrLoop
+from planarflow.graph import NO_KEY, PlanarGraph, dart_heads, walk_faces
 from planarflow.solvers import (
     ResidualNet,
     graph_arcs,
@@ -788,3 +788,48 @@ def reference_check_given_faces(tails, heads, rot, given):
             f"Euler check failed: n={len(rot)} m={len(tails)} f={num_faces}")
     if faces is not None:
         check_given_faces(given, faces, face_of)
+
+
+# -- build_graph as it stood before its single validating pass --
+
+
+def reference_build_graph(n, arcs, rotations, labels=None):
+    """build_graph with a set of node pairs for the parallel-arc check and
+    a sorted comparison of every node's rotation with its neighbors."""
+    def name(v):
+        return v if labels is None else labels[v]
+
+    tails, heads, caps = [], [], []
+    pairs = set()
+    for a, (t, h, c) in enumerate(arcs):
+        if not (0 <= t < n and 0 <= h < n):
+            raise EmbeddingInvalid(f"arc {a}: endpoint out of range")
+        if t == h:
+            raise ParallelArcOrLoop(f"arc {name(t)} {name(h)} is a self-loop")
+        pair = (t, h) if t < h else (h, t)
+        if pair in pairs:
+            raise ParallelArcOrLoop(f"two arcs join nodes {name(pair[0])} and {name(pair[1])}")
+        if c < 0:
+            raise EmbeddingInvalid(f"arc {name(t)} {name(h)}: negative capacity {c}")
+        pairs.add(pair)
+        tails.append(t)
+        heads.append(h)
+        caps.append(c)
+
+    if len(rotations) != n:
+        raise EmbeddingInvalid(f"expected {n} rotation lines, got {len(rotations)}")
+    incident = [dict() for _ in range(n)]
+    for a in range(len(tails)):
+        incident[tails[a]][heads[a]] = 2 * a
+        incident[heads[a]][tails[a]] = 2 * a + 1
+    rot = []
+    for v, nbrs in enumerate(rotations):
+        if sorted(nbrs) != sorted(incident[v]):
+            raise EmbeddingInvalid(
+                f"node {name(v)}: rotation lists {sorted(map(name, nbrs))} "
+                f"but neighbors are {sorted(map(name, incident[v]))}")
+        rot.append([incident[v][u] for u in nbrs])
+
+    g = PlanarGraph(tails, heads, caps, rot)
+    g.check_embedding()
+    return g

@@ -10,12 +10,15 @@ from planarflow.errors import (
     EmbeddingInvalid,
     NonPlanarEmbedding,
     ParallelArcOrLoop,
+    PlanarFlowError,
     TerminalOverlap,
 )
 from planarflow.flow import FlowStore
 from planarflow.generate import MIN_NODES, generate
 from planarflow.graph import PlanarGraph, TerminalSets, bfs_tree, build_graph, walk_faces
 from planarflow.surgery import detach_terminal_from_cycle, triangulate_and_biconnect
+
+from support import reference_build_graph
 
 
 def triangle():
@@ -97,6 +100,104 @@ def test_rotation_listing_non_neighbor_rejected():
         build_graph(3, [(0, 1, 1), (1, 2, 1)], [[1], [0, 2], [0]])
 
 
+@pytest.mark.parametrize("n, arcs, rotations, error, message", [
+    # node 0 lists neighbour 1 twice; node 2 lists 0, which is not its neighbour
+    (4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)], [[1, 1], [2, 0], [3, 0], [0, 2]],
+     EmbeddingInvalid, "node 0: rotation lists [1, 1] but neighbors are [1, 3]"),
+    (3, [(0, 1, 1), (2, 2, 1), (1, 0, 1)], [[1], [0], []],
+     ParallelArcOrLoop, "arc 2 2 is a self-loop"),
+    (3, [(0, 1, 1), (1, 0, 1), (2, 2, 1)], [[1], [0], []],
+     ParallelArcOrLoop, "two arcs join nodes 0 and 1"),
+    (2, [(0, 1, 1), (1, 0, -1)], [[1], [0]],
+     ParallelArcOrLoop, "two arcs join nodes 0 and 1"),
+    (2, [(0, 1, -1), (1, 0, 1)], [[1], [0]],
+     EmbeddingInvalid, "arc 0 1: negative capacity -1"),
+    (3, [(0, 3, 1), (1, 1, 1)], [[3], [], []],
+     EmbeddingInvalid, "arc 0: endpoint out of range"),
+    (2, [(0, 1, 1), (0, 1, 1)], [[1]],
+     ParallelArcOrLoop, "two arcs join nodes 0 and 1"),
+    (2, [(0, 1, 1)], [[1]],
+     EmbeddingInvalid, "expected 2 rotation lines, got 1"),
+    (10 ** 12, [(0, 1, 1)], [],
+     EmbeddingInvalid, "expected 1000000000000 rotation lines, got 0"),
+])
+def test_build_graph_names_the_first_error(n, arcs, rotations, error, message):
+    """Arcs are checked in order, each by range, loop, parallel pair and
+    capacity; then the rotation count; then nodes in order."""
+    for build in (build_graph, reference_build_graph):
+        with pytest.raises(error) as err:
+            build(n, arcs, rotations)
+        assert str(err.value) == message
+
+
+def _mutated_graph_input(rng, n, arcs, rotations):
+    """One or two random faults in a copy of (arcs, rotations)."""
+    arcs = list(arcs)
+    rotations = [list(r) for r in rotations]
+    for _ in range(rng.choice((1, 1, 2))):
+        r = rotations[rng.randrange(n)]
+        op = rng.randrange(9)
+        if op == 0 and r:                       # drop a neighbour
+            del r[rng.randrange(len(r))]
+        elif op == 1 and r:                     # list a neighbour twice
+            r.insert(rng.randrange(len(r) + 1), rng.choice(r))
+        elif op == 2 and r:                     # retarget a neighbour
+            r[rng.randrange(len(r))] = rng.randrange(n)
+        elif op == 3 and len(r) > 1:            # swap two neighbours
+            i, j = rng.sample(range(len(r)), 2)
+            r[i], r[j] = r[j], r[i]
+        elif op == 4:                           # swap neighbours between two nodes
+            other = rotations[rng.randrange(n)]
+            if r and other:
+                i, j = rng.randrange(len(r)), rng.randrange(len(other))
+                r[i], other[j] = other[j], r[i]
+        elif op == 5:                           # a parallel arc, either way round
+            t, h, c = rng.choice(arcs)
+            arcs.insert(rng.randrange(len(arcs) + 1), rng.choice(((t, h, c), (h, t, 1))))
+        elif op == 6:                           # a self-loop
+            v = rng.randrange(n)
+            arcs.insert(rng.randrange(len(arcs) + 1), (v, v, 1))
+        elif op == 7:                           # a negative capacity
+            a = rng.randrange(len(arcs))
+            t, h, _ = arcs[a]
+            arcs[a] = (t, h, -rng.randint(1, 9))
+        else:                                   # an endpoint out of range
+            a = rng.randrange(len(arcs))
+            t, h, c = arcs[a]
+            arcs[a] = (t, rng.choice((-1, n)), c)
+    return arcs, rotations
+
+
+def _build_outcome(build, n, arcs, rotations, labels):
+    try:
+        g = build(n, arcs, rotations, labels)
+    except PlanarFlowError as err:
+        return type(err), str(err)
+    return g.tails, g.heads, g.caps, g.rot, g.faces()
+
+
+def test_build_graph_matches_the_reference_on_mutated_input():
+    """Over mutated grid and tri inputs, the single validating pass raises
+    the reference's error type and message, or builds its graph; every
+    failure is a PlanarFlowError."""
+    rng = random.Random(2027)
+    outcomes = {}
+    for trial in range(1200):
+        kind = ("grid", "tri")[trial % 2]
+        inst = generate(kind, rng.randint(MIN_NODES[kind], 30), trial)
+        n = inst.num_nodes
+        arcs, rotations = _mutated_graph_input(rng, n, inst.arcs, inst.rotations)
+        labels = range(1, n + 1) if trial % 3 else None
+        got = _build_outcome(build_graph, n, arcs, rotations, labels)
+        want = _build_outcome(reference_build_graph, n, arcs, rotations, labels)
+        assert got == want, (kind, n, trial)
+        name = got[0].__name__ if isinstance(got[0], type) else "built"
+        outcomes[name] = outcomes.get(name, 0) + 1
+    # every kind of outcome shows up, so no check is starved of cases
+    assert set(outcomes) == {"built", "EmbeddingInvalid", "ParallelArcOrLoop",
+                             "NonPlanarEmbedding"}, outcomes
+
+
 def test_dart_involution_and_caps():
     g = triangle()
     for d in range(2 * g.m):
@@ -115,6 +216,8 @@ def test_every_dart_in_exactly_one_rotation():
     ([[0, 5, 0], [1, 2], [3, 4]], "dart 0 appears 2 times in the rotation system"),
     ([[0], [1, 2], [3, 4]], "dart 5 appears 0 times in the rotation system"),
     ([[0, 0], [1, 2], [3, 4]], "dart 0 appears 2 times in the rotation system"),
+    ([[0, -1], [2, 1], [4, 3]], "dart -1 listed at node 0 is out of range: the graph has 6 darts"),
+    ([[0, 9], [2, 1], [4, 3]], "dart 9 listed at node 0 is out of range: the graph has 6 darts"),
 ])
 def test_check_embedding_rejects_bad_rotation(rot, message):
     # darts of the triangle 0 -> 1 -> 2 -> 0: 2a leaves tails[a], 2a+1 heads[a]
@@ -122,6 +225,14 @@ def test_check_embedding_rejects_bad_rotation(rot, message):
     with pytest.raises(EmbeddingInvalid) as err:
         g.check_embedding()
     assert str(err.value) == message
+
+
+def test_check_embedding_rejects_a_dart_listed_at_a_bare_node():
+    g = PlanarGraph([], [], [], [[5]])
+    with pytest.raises(EmbeddingInvalid) as err:
+        g.check_embedding()
+    assert str(err.value) == "dart 5 listed at node 0 is out of range: the graph has 0 darts"
+    PlanarGraph([], [], [], [[]]).check_embedding()
 
 
 @pytest.mark.parametrize("faces, message", [

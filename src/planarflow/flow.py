@@ -109,6 +109,11 @@ def flow_value(g: PlanarGraph, store: FlowStore, sinks) -> int:
 def residual_reachable(g: PlanarGraph, store: FlowStore, start, seen=None) -> set:
     """Nodes reachable from the start set along darts with positive residual.
 
+    The search reads g.keyed_adjacency(), built on g's first search and
+    kept, and the store's caps and flows: an out-arc has residual
+    cap - flow, an in-arc its flow.  The adjacency holds no flow, so the
+    store may change between searches.
+
     With a caller's seen array (one byte per node of g), the search skips
     the nodes already marked, marks the nodes it reaches and returns only
     those: searches that share one array visit each node once between them.
@@ -121,18 +126,16 @@ def residual_reachable(g: PlanarGraph, store: FlowStore, start, seen=None) -> se
             seen[v] = 1
             reached.append(v)
     caps, vals = store.caps, store.vals
-    tails, heads, keys = g.tails, g.heads, g.keys
+    outs, ins = g.keyed_adjacency()
     for v in reached:       # grows while it is read: a breadth-first queue
-        for d in g.rot[v]:
-            key = keys[d >> 1]
-            if key == NO_KEY:
-                continue
-            res = vals[key] if d & 1 else caps[key] - vals[key]
-            if res > 0:
-                w = tails[d >> 1] if d & 1 else heads[d >> 1]
-                if not seen[w]:
-                    seen[w] = 1
-                    reached.append(w)
+        for k, w in outs[v]:
+            if not seen[w] and vals[k] < caps[k]:
+                seen[w] = 1
+                reached.append(w)
+        for k, w in ins[v]:
+            if not seen[w] and vals[k] > 0:
+                seen[w] = 1
+                reached.append(w)
     return set(reached)
 
 

@@ -15,7 +15,9 @@ zero.  The reverse of dart ``d`` is ``d ^ 1``.
 
 Arcs carry a *flow key*, the index of their entry in a
 :class:`planarflow.flow.FlowStore`.  Artificial zero-capacity arcs that
-can never carry flow use ``NO_KEY``.
+can never carry flow use ``NO_KEY``.  keyed_adjacency() lists each
+node's keyed arcs by key and neighbour, for the residual searches of
+planarflow.flow.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ def walk_faces(tails, heads, rot, given=None):
     raises EmbeddingInvalid.  The faces they leave out follow, each
     starting at its lowest-index dart, in that order.  The successor of
     dart d is the dart after d ^ 1 in the clockwise rotation at the head
-    of d.
+    of d.  A bare node, the one graph without darts that embeds, has one
+    face: the empty walk.
     """
     num_darts = 2 * len(tails)
     succ = _successors(rot, num_darts)
@@ -77,6 +80,8 @@ def walk_faces(tails, heads, rot, given=None):
             walk.append(d)
             d = succ[d]
         faces.append(walk)
+    if not faces and len(rot) == 1:
+        faces.append([])
     return faces, face_of
 
 
@@ -101,11 +106,13 @@ class PlanarGraph:
     callers hand over lists that nobody edits afterwards.  faces, when
     given, lists every face walk of the rotation system, in any order and
     from any start dart; face_of, when given with it, is dart_faces().
+    Like the faces, keyed_adjacency() is built on first use and kept; it
+    holds arcs, never flow, so one graph serves every store state.
     """
 
     __slots__ = (
         "n", "m", "tails", "heads", "caps", "keys",
-        "rot", "_faces", "_face_of",
+        "rot", "_faces", "_face_of", "_adjacency",
     )
 
     def __init__(self, tails, heads, caps, rot, keys=None, faces=None, face_of=None):
@@ -118,6 +125,7 @@ class PlanarGraph:
         self.keys = keys if keys is not None else list(range(self.m))
         self._faces = faces
         self._face_of = face_of
+        self._adjacency = None
 
     # -- dart accessors ----------------------------------------------------
 
@@ -153,6 +161,22 @@ class PlanarGraph:
     @property
     def num_faces(self) -> int:
         return len(self.faces())
+
+    # -- residual structure ------------------------------------------------
+
+    def keyed_adjacency(self):
+        """(outs, ins): per node, the (key, neighbour) pairs of its keyed
+        out-arcs, whose residual is cap - flow, and of its keyed in-arcs,
+        whose residual is the flow.  NO_KEY arcs are left out."""
+        if self._adjacency is None:
+            outs = [[] for _ in range(self.n)]
+            ins = [[] for _ in range(self.n)]
+            for t, h, k in zip(self.tails, self.heads, self.keys):
+                if k != NO_KEY:
+                    outs[t].append((k, h))
+                    ins[h].append((k, t))
+            self._adjacency = outs, ins
+        return self._adjacency
 
     # -- validation --------------------------------------------------------
 
@@ -243,11 +267,15 @@ def bfs_tree(g: PlanarGraph, head=None):
 
 
 def is_triangulated_biconnected(g: PlanarGraph) -> bool:
-    """Every face is a triangle on three distinct nodes."""
-    tails, heads = g.tails, g.heads
+    """Every face is a triangle on three distinct nodes: three darts
+    whose heads differ pairwise."""
+    head = dart_heads(g)
     for walk in g.faces():
-        if len(walk) != 3 or len({tails[d >> 1] if d & 1 else heads[d >> 1]
-                                  for d in walk}) != 3:
+        if len(walk) != 3:
+            return False
+        x, y, z = walk
+        a, b, c = head[x], head[y], head[z]
+        if a == b or b == c or a == c:
             return False
     return True
 

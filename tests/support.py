@@ -833,3 +833,44 @@ def reference_build_graph(n, arcs, rotations, labels=None):
     g = PlanarGraph(tails, heads, caps, rot)
     g.check_embedding()
     return g
+
+
+# -- the residual search and the triangle test before the keyed adjacency --
+
+
+def reference_residual_reachable(g, store, start, seen=None):
+    """flow.residual_reachable as a loop over every dart of each reached
+    node's rotation, kept as the reference for the keyed-adjacency search:
+    same arguments, same set, same marks in seen."""
+    if seen is None:
+        seen = bytearray(g.n)
+    reached = []
+    for v in start:
+        if not seen[v]:
+            seen[v] = 1
+            reached.append(v)
+    caps, vals = store.caps, store.vals
+    tails, heads, keys = g.tails, g.heads, g.keys
+    for v in reached:
+        for d in g.rot[v]:
+            key = keys[d >> 1]
+            if key == NO_KEY:
+                continue
+            res = vals[key] if d & 1 else caps[key] - vals[key]
+            if res > 0:
+                w = tails[d >> 1] if d & 1 else heads[d >> 1]
+                if not seen[w]:
+                    seen[w] = 1
+                    reached.append(w)
+    return set(reached)
+
+
+def reference_is_triangulated_biconnected(g):
+    """Every face walk has three darts whose heads, taken as a set, are
+    three nodes."""
+    tails, heads = g.tails, g.heads
+    for walk in g.faces():
+        if len(walk) != 3 or len({tails[d >> 1] if d & 1 else heads[d >> 1]
+                                  for d in walk}) != 3:
+            return False
+    return True

@@ -15,9 +15,11 @@ from planarflow.flow import (
     residual_reachable,
 )
 from planarflow.generate import generate
-from planarflow.graph import build_graph
+from planarflow.graph import NO_KEY, build_graph
+from planarflow.separator import find_cycle_separator, split_into_pieces
 from planarflow.solvers import graph_arcs, solve_msms_residual
-from support import decompose_flow
+from planarflow.surgery import detach_terminal_from_cycle, triangulate_and_biconnect
+from support import decompose_flow, reference_residual_reachable
 
 
 def single_arc(cap=5):
@@ -134,6 +136,46 @@ def test_residual_searches_sharing_a_seen_array_visit_each_node_once():
         assert residual_reachable(g, store, a_start, seen) == reach_a
         assert residual_reachable(g, store, b_start, seen) == reach_b - reach_a
         assert [v for v in range(g.n) if seen[v]] == sorted(reach_a | reach_b)
+
+
+def audited_graphs(kind, n, seed):
+    """The graphs a full audit searches, on one store: the input, its
+    triangulation (NO_KEY chords), the level graph with a source and a
+    sink detached from the separator cycle (fresh store keys), and both
+    pieces of its split."""
+    g, _ = generate(kind, n, seed, cap_max=2).build()
+    store = FlowStore.for_graph(g)
+    gt = triangulate_and_biconnect(g)
+    sep = find_cycle_separator(gt)
+    detaches = [(v, d, role, 3) for v, d, role
+                in zip(sep.boundary, sep.cycle_darts, ("source", "sink"))]
+    gd, _ = detach_terminal_from_cycle(gt, detaches, store)
+    pieces = [p.graph for p in split_into_pieces(gd, sep)]
+    return [g, gt, gd] + pieces, store
+
+
+@pytest.mark.parametrize("kind", ["grid", "tri"])
+@pytest.mark.parametrize("n, seed", [(30, 1), (120, 2), (400, 3)])
+def test_residual_search_matches_the_dart_loop(kind, n, seed):
+    """The keyed-adjacency search returns the dart loop's set and marks,
+    alone and through a shared seen array, and reads the store afresh on
+    every search of the same graph."""
+    graphs, store = audited_graphs(kind, n, seed)
+    assert any(NO_KEY in h.keys for h in graphs)
+    assert any(max(h.keys) >= graphs[0].m for h in graphs)    # a detach key
+    rng = random.Random(seed)
+    for h in graphs:
+        for _ in range(4):          # a new store state on the same graph
+            store.vals[:] = [rng.randint(0, c) for c in store.caps]
+            seen, ref_seen = bytearray(h.n), bytearray(h.n)
+            for _ in range(3):
+                start = rng.sample(range(h.n), rng.randint(1, 4))
+                assert residual_reachable(h, store, start) == \
+                    reference_residual_reachable(h, store, start)
+                assert residual_reachable(h, store, start, seen) == \
+                    reference_residual_reachable(h, store, start, ref_seen)
+                assert seen == ref_seen
+    assert all(h.keyed_adjacency() is h.keyed_adjacency() for h in graphs)
 
 
 def test_no_residual_source_sink_path_after_max_flow():

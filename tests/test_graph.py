@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from planarflow.config import EngineConfig
+from planarflow.engine import msms_max_flow
 from planarflow.errors import (
     Disconnected,
     EmbeddingInvalid,
@@ -15,10 +17,18 @@ from planarflow.errors import (
 )
 from planarflow.flow import FlowStore
 from planarflow.generate import MIN_NODES, generate
-from planarflow.graph import PlanarGraph, TerminalSets, bfs_tree, build_graph, walk_faces
+from planarflow.graph import (
+    PlanarGraph,
+    TerminalSets,
+    bfs_tree,
+    build_graph,
+    is_triangulated_biconnected,
+    walk_faces,
+)
+from planarflow.instance import parse_instance
 from planarflow.surgery import detach_terminal_from_cycle, triangulate_and_biconnect
 
-from support import reference_build_graph
+from support import reference_build_graph, reference_is_triangulated_biconnected
 
 
 def triangle():
@@ -36,6 +46,16 @@ def test_triangle_has_two_faces():
 def test_single_arc_has_one_face():
     g = build_graph(2, [(0, 1, 7)], [[1], [0]])
     assert g.num_faces == 1
+
+
+def test_bare_node_has_one_empty_face():
+    g, ts = parse_instance("p pmf 1 0\nr 1\ns 1\n")
+    assert g.faces() == [[]] and g.dart_faces() == []
+    assert g.n - g.m + g.num_faces == 2
+    g.check_embedding()
+    for audit, audits in (("none", 0), ("final", 2), ("full", 2)):
+        res = msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(audit=audit))
+        assert (res.value, res.arc_flows, res.audits) == (0, [], audits)
 
 
 def test_k5_fails_euler_for_any_rotation():
@@ -345,3 +365,26 @@ def test_rotation_partitions_darts_on_generated_graphs(n, seed):
     g, _ = generate("tri", n, seed).build()
     listed = sorted(d for v in range(g.n) for d in g.rot[v])
     assert listed == list(range(2 * g.m))
+
+
+def with_faces(g, faces):
+    """g's arrays under other face walks, not checked."""
+    return PlanarGraph(g.tails, g.heads, g.caps, g.rot, keys=g.keys, faces=faces)
+
+
+@pytest.mark.parametrize("kind, n, seed", [("grid", 60, 1), ("tri", 50, 2), ("grid", 400, 3)])
+def test_triangle_test_matches_the_set_reference(kind, n, seed):
+    """Three distinct dart heads per face, as the set test reads it, on
+    real triangulations, on the untriangulated input, and on face lists
+    with one walk swapped for a 4-walk, a 2-walk, an empty walk, or a
+    triangle that repeats a corner."""
+    g, _ = generate(kind, n, seed).build()
+    gt = with_pendants(g)
+    tri = triangulate_and_biconnect(g)
+    faces = tri.faces()
+    x, y, z = faces[0]
+    mutants = [[faces[0] + [faces[1][0]]], [[x, y]], [[]], [[x, y, x]], [[x, y, y ^ 1]]]
+    graphs = [g, gt, tri] + [with_faces(tri, walk + faces[1:]) for walk in mutants]
+    answers = [is_triangulated_biconnected(h) for h in graphs]
+    assert answers == [reference_is_triangulated_biconnected(h) for h in graphs]
+    assert answers[2] and not any(answers[3:])

@@ -9,7 +9,9 @@ instances generate(kind, n, seed, cap_max=10**6) for every seed in S..T
 (both ends included) with the given base case, in a subprocess that
 imports planarflow only from TREE_A/src, and records every call of
 planarflow.solvers._search_trees: its adjacency, heads, residuals as
-they were before the call, terminal lists and limit.
+they were before the call, terminal lists and limit.  A call is kept on
+compact arrays of its own (see compact), since the core's head and
+residual arrays are shared by every call and span the whole flow store.
 
 Each tree then gets a subprocess of its own, again importing only its
 src/, that runs its _search_trees on fresh copies of the captured
@@ -45,6 +47,21 @@ def import_tree(tree):
     return planarflow
 
 
+def compact(adj, head, res):
+    """(adj, head, res) renumbered to the arcs adj lists, as 0..m'-1 in
+    order of first appearance, with each arc's dart pair kept and each
+    node's darts in their order: copies of only those darts' heads and
+    residuals, on which the core makes the same choices."""
+    arc_of = {}
+    new_adj = [[2 * arc_of.setdefault(d >> 1, len(arc_of)) | (d & 1) for d in darts]
+               for darts in adj]
+    new_head, new_res = [0] * (2 * len(arc_of)), [0] * (2 * len(arc_of))
+    for old, a in arc_of.items():
+        new_head[2 * a:2 * a + 2] = head[2 * old:2 * old + 2]
+        new_res[2 * a:2 * a + 2] = res[2 * old:2 * old + 2]
+    return new_adj, new_head, new_res
+
+
 def capture(tree, kind, n, base_case, seeds, path):
     """Solve every seed's instance with tree's planarflow and pickle its
     core calls to path."""
@@ -54,7 +71,7 @@ def capture(tree, kind, n, base_case, seeds, path):
     calls = []
 
     def recording(adj, head, res, sources, sinks, limit=None):
-        calls.append((adj, head, list(res), list(sources), list(sinks), limit))
+        calls.append((*compact(adj, head, res), list(sources), list(sinks), limit))
         return core(adj, head, res, sources, sinks, limit)
 
     solvers._search_trees = recording

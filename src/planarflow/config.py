@@ -17,6 +17,8 @@ class EngineConfig:
     def __post_init__(self):
         if self.audit not in AUDIT_LEVELS:
             raise ConfigError(f"audit must be one of {AUDIT_LEVELS}")
+        if type(self.base_case) is not int:       # bool too
+            raise ConfigError(f"base_case must be an integer, got {self.base_case!r}")
         if self.base_case < 2:
             raise ConfigError("base_case must be at least 2")
 

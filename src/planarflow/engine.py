@@ -11,10 +11,9 @@ onto the terminals.  The settle works on the level's change only: the
 arcs whose flow moved since the level built its net, when the pieces'
 flows conserved.  It cancels the change's cycles, then moves each
 imbalance back along the acyclic rest in the topological order the
-cancelling DFS returns.  All flow lives in one global store; every
-subroutine sees current residual capacities and its result is
-accumulated immediately.  A split level's pushes and walk share one
-residual net of its graph.
+cancelling DFS returns.  All flow lives in one global store, a residual
+pair per arc, which every subroutine reads and writes in place.  A split
+level's pushes and walk share one net of its graph over the store.
 
 The input is triangulated once, at the root; every piece inherits its
 triangulation and its faces from the split (see separator.py).  A
@@ -37,9 +36,7 @@ depth, the phase, the piece or walk step, and up to five offending nodes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, count
 from math import sqrt
-from operator import ne
 
 from .config import EngineConfig
 from .errors import (
@@ -150,7 +147,7 @@ class MsmsEngine:
             reach = residual_reachable(self.root, self.store, self.sources)
             self._check_unreached(reach, self.sinks, "final flow", "source reaches a sink")
         value = flow_value(self.root, self.store, self.sinks)
-        flows = self.store.vals[:self.root.m]
+        flows = self.store.res[1:2 * self.root.m:2]
         return MsmsResult(value, flows, self.stats, self.audits)
 
     # -- audit plumbing --------------------------------------------------------
@@ -230,7 +227,8 @@ class MsmsEngine:
             self._audit_piece_recursed(*parts[-1], side, depth)
 
         net = graph_arcs(gd, self.store)
-        snapshot = net.res[1::2]
+        res = self.store.res
+        snapshot = [res[2 * k + 1] for k in net.keys]
         boundary = sep.boundary
         self._push_boundary(net, gd, boundary, sources, sinks, parts, depth)
         self._audit_after_first_loop(gd, sources, sinks, boundary, depth)
@@ -245,8 +243,7 @@ class MsmsEngine:
         read only by the full audit."""
         self.stats.record(LevelRecord(depth, g.n, kind))
         net = graph_arcs(g, self.store) if depth else input_net(g, self.store)
-        value, deltas = solve_msms_residual(self.store, net, sources, sinks)
-        self.store.apply(deltas)
+        value, _ = solve_msms_residual(self.store, net, sources, sinks)
         self._emit({"op": "solve_leaf", "depth": depth, "n": g.n, "value": value})
         if self.cfg.audit == "full":
             reach = residual_reachable(g.graph if depth else g, self.store, sources)
@@ -303,14 +300,12 @@ class MsmsEngine:
         hold afterwards, since the level-wide ones do."""
         store = self.store
         boundary_set = attach_apex(gd, boundary)
-        value, deltas = msss_max_flow(store, net, sources, boundary_set)
-        store.apply(deltas)
+        value, _ = msss_max_flow(store, net, sources, boundary_set)
         self._emit({"op": "push_sources_to_boundary", "depth": depth, "value": value})
         for side, part in enumerate(parts):
             self._audit_piece_sources_blocked(*part, side, depth)
 
-        value, deltas = ssms_max_flow(store, net, boundary_set, sinks)
-        store.apply(deltas)
+        value, _ = ssms_max_flow(store, net, boundary_set, sinks)
         self._emit({"op": "push_boundary_to_sinks", "depth": depth, "value": value})
         for side, part in enumerate(parts):
             self._audit_piece_complete(*part, side, depth)
@@ -325,7 +320,7 @@ class MsmsEngine:
         a deficit).  The paper chains the suffix with infinite-capacity
         arcs instead; every finite cut keeps a chained suffix on one side,
         so both flows have the same value.  Every step runs on the level's
-        net, which the pushes left in step with the store."""
+        net, over the flow the pushes left in the store."""
         for i in range(len(boundary) - 1):
             node = boundary[i]
             imbalance = inflow(gd, self.store, node)
@@ -334,9 +329,8 @@ class MsmsEngine:
                 src, dst = [node], boundary[i + 1:]
                 if imbalance < 0:
                     src, dst = dst, src
-                pushed, deltas = limited_max_flow(
+                pushed, _ = limited_max_flow(
                     self.store, net, src, dst, abs(imbalance))
-                self.store.apply(deltas)
             if self.trace is not None:
                 self._emit({
                     "op": "redistribute", "depth": depth, "index": i,
@@ -349,8 +343,8 @@ class MsmsEngine:
 
     def _settle_pseudoflow(self, net, snapshot, sources, sinks):
         """Convert the level's pseudoflow into a feasible flow by settling
-        its change: snapshot holds the flow of every keyed arc of the net
-        when the level built it, after both pieces' recursions, and that
+        its change: snapshot holds the flow of every arc of net.keys when
+        the level built its net, after both pieces' recursions, and that
         flow conserves at every non-terminal.  So only the darts whose
         flow moved since then can carry an imbalance, each oriented by the
         sign of its move and carrying its size.  Cancel the cycles of that
@@ -362,16 +356,19 @@ class MsmsEngine:
         no residual path from a source or an overfull node to a sink or a
         drained node, so no drain crosses the saturated cut, and every
         flow between the snapshot's and the current one is within the
-        capacities.  The net is not updated."""
-        head = net.head
-        flows = net.res[1::2]
+        capacities.  The change is keyed by store dart, read against the
+        net's heads, and what is taken off it is written back through
+        store.apply, which checks every flow."""
+        store = self.store
+        head, res = store.head, store.res
         amounts = {}
-        for a in compress(count(), map(ne, flows, snapshot)):
-            x = flows[a] - snapshot[a]
+        for k, before in zip(net.keys, snapshot):
+            x = res[2 * k + 1] - before
             if x > 0:
-                amounts[2 * a] = x
-            else:
-                amounts[2 * a + 1] = -x
+                amounts[2 * k] = x
+            elif x:
+                amounts[2 * k + 1] = -x
+        moved = dict(amounts)
         circulation, order = decompose_acyclic(head, amounts)
         for d, x in circulation.items():
             amounts[d] -= x
@@ -417,15 +414,10 @@ class MsmsEngine:
             if v not in terminals and balance[v] != 0:
                 raise SettlementStuck(f"node {v} still violates conservation")
 
-        # the change kept on dart d moves arc d >> 1 away from its snapshot
-        keys = net.keys
-        deltas = []
-        for d, x in amounts.items():          # in arc order
-            a = d >> 1
-            delta = snapshot[a] + (-x if d & 1 else x) - flows[a]
-            if delta:
-                deltas.append((keys[a], delta))
-        self.store.apply(deltas)
+        # what was taken off dart d moves arc d >> 1 back toward its
+        # snapshot: down for a forward dart, up for a reverse one
+        store.apply([(d >> 1, moved[d] - x if d & 1 else x - moved[d])
+                     for d, x in amounts.items() if x != moved[d]])
 
     # -- invariant audits -------------------------------------------------------------
 

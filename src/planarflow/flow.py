@@ -1,8 +1,8 @@
 """Dart-level flow state: the single global flow assignment and its checks.
 
-All flow values are exact integers.  The store keeps one signed value per
-flow key (per arc); the value is the flow on the forward dart, and the
-reverse dart carries its negation, so antisymmetry holds by construction.
+All flow values are exact integers.  The store keeps one residual pair
+per flow key (per arc), res[2k] = cap - flow and res[2k + 1] = flow, and
+every solver and reader works on those darts: they are the only flow state.
 """
 
 from __future__ import annotations
@@ -12,19 +12,22 @@ from .graph import NO_KEY, PlanarGraph
 
 
 class FlowStore:
-    """Growable map from flow keys to integer arc flows.
+    """Growable map from flow keys to residual pairs.
 
     One store backs a whole engine run; every subgraph, piece, and
     artificial arc reads and writes through its key, which is how flow
-    updates made inside a piece propagate to the global state.  A
-    pseudoflow bound 0 <= value <= cap is enforced on every update.
+    updates made inside a piece reach the global state.  Key k owns the
+    darts 2k and 2k + 1 of res and head; head is scratch space that the
+    last solver net built fills (see solvers.ResidualNet).  apply keeps
+    every flow it writes within [0, cap].
     """
 
-    __slots__ = ("caps", "vals")
+    __slots__ = ("caps", "res", "head")
 
     def __init__(self):
         self.caps = []
-        self.vals = []
+        self.res = []
+        self.head = []
 
     @classmethod
     def for_graph(cls, g: PlanarGraph) -> "FlowStore":
@@ -32,64 +35,70 @@ class FlowStore:
             raise ValueError("graph arcs must carry identity keys to seed a store")
         store = cls()
         store.caps = list(g.caps)
-        store.vals = [0] * g.m
+        store.res = [0] * (2 * g.m)
+        store.res[0::2] = g.caps
+        store.head = [0] * (2 * g.m)
         return store
+
+    @property
+    def vals(self) -> tuple:
+        """The flow of every key, as a tuple: a view, not the state."""
+        return tuple(self.res[1::2])
 
     def new_key(self, cap: int) -> int:
         self.caps.append(cap)
-        self.vals.append(0)
-        return len(self.vals) - 1
+        self.res += (cap, 0)
+        self.head += (0, 0)
+        return len(self.caps) - 1
 
     def apply(self, deltas) -> None:
-        """Accumulate a solver result: vals[key] += delta for each pair.
+        """Add delta to the flow of key for each (key, delta) pair.
 
-        Raises CapacityViolation if any arc would leave [0, cap]; that
-        means a solver ignored the residual discipline.
+        Raises CapacityViolation if any arc would leave [0, cap].
         """
-        caps, vals = self.caps, self.vals
+        caps, res = self.caps, self.res
         for key, delta in deltas:
-            nv = vals[key] + delta
+            f = res[2 * key + 1]
+            nv = f + delta
             if nv < 0 or nv > caps[key]:
                 raise CapacityViolation(
-                    f"key {key}: flow {vals[key]}+{delta} outside [0, {caps[key]}]")
-            vals[key] = nv
+                    f"key {key}: flow {f}+{delta} outside [0, {caps[key]}]")
+            res[2 * key] = caps[key] - nv
+            res[2 * key + 1] = nv
 
 
 def inflow(g: PlanarGraph, store: FlowStore, v: int) -> int:
     """Net inflow at v: flow on arcs into v minus flow on arcs out of v."""
     total = 0
-    vals = store.vals
+    res = store.res
     keys = g.keys
     for d in g.rot[v]:
         key = keys[d >> 1]
-        if key == NO_KEY:
-            continue
-        if d & 1:  # v is the head of the arc
-            total += vals[key]
-        else:
-            total -= vals[key]
+        if key != NO_KEY:   # an odd dart: v is the head of the arc
+            total += res[2 * key + 1] if d & 1 else -res[2 * key + 1]
     return total
 
 
 def inflow_all(g: PlanarGraph, store: FlowStore):
     """Net inflow of every node, in one pass over the arcs."""
     acc = [0] * g.n
-    vals = store.vals
-    for a in range(g.m):
-        key = g.keys[a]
+    res = store.res
+    for t, h, key in zip(g.tails, g.heads, g.keys):
         if key == NO_KEY:
             continue
-        v = vals[key]
-        if v:
-            acc[g.heads[a]] += v
-            acc[g.tails[a]] -= v
+        f = res[2 * key + 1]
+        if f:
+            acc[h] += f
+            acc[t] -= f
     return acc
 
 
 def is_pseudoflow(g: PlanarGraph, store: FlowStore) -> bool:
-    """Every dart respects its capacity: 0 <= f(a) <= c(a) on each keyed arc."""
-    vals, caps = store.vals, store.caps
-    return all(0 <= vals[k] <= caps[k] for k in g.keys if k != NO_KEY)
+    """Every keyed arc's pair is whole and within its capacity:
+    0 <= flow <= cap and the two residuals sum to cap."""
+    res, caps = store.res, store.caps
+    return all(0 <= res[2 * k + 1] <= caps[k] and res[2 * k] + res[2 * k + 1] == caps[k]
+               for k in g.keys if k != NO_KEY)
 
 
 def is_feasible(g: PlanarGraph, store: FlowStore, sources, sinks) -> bool:
@@ -110,9 +119,9 @@ def residual_reachable(g: PlanarGraph, store: FlowStore, start, seen=None) -> se
     """Nodes reachable from the start set along darts with positive residual.
 
     The search reads g.keyed_adjacency(), built on g's first search and
-    kept, and the store's caps and flows: an out-arc has residual
-    cap - flow, an in-arc its flow.  The adjacency holds no flow, so the
-    store may change between searches.
+    kept: per node, the store darts of its keyed arcs, each with the
+    neighbour it leads to, whose residual store.res holds.  The adjacency
+    holds no flow, so the store may change between searches.
 
     With a caller's seen array (one byte per node of g), the search skips
     the nodes already marked, marks the nodes it reaches and returns only
@@ -125,15 +134,11 @@ def residual_reachable(g: PlanarGraph, store: FlowStore, start, seen=None) -> se
         if not seen[v]:
             seen[v] = 1
             reached.append(v)
-    caps, vals = store.caps, store.vals
-    outs, ins = g.keyed_adjacency()
+    res = store.res
+    adj = g.keyed_adjacency()
     for v in reached:       # grows while it is read: a breadth-first queue
-        for k, w in outs[v]:
-            if not seen[w] and vals[k] < caps[k]:
-                seen[w] = 1
-                reached.append(w)
-        for k, w in ins[v]:
-            if not seen[w] and vals[k] > 0:
+        for d, w in adj[v]:
+            if res[d] > 0 and not seen[w]:
                 seen[w] = 1
                 reached.append(w)
     return set(reached)

@@ -16,8 +16,8 @@ zero.  The reverse of dart ``d`` is ``d ^ 1``.
 Arcs carry a *flow key*, the index of their entry in a
 :class:`planarflow.flow.FlowStore`.  Artificial zero-capacity arcs that
 can never carry flow use ``NO_KEY``.  keyed_adjacency() lists each
-node's keyed arcs by key and neighbour, for the residual searches of
-planarflow.flow.
+node's keyed arcs by store dart and neighbour, for the residual searches
+of planarflow.flow.
 """
 
 from __future__ import annotations
@@ -165,17 +165,17 @@ class PlanarGraph:
     # -- residual structure ------------------------------------------------
 
     def keyed_adjacency(self):
-        """(outs, ins): per node, the (key, neighbour) pairs of its keyed
-        out-arcs, whose residual is cap - flow, and of its keyed in-arcs,
-        whose residual is the flow.  NO_KEY arcs are left out."""
+        """Per node, the (store dart, neighbour) pairs of its keyed arcs,
+        in arc order: dart 2k for an out-arc with key k, whose residual is
+        cap - flow, and 2k + 1 for an in-arc, whose residual is the flow.
+        NO_KEY arcs are left out."""
         if self._adjacency is None:
-            outs = [[] for _ in range(self.n)]
-            ins = [[] for _ in range(self.n)]
+            adj = [[] for _ in range(self.n)]
             for t, h, k in zip(self.tails, self.heads, self.keys):
                 if k != NO_KEY:
-                    outs[t].append((k, h))
-                    ins[h].append((k, t))
-            self._adjacency = outs, ins
+                    adj[t].append((2 * k, h))
+                    adj[h].append((2 * k + 1, t))
+            self._adjacency = adj
         return self._adjacency
 
     # -- validation --------------------------------------------------------

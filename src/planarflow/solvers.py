@@ -5,20 +5,12 @@ optionally under a limit.  The engine calls it under four names, one per
 call site: msss_max_flow, ssms_max_flow, limited_max_flow and
 solve_msms_residual are bindings of the same function.
 
-It runs on a ResidualNet: flat dart arrays holding the residual
-capacities c_f that a FlowStore implies on one graph's keyed arcs.
-graph_arcs builds one for a split level or a leaf; the input's direct
-solve runs on the input's own rotation and arrays (input_net).  It
-computes a flow of its own, updates the net's arrays in place and
-returns (value, deltas), where deltas lists (key, delta) pairs for the
-keyed arcs it changed, in arc order, ready for FlowStore.apply.  It
-never writes the store and never builds a net.
-
-The caller applies each call's deltas to the store, which puts the store
-back in step with the net.  So one net serves every call of a leaf solve,
-or of a split level's two boundary pushes and its whole walk, as long as
-nothing else writes those arcs' flow in between, and each call costs only
-what it explores.
+It runs on a ResidualNet, one graph's adjacency over the store darts of
+its keyed arcs, and augments the store's residuals in place.  graph_arcs
+builds the net of a split level or a leaf; the input's direct solve runs
+on the input's own rotation (input_net).  One net serves every call of a
+leaf solve, or of a split level's two pushes and its whole walk, and each
+call costs only what it explores.
 
 It runs one deterministic search-tree core (Boykov and
 Kolmogorov, IEEE TPAMI 26(9), 2004) on flat dart arrays, so repeated
@@ -36,78 +28,78 @@ a path holds exactly one source and one sink.  Values are those of any
 max flow; which maximum flow, hence arc_flows, depends on the paths
 taken, and so on the order of each node's darts.
 
-The oracle keeps a blocking-flow core of its own, so that the engine's
-values are checked against code they do not share.
+The oracle keeps a blocking-flow core and arrays of its own, so that the
+engine's values are checked against code they do not share.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from operator import sub
 
+from .errors import CapacityViolation
 from .graph import NO_KEY
 
 
 class ResidualNet:
-    """Residual dart arrays of keyed arcs under a store's flow.
+    """One graph's adjacency over the store darts of its keyed arcs.
 
-    The net's arc a, its a-th keyed arc, owns dart 2a (tail to head,
-    residual cap - flow) and dart 2a + 1 (head to tail, residual flow);
-    keys[a] is its flow key.  len(net) is the number of keyed arcs.
-    Nets built here list each node's darts in arc order; the input's own
-    net (input_net) lists them in the input's rotation order.
+    adj[v] lists the store darts leaving local node v: 2k for a keyed
+    out-arc with key k, 2k + 1 for a keyed in-arc, in arc order (the
+    input's own net: rotation order).  keys lists the arcs' keys in arc
+    order; len(net) is their number.  Building a net writes its darts'
+    heads, in its graph's node ids, into store.head, so a net is valid
+    until the next one is built on its store.  The engine builds a
+    level's net after both recursions return and uses it through the
+    settle.
     """
 
-    __slots__ = ("adj", "head", "res", "keys")
+    __slots__ = ("adj", "keys")
 
     def __init__(self, num_nodes, arcs, store):
         """arcs: (tail, head, key) triples, read once; NO_KEY arcs are
         skipped."""
-        vals, caps = store.vals, store.caps
+        head = store.head
         adj = [[] for _ in range(num_nodes)]
-        head, res, keys = [], [], []
+        keys = []
         for (t, h, key) in arcs:
             if key == NO_KEY:
                 continue      # zero both ways; invisible to any flow
-            f = vals[key]
-            adj[t].append(len(head))
-            adj[h].append(len(head) + 1)
-            head += (h, t)
-            res += (caps[key] - f, f)
+            d = 2 * key
+            adj[t].append(d)
+            adj[h].append(d + 1)
+            head[d] = h
+            head[d + 1] = t
             keys.append(key)
-        self.adj, self.head, self.res, self.keys = adj, head, res, keys
+        self.adj, self.keys = adj, keys
 
     def __len__(self):
         return len(self.keys)
 
 
 def graph_arcs(g, store) -> ResidualNet:
-    """The residual net of g's keyed arcs under the store's flow.  g is
-    a PlanarGraph or anything else with its n, tails, heads and keys,
-    such as a separator.Piece before its graph is built.  Every net but
-    the input's direct solve is built here; see input_net."""
+    """The net of g's keyed arcs over the store.  g is a PlanarGraph or
+    anything else with its n, tails, heads and keys, such as a
+    separator.Piece before its graph is built.  Every net but the input's
+    direct solve is built here; see input_net."""
     return ResidualNet(g.n, zip(g.tails, g.heads, g.keys), store)
 
 
 def input_net(g, store) -> ResidualNet:
-    """The residual net of the input graph g, on g's own arrays.
+    """The net of the input graph g, on g's own rotation.
 
     The store was seeded from g (FlowStore.for_graph), so arc a has key
-    a, and g has no chords: net dart d is g's dart d, and g.rot, which
+    a, and g has no chords: store dart d is g's dart d, and g.rot, which
     lists the darts leaving each node, is already the adjacency.  The net
     shares g.rot and g.keys instead of copying them; no solver writes
     either.  Each adj[v] holds the same darts as graph_arcs(g, store)'s,
     in rotation order, so a direct solve may take other paths (and
     arc_flows may differ) but not another value.
     """
-    m = g.m
-    flows = store.vals[:m]
-    head, res = [0] * (2 * m), [0] * (2 * m)
-    head[0::2], head[1::2] = g.heads, g.tails
-    res[0::2], res[1::2] = map(sub, store.caps[:m], flows), flows
+    head, m = store.head, g.m
+    head[0:2 * m:2], head[1:2 * m:2] = g.heads, g.tails
     net = ResidualNet.__new__(ResidualNet)
-    net.adj, net.head, net.res, net.keys = g.rot, head, res, g.keys
+    net.adj, net.keys = g.rot, g.keys
     return net
 
 
@@ -363,15 +355,15 @@ def _search_trees(adj, head, res, sources, sinks, limit=None):
 
 def terminal_set_flow(store, net, sources, sinks, limit=None):
     """Flow from a source set to a disjoint sink set on the net, which
-    must match the store's flow on its keyed arcs; returns (value,
-    deltas).
+    must be the last one built on the store; returns (value, darts).
 
     The value is the max flow's, or min(limit, max flow) under a limit.
     Whenever it falls short of the limit, no residual path from the
     sources to the sinks remains.  Raises ValueError when the sets
-    overlap or the limit is negative.  An arc's delta is its final
-    reverse residual minus its stored flow, read only for the keyed arcs
-    an augmenting path used.  The net keeps its final residuals.
+    overlap or the limit is negative.  The flow is written to store.res
+    in place; darts lists, with repeats, a dart of every arc an
+    augmenting path used, and each such arc's flow must lie in [0, cap],
+    else CapacityViolation.
     """
     if limit is not None and limit < 0:
         raise ValueError("flow limit must be non-negative")
@@ -379,15 +371,15 @@ def terminal_set_flow(store, net, sources, sinks, limit=None):
         raise ValueError("sources and sinks overlap")
     if not sources or not sinks or limit == 0:
         return 0, []
-    res, keys, vals = net.res, net.keys, store.vals
-    value, darts = _search_trees(net.adj, net.head, res, sorted(sources),
+    res, caps = store.res, store.caps
+    value, darts = _search_trees(net.adj, store.head, res, sorted(sources),
                                  sorted(sinks), limit)
-    deltas = []
-    for a in sorted({d >> 1 for d in darts}):
-        delta = res[2 * a + 1] - vals[keys[a]]
-        if delta:
-            deltas.append((keys[a], delta))
-    return value, deltas
+    for d in darts:
+        f = res[d | 1]
+        if f < 0 or f > caps[d >> 1]:
+            raise CapacityViolation(
+                f"key {d >> 1}: flow {f} outside [0, {caps[d >> 1]}]")
+    return value, darts
 
 
 # The engine's four calls of it, each under its own name so that a

@@ -77,6 +77,27 @@ def oracle_value_for_graph(g, sources, sinks):
     return oracle_max_flow(g.n, arcs, sources, sinks).value
 
 
+def set_flows(store, flows):
+    """Give every key k of the store the flow flows[k], writing both
+    residuals of its pair: cap - flow and the flow."""
+    flows = list(flows)
+    store.res[0::2] = [c - f for c, f in zip(store.caps, flows, strict=True)]
+    store.res[1::2] = flows
+
+
+def flow_deltas(before, store):
+    """The (key, change) pairs of the keys whose flow moved since the
+    flows before, in key order."""
+    return [(k, f - b) for k, (b, f) in enumerate(zip(before, store.vals)) if f != b]
+
+
+def net_heads(net, store):
+    """The heads the net wrote into the store, per net arc in order: the
+    forward dart's, then the reverse dart's."""
+    head = store.head
+    return [head[d] for k in net.keys for d in (2 * k, 2 * k + 1)]
+
+
 def keyed(store, arcs):
     return [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
 
@@ -97,19 +118,20 @@ def apex_arcs(store, apex, boundary, inf):
 
 def dinic_push(store, net, sources, sinks):
     """A terminal-set flow through the oracle's blocking-flow core,
-    solvers._dinic, on a net that matches the store: (value, deltas) as a
-    subroutine returns them."""
-    value, darts = solvers._dinic(net.adj, net.head, net.res, sorted(sources),
-                                  sorted(sinks))
-    deltas = [(net.keys[a], net.res[2 * a + 1] - store.vals[net.keys[a]])
-              for a in sorted({d >> 1 for d in darts})]
-    return value, [(k, d) for k, d in deltas if d]
+    solvers._dinic, on the store's residual pairs over the net, the last
+    one built on it: writes the store like a subroutine and returns
+    (value, deltas), the flow changes by key (flow_deltas)."""
+    before = store.vals
+    value, _ = solvers._dinic(net.adj, store.head, store.res, sorted(sources),
+                              sorted(sinks))
+    return value, flow_deltas(before, store)
 
 
 def check_pushes_against_apex(n, arcs, flows, sources, sinks, boundary):
     """The source push into the boundary set, then the sink push out of
     it, on one net of arcs (tail, head, cap) carrying flows, against the
-    same pushes through the apex reference.
+    same pushes through the apex reference.  Each store below has a net
+    of its own.
 
     The formulation is checked with every push through the oracle's core
     (dinic_push), whose labels put the apex one level above the set, so
@@ -140,8 +162,6 @@ def check_pushes_against_apex(n, arcs, flows, sources, sinks, boundary):
     set_into = dinic_push(ref_set, ref_set_net, sources, boundary)
     ref_into = dinic_push(ref, ref_net, sources, [n])
     assert set_into == (ref_into[0], [(k, d) for k, d in ref_into[1] if k < real])
-    ref_set.apply(set_into[1])
-    ref.apply(ref_into[1])
     assert (dinic_push(ref_set, ref_set_net, boundary, sinks)[0]
             == dinic_push(ref, ref_net, [n], sinks)[0])
 
@@ -149,12 +169,12 @@ def check_pushes_against_apex(n, arcs, flows, sources, sinks, boundary):
     ka = [(t, h, c, key) for key, (t, h, c) in enumerate(arcs)]   # store's keys
     into = msss_max_flow(store, net, sources, boundary)
     assert into[0] == ref_into[0]
-    store.apply(into[1])
-    assert all(0 <= store.vals[key] <= c for (_, _, c, key) in ka)
+    vals = store.vals
+    assert all(0 <= vals[key] <= c for (_, _, c, key) in ka)
     excess = {}
     for (t, h, _, key), f in zip(ka, flows):
-        excess[h] = excess.get(h, 0) + store.vals[key] - f
-        excess[t] = excess.get(t, 0) - store.vals[key] + f
+        excess[h] = excess.get(h, 0) + vals[key] - f
+        excess[t] = excess.get(t, 0) - vals[key] + f
     ends = set(sources) | set(boundary)
     assert not [v for v, x in excess.items() if x and v not in ends]
     assert not (reach(n, ka, store, sources) & set(boundary))
@@ -162,16 +182,16 @@ def check_pushes_against_apex(n, arcs, flows, sources, sinks, boundary):
     ref, ref_net = seeded(store.vals, apex=True)
     out = ssms_max_flow(store, net, boundary, sinks)
     assert out[0] == dinic_push(ref, ref_net, [n], sinks)[0]
-    store.apply(out[1])
     assert not (reach(n, ka, store, boundary) & set(sinks))
-    return store.vals
+    return list(store.vals)
 
 
 def reach(n, keyed_arcs, store, start):
     """Residual forward reachability over keyed arcs."""
     adj = [[] for _ in range(n)]
+    vals = store.vals
     for (t, h, c, key) in keyed_arcs:
-        f = store.vals[key]
+        f = vals[key]
         if c - f > 0:
             adj[t].append(h)
         if f > 0:
@@ -197,9 +217,7 @@ def scramble_flow(n, arcs_keyed, store, rng, rounds=2):
         srcs, snks = set(nodes[:a]), set(nodes[a:a + b])
         if not srcs or not snks:
             continue
-        _, deltas = solve_msms_residual(store, residual_net(n, arcs_keyed, store),
-                                        srcs, snks)
-        store.apply(deltas)
+        solve_msms_residual(store, residual_net(n, arcs_keyed, store), srcs, snks)
 
 
 def source_push_trial(rng):
@@ -231,9 +249,7 @@ def source_push_trial(rng):
 
     sink_pool = [v for v in range(n) if v not in push_sources]
     push_sinks = set(rng.sample(sink_pool, rng.randint(1, max(1, len(sink_pool) // 2))))
-    _, deltas = solve_msms_residual(store, residual_net(n, ka, store),
-                                    push_sources, push_sinks)
-    store.apply(deltas)
+    solve_msms_residual(store, residual_net(n, ka, store), push_sources, push_sinks)
     return not (reach(n, ka, store, observers) & protected)
 
 
@@ -260,7 +276,8 @@ def fuzz_sequence(pool, rng, ops_lo=2, ops_hi=4):
     Every operation draws its terminals from the instance's source and
     sink sets, so the accumulated flow must stay a feasible flow for
     them.  All operations share one residual net.  The pseudoflow bounds
-    are checked after every operation; feasibility at the end.  Returns
+    and every key's residual pair are checked after every operation;
+    feasibility at the end.  Returns
     the number of violations (0 for a clean sequence).
     """
     g, sources, sinks = pool.entries[rng.randrange(len(pool.entries))]
@@ -271,8 +288,9 @@ def fuzz_sequence(pool, rng, ops_lo=2, ops_hi=4):
 
     def check_invariants():
         nonlocal violations
+        res = store.res
         for key, v in enumerate(store.vals):
-            if v < 0 or v > caps[key]:
+            if v < 0 or v > caps[key] or res[2 * key] + v != caps[key]:
                 violations += 1
 
     for _ in range(rng.randint(ops_lo, ops_hi)):
@@ -280,18 +298,17 @@ def fuzz_sequence(pool, rng, ops_lo=2, ops_hi=4):
         if choice == 0:
             srcs = set(rng.sample(sources, rng.randint(1, len(sources))))
             t = rng.choice(sinks)
-            _, deltas = msss_max_flow(store, net, srcs, {t})
+            msss_max_flow(store, net, srcs, {t})
         elif choice == 1:
             s = rng.choice(sources)
             snks = set(rng.sample(sinks, rng.randint(1, len(sinks))))
-            _, deltas = ssms_max_flow(store, net, {s}, snks)
+            ssms_max_flow(store, net, {s}, snks)
         elif choice == 2:
             s = rng.choice(sources)
             t = rng.choice(sinks)
-            _, deltas = limited_max_flow(store, net, [s], [t], rng.randint(0, 12))
+            limited_max_flow(store, net, [s], [t], rng.randint(0, 12))
         else:
-            _, deltas = solve_msms_residual(store, net, set(sources), set(sinks))
-        store.apply(deltas)
+            solve_msms_residual(store, net, set(sources), set(sinks))
         check_invariants()
 
     from planarflow.flow import is_feasible
@@ -327,9 +344,7 @@ def sink_push_trial(rng):
     source_pool = [v for v in range(n) if v not in push_sinks]
     push_sources = set(rng.sample(source_pool,
                                   rng.randint(1, max(1, len(source_pool) // 2))))
-    _, deltas = solve_msms_residual(store, residual_net(n, ka, store),
-                                    push_sources, push_sinks)
-    store.apply(deltas)
+    solve_msms_residual(store, residual_net(n, ka, store), push_sources, push_sinks)
     return not (reach(n, ka, store, observers) & protected)
 
 
@@ -341,12 +356,13 @@ def walk_violations(g, store, sources, sinks, boundary, i):
     forward = [[] for _ in range(g.n)]
     backward = [[] for _ in range(g.n)]
     balance = [0] * g.n
+    vals = store.vals
     for a in range(g.m):
         key = g.keys[a]
         if key == NO_KEY:
             continue
         t, h = g.tails[a], g.heads[a]
-        f, c = store.vals[key], store.caps[key]
+        f, c = vals[key], store.caps[key]
         balance[h] += f
         balance[t] -= f
         for u, w, res in ((t, h, c - f), (h, t, f)):
@@ -426,13 +442,11 @@ def same_embedding(g, h):
 def piece_pushes(store, piece, sub_sources, sub_sinks):
     """One piece's two boundary-set pushes on a net of its own, the
     reference for the level push: its sources into its boundary nodes,
-    then those into its sinks.  Applies both to the store and returns
-    their values."""
+    then those into its sinks.  Both write the store; returns their
+    values."""
     net = graph_arcs(piece.graph, store)
-    value_in, deltas = msss_max_flow(store, net, sub_sources, piece.boundary_local)
-    store.apply(deltas)
-    value_out, deltas = ssms_max_flow(store, net, piece.boundary_local, sub_sinks)
-    store.apply(deltas)
+    value_in, _ = msss_max_flow(store, net, sub_sources, piece.boundary_local)
+    value_out, _ = ssms_max_flow(store, net, piece.boundary_local, sub_sinks)
     return value_in, value_out
 
 
@@ -674,7 +688,7 @@ def reference_settle_pseudoflow(store, gd, sources, sinks):
     circulation, order = reference_decompose_acyclic(gd, store)
     if circulation:
         store.apply([(key, -d) for key, d in sorted(circulation.items())])
-    vals = store.vals
+    vals = list(store.vals)
     rank = [0] * gd.n
     for i, v in enumerate(order):
         rank[v] = i
@@ -710,13 +724,15 @@ def reference_settle_pseudoflow(store, gd, sources, sinks):
                     break
             assert not need, f"{need} stranded at node {v}"
     assert all(balance[v] == 0 for v in range(gd.n) if v not in terminals)
+    set_flows(store, vals)
 
 
 def decompose_flow(g, store):
     """decompose_acyclic on the flow of g's keyed arcs, read as its change
     from an all-zero snapshot: each arc's forward dart with its flow.
     Returns (circulation by flow key, order)."""
-    amounts = {2 * a: store.vals[key] for a, key in enumerate(g.keys) if key != NO_KEY}
+    vals = store.vals
+    amounts = {2 * a: vals[key] for a, key in enumerate(g.keys) if key != NO_KEY}
     circulation, order = decompose_acyclic(dart_heads(g), amounts)
     return {g.keys[d >> 1]: x for d, x in circulation.items()}, order
 

@@ -193,6 +193,14 @@ def test_config_rejects_unknown_key(tmp_path):
             parse_config_file(f"{key} = 1\n")
 
 
+@pytest.mark.parametrize("value", ["5", None, 2.5, 32.0, True, False])
+def test_config_rejects_a_base_case_that_is_not_an_integer(value):
+    from planarflow.config import EngineConfig
+    from planarflow.errors import ConfigError
+    with pytest.raises(ConfigError, match=f"^base_case must be an integer, got {value!r}$"):
+        EngineConfig(base_case=value)
+
+
 @pytest.mark.parametrize("bad_line, lineno", [
     ("p max x 3", 1),
     ("n 1", 2),

@@ -6,7 +6,7 @@ import pytest
 from planarflow import engine, separator, solvers, surgery
 from planarflow.config import EngineConfig
 from planarflow.engine import MsmsEngine, msms_max_flow
-from planarflow.errors import AuditFailure, SettlementStuck
+from planarflow.errors import AuditFailure, CapacityViolation, SettlementStuck
 from planarflow.flow import FlowStore, inflow_all, is_feasible, residual_reachable
 from planarflow.generate import generate
 from planarflow.graph import (
@@ -21,6 +21,7 @@ from support import (
     check_pushes_against_apex,
     piece_pushes,
     reference_settle_pseudoflow,
+    set_flows,
     walk_violations,
 )
 
@@ -169,7 +170,7 @@ def test_settlement_mechanics_excess_returns_to_source():
     eng = MsmsEngine(g, {0}, {2}, EngineConfig())
     eng.store.apply([(0, 7), (1, 5)])  # inflow(x) = +2
     settle(eng, g, {0}, {2})
-    assert eng.store.vals == [5, 5]
+    assert eng.store.vals == (5, 5)
     assert is_feasible(g, eng.store, {0}, {2})
 
 
@@ -178,7 +179,7 @@ def test_settlement_mechanics_deficit_drains_from_sink():
     eng = MsmsEngine(g, {0}, {2}, EngineConfig())
     eng.store.apply([(0, 3), (1, 5)])  # inflow(x) = -2
     settle(eng, g, {0}, {2})
-    assert eng.store.vals == [3, 3]
+    assert eng.store.vals == (3, 3)
 
 
 def test_settlement_noop_when_conserving():
@@ -186,7 +187,7 @@ def test_settlement_noop_when_conserving():
     eng = MsmsEngine(g, {0}, {2}, EngineConfig())
     eng.store.apply([(0, 4), (1, 4)])
     settle(eng, g, {0}, {2})
-    assert eng.store.vals == [4, 4]
+    assert eng.store.vals == (4, 4)
 
 
 def test_settlement_cancels_a_cycle_then_returns_excess_and_drains_deficit():
@@ -198,7 +199,7 @@ def test_settlement_cancels_a_cycle_then_returns_excess_and_drains_deficit():
     # cycle 1-2-3 carries 2; inflow(1) = +3 and inflow(3) = -1
     eng.store.apply([(0, 5), (1, 4), (2, 4), (3, 2), (4, 3)])
     settle(eng, g, {0}, {4})
-    assert eng.store.vals == [2, 2, 2, 0, 2]
+    assert eng.store.vals == (2, 2, 2, 0, 2)
     assert is_feasible(g, eng.store, {0}, {4})
 
 
@@ -222,14 +223,17 @@ def test_settling_the_change_matches_the_whole_level_reference(monkeypatch, kind
     real = MsmsEngine._settle_pseudoflow
 
     def recording(self, net, snapshot, sources, sinks):
-        level = SimpleNamespace(n=len(net.adj), m=len(net), tails=net.head[1::2],
-                                heads=net.head[0::2], keys=net.keys)
+        head = self.store.head
+        level = SimpleNamespace(n=len(net.adj), m=len(net),
+                                tails=[head[2 * k + 1] for k in net.keys],
+                                heads=[head[2 * k] for k in net.keys], keys=net.keys)
         ref = FlowStore()
-        ref.caps, ref.vals = self.store.caps, list(self.store.vals)
+        ref.caps, ref.res = self.store.caps, list(self.store.res)
         reference_settle_pseudoflow(ref, level, sources, sinks)
-        moved = [f != s for f, s in zip(net.res[1::2], snapshot)]
+        vals = self.store.vals
+        moved = [vals[k] != s for k, s in zip(net.keys, snapshot)]
         real(self, net, snapshot, sources, sinks)
-        levels.append((level, snapshot, moved, ref.vals, list(self.store.vals),
+        levels.append((level, snapshot, moved, ref.res, list(self.store.res),
                        set(sources) | set(sinks), sinks))
     monkeypatch.setattr(MsmsEngine, "_settle_pseudoflow", recording)
 
@@ -239,12 +243,12 @@ def test_settling_the_change_matches_the_whole_level_reference(monkeypatch, kind
         res = msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(base_case=base_case))
         assert res.value == oracle_value(g, ts.sources, ts.sinks)
         assert len(levels) > 2
-        for level, snapshot, moved, ref_vals, vals, terminals, sinks in levels:
-            balance = inflow_all(level, SimpleNamespace(vals=vals))
+        for level, snapshot, moved, ref_res, res, terminals, sinks in levels:
+            balance = inflow_all(level, SimpleNamespace(res=res))
             assert all(b == 0 for v, b in enumerate(balance) if v not in terminals)
-            ref_balance = inflow_all(level, SimpleNamespace(vals=ref_vals))
+            ref_balance = inflow_all(level, SimpleNamespace(res=ref_res))
             assert sum(balance[t] for t in sinks) == sum(ref_balance[t] for t in sinks)
-            assert all(vals[key] == x for key, x, m in zip(level.keys, snapshot, moved)
+            assert all(res[2 * key + 1] == x for key, x, m in zip(level.keys, snapshot, moved)
                        if not m)
         assert sum(sum(moved) for _, _, moved, *_ in levels) < sum(
             len(level.keys) for level, *_ in levels)
@@ -289,7 +293,8 @@ def record_level_pushes(monkeypatch, around):
     def recording(self, net, gd, boundary, sources, sinks, parts, depth):
         before = around(self, gd, boundary, sources, sinks, parts)
         push(self, net, gd, boundary, sources, sinks, parts, depth)
-        levels.append((before, [self.store.vals[k] for k in gd.keys if k != NO_KEY]))
+        vals = self.store.vals
+        levels.append((before, [vals[k] for k in gd.keys if k != NO_KEY]))
     monkeypatch.setattr(MsmsEngine, "_push_boundary", recording)
     return levels
 
@@ -303,8 +308,9 @@ def test_boundary_set_pushes_match_the_apex_on_real_pieces(monkeypatch, kind, n,
     engine's own pushes leave the same flow as that check's."""
     def state(eng, gd, boundary, sources, sinks, parts):
         keyed = [(t, h, k) for t, h, k in zip(gd.tails, gd.heads, gd.keys) if k != NO_KEY]
+        vals = eng.store.vals
         return (gd.n, [(t, h, eng.store.caps[k]) for t, h, k in keyed],
-                [eng.store.vals[k] for _, _, k in keyed], sorted(sources),
+                [vals[k] for _, _, k in keyed], sorted(sources),
                 sorted(sinks), boundary)
 
     levels = record_level_pushes(monkeypatch, state)
@@ -321,7 +327,8 @@ def test_level_pushes_have_the_values_of_the_piece_pushes(monkeypatch, kind, n, 
     sink push each move the sum of what the two pieces' own pushes move."""
     def piece_values(eng, gd, boundary, sources, sinks, parts):
         store = FlowStore()
-        store.caps, store.vals = list(eng.store.caps), list(eng.store.vals)
+        store.caps, store.res = list(eng.store.caps), list(eng.store.res)
+        store.head = [0] * len(store.res)
         return [sum(v) for v in zip(*(piece_pushes(store, *part) for part in parts))]
 
     levels = record_level_pushes(monkeypatch, piece_values)
@@ -394,7 +401,7 @@ def test_walk_audit_is_exact_on_random_residual_states():
         sources, sinks, boundary = set(nodes[:a]), set(nodes[a:a + b]), nodes[a + b:a + b + k]
         i = rng.randrange(k - 1)
         eng = MsmsEngine(g, sources, sinks, EngineConfig(audit="full"))
-        eng.store.vals[:] = [rng.randint(0, c) for c in eng.store.caps]
+        set_flows(eng.store, [rng.randint(0, c) for c in eng.store.caps])
         expected = walk_violations(g, eng.store, sources, sinks, boundary, i)
         try:
             eng._audit_redistribute_iteration(g, boundary, sources, sinks, i, 2)
@@ -579,7 +586,67 @@ def test_the_four_solver_names_are_one_terminal_set_flow():
         flow(store, net, [0, 1], [1, 2])
     with pytest.raises(ValueError, match="^sources and sinks overlap$"):
         flow(store, net, [0, 1], [1, 2], 3)
-    value, deltas = flow(store, net, [0], [2], 3)
-    assert (value, deltas) == (3, [(0, 3), (1, 3)])
-    store.apply(deltas)
-    assert flow(store, net, [0], [2]) == (1, [(0, 1), (1, 1)])
+    value, _ = flow(store, net, [0], [2], 3)
+    assert (value, store.vals) == (3, (3, 3))
+    value, _ = flow(store, net, [0], [2])
+    assert (value, store.vals) == (1, (4, 4))
+
+
+@pytest.mark.parametrize("audit", ["none", "full"])
+@pytest.mark.parametrize("base_case", [3, 8, 32])
+@pytest.mark.parametrize("kind, n", [("grid", 60), ("tri", 150), ("grid", 400), ("tri", 400)])
+def test_every_solver_call_and_settle_gets_the_last_net_built(monkeypatch, kind, n,
+                                                              base_case, audit):
+    """Building a net claims the store's head array, so a net is valid
+    until the next one is built: every solver call and every settle of a
+    solve gets the net built last, checked at the call, since a stale net
+    can send the core round a loop.  After the solve every key's
+    residual pair is whole: both entries non-negative, summing to the
+    capacity."""
+    built, users = [], []
+
+    def last_built(net):
+        assert net is built[-1], "a net used after another one was built"
+        users.append(net)
+
+    def building(real):
+        def build(g, store):
+            built.append(real(g, store))
+            return built[-1]
+        return build
+
+    def checking(real):
+        def call(first, net, *args):
+            last_built(net)
+            return real(first, net, *args)
+        return call
+
+    for name in ("graph_arcs", "input_net"):
+        monkeypatch.setattr(engine, name, building(getattr(engine, name)))
+    for name in SOLVER_NAMES:
+        monkeypatch.setattr(engine, name, checking(getattr(engine, name)))
+    monkeypatch.setattr(MsmsEngine, "_settle_pseudoflow",
+                        checking(MsmsEngine._settle_pseudoflow))
+
+    g, ts = generate(kind, n, 1).build()
+    eng = MsmsEngine(g, ts.sources, ts.sinks, EngineConfig(base_case=base_case, audit=audit))
+    assert eng.run().value == oracle_value(g, ts.sources, ts.sinks)
+    assert len(users) > len(built) > 0
+    res, caps = eng.store.res, eng.store.caps
+    assert len(res) == 2 * len(caps)
+    assert all(res[2 * k] >= 0 and res[2 * k + 1] >= 0 and res[2 * k] + res[2 * k + 1] == c
+               for k, c in enumerate(caps))
+
+
+def test_a_settle_that_would_leave_an_arc_outside_its_capacity_raises(monkeypatch):
+    """The settle writes its change through FlowStore.apply, which checks
+    every flow: a cancelled circulation larger than the change drives
+    both arcs below zero."""
+    g = build_graph(3, [(0, 1, 9), (1, 2, 5)], [[1], [0, 2], [1]])
+    eng = MsmsEngine(g, {0}, {2}, EngineConfig())
+    eng.store.apply([(0, 4), (1, 4)])
+    monkeypatch.setattr(engine, "decompose_acyclic",
+                        lambda head, amounts: ({0: 9, 2: 9}, [0, 1, 2]))
+    with pytest.raises(CapacityViolation, match=r"^key 0: flow 4\+-9 outside \[0, 9\]$"):
+        settle(eng, g, {0}, {2})
+    assert eng.store.vals == (4, 4)

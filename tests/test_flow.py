@@ -19,7 +19,7 @@ from planarflow.graph import NO_KEY, build_graph
 from planarflow.separator import find_cycle_separator, split_into_pieces
 from planarflow.solvers import graph_arcs, solve_msms_residual
 from planarflow.surgery import detach_terminal_from_cycle, triangulate_and_biconnect
-from support import decompose_flow, reference_residual_reachable
+from support import decompose_flow, reference_residual_reachable, set_flows
 
 
 def single_arc(cap=5):
@@ -54,7 +54,7 @@ def test_inflow_circulation_conserves():
 def test_accumulate_zero_is_noop():
     g, store = single_arc()
     store.apply([])
-    assert store.vals == [0]
+    assert store.vals == (0,)
 
 
 def test_accumulate_arithmetic_and_residuals():
@@ -92,7 +92,7 @@ def test_feasibility_cases():
 
 def test_store_for_graph_copies_capacities_and_rejects_other_keys():
     g, store = triangle(caps=(4, 5, 6))
-    assert (store.caps, store.vals) == ([4, 5, 6], [0, 0, 0])
+    assert (store.caps, store.vals) == ([4, 5, 6], (0, 0, 0))
     store.apply([(1, 2)])
     assert g.caps == [4, 5, 6]
     g.keys[2] = 0
@@ -127,7 +127,7 @@ def test_residual_searches_sharing_a_seen_array_visit_each_node_once():
     g, _ = generate("grid", 60, 0, cap_max=1).build()
     store = FlowStore.for_graph(g)
     rng = random.Random(0)
-    store.vals[:] = [rng.randint(0, c) for c in store.caps]
+    set_flows(store, [rng.randint(0, c) for c in store.caps])
     for a_start, b_start in [({2}, {9}), ({21}, {30}), ({2, 21}, {9, 30})]:
         reach_a = residual_reachable(g, store, a_start)
         reach_b = residual_reachable(g, store, b_start)
@@ -166,7 +166,7 @@ def test_residual_search_matches_the_dart_loop(kind, n, seed):
     rng = random.Random(seed)
     for h in graphs:
         for _ in range(4):          # a new store state on the same graph
-            store.vals[:] = [rng.randint(0, c) for c in store.caps]
+            set_flows(store, [rng.randint(0, c) for c in store.caps])
             seen, ref_seen = bytearray(h.n), bytearray(h.n)
             for _ in range(3):
                 start = rng.sample(range(h.n), rng.randint(1, 4))
@@ -183,8 +183,7 @@ def test_no_residual_source_sink_path_after_max_flow():
     arcs = [(0, 1, 2), (0, 2, 3), (1, 3, 2), (2, 3, 1)]
     g = build_graph(4, arcs, [[1, 2], [3, 0], [0, 3], [1, 2]])
     store = FlowStore.for_graph(g)
-    value, deltas = solve_msms_residual(store, graph_arcs(g, store), {0}, {3})
-    store.apply(deltas)
+    value, _ = solve_msms_residual(store, graph_arcs(g, store), {0}, {3})
     assert value == 3
     assert 3 not in residual_reachable(g, store, {0})
     assert is_feasible(g, store, {0}, {3})
@@ -211,7 +210,7 @@ def test_decompose_pure_circulation():
     store.apply([(0, 2), (1, 2), (2, 2)])
     circ, order = decompose_flow(g, store)
     assert circ == {0: 2, 1: 2, 2: 2}
-    assert store.vals == [2, 2, 2]          # the store is left alone
+    assert store.vals == (2, 2, 2)          # the store is left alone
     assert_cancelled_and_ordered(g, store, circ, order)
 
 
@@ -241,8 +240,21 @@ def test_antisymmetry_and_pseudoflow_checks():
     g, store = single_arc(cap=2)
     store.apply([(0, 2)])
     assert is_pseudoflow(g, store)
-    store.vals[0] = 3
+    set_flows(store, [3])
     assert not is_pseudoflow(g, store)
+    store.res[:] = [1, 2]                   # flow 2 in range, pair sums to 3
+    assert not is_pseudoflow(g, store)
+
+
+def test_flows_are_a_read_only_view_of_the_residual_pairs():
+    g, store = triangle(caps=(4, 5, 6))
+    store.apply([(1, 2), (2, 6)])
+    assert store.res == [4, 0, 3, 2, 0, 6]
+    assert store.vals == (0, 2, 6)
+    with pytest.raises(TypeError):
+        store.vals[0] = 1
+    assert store.new_key(7) == 3
+    assert (store.res[6:], store.vals, len(store.head)) == ([7, 0], (0, 2, 6, 0), 8)
 
 
 @given(st.integers(3, 24), st.integers(0, 10 ** 6), st.integers(1, 4))
@@ -256,9 +268,8 @@ def test_solver_pushes_preserve_invariants(n, seed, rounds):
         nodes = list(range(g.n))
         rng.shuffle(nodes)
         cut = rng.randint(1, g.n - 1)
-        _, deltas = solve_msms_residual(
+        solve_msms_residual(
             store, graph_arcs(g, store), set(nodes[:cut]), set(nodes[cut:]))
-        store.apply(deltas)
         assert is_pseudoflow(g, store)
 
 
@@ -268,10 +279,8 @@ def test_decomposition_parts_sum_to_flow(n, seed):
 
     g, ts = generate("tri", n, seed).build()
     store = FlowStore.for_graph(g)
-    _, deltas = solve_msms_residual(store, graph_arcs(g, store),
-                                    ts.sources, ts.sinks)
-    store.apply(deltas)
-    before = list(store.vals)
+    solve_msms_residual(store, graph_arcs(g, store), ts.sources, ts.sinks)
+    before = store.vals
     circ, order = decompose_flow(g, store)
     assert store.vals == before
     assert_cancelled_and_ordered(g, store, circ, order)

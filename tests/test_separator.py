@@ -14,10 +14,12 @@ from planarflow.separator import find_cycle_separator, split_into_pieces
 from planarflow.solvers import graph_arcs
 from planarflow.surgery import detach_terminal_from_cycle, triangulate_and_biconnect
 from support import (
+    net_heads,
     reference_find_cycle_separator,
     reference_split_into_pieces,
     same_piece,
     same_separator,
+    set_flows,
 )
 
 
@@ -296,7 +298,7 @@ def test_split_rejects_a_mis_oriented_cycle(flipped):
 def test_a_piece_is_built_on_the_first_read_of_its_graph(monkeypatch, kind):
     """The split fills node maps and arc arrays only; the first read of
     piece.graph builds it once, and its keyed arcs give the same residual
-    net as the arrays did before the build."""
+    net, with the same heads, as the arrays did before the build."""
     builds = []
     real = separator.triangulated
     monkeypatch.setattr(separator, "triangulated",
@@ -304,19 +306,18 @@ def test_a_piece_is_built_on_the_first_read_of_its_graph(monkeypatch, kind):
     g, ts = generate(kind, 300, 5).build()
     gt = triangulate_and_biconnect(g)
     store = FlowStore.for_graph(g)
-    store.vals[:] = [c // 2 for c in store.caps]
+    set_flows(store, [c // 2 for c in store.caps])
     sep = find_cycle_separator(gt)
     pieces = split_into_pieces(gt, sep)
     assert not builds
-    nets = [graph_arcs(p, store) for p in pieces]
+    nets = [(net, net_heads(net, store)) for net in (graph_arcs(p, store) for p in pieces)]
     assert [p.n for p in pieces] == [len(p.parent_nodes) for p in pieces]
     assert not builds
-    for i, (piece, net) in enumerate(zip(pieces, nets)):
+    for i, (piece, (net, heads)) in enumerate(zip(pieces, nets)):
         h = piece.graph
         assert len(builds) == i + 1 and piece.graph is h and piece.n == h.n
         built = graph_arcs(h, store)
-        assert (net.adj, net.head, net.res, net.keys) == (
-            built.adj, built.head, built.res, built.keys)
+        assert (net.adj, heads, net.keys) == (built.adj, net_heads(built, store), built.keys)
     assert all(map(same_piece, pieces, reference_split_into_pieces(gt, sep)))
     assert len(builds) == 2
 

@@ -2,10 +2,19 @@ import copy
 import random
 
 import pytest
-from support import apex_arcs, check_pushes_against_apex, edmonds_karp, residual_net
+from support import (
+    apex_arcs,
+    check_pushes_against_apex,
+    edmonds_karp,
+    flow_deltas,
+    net_heads,
+    residual_net,
+)
 
 from planarflow.config import EngineConfig
+from planarflow import solvers
 from planarflow.engine import msms_max_flow
+from planarflow.errors import CapacityViolation
 from planarflow.flow import (
     FlowStore,
     flow_value,
@@ -24,6 +33,7 @@ from planarflow.solvers import (
     oracle_max_flow,
     solve_msms_residual,
     ssms_max_flow,
+    terminal_set_flow,
 )
 
 
@@ -45,8 +55,7 @@ def random_digraph(rng, n, density=0.45, cap_max=9):
 
 def test_msss_two_sources():
     g, store = fan_into_sink()
-    value, deltas = msss_max_flow(store, graph_arcs(g, store), {0, 1}, {2})
-    store.apply(deltas)
+    value, _ = msss_max_flow(store, graph_arcs(g, store), {0, 1}, {2})
     assert value == 2
     assert flow_value(g, store, {2}) == 2
 
@@ -55,8 +64,8 @@ def test_msss_unreachable_sink_is_zero():
     arcs = [(2, 0, 5), (2, 1, 5)]
     g = build_graph(3, arcs, [[2], [2], [0, 1]])
     store = FlowStore.for_graph(g)
-    value, deltas = msss_max_flow(store, graph_arcs(g, store), {0, 1}, {2})
-    assert value == 0 and deltas == []
+    value, darts = msss_max_flow(store, graph_arcs(g, store), {0, 1}, {2})
+    assert value == 0 and darts == []
 
 
 def test_msss_leaves_no_residual_path_to_sink():
@@ -70,9 +79,7 @@ def test_msss_leaves_no_residual_path_to_sink():
         sink = rng.choice([v for v in range(n) if v not in sources])
         store = FlowStore()
         keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
-        value, deltas = msss_max_flow(store, residual_net(n, keyed, store),
-                                      sources, {sink})
-        store.apply(deltas)
+        value, _ = msss_max_flow(store, residual_net(n, keyed, store), sources, {sink})
         oracle = oracle_max_flow(n, arcs, sources, {sink})
         assert value == oracle.value
         # no residual source-to-sink path: sink not reachable
@@ -82,8 +89,9 @@ def test_msss_leaves_no_residual_path_to_sink():
 
 def _reach(n, keyed_arcs, store, start):
     adj = {}
+    vals = store.vals
     for (t, h, c, key) in keyed_arcs:
-        f = store.vals[key]
+        f = vals[key]
         if c - f > 0:
             adj.setdefault(t, []).append(h)
         if f > 0:
@@ -103,8 +111,7 @@ def test_ssms_single_sink_matches_plain_max_flow():
     arcs = [(0, 1, 2), (1, 2, 3)]
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
-    value, deltas = ssms_max_flow(store, graph_arcs(g, store), {0}, {2})
-    store.apply(deltas)
+    value, _ = ssms_max_flow(store, graph_arcs(g, store), {0}, {2})
     assert value == 2
     assert is_feasible(g, store, {0}, {2})
 
@@ -113,8 +120,8 @@ def test_ssms_source_with_no_outgoing_capacity_is_zero():
     arcs = [(1, 0, 4), (1, 2, 4)]
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
-    value, deltas = ssms_max_flow(store, graph_arcs(g, store), {0}, {2})
-    assert value == 0 and deltas == []
+    value, darts = ssms_max_flow(store, graph_arcs(g, store), {0}, {2})
+    assert value == 0 and darts == []
 
 
 def test_ssms_matches_oracle_and_leaves_a_maximal_feasible_flow():
@@ -128,14 +135,13 @@ def test_ssms_matches_oracle_and_leaves_a_maximal_feasible_flow():
         source = rng.choice([v for v in range(n) if v not in sinks])
         store = FlowStore()
         keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
-        value, deltas = ssms_max_flow(store, residual_net(n, keyed, store),
-                                      {source}, sinks)
-        store.apply(deltas)
+        value, _ = ssms_max_flow(store, residual_net(n, keyed, store), {source}, sinks)
         assert value == oracle_max_flow(n, arcs, {source}, sinks).value
         # the returned assignment is a feasible source-to-sinks flow
         net_in = {}
+        vals = store.vals
         for (t, h, c, key) in keyed:
-            f = store.vals[key]
+            f = vals[key]
             net_in[h] = net_in.get(h, 0) + f
             net_in[t] = net_in.get(t, 0) - f
         for v in range(n):
@@ -152,10 +158,29 @@ def test_limited_flow_respects_delta():
     g = build_graph(2, arcs, [[1], [0]])
     for delta, expect in [(3, 3), (10, 5), (0, 0)]:
         store = FlowStore.for_graph(g)
-        value, deltas = limited_max_flow(store, graph_arcs(g, store), [0], [1], delta)
-        store.apply(deltas)
+        value, _ = limited_max_flow(store, graph_arcs(g, store), [0], [1], delta)
         assert value == expect
         assert store.vals[0] == expect
+
+
+@pytest.mark.parametrize("flow", [-1, 6, 9])
+def test_a_core_that_leaves_an_arc_outside_its_capacity_raises(monkeypatch, flow):
+    """terminal_set_flow checks every arc its core's augmenting paths
+    used: a core that leaves one with a flow outside [0, cap] raises
+    CapacityViolation, here on arc 1 (cap 5) of the path 0-1-2-3."""
+    arcs = [(0, 1, 4), (1, 2, 5), (2, 3, 4)]
+    g = build_graph(4, arcs, [[1], [0, 2], [1, 3], [2]])
+    core = solvers._search_trees
+
+    def broken(adj, head, res, sources, sinks, limit=None):
+        value, darts = core(adj, head, res, sources, sinks, limit)
+        res[2], res[3] = 5 - flow, flow
+        return value, darts
+
+    monkeypatch.setattr(solvers, "_search_trees", broken)
+    store = FlowStore.for_graph(g)
+    with pytest.raises(CapacityViolation, match=rf"^key 1: flow {flow} outside \[0, 5\]$"):
+        terminal_set_flow(store, graph_arcs(g, store), [0], [3])
 
 
 def test_limited_flow_rejects_negative_delta():
@@ -181,10 +206,9 @@ def test_msss_paths_stop_at_the_first_sink():
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
     net = graph_arcs(g, store)
-    value, deltas = msss_max_flow(store, net, [0], {1, 2})
-    store.apply(deltas)
+    value, _ = msss_max_flow(store, net, [0], {1, 2})
     assert value == 2
-    assert deltas == [(0, 2)]
+    assert store.vals == (2, 0)
     assert msss_max_flow(store, net, [0], {1, 2}) == (0, [])
 
 
@@ -208,12 +232,11 @@ def test_limited_flow_into_a_set_matches_linked_chain():
             net = residual_net(n, keyed, store)
             delta = rng.randint(0, 15)
             if forward:
-                value, deltas = limited_max_flow(store, net, [s], chain, delta)
+                value, _ = limited_max_flow(store, net, [s], chain, delta)
                 oracle = oracle_max_flow(n, linked, {s}, {chain[0]}).value
             else:
-                value, deltas = limited_max_flow(store, net, chain, [s], delta)
+                value, _ = limited_max_flow(store, net, chain, [s], delta)
                 oracle = oracle_max_flow(n, linked, {chain[0]}, {s}).value
-            store.apply(deltas)
             assert value == min(delta, oracle)
             if value < delta:
                 if forward:
@@ -232,9 +255,7 @@ def test_limited_flow_maximality_when_short():
         store = FlowStore()
         keyed = [(tl, h, c, store.new_key(c)) for (tl, h, c) in arcs]
         delta = rng.randint(0, 12)
-        value, deltas = limited_max_flow(store, residual_net(n, keyed, store),
-                                         [s], [t], delta)
-        store.apply(deltas)
+        value, _ = limited_max_flow(store, residual_net(n, keyed, store), [s], [t], delta)
         true_max = oracle_max_flow(n, arcs, {s}, {t}).value
         assert value == min(delta, true_max)
         if value < delta:
@@ -317,13 +338,16 @@ def test_oracle_cut_certificate_on_random_instances():
         assert value(limited_max_flow, sources, sinks, delta) == min(delta, cut)
 
 
-def _assert_pseudoflow_of_value(store, keyed, deltas, sources, sinks, value):
-    """Apply deltas to the store: every arc's flow stays in [0, cap], the
-    deltas conserve flow off the terminals and carry value from the
-    sources into the sinks."""
+def _assert_pseudoflow_of_value(store, keyed, before, sources, sinks, value):
+    """The store's flow changed from the flows before: every arc's flow
+    stays in [0, cap] with a whole residual pair, and the changes
+    conserve flow off the terminals and carry value from the sources
+    into the sinks."""
     ends = {key: (t, h) for (t, h, _, key) in keyed}
-    store.apply(deltas)
-    assert all(0 <= store.vals[key] <= c for (_, _, c, key) in keyed)
+    deltas = flow_deltas(before, store)
+    vals, res = store.vals, store.res
+    assert all(0 <= vals[key] <= c and res[2 * key] == c - vals[key]
+               for (_, _, c, key) in keyed)
     excess = {}
     for key, d in deltas:
         t, h = ends[key]
@@ -360,16 +384,18 @@ def _check_against_edmonds_karp(rng, n, arcs, flows, sources, sinks):
         keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
         store.apply([(key, f) for (_, _, _, key), f in zip(keyed, flows) if f])
         net = residual_net(n, keyed, store)
-        value, deltas = solver(store, net, *terminals)
+        before = store.vals
+        value, _ = solver(store, net, *terminals)
         assert value == expect, solver.__name__
-        _assert_pseudoflow_of_value(store, keyed, deltas, srcs, snks, value)
+        _assert_pseudoflow_of_value(store, keyed, before, srcs, snks, value)
 
     oracle = oracle_max_flow(n, arcs, sources, sinks)
     assert oracle.value == oracle.cut_capacity == edmonds_karp(n, arcs, sources, sinks)
     store = FlowStore()
     keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
-    _assert_pseudoflow_of_value(store, keyed, sorted(oracle.flows.items()),
-                                sources, sinks, oracle.value)
+    store.apply(sorted(oracle.flows.items()))
+    _assert_pseudoflow_of_value(store, keyed, [0] * len(arcs), sources, sinks,
+                                oracle.value)
 
 
 # (n, arcs, sources, sinks), each built so the oracle's blocking-flow
@@ -560,16 +586,20 @@ def test_orphans_sharing_one_chain_walk_it_once():
 @pytest.mark.parametrize("kind", ["grid", "tri"])
 @pytest.mark.parametrize("n", [30, 400])
 def test_input_net_is_graph_arcs_in_rotation_order(kind, n):
-    """The input's own net has graph_arcs's head, res and keys, and the
-    same darts at every node, under a fresh store and under a random
-    flow with a detach key beyond the input's arcs; its adjacency is the
-    input's rotation itself."""
+    """The input's own net writes graph_arcs's heads and has its keys,
+    and the same darts at every node, under a fresh store and under a
+    random flow with a detach key beyond the input's arcs; its adjacency
+    is the input's rotation itself."""
     g, _ = generate(kind, n, 7).build()
     store = FlowStore.for_graph(g)
     rng = random.Random(n)
     for _ in range(2):
-        net, ref = input_net(g, store), graph_arcs(g, store)
-        assert (net.head, net.res, net.keys) == (ref.head, ref.res, ref.keys)
+        store.head[:] = [-1] * len(store.head)
+        net = input_net(g, store)
+        head = list(store.head)
+        ref = graph_arcs(g, store)
+        assert (head, net.keys) == (store.head, ref.keys)
+        assert net_heads(net, store) == head[:2 * g.m]
         assert [sorted(darts) for darts in net.adj] == [sorted(darts) for darts in ref.adj]
         assert net.adj is g.rot and len(net) == len(ref) == g.m
         store.apply([(a, rng.randint(0, c) - store.vals[a]) for a, c in enumerate(g.caps)])
@@ -596,8 +626,8 @@ def test_direct_solve_leaves_the_input_rotation_as_it_was(kind, monkeypatch):
 
 def test_limited_flow_meets_every_limit_on_random_digraphs():
     """limited_max_flow at every limit from 0 to the max flow + 1, on a
-    fresh net each time: the value is min(limit, max flow), the deltas are
-    a pseudoflow of that value, and a run short of its limit leaves no
+    fresh net each time: the value is min(limit, max flow), the flow's
+    change is a pseudoflow of that value, and a run short of its limit leaves no
     residual path from the sources to the sinks.  Half the trials start
     from a random pseudoflow."""
     rng = random.Random(61)
@@ -618,10 +648,11 @@ def test_limited_flow_meets_every_limit_on_random_digraphs():
             store = FlowStore()
             keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
             store.apply([(key, f) for (_, _, _, key), f in zip(keyed, flows) if f])
-            value, deltas = limited_max_flow(store, residual_net(n, keyed, store),
-                                             sources, sinks, limit)
+            before = store.vals
+            value, _ = limited_max_flow(store, residual_net(n, keyed, store),
+                                        sources, sinks, limit)
             assert value == min(limit, want)
-            _assert_pseudoflow_of_value(store, keyed, deltas, sources, sinks, value)
+            _assert_pseudoflow_of_value(store, keyed, before, sources, sinks, value)
             if value < limit:
                 assert not (_reach(n, keyed, store, sources) & set(sinks))
 
@@ -629,7 +660,8 @@ def test_limited_flow_meets_every_limit_on_random_digraphs():
 def test_solver_runs_are_deterministic():
     """Two runs of each subroutine on fresh stores and nets, the second
     given its terminal sets in reverse order, return equal values and
-    deltas; two oracle runs return equal values and flows."""
+    darts and leave equal flows; two oracle runs return equal values and
+    flows."""
     rng = random.Random(5)
     n = 12
     arcs = random_digraph(rng, n)
@@ -646,12 +678,12 @@ def test_solver_runs_are_deterministic():
     def run(solver, terminals):
         store = FlowStore()
         keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
-        return solver(store, residual_net(n, keyed, store), *terminals)
+        return solver(store, residual_net(n, keyed, store), *terminals), store.vals
 
     for solver, terminals in calls:
         first = run(solver, terminals)
         flipped = [x[::-1] if isinstance(x, list) else x for x in terminals]
-        assert first[0] > 0 and first[1]
+        assert first[0][0] > 0 and first[0][1] and any(first[1])
         assert run(solver, flipped) == first
     one = oracle_max_flow(n, arcs, [0, 1], [6, 7])
     two = oracle_max_flow(n, arcs, [1, 0], [7, 6])
@@ -676,9 +708,10 @@ def _random_call(rng, store, net, n):
 
 
 def test_one_net_stays_current_across_calls():
-    """Solver calls on one net, each call's deltas applied to the store,
-    leave the net equal to a net freshly built from the store; a call
-    that pushes nothing returns no deltas and leaves the net as it was."""
+    """Solver calls on one net, each writing the store in place, leave
+    the net and its heads equal to a net freshly built on the store and
+    every key's residual pair whole; a call that pushes nothing returns
+    no darts and leaves the residuals as they were."""
     rng = random.Random(37)
     for _ in range(80):
         n = rng.randint(2, 9)
@@ -687,18 +720,22 @@ def test_one_net_stays_current_across_calls():
         keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
         net = residual_net(n, keyed, store)
         for _ in range(rng.randint(1, 8)):
-            before = list(net.res)
-            value, deltas = _random_call(rng, store, net, n)
-            store.apply(deltas)
-            assert net.res == residual_net(n, keyed, store).res
+            before = list(store.res)
+            value, darts = _random_call(rng, store, net, n)
+            res = store.res
+            assert all(res[2 * k] >= 0 and res[2 * k] + res[2 * k + 1] == c
+                       for (_, _, c, k) in keyed)
+            head = list(store.head)
+            fresh = residual_net(n, keyed, store)
+            assert (net.adj, net.keys, head) == (fresh.adj, fresh.keys, store.head)
             if value == 0:
-                assert deltas == [] and net.res == before
+                assert darts == [] and store.res == before
 
 
 def test_apex_pushes_on_one_net_match_two_fresh_nets():
     """The source push into the boundary set and the sink push out of it
-    give the same values and deltas on one shared net as on a fresh net
-    each."""
+    give the same values and darts, and leave the same flow, on one
+    shared net as on a fresh net each."""
     rng = random.Random(41)
     for _ in range(60):
         n = rng.randint(3, 9)
@@ -715,9 +752,7 @@ def test_apex_pushes_on_one_net_match_two_fresh_nets():
 
         def apex_pushes(store, net_for):
             into = msss_max_flow(store, net_for(store), sources, boundary)
-            store.apply(into[1])
             out = ssms_max_flow(store, net_for(store), boundary, sinks)
-            store.apply(out[1])
             return into, out
 
         net = residual_net(n, keyed, shared)

@@ -269,8 +269,8 @@ def check_apex_against_oracle(boundary):
     apex = g.n
     written_out = [(g.tails[a], g.heads[a], g.caps[a]) for a in range(g.m)]
     written_out += [arc for b in boundary for arc in ((b, apex, inf), (apex, b, inf))]
-    store = FlowStore.for_graph(g)
     for v in (0, 2):
+        store = FlowStore.for_graph(g)      # each push starts from zero flow
         if v in boundary:
             with pytest.raises(ValueError):
                 msss_max_flow(store, graph_arcs(g, store), {v}, terminals)
@@ -279,6 +279,7 @@ def check_apex_against_oracle(boundary):
             continue
         value, _ = msss_max_flow(store, graph_arcs(g, store), {v}, terminals)
         assert value == oracle_max_flow(g.n + 1, written_out, {v}, {apex}).value > 0
+        store = FlowStore.for_graph(g)
         value, _ = ssms_max_flow(store, graph_arcs(g, store), terminals, {v})
         assert value == oracle_max_flow(g.n + 1, written_out, {apex}, {v}).value > 0
 

@@ -47,6 +47,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from two_trees import import_tree
+
 REPO = Path(__file__).resolve().parent.parent
 MALFORMED_TEXTS = 2000
 MALFORMED_SEED = 20240611
@@ -140,15 +142,11 @@ def malformed_outcomes(planarflow):
 def work(tree):
     """Solve every instance with the planarflow in tree/src; print one
     JSON line per instance, then one per malformed text."""
-    src = (Path(tree) / "src").resolve()
-    sys.path.insert(0, str(src))
+    planarflow = import_tree(tree)
     sys.path.insert(0, str(REPO / "perfbench"))
-    import planarflow
     from planarflow.instance import parse_instance_file
     from verify import check_flow
 
-    if not Path(planarflow.__file__).resolve().is_relative_to(src):
-        sys.exit(f"imported planarflow from {planarflow.__file__}, not {src}")
     cycles = []
     find = planarflow.engine.find_cycle_separator
 

@@ -34,17 +34,9 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
+from two_trees import import_tree, seed_range, take_turns
+
 CAP_MAX = 10 ** 6
-
-
-def import_tree(tree):
-    """planarflow from tree/src, and nowhere else."""
-    src = (Path(tree) / "src").resolve()
-    sys.path.insert(0, str(src))
-    import planarflow
-    if not Path(planarflow.__file__).resolve().is_relative_to(src):
-        sys.exit(f"imported planarflow from {planarflow.__file__}, not {src}")
-    return planarflow
 
 
 def compact(adj, head, res):
@@ -104,18 +96,6 @@ def replay(tree, path):
         print(json.dumps({"seconds": seconds, "values": values}), flush=True)
 
 
-def seed_range(text):
-    lo, sep, hi = text.partition("..")
-    try:
-        lo = int(lo)
-        hi = int(hi) if sep else lo
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seeds must read S..T, got {text!r}") from None
-    if hi < lo:
-        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
-    return list(range(lo, hi + 1))
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("tree_a", nargs="?")
@@ -147,38 +127,21 @@ def main(argv=None):
                         "--base-case", str(args.base_case),
                         "--seeds", f"{args.seeds[0]}..{args.seeds[-1]}"], check=True)
         trees = {"A": args.tree_a, "B": args.tree_b}
-        workers = {side: subprocess.Popen(
-            [sys.executable, __file__, "--replay", tree, path],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-            for side, tree in trees.items()}
-        turns = {"A": [], "B": []}
-        values = {}
-        try:
-            for rep in range(args.reps):
-                for side in ("AB" if rep % 2 == 0 else "BA"):
-                    worker = workers[side]
-                    worker.stdin.write("turn\n")
-                    worker.stdin.flush()
-                    line = worker.stdout.readline()
-                    if not line:
-                        print(f"tree {side} replay worker died")
-                        return 1
-                    turn = json.loads(line)
-                    turns[side].append(turn["seconds"])
-                    values.setdefault(side, turn["values"])
-        finally:
-            for worker in workers.values():
-                worker.stdin.close()
-                worker.wait()
+        turns = take_turns({side: [sys.executable, __file__, "--replay", tree, path]
+                            for side, tree in trees.items()}, args.reps, "replay worker")
+    if turns is None:
+        return 1
+    values = {side: turns[side][0]["values"] for side in trees}
+    seconds = {side: [turn["seconds"] for turn in turns[side]] for side in trees}
 
     calls = len(values["A"])
     differ = sum(a != b for a, b in zip(values["A"], values["B"]))
     print(f"{calls} core calls of {args.kind} n={args.n} base_case={args.base_case} "
           f"seeds {args.seeds[0]}..{args.seeds[-1]}, captured from tree A")
     for side, tree in trees.items():
-        runs = ", ".join(f"{s:.4f}" for s in turns[side])
-        print(f"tree {side} ({tree}): best {min(turns[side]):.4f} s of {args.reps} ({runs})")
-    print(f"B/A best: {min(turns['B']) / min(turns['A']):.3f}")
+        runs = ", ".join(f"{s:.4f}" for s in seconds[side])
+        print(f"tree {side} ({tree}): best {min(seconds[side]):.4f} s of {args.reps} ({runs})")
+    print(f"B/A best: {min(seconds['B']) / min(seconds['A']):.3f}")
     print(f"values differ on {differ} of {calls} calls")
     return 1 if differ or len(values["B"]) != calls else 0
 

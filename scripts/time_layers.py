@@ -30,10 +30,10 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import subprocess
 import sys
-from pathlib import Path
 from time import perf_counter
+
+from two_trees import import_tree, seed_range, take_turns
 
 CAP_MAX = 10 ** 6
 NAMES = (
@@ -48,16 +48,6 @@ NAMES = (
     "limited_max_flow",
     "MsmsEngine._settle_pseudoflow",
 )
-
-
-def import_tree(tree):
-    """planarflow from tree/src, and nowhere else."""
-    src = (Path(tree) / "src").resolve()
-    sys.path.insert(0, str(src))
-    import planarflow
-    if not Path(planarflow.__file__).resolve().is_relative_to(src):
-        sys.exit(f"imported planarflow from {planarflow.__file__}, not {src}")
-    return planarflow
 
 
 def wrap(owner, attr, seconds, calls, name):
@@ -116,18 +106,6 @@ def serve(tree, kind, n, audit, base_case, seeds):
                           "absent": absent, "values": values}), flush=True)
 
 
-def seed_range(text):
-    lo, sep, hi = text.partition("..")
-    try:
-        lo = int(lo)
-        hi = int(hi) if sep else lo
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seeds must read S..T, got {text!r}") from None
-    if hi < lo:
-        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
-    return list(range(lo, hi + 1))
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("tree_a", nargs="?")
@@ -152,25 +130,10 @@ def main(argv=None):
     command = [sys.executable, __file__, "--kind", args.kind, "--n", str(args.n),
                "--audit", args.audit, "--base-case", str(args.base_case),
                "--seeds", f"{args.seeds[0]}..{args.seeds[-1]}"]
-    workers = {side: subprocess.Popen(command + ["--serve", tree], stdin=subprocess.PIPE,
-                                      stdout=subprocess.PIPE, text=True)
-               for side, tree in trees.items()}
-    turns = {"A": [], "B": []}
-    try:
-        for rep in range(args.reps):
-            for side in ("AB" if rep % 2 == 0 else "BA"):
-                worker = workers[side]
-                worker.stdin.write("turn\n")
-                worker.stdin.flush()
-                line = worker.stdout.readline()
-                if not line:
-                    print(f"tree {side} worker died")
-                    return 1
-                turns[side].append(json.loads(line))
-    finally:
-        for worker in workers.values():
-            worker.stdin.close()
-            worker.wait()
+    turns = take_turns({side: command + ["--serve", tree] for side, tree in trees.items()},
+                       args.reps, "worker")
+    if turns is None:
+        return 1
 
     print(f"{args.kind} n={args.n} audit={args.audit} base_case={args.base_case} "
           f"seeds {args.seeds[0]}..{args.seeds[-1]}, best of {args.reps} turns, "

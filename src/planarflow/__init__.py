@@ -13,9 +13,10 @@ from .flow import (
 from .generate import generate
 from .graph import PlanarGraph, TerminalSets, build_graph
 from .instance import InstanceFile, parse_instance, serialize_instance
+from .oracle import oracle_max_flow
 from .separator import BOUNDARY_CONSTANT, Piece, Separator, find_cycle_separator, split_into_pieces
-from .solvers import limited_max_flow, msss_max_flow, oracle_max_flow, ssms_max_flow
-from .surgery import attach_apex, detach_terminal_from_cycle, triangulate_and_biconnect
+from .solvers import terminal_set_flow
+from .surgery import detach_terminal_from_cycle, triangulate_and_biconnect
 
 __all__ = [
     "BOUNDARY_CONSTANT",
@@ -28,7 +29,6 @@ __all__ = [
     "PlanarGraph",
     "Separator",
     "TerminalSets",
-    "attach_apex",
     "build_graph",
     "decompose_acyclic",
     "detach_terminal_from_cycle",
@@ -37,14 +37,12 @@ __all__ = [
     "generate",
     "inflow",
     "is_feasible",
-    "limited_max_flow",
     "msms_max_flow",
-    "msss_max_flow",
     "oracle_max_flow",
     "parse_instance",
     "residual_reachable",
     "serialize_instance",
     "split_into_pieces",
-    "ssms_max_flow",
+    "terminal_set_flow",
     "triangulate_and_biconnect",
 ]

@@ -18,8 +18,8 @@ from .config import EngineConfig, with_overrides
 from .engine import MsmsEngine
 from .errors import InvariantFailure
 from .generate import generate
+from .oracle import oracle_max_flow
 from .separator import BOUNDARY_CONSTANT
-from .solvers import oracle_max_flow
 
 BALANCE_CONSTANT = (1.0 / 3.0) ** 1.5 + (2.0 / 3.0) ** 1.5
 

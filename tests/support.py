@@ -8,22 +8,16 @@ is still unreachable.
 
 import random
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
-from planarflow import separator, solvers, surgery
+from planarflow import oracle, separator, surgery
 from planarflow.flow import FlowStore, decompose_acyclic
 from planarflow.errors import EmbeddingInvalid, NonPlanarEmbedding, ParallelArcOrLoop
 from planarflow.graph import NO_KEY, PlanarGraph, dart_heads, walk_faces
-from planarflow.solvers import (
-    ResidualNet,
-    graph_arcs,
-    limited_max_flow,
-    msss_max_flow,
-    oracle_max_flow,
-    solve_msms_residual,
-    ssms_max_flow,
-)
+from planarflow.oracle import oracle_max_flow
+from planarflow.solvers import graph_arcs, terminal_set_flow
 
 
 def random_digraph(rng, n, density=0.5, cap_max=9):
@@ -104,7 +98,10 @@ def keyed(store, arcs):
 
 def residual_net(n, keyed_arcs, store):
     """The residual net of (tail, head, cap, key) arcs under the store."""
-    return ResidualNet(n, ((t, h, key) for (t, h, _, key) in keyed_arcs), store)
+    return graph_arcs(SimpleNamespace(n=n, tails=[t for (t, _, _, _) in keyed_arcs],
+                                      heads=[h for (_, h, _, _) in keyed_arcs],
+                                      keys=[key for (_, _, _, key) in keyed_arcs]),
+                      store)
 
 
 def apex_arcs(store, apex, boundary, inf):
@@ -118,12 +115,12 @@ def apex_arcs(store, apex, boundary, inf):
 
 def dinic_push(store, net, sources, sinks):
     """A terminal-set flow through the oracle's blocking-flow core,
-    solvers._dinic, on the store's residual pairs over the net, the last
+    oracle._dinic, on the store's residual pairs over the net, the last
     one built on it: writes the store like a subroutine and returns
     (value, deltas), the flow changes by key (flow_deltas)."""
     before = store.vals
-    value, _ = solvers._dinic(net.adj, store.head, store.res, sorted(sources),
-                              sorted(sinks))
+    value, _ = oracle._dinic(net.adj, store.head, store.res, sorted(sources),
+                             sorted(sinks))
     return value, flow_deltas(before, store)
 
 
@@ -167,7 +164,7 @@ def check_pushes_against_apex(n, arcs, flows, sources, sinks, boundary):
 
     store, net = seeded(flows)
     ka = [(t, h, c, key) for key, (t, h, c) in enumerate(arcs)]   # store's keys
-    into = msss_max_flow(store, net, sources, boundary)
+    into = terminal_set_flow(store, net, sources, boundary)
     assert into[0] == ref_into[0]
     vals = store.vals
     assert all(0 <= vals[key] <= c for (_, _, c, key) in ka)
@@ -180,7 +177,7 @@ def check_pushes_against_apex(n, arcs, flows, sources, sinks, boundary):
     assert not (reach(n, ka, store, sources) & set(boundary))
 
     ref, ref_net = seeded(store.vals, apex=True)
-    out = ssms_max_flow(store, net, boundary, sinks)
+    out = terminal_set_flow(store, net, boundary, sinks)
     assert out[0] == dinic_push(ref, ref_net, [n], sinks)[0]
     assert not (reach(n, ka, store, boundary) & set(sinks))
     return list(store.vals)
@@ -217,7 +214,7 @@ def scramble_flow(n, arcs_keyed, store, rng, rounds=2):
         srcs, snks = set(nodes[:a]), set(nodes[a:a + b])
         if not srcs or not snks:
             continue
-        solve_msms_residual(store, residual_net(n, arcs_keyed, store), srcs, snks)
+        terminal_set_flow(store, residual_net(n, arcs_keyed, store), srcs, snks)
 
 
 def source_push_trial(rng):
@@ -249,7 +246,7 @@ def source_push_trial(rng):
 
     sink_pool = [v for v in range(n) if v not in push_sources]
     push_sinks = set(rng.sample(sink_pool, rng.randint(1, max(1, len(sink_pool) // 2))))
-    solve_msms_residual(store, residual_net(n, ka, store), push_sources, push_sinks)
+    terminal_set_flow(store, residual_net(n, ka, store), push_sources, push_sinks)
     return not (reach(n, ka, store, observers) & protected)
 
 
@@ -298,17 +295,17 @@ def fuzz_sequence(pool, rng, ops_lo=2, ops_hi=4):
         if choice == 0:
             srcs = set(rng.sample(sources, rng.randint(1, len(sources))))
             t = rng.choice(sinks)
-            msss_max_flow(store, net, srcs, {t})
+            terminal_set_flow(store, net, srcs, {t})
         elif choice == 1:
             s = rng.choice(sources)
             snks = set(rng.sample(sinks, rng.randint(1, len(sinks))))
-            ssms_max_flow(store, net, {s}, snks)
+            terminal_set_flow(store, net, {s}, snks)
         elif choice == 2:
             s = rng.choice(sources)
             t = rng.choice(sinks)
-            limited_max_flow(store, net, [s], [t], rng.randint(0, 12))
+            terminal_set_flow(store, net, [s], [t], rng.randint(0, 12))
         else:
-            solve_msms_residual(store, net, set(sources), set(sinks))
+            terminal_set_flow(store, net, set(sources), set(sinks))
         check_invariants()
 
     from planarflow.flow import is_feasible
@@ -344,7 +341,7 @@ def sink_push_trial(rng):
     source_pool = [v for v in range(n) if v not in push_sinks]
     push_sources = set(rng.sample(source_pool,
                                   rng.randint(1, max(1, len(source_pool) // 2))))
-    solve_msms_residual(store, residual_net(n, ka, store), push_sources, push_sinks)
+    terminal_set_flow(store, residual_net(n, ka, store), push_sources, push_sinks)
     return not (reach(n, ka, store, observers) & protected)
 
 
@@ -445,8 +442,8 @@ def piece_pushes(store, piece, sub_sources, sub_sinks):
     then those into its sinks.  Both write the store; returns their
     values."""
     net = graph_arcs(piece.graph, store)
-    value_in, _ = msss_max_flow(store, net, sub_sources, piece.boundary_local)
-    value_out, _ = ssms_max_flow(store, net, piece.boundary_local, sub_sinks)
+    value_in, _ = terminal_set_flow(store, net, sub_sources, piece.boundary_local)
+    value_out, _ = terminal_set_flow(store, net, piece.boundary_local, sub_sinks)
     return value_in, value_out
 
 

@@ -15,7 +15,7 @@ from planarflow.config import EngineConfig
 from planarflow.engine import MsmsEngine
 from planarflow.generate import MIN_NODES, generate
 from planarflow.separator import BOUNDARY_CONSTANT, find_cycle_separator
-from planarflow.solvers import oracle_max_flow
+from planarflow.oracle import oracle_max_flow
 from planarflow.surgery import triangulate_and_biconnect
 
 DEPTH_SLACK = 4          # pinned headroom over ceil(log_{3/2} n)

@@ -1,8 +1,12 @@
+import ast
 import random
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import planarflow
 from planarflow import engine, separator, solvers, surgery
 from planarflow.config import EngineConfig
 from planarflow.engine import MsmsEngine, msms_max_flow
@@ -16,7 +20,8 @@ from planarflow.graph import (
     is_triangulated_biconnected,
     walk_faces,
 )
-from planarflow.solvers import graph_arcs, oracle_max_flow
+from planarflow.oracle import oracle_max_flow
+from planarflow.solvers import graph_arcs
 from support import (
     check_pushes_against_apex,
     piece_pushes,
@@ -384,6 +389,22 @@ def test_terminal_ids_outside_the_graph_are_rejected(base_case):
         msms_max_flow(g, {-2, -1, 0}, {50, 51, 52, 53}, cfg)
 
 
+@pytest.mark.parametrize("base_case", [10 ** 9, 8], ids=["direct", "recursive"])
+def test_terminal_ids_that_are_not_ints_are_rejected(base_case):
+    """1.0 and True equal node 1 but are not node ids; ids of mixed types,
+    unhashable ones too, are listed ints first, sorted, then the rest in
+    repr order, before any overlap between the sets is looked for."""
+    g, _ = generate("tri", 50, 1).build()
+    cfg = EngineConfig(base_case=base_case, audit="full")
+    for sources, sinks, listed in (({1.0}, {3}, "[1.0]"), ({0}, {True}, "[True]"),
+                                   ({"3"}, {99}, "[99, '3']"),
+                                   ({0, 2.5, 60}, {4, "x", -1}, "[-1, 60, 'x', 2.5]"),
+                                   ([[1], "3"], ["3", 2], "['3', [1]]")):
+        with pytest.raises(ValueError, match=r"outside the graph's nodes 0\.\.49: "
+                                             + re.escape(listed) + "$"):
+            msms_max_flow(g, sources, sinks, cfg)
+
+
 def test_walk_audit_is_exact_on_random_residual_states():
     """The engine's shared-search walk audit fails exactly on the states
     where separate searches find a broken predicate, and names one of
@@ -574,7 +595,6 @@ def test_the_four_solver_names_are_one_terminal_set_flow():
     """The engine calls one terminal-set flow under four names, so each
     name takes a limit and rejects a negative one and overlapping sets."""
     for name in SOLVER_NAMES:
-        assert getattr(solvers, name) is solvers.terminal_set_flow
         assert getattr(engine, name) is solvers.terminal_set_flow
     g = build_graph(3, [(0, 1, 5), (1, 2, 4)], [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
@@ -590,6 +610,53 @@ def test_the_four_solver_names_are_one_terminal_set_flow():
     assert (value, store.vals) == (3, (3, 3))
     value, _ = flow(store, net, [0], [2])
     assert (value, store.vals) == (1, (4, 4))
+
+
+BENCHMARK_NAMES = SOLVER_NAMES + ("attach_apex",)
+ORACLE_FREE = ("engine.py", "solvers.py", "flow.py", "graph.py", "separator.py",
+               "surgery.py")
+
+
+def _imports(path):
+    """Every module, and every name of a module, that a source file
+    imports, dotted; a relative import keeps its leading dots."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            sep = "" if base.endswith(".") else "."
+            out.add(base)
+            out.update(base + sep + alias.name for alias in node.names)
+    return out
+
+
+def test_the_engine_imports_no_oracle_and_owns_the_benchmark_names():
+    """The engine's modules import nothing of the oracle, the oracle
+    imports no planarflow module, and the five names the benchmark wraps
+    are module-level bindings of engine.py alone."""
+    src = Path(engine.__file__).parent
+    for name in ORACLE_FREE:
+        assert not any(m == base or m.startswith(base + ".")
+                       for m in _imports(src / name)
+                       for base in (".oracle", "planarflow.oracle")), name
+    assert not any(m.startswith(".") or m.split(".")[0] == "planarflow"
+                   for m in _imports(src / "oracle.py"))
+    for path in sorted(src.glob("*.py")):
+        defined = set()
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        if path.name == "engine.py":
+            assert defined.issuperset(BENCHMARK_NAMES)
+        else:
+            assert defined.isdisjoint(BENCHMARK_NAMES), path.name
+    assert not any(hasattr(planarflow, name) for name in BENCHMARK_NAMES)
+    assert engine.msss_max_flow is solvers.terminal_set_flow
+    assert engine.attach_apex(None, (3, 1)) == [3, 1]
 
 
 @pytest.mark.parametrize("audit", ["none", "full"])

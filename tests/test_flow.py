@@ -17,7 +17,7 @@ from planarflow.flow import (
 from planarflow.generate import generate
 from planarflow.graph import NO_KEY, build_graph
 from planarflow.separator import find_cycle_separator, split_into_pieces
-from planarflow.solvers import graph_arcs, solve_msms_residual
+from planarflow.solvers import graph_arcs, terminal_set_flow
 from planarflow.surgery import detach_terminal_from_cycle, triangulate_and_biconnect
 from support import decompose_flow, reference_residual_reachable, set_flows
 
@@ -183,7 +183,7 @@ def test_no_residual_source_sink_path_after_max_flow():
     arcs = [(0, 1, 2), (0, 2, 3), (1, 3, 2), (2, 3, 1)]
     g = build_graph(4, arcs, [[1, 2], [3, 0], [0, 3], [1, 2]])
     store = FlowStore.for_graph(g)
-    value, _ = solve_msms_residual(store, graph_arcs(g, store), {0}, {3})
+    value, _ = terminal_set_flow(store, graph_arcs(g, store), {0}, {3})
     assert value == 3
     assert 3 not in residual_reachable(g, store, {0})
     assert is_feasible(g, store, {0}, {3})
@@ -268,7 +268,7 @@ def test_solver_pushes_preserve_invariants(n, seed, rounds):
         nodes = list(range(g.n))
         rng.shuffle(nodes)
         cut = rng.randint(1, g.n - 1)
-        solve_msms_residual(
+        terminal_set_flow(
             store, graph_arcs(g, store), set(nodes[:cut]), set(nodes[cut:]))
         assert is_pseudoflow(g, store)
 
@@ -279,7 +279,7 @@ def test_decomposition_parts_sum_to_flow(n, seed):
 
     g, ts = generate("tri", n, seed).build()
     store = FlowStore.for_graph(g)
-    solve_msms_residual(store, graph_arcs(g, store), ts.sources, ts.sinks)
+    terminal_set_flow(store, graph_arcs(g, store), ts.sources, ts.sinks)
     before = store.vals
     circ, order = decompose_flow(g, store)
     assert store.vals == before

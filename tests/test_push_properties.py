@@ -36,12 +36,12 @@ def test_circulation_crosses_no_cut():
         inst = generate("tri", rng.randint(4, 16), rng.randrange(10_000))
         g, ts = inst.build()
         store = FlowStore.for_graph(g)
-        from planarflow.solvers import graph_arcs, solve_msms_residual
+        from planarflow.solvers import graph_arcs, terminal_set_flow
         for _ in range(3):
             nodes = list(range(g.n))
             rng.shuffle(nodes)
             cut = rng.randint(1, g.n - 1)
-            solve_msms_residual(
+            terminal_set_flow(
                 store, graph_arcs(g, store), set(nodes[:cut]), set(nodes[cut:]))
         circ, _ = decompose_flow(g, store)
         probe = FlowStore.for_graph(g)

@@ -24,17 +24,8 @@ from planarflow.flow import (
 )
 from planarflow.generate import generate
 from planarflow.graph import build_graph
-from planarflow.solvers import (
-    _search_trees,
-    graph_arcs,
-    input_net,
-    limited_max_flow,
-    msss_max_flow,
-    oracle_max_flow,
-    solve_msms_residual,
-    ssms_max_flow,
-    terminal_set_flow,
-)
+from planarflow.oracle import oracle_max_flow
+from planarflow.solvers import _search_trees, graph_arcs, input_net, terminal_set_flow
 
 
 def fan_into_sink():
@@ -55,7 +46,7 @@ def random_digraph(rng, n, density=0.45, cap_max=9):
 
 def test_msss_two_sources():
     g, store = fan_into_sink()
-    value, _ = msss_max_flow(store, graph_arcs(g, store), {0, 1}, {2})
+    value, _ = terminal_set_flow(store, graph_arcs(g, store), {0, 1}, {2})
     assert value == 2
     assert flow_value(g, store, {2}) == 2
 
@@ -64,7 +55,7 @@ def test_msss_unreachable_sink_is_zero():
     arcs = [(2, 0, 5), (2, 1, 5)]
     g = build_graph(3, arcs, [[2], [2], [0, 1]])
     store = FlowStore.for_graph(g)
-    value, darts = msss_max_flow(store, graph_arcs(g, store), {0, 1}, {2})
+    value, darts = terminal_set_flow(store, graph_arcs(g, store), {0, 1}, {2})
     assert value == 0 and darts == []
 
 
@@ -79,7 +70,7 @@ def test_msss_leaves_no_residual_path_to_sink():
         sink = rng.choice([v for v in range(n) if v not in sources])
         store = FlowStore()
         keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
-        value, _ = msss_max_flow(store, residual_net(n, keyed, store), sources, {sink})
+        value, _ = terminal_set_flow(store, residual_net(n, keyed, store), sources, {sink})
         oracle = oracle_max_flow(n, arcs, sources, {sink})
         assert value == oracle.value
         # no residual source-to-sink path: sink not reachable
@@ -111,7 +102,7 @@ def test_ssms_single_sink_matches_plain_max_flow():
     arcs = [(0, 1, 2), (1, 2, 3)]
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
-    value, _ = ssms_max_flow(store, graph_arcs(g, store), {0}, {2})
+    value, _ = terminal_set_flow(store, graph_arcs(g, store), {0}, {2})
     assert value == 2
     assert is_feasible(g, store, {0}, {2})
 
@@ -120,7 +111,7 @@ def test_ssms_source_with_no_outgoing_capacity_is_zero():
     arcs = [(1, 0, 4), (1, 2, 4)]
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
-    value, darts = ssms_max_flow(store, graph_arcs(g, store), {0}, {2})
+    value, darts = terminal_set_flow(store, graph_arcs(g, store), {0}, {2})
     assert value == 0 and darts == []
 
 
@@ -135,7 +126,7 @@ def test_ssms_matches_oracle_and_leaves_a_maximal_feasible_flow():
         source = rng.choice([v for v in range(n) if v not in sinks])
         store = FlowStore()
         keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
-        value, _ = ssms_max_flow(store, residual_net(n, keyed, store), {source}, sinks)
+        value, _ = terminal_set_flow(store, residual_net(n, keyed, store), {source}, sinks)
         assert value == oracle_max_flow(n, arcs, {source}, sinks).value
         # the returned assignment is a feasible source-to-sinks flow
         net_in = {}
@@ -158,7 +149,7 @@ def test_limited_flow_respects_delta():
     g = build_graph(2, arcs, [[1], [0]])
     for delta, expect in [(3, 3), (10, 5), (0, 0)]:
         store = FlowStore.for_graph(g)
-        value, _ = limited_max_flow(store, graph_arcs(g, store), [0], [1], delta)
+        value, _ = terminal_set_flow(store, graph_arcs(g, store), [0], [1], delta)
         assert value == expect
         assert store.vals[0] == expect
 
@@ -188,7 +179,7 @@ def test_limited_flow_rejects_negative_delta():
     g = build_graph(2, arcs, [[1], [0]])
     store = FlowStore.for_graph(g)
     with pytest.raises(ValueError):
-        limited_max_flow(store, graph_arcs(g, store), [0], [1], -1)
+        terminal_set_flow(store, graph_arcs(g, store), [0], [1], -1)
 
 
 
@@ -197,7 +188,7 @@ def test_limited_flow_rejects_overlapping_sets():
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
     with pytest.raises(ValueError):
-        limited_max_flow(store, graph_arcs(g, store), [0, 1], [1, 2], 3)
+        terminal_set_flow(store, graph_arcs(g, store), [0, 1], [1, 2], 3)
 
 
 def test_msss_paths_stop_at_the_first_sink():
@@ -206,10 +197,10 @@ def test_msss_paths_stop_at_the_first_sink():
     g = build_graph(3, arcs, [[1], [0, 2], [1]])
     store = FlowStore.for_graph(g)
     net = graph_arcs(g, store)
-    value, _ = msss_max_flow(store, net, [0], {1, 2})
+    value, _ = terminal_set_flow(store, net, [0], {1, 2})
     assert value == 2
     assert store.vals == (2, 0)
-    assert msss_max_flow(store, net, [0], {1, 2}) == (0, [])
+    assert terminal_set_flow(store, net, [0], {1, 2}) == (0, [])
 
 
 def test_limited_flow_into_a_set_matches_linked_chain():
@@ -232,10 +223,10 @@ def test_limited_flow_into_a_set_matches_linked_chain():
             net = residual_net(n, keyed, store)
             delta = rng.randint(0, 15)
             if forward:
-                value, _ = limited_max_flow(store, net, [s], chain, delta)
+                value, _ = terminal_set_flow(store, net, [s], chain, delta)
                 oracle = oracle_max_flow(n, linked, {s}, {chain[0]}).value
             else:
-                value, _ = limited_max_flow(store, net, chain, [s], delta)
+                value, _ = terminal_set_flow(store, net, chain, [s], delta)
                 oracle = oracle_max_flow(n, linked, {chain[0]}, {s}).value
             assert value == min(delta, oracle)
             if value < delta:
@@ -255,7 +246,7 @@ def test_limited_flow_maximality_when_short():
         store = FlowStore()
         keyed = [(tl, h, c, store.new_key(c)) for (tl, h, c) in arcs]
         delta = rng.randint(0, 12)
-        value, _ = limited_max_flow(store, residual_net(n, keyed, store), [s], [t], delta)
+        value, _ = terminal_set_flow(store, residual_net(n, keyed, store), [s], [t], delta)
         true_max = oracle_max_flow(n, arcs, {s}, {t}).value
         assert value == min(delta, true_max)
         if value < delta:
@@ -329,13 +320,13 @@ def test_oracle_cut_certificate_on_random_instances():
 
         # the apex is node n, joined by keyed arcs above any cut
         inf = 1 + sum(c for (_, _, c) in arcs)
-        assert value(solve_msms_residual, sources, sinks) == cut
-        assert value(msss_max_flow, sources, sinks) == cut
-        assert value(ssms_max_flow, sources, sinks) == cut
-        assert value(msss_max_flow, sources, {n}, apex_to=sinks) == cut
-        assert value(ssms_max_flow, {n}, sinks, apex_to=sources) == cut
+        assert value(terminal_set_flow, sources, sinks) == cut
+        assert value(terminal_set_flow, sources, sinks) == cut
+        assert value(terminal_set_flow, sources, sinks) == cut
+        assert value(terminal_set_flow, sources, {n}, apex_to=sinks) == cut
+        assert value(terminal_set_flow, {n}, sinks, apex_to=sources) == cut
         delta = rng.randint(0, 2 * cut + 1)
-        assert value(limited_max_flow, sources, sinks, delta) == min(delta, cut)
+        assert value(terminal_set_flow, sources, sinks, delta) == min(delta, cut)
 
 
 def _assert_pseudoflow_of_value(store, keyed, before, sources, sinks, value):
@@ -359,25 +350,25 @@ def _assert_pseudoflow_of_value(store, keyed, before, sources, sinks, value):
 
 
 def _check_against_edmonds_karp(rng, n, arcs, flows, sources, sinks):
-    """All four subroutines on the residual net of arcs under flows (the
-    source and sink pushes with one terminal and with whole sets, and
-    limits that stop a run part way), and the oracle on the raw arcs,
-    against edmonds_karp."""
+    """terminal_set_flow in the shapes of the engine's four call sites on
+    the residual net of arcs under flows (the source and sink pushes with
+    one terminal and with whole sets, and limits that stop a run part
+    way), and the oracle on the raw arcs, against edmonds_karp."""
     residual = [arc for (t, h, c), f in zip(arcs, flows)
                 for arc in ((t, h, c - f), (h, t, f))]
     want = edmonds_karp(n, residual, sources, sinks)
     runs = [
-        (solve_msms_residual, (sources, sinks), sources, sinks, want),
-        (msss_max_flow, (sources, sinks[:1]), sources, sinks[:1],
+        (terminal_set_flow, (sources, sinks), sources, sinks, want),
+        (terminal_set_flow, (sources, sinks[:1]), sources, sinks[:1],
          edmonds_karp(n, residual, sources, sinks[:1])),
-        (ssms_max_flow, (sources[:1], sinks), sources[:1], sinks,
+        (terminal_set_flow, (sources[:1], sinks), sources[:1], sinks,
          edmonds_karp(n, residual, sources[:1], sinks)),
-        (msss_max_flow, (sources, sinks), sources, sinks, want),
-        (ssms_max_flow, (sources, sinks), sources, sinks, want),
+        (terminal_set_flow, (sources, sinks), sources, sinks, want),
+        (terminal_set_flow, (sources, sinks), sources, sinks, want),
     ]
     for delta in sorted({0, want // 2, max(want - 1, 0), want, want + 1,
                          rng.randint(0, 2 * want + 1)}):
-        runs.append((limited_max_flow, (sources, sinks, delta), sources,
+        runs.append((terminal_set_flow, (sources, sinks, delta), sources,
                      sinks, min(delta, want)))
     for solver, terminals, srcs, snks, expect in runs:
         store = FlowStore()
@@ -625,7 +616,7 @@ def test_direct_solve_leaves_the_input_rotation_as_it_was(kind, monkeypatch):
 
 
 def test_limited_flow_meets_every_limit_on_random_digraphs():
-    """limited_max_flow at every limit from 0 to the max flow + 1, on a
+    """terminal_set_flow at every limit from 0 to the max flow + 1, on a
     fresh net each time: the value is min(limit, max flow), the flow's
     change is a pseudoflow of that value, and a run short of its limit leaves no
     residual path from the sources to the sinks.  Half the trials start
@@ -649,7 +640,7 @@ def test_limited_flow_meets_every_limit_on_random_digraphs():
             keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
             store.apply([(key, f) for (_, _, _, key), f in zip(keyed, flows) if f])
             before = store.vals
-            value, _ = limited_max_flow(store, residual_net(n, keyed, store),
+            value, _ = terminal_set_flow(store, residual_net(n, keyed, store),
                                         sources, sinks, limit)
             assert value == min(limit, want)
             _assert_pseudoflow_of_value(store, keyed, before, sources, sinks, value)
@@ -667,12 +658,12 @@ def test_solver_runs_are_deterministic():
     arcs = random_digraph(rng, n)
     boundary = [2, 5, 9]
     calls = [
-        (msss_max_flow, ([0, 1], [6])),
-        (ssms_max_flow, ([0], [6, 7])),
-        (limited_max_flow, ([0, 1], [6, 7], 5)),
-        (solve_msms_residual, ([0, 1], [6, 7])),
-        (msss_max_flow, ([0, 1], boundary)),
-        (ssms_max_flow, (boundary, [6, 7])),
+        (terminal_set_flow, ([0, 1], [6])),
+        (terminal_set_flow, ([0], [6, 7])),
+        (terminal_set_flow, ([0, 1], [6, 7], 5)),
+        (terminal_set_flow, ([0, 1], [6, 7])),
+        (terminal_set_flow, ([0, 1], boundary)),
+        (terminal_set_flow, (boundary, [6, 7])),
     ]
 
     def run(solver, terminals):
@@ -691,7 +682,8 @@ def test_solver_runs_are_deterministic():
 
 
 def _random_call(rng, store, net, n):
-    """One msss, ssms, limited or leaf call on net with random terminals;
+    """One terminal_set_flow call on net in the shape of a source push,
+    a sink push, a walk step or a leaf solve, with random terminals;
     the pushes take one terminal or a whole set on their set side."""
     nodes = list(range(n))
     rng.shuffle(nodes)
@@ -699,12 +691,12 @@ def _random_call(rng, store, net, n):
     srcs, snks = nodes[:cut], nodes[cut:]
     choice = rng.randrange(4)
     if choice == 0:
-        return msss_max_flow(store, net, srcs, snks if rng.random() < 0.5 else snks[:1])
+        return terminal_set_flow(store, net, srcs, snks if rng.random() < 0.5 else snks[:1])
     if choice == 1:
-        return ssms_max_flow(store, net, srcs if rng.random() < 0.5 else srcs[:1], snks)
+        return terminal_set_flow(store, net, srcs if rng.random() < 0.5 else srcs[:1], snks)
     if choice == 2:
-        return limited_max_flow(store, net, srcs, snks, rng.randint(0, 12))
-    return solve_msms_residual(store, net, srcs, snks)
+        return terminal_set_flow(store, net, srcs, snks, rng.randint(0, 12))
+    return terminal_set_flow(store, net, srcs, snks)
 
 
 def test_one_net_stays_current_across_calls():
@@ -751,8 +743,8 @@ def test_apex_pushes_on_one_net_match_two_fresh_nets():
             fresh.new_key(c)
 
         def apex_pushes(store, net_for):
-            into = msss_max_flow(store, net_for(store), sources, boundary)
-            out = ssms_max_flow(store, net_for(store), boundary, sinks)
+            into = terminal_set_flow(store, net_for(store), sources, boundary)
+            out = terminal_set_flow(store, net_for(store), boundary, sinks)
             return into, out
 
         net = residual_net(n, keyed, shared)

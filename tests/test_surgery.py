@@ -6,22 +6,14 @@ import pytest
 
 from planarflow import separator, surgery
 from planarflow.config import EngineConfig
-from planarflow.engine import msms_max_flow
+from planarflow.engine import attach_apex, msms_max_flow
 from planarflow.errors import FaceNotIncident
 from planarflow.flow import FlowStore
 from planarflow.generate import generate
 from planarflow.graph import NO_KEY, build_graph, is_triangulated_biconnected
-from planarflow.solvers import (
-    graph_arcs,
-    msss_max_flow,
-    oracle_max_flow,
-    ssms_max_flow,
-)
-from planarflow.surgery import (
-    attach_apex,
-    detach_terminal_from_cycle,
-    triangulate_and_biconnect,
-)
+from planarflow.oracle import oracle_max_flow
+from planarflow.solvers import graph_arcs, terminal_set_flow
+from planarflow.surgery import detach_terminal_from_cycle, triangulate_and_biconnect
 from support import (
     generic_triangulate,
     oracle_value_for_graph,
@@ -273,14 +265,14 @@ def check_apex_against_oracle(boundary):
         store = FlowStore.for_graph(g)      # each push starts from zero flow
         if v in boundary:
             with pytest.raises(ValueError):
-                msss_max_flow(store, graph_arcs(g, store), {v}, terminals)
+                terminal_set_flow(store, graph_arcs(g, store), {v}, terminals)
             with pytest.raises(ValueError):
-                ssms_max_flow(store, graph_arcs(g, store), terminals, {v})
+                terminal_set_flow(store, graph_arcs(g, store), terminals, {v})
             continue
-        value, _ = msss_max_flow(store, graph_arcs(g, store), {v}, terminals)
+        value, _ = terminal_set_flow(store, graph_arcs(g, store), {v}, terminals)
         assert value == oracle_max_flow(g.n + 1, written_out, {v}, {apex}).value > 0
         store = FlowStore.for_graph(g)
-        value, _ = ssms_max_flow(store, graph_arcs(g, store), terminals, {v})
+        value, _ = terminal_set_flow(store, graph_arcs(g, store), terminals, {v})
         assert value == oracle_max_flow(g.n + 1, written_out, {apex}, {v}).value > 0
 
 

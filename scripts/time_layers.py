@@ -16,13 +16,15 @@ would tilt the comparison of the layers around it.
 
 One turn builds the instances generate(kind, n, seed, cap_max=10**6) for
 every seed in S..T (both ends included), untimed, then solves each with
-MsmsEngine(...).run() under the given audit level and base case, the
-garbage collector off.  The trees take turns, A first on even turns and
-B first on odd ones.  The report gives, per layer and tree, the best
-total over the R turns and the calls in one turn, and the ratio of the
-bests; "solve" is the engine's construction plus run().  A name a tree
-does not have is reported absent there.  The exit status is 1 if any
-solve's value differs between the trees, else 0.
+MsmsEngine(...).run() under the given audit level and base case, each
+after a gc.collect().  The script leaves the garbage collector on, so a
+tree whose run() pauses it is timed with the pause, and one that does
+not is timed with the collector's passes.  The trees take turns, A
+first on even turns and B first on odd ones.  The report gives, per
+layer and tree, the best total over the R turns and the calls in one
+turn, and the ratio of the bests; "solve" is the engine's construction
+plus run().  A name a tree does not have is reported absent there.  The
+exit status is 1 if any solve's value differs between the trees, else 0.
 """
 
 from __future__ import annotations
@@ -95,11 +97,9 @@ def serve(tree, kind, n, audit, base_case, seeds):
         solve_s, values = 0.0, []
         for g, ts in built:
             gc.collect()
-            gc.disable()
             start = perf_counter()
             res = planarflow.MsmsEngine(g, ts.sources, ts.sinks, cfg).run()
             solve_s += perf_counter() - start
-            gc.enable()
             values.append(res.value)
         print(json.dumps({"seconds": {"solve": solve_s, **seconds},
                           "calls": {"solve": len(built), **calls},

@@ -11,10 +11,18 @@ onto the terminals.  The settle works on the level's change only: the
 arcs whose flow moved since the level built its net, when the pieces'
 flows conserved.  It cancels the change's cycles, then moves each
 imbalance back along the acyclic rest in the topological order the
-cancelling DFS returns.  All flow lives in one global store, a residual
-pair per arc, which every subroutine reads and writes in place.  A split
-level's pushes and walk share one net of its graph over the store, and
-every flow among them is one subroutine, solvers.terminal_set_flow.
+cancelling DFS returns, on lists indexed by level node.  All flow lives
+in one global store, a residual pair per arc, which every subroutine
+reads and writes in place.  A split level's pushes and walk share one
+net of its graph over the store, and every flow among them is one
+subroutine, solvers.terminal_set_flow.
+
+run() pauses the cyclic garbage collector for the solve, its audits and
+the flow value, and turns it back on afterwards if it was on.  The
+recursion builds no reference cycles: what each level allocates is freed
+by reference counting, and a collector pass over it would reclaim
+nothing.  Other threads of the caller get no cyclic collection during
+the call.
 
 The input is triangulated once, at the root; every piece inherits its
 triangulation and its faces from the split (see separator.py).  A
@@ -36,6 +44,7 @@ depth, the phase, the piece or walk step, and up to five offending nodes
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from math import sqrt
 
@@ -156,13 +165,21 @@ class MsmsEngine:
         if self._ran:
             raise RuntimeError("MsmsEngine.run() may be called only once")
         self._ran = True
-        self._solve(self.root, self.sources, self.sinks, 0)
-        if self.cfg.audit != "none":
-            self._check_feasible(self.root, self.sources, self.sinks,
-                                 "final flow is not feasible on the input graph")
-            reach = residual_reachable(self.root, self.store, self.sources)
-            self._check_unreached(reach, self.sinks, "final flow", "source reaches a sink")
-        value = flow_value(self.root, self.store, self.sinks)
+        # no cycles to collect: see the module docstring
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self._solve(self.root, self.sources, self.sinks, 0)
+            if self.cfg.audit != "none":
+                self._check_feasible(self.root, self.sources, self.sinks,
+                                     "final flow is not feasible on the input graph")
+                reach = residual_reachable(self.root, self.store, self.sources)
+                self._check_unreached(reach, self.sinks, "final flow",
+                                      "source reaches a sink")
+            value = flow_value(self.root, self.store, self.sinks)
+        finally:
+            if collecting:
+                gc.enable()
         flows = self.store.res[1:2 * self.root.m:2]
         return MsmsResult(value, flows, self.stats, self.audits)
 
@@ -375,7 +392,8 @@ class MsmsEngine:
         flow between the snapshot's and the current one is within the
         capacities.  The change is keyed by store dart, read against the
         net's heads, and what is taken off it is written back through
-        store.apply, which checks every flow."""
+        store.apply, which checks every flow.  Ranks, dart lists and
+        balances are lists indexed by level node."""
         store = self.store
         head, res = store.head, store.res
         amounts = {}
@@ -390,10 +408,16 @@ class MsmsEngine:
         for d, x in circulation.items():
             amounts[d] -= x
 
-        rank = {v: i for i, v in enumerate(order)}
-        pos_out = {v: [] for v in order}
-        pos_in = {v: [] for v in order}
-        balance = dict.fromkeys(order, 0)
+        # per level node; a dart list only for the change's nodes
+        n = len(net.adj)
+        rank = [0] * n
+        pos_out = [None] * n
+        pos_in = [None] * n
+        balance = [0] * n
+        for i, v in enumerate(order):
+            rank[v] = i
+            pos_out[v] = []
+            pos_in[v] = []
         for d, x in amounts.items():
             if not x:
                 continue

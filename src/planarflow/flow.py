@@ -162,23 +162,33 @@ def decompose_acyclic(head, amounts):
     only lower amounts; so every dart still positive after the
     cancellation runs forward in order, which makes it a topological
     order of them.
+
+    The DFS runs on lists: the ends are numbered by first appearance (a
+    dart's tail before its head), and the set's darts by their position
+    in amounts.
     """
-    remaining = {d: x for d, x in amounts.items() if x > 0}
-    out_darts = {}
-    for d in amounts:
-        out_darts.setdefault(head[d ^ 1], [])
-        out_darts.setdefault(head[d], [])
-    for d in remaining:
-        out_darts[head[d ^ 1]].append(d)
+    local = {}
+    number = local.setdefault
+    darts = list(amounts)
+    tail, tip = [], []
+    for d in darts:
+        tail.append(number(head[d ^ 1], len(local)))
+        tip.append(number(head[d], len(local)))
+    nodes = list(local)
+    remaining = list(amounts.values())
+    out_darts = [[] for _ in nodes]
+    for j, x in enumerate(remaining):
+        if x > 0:
+            out_darts[tail[j]].append(j)
 
     circulation = {}
 
     # Iterative DFS over darts with remaining positive amount; when a node
     # on the current path is revisited we found a cycle and cancel it.
-    state = dict.fromkeys(out_darts, 0)  # 0 unvisited, 1 on stack, 2 done
-    ptr = dict.fromkeys(out_darts, 0)
+    state = bytearray(len(nodes))  # 0 unvisited, 1 on stack, 2 done
+    ptr = [0] * len(nodes)
     finished = []
-    for root in out_darts:
+    for root in range(len(nodes)):
         if state[root] != 0:
             continue
         stack = [root]
@@ -186,25 +196,26 @@ def decompose_acyclic(head, amounts):
         state[root] = 1
         while stack:
             v = stack[-1]
-            darts = out_darts[v]
+            out = out_darts[v]
             advanced = False
-            while ptr[v] < len(darts):
-                d = darts[ptr[v]]
-                if remaining[d] <= 0:
+            while ptr[v] < len(out):
+                j = out[ptr[v]]
+                if remaining[j] <= 0:
                     ptr[v] += 1
                     continue
-                w = head[d]
+                w = tip[j]
                 if state[w] == 1:
                     # cancel the cycle closing at w
-                    cycle = [d]
-                    for pd in reversed(path):
-                        cycle.append(pd)
-                        if head[pd ^ 1] == w:
+                    cycle = [j]
+                    for pj in reversed(path):
+                        cycle.append(pj)
+                        if tail[pj] == w:
                             break
                     delta = min(remaining[c] for c in cycle)
                     for c in cycle:
                         remaining[c] -= delta
-                        circulation[c] = circulation.get(c, 0) + delta
+                        d = darts[c]
+                        circulation[d] = circulation.get(d, 0) + delta
                     # unwind the stack to w so exhausted darts get re-scanned
                     while stack[-1] != w:
                         state[stack.pop()] = 0
@@ -213,12 +224,12 @@ def decompose_acyclic(head, amounts):
                     break
                 if state[w] == 0:
                     stack.append(w)
-                    path.append(d)
+                    path.append(j)
                     state[w] = 1
                     advanced = True
                     break
                 ptr[v] += 1
-            if not advanced and (not stack or stack[-1] == v):
+            if not advanced:
                 state[v] = 2
                 finished.append(v)
                 ptr[v] = 0
@@ -227,4 +238,4 @@ def decompose_acyclic(head, amounts):
                     path.pop()
 
     finished.reverse()
-    return circulation, finished
+    return circulation, [nodes[i] for i in finished]

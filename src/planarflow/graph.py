@@ -290,7 +290,10 @@ class TerminalSets:
     def __post_init__(self):
         overlap = self.sources & self.sinks
         if overlap:
-            raise TerminalOverlap(f"nodes {sorted(overlap)} are both sources and sinks")
+            # ints sorted, then the other ids, which may not compare, by repr
+            ids = [str(v) for v in sorted(v for v in overlap if type(v) is int)]
+            ids += sorted(repr(v) for v in overlap if type(v) is not int)
+            raise TerminalOverlap(f"nodes [{', '.join(ids)}] are both sources and sinks")
 
 
 def build_graph(n, arcs, rotations, labels=None) -> PlanarGraph:

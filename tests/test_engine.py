@@ -1,4 +1,5 @@
 import ast
+import gc
 import random
 import re
 from pathlib import Path
@@ -717,3 +718,62 @@ def test_a_settle_that_would_leave_an_arc_outside_its_capacity_raises(monkeypatc
     with pytest.raises(CapacityViolation, match=r"^key 0: flow 4\+-9 outside \[0, 9\]$"):
         settle(eng, g, {0}, {2})
     assert eng.store.vals == (4, 4)
+
+
+# run() pauses the cyclic collector: the recursion must leave no garbage
+# cycles for it, and the caller's collector state must come back
+_PAUSE_CASES = [
+    (n, audit, base_case)
+    for n, audits in ((20, ("none", "final", "full")), (300, ("none", "final", "full")),
+                      (1600, ("none", "final")))
+    for audit in audits
+    for base_case in (3, 32, 10 ** 9)
+]
+
+
+@pytest.mark.parametrize("kind", ["grid", "tri"])
+@pytest.mark.parametrize("n, audit, base_case", _PAUSE_CASES)
+def test_a_solve_leaves_no_garbage_cycles(kind, n, audit, base_case):
+    g, ts = generate(kind, n, 1).build()
+    records = []
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        res = MsmsEngine(g, ts.sources, ts.sinks,
+                         EngineConfig(base_case=base_case, audit=audit),
+                         trace=records.append).run()
+        found = gc.collect()
+    finally:
+        if was:
+            gc.enable()
+    assert found == 0
+    assert records and res.value == oracle_value(g, ts.sources, ts.sinks)
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collecting(request):
+    """The collector's state at entry to run(), restored afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_run_leaves_the_collector_as_it_found_it(collecting):
+    g, ts = generate("tri", 120, 5).build()
+    res = msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(base_case=16))
+    assert "split" in {rec.kind for rec in res.stats.levels}
+    assert gc.isenabled() is collecting
+
+
+def test_run_leaves_the_collector_as_it_found_it_when_it_raises(monkeypatch, collecting):
+    """As in the settle's CapacityViolation test, the cancelled circulation
+    is larger than the change; with no order to drain it along, the first
+    split level's settle raises."""
+    g, ts = generate("tri", 120, 5).build()
+    monkeypatch.setattr(engine, "decompose_acyclic",
+                        lambda head, amounts: ({d: 10 ** 12 for d in amounts}, []))
+    with pytest.raises(SettlementStuck, match="still contain a cycle"):
+        msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(base_case=16))
+    assert gc.isenabled() is collecting

@@ -333,6 +333,14 @@ def test_terminal_sets_reject_overlap():
         TerminalSets(frozenset({1, 2}), frozenset({2, 3}))
 
 
+def test_terminal_sets_name_an_overlap_of_ids_that_do_not_compare():
+    """Ints sorted, then the other ids by repr, as the engine lists bad ids."""
+    with pytest.raises(TerminalOverlap, match=r"^nodes \[1, 3, 'a'\] are both"):
+        TerminalSets(frozenset({'a', 1, 3}), frozenset({3, 'a', 1}))
+    with pytest.raises(TerminalOverlap, match=r"^nodes \[1, 'a'\] are both"):
+        TerminalSets(frozenset({'a', 1}), frozenset({'a', 1}))
+
+
 def test_terminal_sets_ok():
     ts = TerminalSets(frozenset({0}), frozenset({5}))
     assert 0 in ts.sources and 5 in ts.sinks

@@ -310,23 +310,21 @@ def test_oracle_cut_certificate_on_random_instances():
                 assert net_in.get(v, 0) == 0
         assert sum(net_in.get(t, 0) for t in sinks) == res.value
 
-        def value(solver, *terminals, apex_to=()):
+        def value(*terminals, apex_to=()):
             store = FlowStore()
             keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
             if apex_to:
                 keyed += apex_arcs(store, n, apex_to, inf)
             net = residual_net(n + 1 if apex_to else n, keyed, store)
-            return solver(store, net, *terminals)[0]
+            return terminal_set_flow(store, net, *terminals)[0]
 
         # the apex is node n, joined by keyed arcs above any cut
         inf = 1 + sum(c for (_, _, c) in arcs)
-        assert value(terminal_set_flow, sources, sinks) == cut
-        assert value(terminal_set_flow, sources, sinks) == cut
-        assert value(terminal_set_flow, sources, sinks) == cut
-        assert value(terminal_set_flow, sources, {n}, apex_to=sinks) == cut
-        assert value(terminal_set_flow, {n}, sinks, apex_to=sources) == cut
+        assert value(sources, sinks) == cut
+        assert value(sources, {n}, apex_to=sinks) == cut
+        assert value({n}, sinks, apex_to=sources) == cut
         delta = rng.randint(0, 2 * cut + 1)
-        assert value(terminal_set_flow, sources, sinks, delta) == min(delta, cut)
+        assert value(sources, sinks, delta) == min(delta, cut)
 
 
 def _assert_pseudoflow_of_value(store, keyed, before, sources, sinks, value):
@@ -358,27 +356,22 @@ def _check_against_edmonds_karp(rng, n, arcs, flows, sources, sinks):
                 for arc in ((t, h, c - f), (h, t, f))]
     want = edmonds_karp(n, residual, sources, sinks)
     runs = [
-        (terminal_set_flow, (sources, sinks), sources, sinks, want),
-        (terminal_set_flow, (sources, sinks[:1]), sources, sinks[:1],
-         edmonds_karp(n, residual, sources, sinks[:1])),
-        (terminal_set_flow, (sources[:1], sinks), sources[:1], sinks,
-         edmonds_karp(n, residual, sources[:1], sinks)),
-        (terminal_set_flow, (sources, sinks), sources, sinks, want),
-        (terminal_set_flow, (sources, sinks), sources, sinks, want),
+        ((sources, sinks), want),
+        ((sources, sinks[:1]), edmonds_karp(n, residual, sources, sinks[:1])),
+        ((sources[:1], sinks), edmonds_karp(n, residual, sources[:1], sinks)),
     ]
     for delta in sorted({0, want // 2, max(want - 1, 0), want, want + 1,
                          rng.randint(0, 2 * want + 1)}):
-        runs.append((terminal_set_flow, (sources, sinks, delta), sources,
-                     sinks, min(delta, want)))
-    for solver, terminals, srcs, snks, expect in runs:
+        runs.append(((sources, sinks, delta), min(delta, want)))
+    for terminals, expect in runs:
         store = FlowStore()
         keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
         store.apply([(key, f) for (_, _, _, key), f in zip(keyed, flows) if f])
         net = residual_net(n, keyed, store)
         before = store.vals
-        value, _ = solver(store, net, *terminals)
-        assert value == expect, solver.__name__
-        _assert_pseudoflow_of_value(store, keyed, before, srcs, snks, value)
+        value, _ = terminal_set_flow(store, net, *terminals)
+        assert value == expect, terminals
+        _assert_pseudoflow_of_value(store, keyed, before, *terminals[:2], value)
 
     oracle = oracle_max_flow(n, arcs, sources, sinks)
     assert oracle.value == oracle.cut_capacity == edmonds_karp(n, arcs, sources, sinks)
@@ -649,54 +642,52 @@ def test_limited_flow_meets_every_limit_on_random_digraphs():
 
 
 def test_solver_runs_are_deterministic():
-    """Two runs of each subroutine on fresh stores and nets, the second
-    given its terminal sets in reverse order, return equal values and
-    darts and leave equal flows; two oracle runs return equal values and
-    flows."""
+    """Two terminal_set_flow runs of each call shape on fresh stores and
+    nets, the second given its terminal sets in reverse order, return
+    equal values and darts and leave equal flows; two oracle runs return
+    equal values and flows."""
     rng = random.Random(5)
     n = 12
     arcs = random_digraph(rng, n)
     boundary = [2, 5, 9]
     calls = [
-        (terminal_set_flow, ([0, 1], [6])),
-        (terminal_set_flow, ([0], [6, 7])),
-        (terminal_set_flow, ([0, 1], [6, 7], 5)),
-        (terminal_set_flow, ([0, 1], [6, 7])),
-        (terminal_set_flow, ([0, 1], boundary)),
-        (terminal_set_flow, (boundary, [6, 7])),
+        ([0, 1], [6]),
+        ([0], [6, 7]),
+        ([0, 1], [6, 7], 5),
+        ([0, 1], [6, 7]),
+        ([0, 1], boundary),
+        (boundary, [6, 7]),
     ]
 
-    def run(solver, terminals):
+    def run(terminals):
         store = FlowStore()
         keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
-        return solver(store, residual_net(n, keyed, store), *terminals), store.vals
+        return terminal_set_flow(store, residual_net(n, keyed, store), *terminals), store.vals
 
-    for solver, terminals in calls:
-        first = run(solver, terminals)
+    for terminals in calls:
+        first = run(terminals)
         flipped = [x[::-1] if isinstance(x, list) else x for x in terminals]
         assert first[0][0] > 0 and first[0][1] and any(first[1])
-        assert run(solver, flipped) == first
+        assert run(flipped) == first
     one = oracle_max_flow(n, arcs, [0, 1], [6, 7])
     two = oracle_max_flow(n, arcs, [1, 0], [7, 6])
     assert one.value > 0 and (one.value, one.flows) == (two.value, two.flows)
 
 
 def _random_call(rng, store, net, n):
-    """One terminal_set_flow call on net in the shape of a source push,
-    a sink push, a walk step or a leaf solve, with random terminals;
-    the pushes take one terminal or a whole set on their set side."""
+    """One terminal_set_flow call on net with random terminals, in one of
+    its distinct shapes, each as likely: whole sets on both sides (a leaf
+    solve, or a push with its set side whole), one sink, one source (a
+    push with one terminal on its set side), or a limit (a walk step)."""
     nodes = list(range(n))
     rng.shuffle(nodes)
     cut = rng.randint(1, n - 1)
     srcs, snks = nodes[:cut], nodes[cut:]
     choice = rng.randrange(4)
-    if choice == 0:
-        return terminal_set_flow(store, net, srcs, snks if rng.random() < 0.5 else snks[:1])
-    if choice == 1:
-        return terminal_set_flow(store, net, srcs if rng.random() < 0.5 else srcs[:1], snks)
-    if choice == 2:
+    if choice == 3:
         return terminal_set_flow(store, net, srcs, snks, rng.randint(0, 12))
-    return terminal_set_flow(store, net, srcs, snks)
+    return terminal_set_flow(store, net, *[(srcs, snks), (srcs, snks[:1]),
+                                           (srcs[:1], snks)][choice])
 
 
 def test_one_net_stays_current_across_calls():

@@ -45,6 +45,7 @@ NAMES = (
     "MsmsEngine._audit_separated",
     "MsmsEngine._audit_redistribute_iteration",
     "residual_reachable",
+    "triangulate_and_biconnect",
     "find_cycle_separator",
     "split_into_pieces",
     "limited_max_flow",

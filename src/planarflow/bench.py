@@ -144,9 +144,11 @@ def report(rows) -> str:
             lines.append(f"# empirical scaling exponent for {kind} "
                          f"(log time vs log n): {exponent:.3f}")
     lines.append(f"# boundary size constant in use: c_sep = {BOUNDARY_CONSTANT}")
+    # a row's ratio is 0 when its solve had no split level
     worst = max((r.max_child_ratio for r in rows), default=0.0)
-    lines.append(f"# worst child/parent size ratio observed: {worst:.4f}"
-                 f" (bound per level: 2/3 + c_sep/sqrt(n))")
+    observed = (f"{worst:.4f} (bound per level: 2/3 + c_sep/sqrt(n))" if worst
+                else "none (no split level)")
+    lines.append(f"# worst child/parent size ratio observed: {observed}")
     lines.append(f"# recurrence balance constant (1/3)^1.5 + (2/3)^1.5 = "
                  f"{BALANCE_CONSTANT:.4f}")
     return "\n".join(lines) + "\n"

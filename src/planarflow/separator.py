@@ -17,8 +17,11 @@ lca(u, v), since every node strictly inside the cycle lies deeper.
 So the cycle has k = depth(u) + depth(v) - 2 * top + 1 nodes, and for a
 triangulation the strictly enclosed node count is (f - k) / 2 + 1.  The
 chosen cycle is read off by walking parent darts up to depth top.  One
-list of dart heads serves the BFS tree, the corner depths and that walk,
-and one face flood (_flood) builds the dual tree.
+list of dart heads serves the BFS tree, the corner depths and that walk.
+One flood over the faces builds the dual tree and, per face it pops,
+also sets the face's own top from its three corners' depths and records
+its dual parent, the face it was reached from; the candidate pass and
+the side pass read those parents.
 
 Sides come from the same dual tree (tree-cotree duality): cutting the
 chosen arc's dual edge splits it into the faces below that edge and the
@@ -153,17 +156,40 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
     # that does not strictly hold node 0.  Their corners are the cycle's
     # nodes and the nodes strictly inside, whose tree paths to node 0
     # must pass through a cycle node, so the least corner depth below a
-    # is the depth of the cycle's top node, lca(tail, head).
-    order, via = _flood(faces, face_of, face_of[g.rot[0][0]], in_tree)
-    head_depth = [depth[x] for x in head]
-    top = [min(head_depth[x], head_depth[y], head_depth[z]) for x, y, z in faces]
-    count = [1] * len(faces)
+    # is the depth of the cycle's top node, lca(tail, head).  One flood
+    # builds that tree: per face, its least corner depth top, the dart
+    # of its dual parent's walk it was entered by (via) and that parent
+    # (par).
+    nf = len(faces)
+    start = face_of[g.rot[0][0]]
+    via, par, top = [-1] * nf, [-1] * nf, [0] * nf
+    seen = bytearray(nf)
+    seen[start] = 1
+    order = [start]
+    for f in order:
+        x, y, z = walk = faces[f]
+        t, dy, dz = depth[head[x]], depth[head[y]], depth[head[z]]
+        if dy < t:
+            t = dy
+        if dz < t:
+            t = dz
+        top[f] = t
+        for d in walk:
+            if not in_tree[d >> 1]:
+                f2 = face_of[d ^ 1]
+                if not seen[f2]:
+                    seen[f2] = 1
+                    via[f2] = d
+                    par[f2] = f
+                    order.append(f2)
+    count = [1] * nf
     # the least (larger strict side, k, arc), compared field by field;
     # every candidate's larger side is below n
     best_big = best_k = best_a = n
     for f in order[:0:-1]:        # children before parents, the root left out
         d = via[f]
-        k = head_depth[d] + head_depth[d ^ 1] - 2 * top[f] + 1
+        t = top[f]
+        k = depth[head[d]] + depth[head[d ^ 1]] - 2 * t + 1
         c = count[f]
         if (c - k) % 2:
             raise AssertionError(
@@ -176,10 +202,10 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
         if big < best_big or big == best_big and (
                 k < best_k or k == best_k and d >> 1 < best_a):
             best_big, best_k, best_a, best_face = big, k, d >> 1, f
-        p = face_of[d]
+        p = par[f]
         count[p] += c
-        if top[f] < top[p]:
-            top[p] = top[f]
+        if t < top[p]:
+            top[p] = t
     a_star, top_depth = best_a, top[best_face]
 
     # tree paths from both ends of a_star up to the top node
@@ -198,10 +224,10 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
     # holds the face of every cycle dart's reverse, 2 * a_star among them.
     d = via[best_face]
     below = (d & 1) ^ 1       # best_face holds d ^ 1
-    side = [below ^ 1] * len(faces)
+    side = [below ^ 1] * nf
     side[best_face] = below
     for f in order[order.index(best_face) + 1:]:
-        if side[face_of[via[f]]] == below:
+        if side[par[f]] == below:
             side[f] = below
     _check_orientation(side, face_of, darts)
 
@@ -218,26 +244,6 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
             f"separator balance violated: {len(inside)}/{len(outside)} of {n}")
     return Separator(boundary, darts, frozenset(inside), frozenset(outside), n,
                      side)
-
-
-def _flood(faces, face_of, start, blocked):
-    """Breadth-first search of the faces from face start, crossing every
-    arc a with blocked[a] == 0.  Returns the faces reached, in search
-    order, and per face the dart of its search parent's walk it was
-    entered by (-1 for start and for the faces not reached)."""
-    via = [-1] * len(faces)
-    seen = bytearray(len(faces))
-    seen[start] = 1
-    order = [start]
-    for f in order:
-        for d in faces[f]:
-            if not blocked[d >> 1]:
-                f2 = face_of[d ^ 1]
-                if not seen[f2]:
-                    seen[f2] = 1
-                    via[f2] = d
-                    order.append(f2)
-    return order, via
 
 
 def _check_orientation(side, face_of, cycle_darts):

@@ -25,8 +25,6 @@ engine re-checks every piece under audit=full).
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import FaceNotIncident
 from .flow import FlowStore
 from .graph import NO_KEY, PlanarGraph
@@ -123,8 +121,12 @@ def _triangulate(ed: EmbeddingEditor, stack):
     the ear [dv, w[1], w[2]], and the rest [du] + w[3:] + [w[0]] is the
     walk the stack would pop next.  Only a blocked ear sends the rest to
     the candidate loop, so the chords and triangles come out exactly as
-    that loop alone makes them."""
-    heads, tails = ed.heads, ed.tails
+    that loop alone makes them.  The ear path reads the editor's arrays,
+    rotations and neighbour sets itself and splices each chord inline;
+    EmbeddingEditor.link stays the splice of the candidate loop and of
+    the generic loop the tests compare with."""
+    tails, heads, caps, keys = ed.tails, ed.heads, ed.caps, ed.keys
+    rot, nbrs = ed.rot, ed._nbrs
     done = []
     while stack:
         walk = stack.pop()
@@ -133,21 +135,41 @@ def _triangulate(ed: EmbeddingEditor, stack):
             continue
         nodes = [tails[d >> 1] if d & 1 else heads[d >> 1] for d in walk]
         if len(set(nodes)) == len(nodes):
-            rest = deque(walk)
-            while len(rest) > 3:
-                u, v = ed.dart_head(rest[0]), ed.dart_head(rest[2])
-                if ed.adjacent(u, v):
+            # walk[i:] is the rest and nodes[i:] its corners; an ear
+            # takes walk[i:i + 3], puts du in walk[i + 2] and walk[i] at
+            # the end, and moves i on by two
+            i = 0
+            while len(walk) - i > 3:
+                u, v = nodes[i], nodes[i + 2]
+                near = nbrs.get(u)
+                if near is None:
+                    near = nbrs[u] = {tails[d >> 1] if d & 1 else heads[d >> 1]
+                                      for d in rot[u]}
+                if v in near:
                     break
-                w0, w1, w2 = rest.popleft(), rest.popleft(), rest.popleft()
-                du, dv = ed.link(u, v, w0 ^ 1, w2 ^ 1)
-                done.append([dv, w1, w2])
-                rest.appendleft(du)
-                rest.append(w0)
-            walk = list(rest)
+                near.add(v)
+                if v in nbrs:
+                    nbrs[v].add(u)
+                du = 2 * len(tails)
+                dv = du + 1
+                tails.append(u)
+                heads.append(v)
+                caps.append(0)
+                keys.append(NO_KEY)
+                w0, w2 = walk[i], walk[i + 2]
+                r = rot[u]
+                r.insert(r.index(w0 ^ 1) + 1, du)
+                r = rot[v]
+                r.insert(r.index(w2 ^ 1) + 1, dv)
+                done.append([dv, walk[i + 1], w2])
+                walk[i + 2] = du
+                walk.append(w0)
+                nodes.append(u)
+                i += 2
+            walk, nodes = walk[i:], nodes[i:]
             if len(walk) <= 3:
                 done.append(walk)
                 continue
-            nodes = [tails[d >> 1] if d & 1 else heads[d >> 1] for d in walk]
         for s, t in _chord_candidates(nodes):
             if nodes[s] != nodes[t] and not ed.adjacent(nodes[s], nodes[t]):
                 _, w1, w2 = ed.add_chord(walk, s, t)

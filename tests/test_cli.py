@@ -142,6 +142,21 @@ def test_bench_report_format(capsys):
     assert f"{BALANCE_CONSTANT:.4f}" == "0.7368"
 
 
+def test_bench_footer_names_the_worst_child_ratio_or_no_split_level(capsys):
+    """n = 4 solves at the root, so no level splits and no ratio is seen;
+    n = 100 splits at least once."""
+    footer = "# worst child/parent size ratio observed: "
+    assert main(["bench", "--kinds", "grid", "--sizes", "4", "--repeats", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert footer + "none (no split level)" in lines
+    assert main(["bench", "--kinds", "grid", "--sizes", "100", "--repeats", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = [l for l in lines if l.startswith(footer)]
+    worst = max(float(row.split(",")[8]) for row in lines[1:] if row.startswith("grid,"))
+    assert 0 < worst < 1
+    assert line == footer + f"{worst:.4f} (bound per level: 2/3 + c_sep/sqrt(n))"
+
+
 def test_bench_fits_one_exponent_per_kind():
     """Two families with different slopes: each footer line is the fit of
     its own kind's rows, not of both together."""

@@ -145,6 +145,38 @@ def test_ear_path_matches_the_generic_loop_on_piece_holes(monkeypatch):
         assert same_embedding(fast, ref)
 
 
+def test_every_piece_of_recursive_solves_chords_as_the_generic_loop(monkeypatch):
+    """Every piece built in grid and tri solves at base_case 8: holes that
+    a boundary chord crosses (two corners joined off the hole) and faces
+    a detach grew (a terminal's corner visited twice) both occur."""
+    calls = []
+    real = separator.triangulated
+
+    def recording(tails, heads, caps, keys, rot, faces):
+        calls.append((list(tails), list(heads), list(caps), list(keys),
+                      [list(r) for r in rot], [list(f) for f in faces]))
+        return real(tails, heads, caps, keys, rot, faces)
+    monkeypatch.setattr(separator, "triangulated", recording)
+    for kind in ("grid", "tri"):
+        for seed in range(2):
+            g, ts = generate(kind, 400, seed).build()
+            msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(base_case=8))
+    chorded_holes = grown = 0
+    for tails, heads, caps, keys, rot, faces in calls:
+        def corner(d):
+            return tails[d >> 1] if d & 1 else heads[d >> 1]
+        hole = [corner(d) for d in faces[-1]]     # the split appends the hole last
+        on_hole = set(zip(hole, hole[1:] + hole[:1]))
+        chorded_holes += any(corner(d) in hole and (v, corner(d)) not in on_hole
+                             and (corner(d), v) not in on_hole
+                             for v in hole for d in rot[v])
+        grown += any(len({corner(d) for d in f}) < len(f) for f in faces)
+        fast, ref = triangulated_both_ways(tails, heads, caps, keys, rot, faces)
+        assert same_embedding(fast, ref)
+    assert len(calls) > 200
+    assert chorded_holes > 50 and grown > 50
+
+
 def polygon_with_outside_chord(k, a, b):
     """A k-cycle 0 -> 1 -> ... -> 0 on a circle, plus an arc a -> b drawn
     outside it, with rotations sorted by angle."""

@@ -23,8 +23,10 @@ not is timed with the collector's passes.  The trees take turns, A
 first on even turns and B first on odd ones.  The report gives, per
 layer and tree, the best total over the R turns and the calls in one
 turn, and the ratio of the bests; "solve" is the engine's construction
-plus run().  A name a tree does not have is reported absent there.  The
-exit status is 1 if any solve's value differs between the trees, else 0.
+plus run().  A name a tree does not have is reported absent there.  A
+last line gives the solve ratio B/A of each turn's pair as a median and
+a min-max over the turns, so one run shows its own spread.  The exit
+status is 1 if any solve's value differs between the trees, else 0.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import statistics
 import sys
 from time import perf_counter
 
@@ -159,6 +162,10 @@ def main(argv=None):
     values = {side: turns[side][0]["values"] for side in trees}
     differ = sum(a != b for a, b in zip(values["A"], values["B"]))
     print(f"values differ on {differ} of {len(args.seeds)} solves")
+    pairs = sorted(b["seconds"]["solve"] / a["seconds"]["solve"]
+                   for a, b in zip(turns["A"], turns["B"]))
+    print(f"solve B/A per turn: median {statistics.median(pairs):.3f}, "
+          f"min {pairs[0]:.3f}, max {pairs[-1]:.3f} over {len(pairs)} turns")
     return 1 if differ else 0
 
 

@@ -42,15 +42,16 @@ class BenchRow:
     seconds: float
     depth: int
     max_boundary: int
-    max_boundary_ratio: float
-    max_child_ratio: float
+    max_boundary_ratio: float | None    # None when no level split
+    max_child_ratio: float | None
     direct_seconds: float
 
     def csv(self) -> str:
+        ratios = ("" if r is None else f"{r:.4f}"
+                  for r in (self.max_boundary_ratio, self.max_child_ratio))
         return (f"{self.kind},{self.n},{self.seed},{self.value},"
                 f"{self.seconds:.6f},{self.depth},{self.max_boundary},"
-                f"{self.max_boundary_ratio:.4f},{self.max_child_ratio:.4f},"
-                f"{self.direct_seconds:.6f}")
+                f"{','.join(ratios)},{self.direct_seconds:.6f}")
 
 
 def _timed_solve(inst, config):
@@ -72,14 +73,12 @@ def run_one(kind, n, seed, cap_max=10 ** 6, config: EngineConfig | None = None,
     if direct.value != res.value:
         raise InvariantFailure(f"{kind} n={n} seed={seed}: recursive value "
                                f"{res.value} != direct value {direct.value}")
-    max_child_ratio = 0.0
-    for rec in res.stats.levels:
-        if rec.kind == "split":
-            for child in rec.child_sizes:
-                max_child_ratio = max(max_child_ratio, child / rec.n)
+    child_ratios = [child / rec.n for rec in res.stats.levels if rec.kind == "split"
+                    for child in rec.child_sizes]
     return BenchRow(kind, inst.num_nodes, seed, res.value, elapsed,
                     res.stats.max_depth, res.stats.max_boundary,
-                    res.stats.max_boundary_ratio, max_child_ratio, direct_elapsed)
+                    res.stats.max_boundary_ratio if child_ratios else None,
+                    max(child_ratios, default=None), direct_elapsed)
 
 
 @dataclass
@@ -144,8 +143,8 @@ def report(rows) -> str:
             lines.append(f"# empirical scaling exponent for {kind} "
                          f"(log time vs log n): {exponent:.3f}")
     lines.append(f"# boundary size constant in use: c_sep = {BOUNDARY_CONSTANT}")
-    # a row's ratio is 0 when its solve had no split level
-    worst = max((r.max_child_ratio for r in rows), default=0.0)
+    worst = max((r.max_child_ratio for r in rows if r.max_child_ratio is not None),
+                default=None)
     observed = (f"{worst:.4f} (bound per level: 2/3 + c_sep/sqrt(n))" if worst
                 else "none (no split level)")
     lines.append(f"# worst child/parent size ratio observed: {observed}")

@@ -138,9 +138,10 @@ class MsmsEngine:
 
     def __init__(self, graph: PlanarGraph, sources, sinks,
                  config: EngineConfig | None = None, trace=None):
-        # a node id is an int, not a bool or a float such as 1.0 that
-        # equals one; bad ints are listed sorted, then the other ids, which
-        # may not compare or hash, by repr
+        # one-shot iterables are read once, here; a node id is an int, not
+        # a bool or a float such as 1.0 that equals one; bad ints are listed
+        # sorted, then the other ids, which may not compare or hash, by repr
+        sources, sinks = list(sources), list(sinks)
         ids = (*sources, *sinks)
         bad = [str(v) for v in sorted({v for v in ids
                                        if type(v) is int and not 0 <= v < graph.n})]

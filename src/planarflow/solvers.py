@@ -276,7 +276,8 @@ def _search_trees(adj, head, res, sources, sinks, limit=None):
 
 def terminal_set_flow(store, net, sources, sinks, limit=None):
     """Flow from a source set to a disjoint sink set on the net, which
-    must be the last one built on the store; returns (value, darts).
+    must be the last one built on the store; returns (value, darts).  The
+    terminals may come in any iterables; each is read once.
 
     The value is the max flow's, or min(limit, max flow) under a limit.
     Whenever it falls short of the limit, no residual path from the
@@ -286,6 +287,7 @@ def terminal_set_flow(store, net, sources, sinks, limit=None):
     augmenting path used, and each such arc's flow must lie in [0, cap],
     else CapacityViolation.
     """
+    sources, sinks = sorted(sources), sorted(sinks)
     if limit is not None and limit < 0:
         raise ValueError("flow limit must be non-negative")
     if set(sources) & set(sinks):
@@ -293,8 +295,7 @@ def terminal_set_flow(store, net, sources, sinks, limit=None):
     if not sources or not sinks or limit == 0:
         return 0, []
     res, caps = store.res, store.caps
-    value, darts = _search_trees(net.adj, store.head, res, sorted(sources),
-                                 sorted(sinks), limit)
+    value, darts = _search_trees(net.adj, store.head, res, sources, sinks, limit)
     for d in darts:
         f = res[d | 1]
         if f < 0 or f > caps[d >> 1]:

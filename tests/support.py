@@ -392,25 +392,41 @@ def walk_violations(g, store, sources, sinks, boundary, i):
     return sorted(name for name, hit in failed.items() if hit)
 
 
-def generic_triangulate(ed, stack):
+def generic_triangulate(tails, heads, caps, keys, rot, stack):
     """The chording loop with no ear path, kept as the reference for
-    surgery._triangulate: every walk longer than three takes the first
-    addable chord from surgery._chord_candidates, and both halves go back
-    on the stack."""
-    heads, tails = ed.heads, ed.tails
+    surgery._triangulate, with which it shares no adjacency test and no
+    splice: every walk longer than three takes the first chord from
+    surgery._chord_candidates whose ends differ and whose tail's rotation
+    does not already reach its head, and both halves go back on the
+    stack."""
+    def head(d):
+        return tails[d >> 1] if d & 1 else heads[d >> 1]
+
     done = []
     while stack:
         walk = stack.pop()
         if len(walk) <= 3:
             done.append(walk)
             continue
-        nodes = [tails[d >> 1] if d & 1 else heads[d >> 1] for d in walk]
+        nodes = [head(d) for d in walk]
         for s, t in surgery._chord_candidates(nodes):
-            if nodes[s] != nodes[t] and not ed.adjacent(nodes[s], nodes[t]):
-                _, w1, w2 = ed.add_chord(walk, s, t)
-                stack.append(w1)
-                stack.append(w2)
-                break
+            u, v = nodes[s], nodes[t]
+            if u == v or v in [head(d) for d in rot[u]]:
+                continue
+            du, dv = 2 * len(tails), 2 * len(tails) + 1
+            tails.append(u)
+            heads.append(v)
+            caps.append(0)
+            keys.append(NO_KEY)
+            for x, after, d in ((u, walk[s] ^ 1, du), (v, walk[t] ^ 1, dv)):
+                j = rot[x].index(after) + 1
+                rot[x][j:j] = [d]
+            # the walk read from corner s on: corner t ends its first k darts
+            k = (t - s) % len(walk)
+            turned = walk[s + 1:] + walk[:s + 1]
+            stack.append([du] + turned[k:])
+            stack.append([dv] + turned[:k])
+            break
         else:
             raise AssertionError(f"face of length {len(walk)} has no addable chord")
     return done

@@ -157,6 +157,22 @@ def test_bench_footer_names_the_worst_child_ratio_or_no_split_level(capsys):
     assert line == footer + f"{worst:.4f} (bound per level: 2/3 + c_sep/sqrt(n))"
 
 
+def test_bench_row_leaves_the_ratios_empty_when_no_level_split(capsys):
+    """A row's max_boundary_ratio and max_child_ratio (fields 7 and 8)
+    are empty when its solve had no split level, as at n = 4, and numbers
+    when it had one, as at n = 100."""
+    assert main(["bench", "--kinds", "grid", "--sizes", "4", "--repeats", "1"]) == 0
+    (row,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("grid,")]
+    fields = row.split(",")
+    assert len(fields) == 10 and fields[7:9] == ["", ""]
+    assert float(fields[9]) > 0
+    assert main(["bench", "--kinds", "grid", "--sizes", "100", "--repeats", "1"]) == 0
+    (row,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("grid,")]
+    fields = row.split(",")
+    assert len(fields) == 10
+    assert float(fields[7]) > 0 and 0 < float(fields[8]) < 1
+
+
 def test_bench_fits_one_exponent_per_kind():
     """Two families with different slopes: each footer line is the fit of
     its own kind's rows, not of both together."""

@@ -406,6 +406,42 @@ def test_terminal_ids_that_are_not_ints_are_rejected(base_case):
             msms_max_flow(g, sources, sinks, cfg)
 
 
+ONE_SHOT = {"iterator": iter, "generator": lambda ids: (v for v in ids)}
+
+
+@pytest.mark.parametrize("base_case", [10 ** 9, 8], ids=["direct", "recursive"])
+@pytest.mark.parametrize("shape", ONE_SHOT)
+def test_terminals_may_arrive_as_one_shot_iterables(monkeypatch, base_case, shape):
+    """Both entry points read their terminals once: the engine given
+    iterators or generators solves as it does given lists, value and
+    arc_flows, and so does a solve whose every terminal_set_flow call
+    gets its terminals that way."""
+    one_shot = ONE_SHOT[shape]
+    cfg = EngineConfig(base_case=base_case, audit="full")
+    built = [generate(*case).build() for case in (("grid", 100, 1), ("tri", 200, 2))]
+
+    def solve(wrap):
+        return [(r.value, r.arc_flows) for r in (
+            msms_max_flow(g, wrap(sorted(ts.sources)), wrap(sorted(ts.sinks)), cfg)
+            for g, ts in built)]
+
+    want = solve(list)
+    assert want[0][0] == 29
+    assert solve(one_shot) == want
+
+    calls = []
+
+    def flow(store, net, sources, sinks, *limit):
+        calls.append(limit)
+        return solvers.terminal_set_flow(store, net, one_shot(sources), one_shot(sinks),
+                                         *limit)
+
+    for name in SOLVER_NAMES:
+        monkeypatch.setattr(engine, name, flow)
+    assert solve(list) == want
+    assert any(calls) == (base_case == 8)     # the walk's limited flows
+
+
 def test_walk_audit_is_exact_on_random_residual_states():
     """The engine's shared-search walk audit fails exactly on the states
     where separate searches find a broken predicate, and names one of

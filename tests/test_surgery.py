@@ -209,9 +209,9 @@ def test_blocked_ear_falls_back_to_the_candidate_loop(k, a, b):
 
     outs = []
     for chord in (surgery._triangulate, generic_triangulate):
-        ed = surgery.EmbeddingEditor(list(g.tails), list(g.heads), list(g.caps),
-                                     list(g.keys), [list(r) for r in g.rot])
-        outs.append((chord(ed, [list(walk)]), ed.tails, ed.heads, ed.rot))
+        tails, heads, rot = list(g.tails), list(g.heads), [list(r) for r in g.rot]
+        faces = chord(tails, heads, list(g.caps), list(g.keys), rot, [list(walk)])
+        outs.append((faces, tails, heads, rot))
     assert outs[0] == outs[1]
     faces, tails, heads, _ = outs[0]
     assert len(faces) == k - 2 and len(tails) == g.m + k - 3

@@ -7,11 +7,12 @@ TREE_A and TREE_B are source trees holding src/planarflow, for example a
 `git archive` of a parent commit and this checkout.  Each tree gets a
 subprocess of its own that imports planarflow only from its src/ and
 wraps the layers NAMES lists in wall-clock timers.  A name is a
-planarflow.engine global (residual_reachable) or a method of one
-(MsmsEngine._audit_separated, PlanarGraph.check_embedding), so it times
-the calls the engine makes through that name.  A layer's time is
-inclusive: everything inside its outermost call, the timers of the
-layers it calls included, so a name that only one tree calls often
+planarflow.engine global (residual_reachable, inflow, is_feasible) or a
+method of one (MsmsEngine._audit_separated, PlanarGraph.check_embedding),
+so it times the calls the engine makes through that name (inflow
+leaves out flow_value's calls, made inside planarflow.flow).  A layer's
+time is inclusive: everything inside its outermost call, the timers of
+the layers it calls included, so a name that only one tree calls often
 would tilt the comparison of the layers around it.
 
 One turn builds the instances generate(kind, n, seed, cap_max=10**6) for
@@ -48,6 +49,8 @@ NAMES = (
     "MsmsEngine._audit_separated",
     "MsmsEngine._audit_redistribute_iteration",
     "residual_reachable",
+    "inflow",
+    "is_feasible",
     "triangulate_and_biconnect",
     "find_cycle_separator",
     "split_into_pieces",

@@ -35,11 +35,16 @@ level's settlement and once more on the input graph, that the flow
 conserves and leaves no residual source-to-sink path.  "full" adds the
 reachability invariants the correctness argument relies on, after every
 leaf solve, piece recursion, boundary push and walk step (README, "Audits"),
-with one shared residual search per step (see _audit_separated), and
-checks every piece's faces and triangulation.  "none" trusts the
-algorithm.  `audits` counts the checks made; an AuditFailure names the
-depth, the phase, the piece or walk step, and up to five offending nodes
-(for a feasibility check, the non-terminals that do not conserve).
+with one shared residual search per step (see _audit_separated): its
+searches mark what each start class reaches in one seen array, and each
+check reads its targets' marks.  The walk audit reads the processed
+nodes' balances over the level graph's keyed adjacency, the searches'
+own.  "full" also checks every piece's faces and triangulation.  "none"
+trusts the algorithm.  `audits` counts the checks made; an AuditFailure
+names the depth, the phase, the piece or walk step, and up to five
+offending nodes (for a feasibility check, the keys of the arcs that break
+their capacity, or when none does, the non-terminals that do not
+conserve).
 """
 
 from __future__ import annotations
@@ -174,9 +179,8 @@ class MsmsEngine:
             if self.cfg.audit != "none":
                 self._check_feasible(self.root, self.sources, self.sinks,
                                      "final flow is not feasible on the input graph")
-                reach = residual_reachable(self.root, self.store, self.sources)
-                self._check_unreached(reach, self.sinks, "final flow",
-                                      "source reaches a sink")
+                self._check_sources_blocked(self.root, self.sources, self.sinks,
+                                            "final flow")
             value = flow_value(self.root, self.store, self.sinks)
         finally:
             if collecting:
@@ -192,23 +196,41 @@ class MsmsEngine:
             raise AuditFailure(message)
 
     def _check_feasible(self, g, sources, sinks, message):
-        """One audit: is_feasible.  A failure names up to five sorted
-        non-terminals whose net inflow is not zero."""
+        """One audit: is_feasible.  A failure names up to five sorted keys
+        of g's arcs whose flow lies outside [0, cap] or whose residual
+        pair does not sum to cap; when every arc is within its capacity,
+        up to five sorted non-terminals whose net inflow is not zero."""
         self.audits += 1
-        if is_feasible(g, self.store, sources, sinks):
+        store = self.store
+        if is_feasible(g, store, sources, sinks):
             return
+        res, caps = store.res, store.caps
+        keys = sorted({k for k in g.keys if k != NO_KEY and not (
+            0 <= res[2 * k + 1] <= caps[k] and res[2 * k] + res[2 * k + 1] == caps[k])})
+        if keys:
+            raise AuditFailure(f"{message} (keys {keys[:5]} break their capacity)")
         terminals = set(sources) | set(sinks)
-        acc = inflow_all(g, self.store)
+        acc = inflow_all(g, store)
         bad = [v for v in range(g.n) if acc[v] and v not in terminals][:5]
         raise AuditFailure(message + (f" (nodes {bad})" if bad else ""))
 
-    def _check_unreached(self, reach, targets, where, what):
-        """One audit: no node of targets is in the reached set.  A failure
-        names where it happened and up to five offending nodes, sorted."""
+    def _check_unreached(self, seen, marks, targets, where, what):
+        """One audit: no node of targets carries one of marks in seen, the
+        array that the step's residual searches marked.  A failure names
+        where it happened and up to five offending nodes, sorted."""
         self.audits += 1
-        hit = reach.intersection(targets)
-        if hit:
-            raise AuditFailure(f"{where}: {what} (nodes {sorted(hit)[:5]})")
+        for v in targets:
+            if seen[v] in marks:
+                hit = sorted({v for v in targets if seen[v] in marks})
+                raise AuditFailure(f"{where}: {what} (nodes {hit[:5]})")
+
+    def _check_sources_blocked(self, g, sources, sinks, where):
+        """One audit: within g, the sources reach no sink along residual
+        darts.  Returns the search's seen array, the reached nodes marked 1."""
+        seen = bytearray(g.n)
+        residual_reachable(g, self.store, sources, seen)
+        self._check_unreached(seen, (1,), sinks, where, "source reaches a sink")
+        return seen
 
     def _emit(self, record: dict):
         if self.trace is not None:
@@ -280,9 +302,8 @@ class MsmsEngine:
         value, _ = solve_msms_residual(self.store, net, sources, sinks)
         self._emit({"op": "solve_leaf", "depth": depth, "n": g.n, "value": value})
         if self.cfg.audit == "full":
-            reach = residual_reachable(g.graph if depth else g, self.store, sources)
-            self._check_unreached(reach, sinks, f"depth {depth} {kind} solve",
-                                  "source reaches a sink")
+            self._check_sources_blocked(g.graph if depth else g, sources, sinks,
+                                        f"depth {depth} {kind} solve")
 
     def _detach_boundary_terminals(self, gt, sep, sources, sinks):
         """Replace every terminal on the separator cycle with a fresh
@@ -483,19 +504,17 @@ class MsmsEngine:
         inside the piece."""
         if self.cfg.audit != "full":
             return
-        reach = residual_reachable(piece.graph, self.store, sub_sources)
-        self._check_unreached(reach, sub_sinks, f"depth {depth} piece {side} recursion",
-                              "source reaches a sink")
+        self._check_sources_blocked(piece.graph, sub_sources, sub_sinks,
+                                    f"depth {depth} piece {side} recursion")
 
     def _audit_piece_sources_blocked(self, piece, sub_sources, sub_sinks, side, depth):
         """After the source push: within the piece there is no residual
         path from the sources to the sinks, nor to the boundary."""
         if self.cfg.audit != "full":
             return
-        reach = residual_reachable(piece.graph, self.store, sub_sources)
         where = f"depth {depth} piece {side} source push"
-        self._check_unreached(reach, sub_sinks, where, "source reaches a sink")
-        self._check_unreached(reach, piece.boundary_local, where,
+        seen = self._check_sources_blocked(piece.graph, sub_sources, sub_sinks, where)
+        self._check_unreached(seen, (1,), piece.boundary_local, where,
                               "source reaches a boundary node")
 
     def _audit_separated(self, g, sources, sinks, boundary, where, walk=None):
@@ -507,37 +526,35 @@ class MsmsEngine:
         no drained one.
 
         One search through one seen array serves every start class, so no
-        node is visited twice.  Order rule: a class is searched before
-        every class it must not reach, so sources, then pos, then the
-        unprocessed nodes, then the rest of the boundary.  A search skips
-        what an earlier one reached, and that hides no violation once the
-        earlier checks pass: the sources' reach holds no boundary node and
-        no sink, and pos's holds no unprocessed and no drained node, so a
-        node reached earlier leads to no node a later check looks for.  A
-        run therefore fails at the same step as with one search per class;
-        when several invariants break at once, the message may name
-        another of them.
+        node is visited twice, and each class marks what it reaches with
+        its own mark: sources 1, pos 2, the unprocessed nodes 3, the rest
+        of the boundary 4.  A check reads its targets' marks.  Order rule:
+        a class is searched before every class it must not reach, so
+        sources, then pos, then the unprocessed nodes, then the rest of
+        the boundary.  A search skips what an earlier one reached, and
+        that hides no violation once the earlier checks pass: the sources'
+        reach holds no boundary node and no sink, and pos's holds no
+        unprocessed and no drained node, so a node reached earlier leads
+        to no node a later check looks for.  A run therefore fails at the
+        same step as with one search per class; when several invariants
+        break at once, the message may name another of them.
         """
         store = self.store
-        seen = bytearray(g.n)
-        reach = residual_reachable(g, store, sources, seen)
-        self._check_unreached(reach, sinks, where, "source reaches a sink")
-        self._check_unreached(reach, boundary, where, "source reaches a boundary node")
-        from_boundary = set()
+        seen = self._check_sources_blocked(g, sources, sinks, where)
+        self._check_unreached(seen, (1,), boundary, where, "source reaches a boundary node")
         if walk is not None:
             pos, unprocessed, neg = walk
-            from_boundary = residual_reachable(g, store, pos, seen)
-            self._check_unreached(from_boundary, unprocessed, where,
+            residual_reachable(g, store, pos, seen, 2)
+            self._check_unreached(seen, (2,), unprocessed, where,
                                   "overfull processed node reaches an unprocessed node")
             if pos and neg:
-                self._check_unreached(from_boundary, neg, where,
+                self._check_unreached(seen, (2,), neg, where,
                                       "overfull processed node reaches a drained one")
-            reach = residual_reachable(g, store, unprocessed, seen)
-            self._check_unreached(reach, neg, where,
+            residual_reachable(g, store, unprocessed, seen, 3)
+            self._check_unreached(seen, (3,), neg, where,
                                   "unprocessed node reaches a drained processed node")
-            from_boundary |= reach
-        from_boundary |= residual_reachable(g, store, boundary, seen)
-        self._check_unreached(from_boundary, sinks, where, "boundary node reaches a sink")
+        residual_reachable(g, store, boundary, seen, 4)
+        self._check_unreached(seen, (2, 3, 4), sinks, where, "boundary node reaches a sink")
 
     def _audit_piece_complete(self, piece, sub_sources, sub_sinks, side, depth):
         """After both pushes, within the piece."""
@@ -554,14 +571,25 @@ class MsmsEngine:
 
     def _audit_redistribute_iteration(self, gd, boundary, sources, sinks, i, depth):
         """The separation and the three walk invariants, after step i.
-        Step i < len(boundary) - 1, so the unprocessed suffix is never empty."""
+        Step i < len(boundary) - 1, so the unprocessed suffix is never empty.
+        Each processed node's balance is read afresh over gd's keyed
+        adjacency, which the step's searches use and which holds no chord."""
         if self.cfg.audit != "full":
             return
-        store = self.store
-        processed = boundary[: i + 1]
-        balance = [inflow(gd, store, p) for p in processed]
-        pos = [p for p, b in zip(processed, balance) if b > 0]
-        neg = [p for p, b in zip(processed, balance) if b < 0]
+        res = self.store.res
+        adj = gd.keyed_adjacency()
+        pos, neg = [], []
+        for p in boundary[: i + 1]:
+            balance = 0     # net inflow: the flow in over odd darts less the flow out
+            for d, _ in adj[p]:
+                if d & 1:
+                    balance += res[d]
+                else:
+                    balance -= res[d + 1]
+            if balance > 0:
+                pos.append(p)
+            elif balance < 0:
+                neg.append(p)
         self._audit_separated(gd, sources, sinks, boundary, f"depth {depth} walk step {i}",
                               (pos, boundary[i + 1:], neg))
 
@@ -570,9 +598,7 @@ class MsmsEngine:
             return
         self._check_feasible(gd, sources, sinks,
                              f"depth {depth} settlement: level flow does not conserve")
-        reach = residual_reachable(gd, self.store, sources)
-        self._check_unreached(reach, sinks, f"depth {depth} settlement",
-                              "source reaches a sink")
+        self._check_sources_blocked(gd, sources, sinks, f"depth {depth} settlement")
 
 
 def msms_max_flow(graph: PlanarGraph, sources, sinks,

@@ -3,9 +3,15 @@
 All flow values are exact integers.  The store keeps one residual pair
 per flow key (per arc), res[2k] = cap - flow and res[2k + 1] = flow, and
 every solver and reader works on those darts: they are the only flow state.
+
+residual_reachable lists the nodes it reaches and marks each in a seen
+array with the caller's mark, so searches from several start classes can
+share one array and a check can read which class, if any, reached a node.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 from .errors import CapacityViolation
 from .graph import NO_KEY, PlanarGraph
@@ -97,17 +103,21 @@ def is_pseudoflow(g: PlanarGraph, store: FlowStore) -> bool:
     """Every keyed arc's pair is whole and within its capacity:
     0 <= flow <= cap and the two residuals sum to cap."""
     res, caps = store.res, store.caps
-    return all(0 <= res[2 * k + 1] <= caps[k] and res[2 * k] + res[2 * k + 1] == caps[k]
-               for k in g.keys if k != NO_KEY)
+    for k in g.keys:
+        if k != NO_KEY:
+            f, c = res[2 * k + 1], caps[k]
+            if not 0 <= f <= c or res[2 * k] + f != c:
+                return False
+    return True
 
 
 def is_feasible(g: PlanarGraph, store: FlowStore, sources, sinks) -> bool:
-    """Pseudoflow that conserves at every node outside sources and sinks."""
+    """Pseudoflow that conserves at every node outside sources and sinks:
+    the nodes with a nonzero net inflow are all terminals."""
     if not is_pseudoflow(g, store):
         return False
-    acc = inflow_all(g, store)
     terminals = set(sources) | set(sinks)
-    return all(acc[v] == 0 for v in range(g.n) if v not in terminals)
+    return terminals.issuperset(compress(range(g.n), inflow_all(g, store)))
 
 
 def flow_value(g: PlanarGraph, store: FlowStore, sinks) -> int:
@@ -115,8 +125,11 @@ def flow_value(g: PlanarGraph, store: FlowStore, sinks) -> int:
     return sum(inflow(g, store, t) for t in sinks)
 
 
-def residual_reachable(g: PlanarGraph, store: FlowStore, start, seen=None) -> set:
-    """Nodes reachable from the start set along darts with positive residual.
+def residual_reachable(g: PlanarGraph, store: FlowStore, start, seen=None,
+                       mark=1) -> list:
+    """The nodes reachable from the start set along darts with positive
+    residual, as a list in reach order (breadth first, the start nodes
+    first).
 
     The search reads g.keyed_adjacency(), built on g's first search and
     kept: per node, the store darts of its keyed arcs, each with the
@@ -124,24 +137,26 @@ def residual_reachable(g: PlanarGraph, store: FlowStore, start, seen=None) -> se
     holds no flow, so the store may change between searches.
 
     With a caller's seen array (one byte per node of g), the search skips
-    the nodes already marked, marks the nodes it reaches and returns only
-    those: searches that share one array visit each node once between them.
+    the nodes already marked, marks each node it reaches with mark and
+    returns only those: searches that share one array visit each node
+    once between them, and the array tells afterwards which search, if
+    any, reached a node.
     """
     if seen is None:
         seen = bytearray(g.n)
     reached = []
     for v in start:
         if not seen[v]:
-            seen[v] = 1
+            seen[v] = mark
             reached.append(v)
     res = store.res
     adj = g.keyed_adjacency()
     for v in reached:       # grows while it is read: a breadth-first queue
         for d, w in adj[v]:
-            if res[d] > 0 and not seen[w]:
-                seen[w] = 1
+            if not seen[w] and res[d] > 0:      # most darts lead back to seen nodes
+                seen[w] = mark
                 reached.append(w)
-    return set(reached)
+    return reached
 
 
 def decompose_acyclic(head, amounts):

@@ -7,7 +7,8 @@ walked from it on first use, or given at construction by surgery that
 already knows them (a piece inherits its parent's faces).  walk_faces is
 the one routine that follows the rotation's face successors:
 check_embedding runs it once, over the given faces too, and rejects any
-that is not the face walk from its first dart.
+that is not the face walk from its first dart; a given triangle, the
+form of every piece's face, is accepted by three successor tests.
 
 Every arc owns two darts.  Dart ``2*a`` points with arc ``a`` and carries
 its capacity; dart ``2*a + 1`` points against it and carries capacity
@@ -41,7 +42,10 @@ def walk_faces(tails, heads, rot, given=None):
 
     The given walks come first, in their order: each is followed from its
     first dart, and the first one that is not the face walk starting there
-    raises EmbeddingInvalid.  The faces they leave out follow, each
+    raises EmbeddingInvalid.  A given triangle is accepted by three
+    successor tests, when its first dart is in range and unclaimed; any
+    other walk, and a triangle that fails them, is followed dart by dart,
+    which names what is wrong.  The faces they leave out follow, each
     starting at its lowest-index dart, in that order.  The successor of
     dart d is the dart after d ^ 1 in the clockwise rotation at the head
     of d.  A bare node, the one graph without darts that embeds, has one
@@ -52,6 +56,12 @@ def walk_faces(tails, heads, rot, given=None):
     face_of = [-1] * num_darts
     faces = [] if given is None else list(given)
     for f, walk in enumerate(faces):
+        if len(walk) == 3:      # a triangle: three successor tests
+            x, y, z = walk      # (x != y: a loop's one-dart face passes the three)
+            if (0 <= x < num_darts and face_of[x] < 0 and x != y
+                    and succ[x] == y and succ[y] == z and succ[z] == x):
+                face_of[x] = face_of[y] = face_of[z] = f
+                continue
         d0 = walk[0] if walk else -1
         if not 0 <= d0 < num_darts or face_of[d0] >= 0:
             raise EmbeddingInvalid(f"given face {f} {walk} is not a face walk")

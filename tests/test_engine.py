@@ -26,6 +26,7 @@ from planarflow.solvers import graph_arcs
 from support import (
     check_pushes_against_apex,
     piece_pushes,
+    reference_residual_reachable,
     reference_settle_pseudoflow,
     set_flows,
     walk_violations,
@@ -85,7 +86,7 @@ def test_final_flow_is_feasible_and_maximal():
     eng = MsmsEngine(g, ts.sources, ts.sinks, EngineConfig(audit="final"))
     res = eng.run()
     assert is_feasible(g, eng.store, ts.sources, ts.sinks)
-    assert not (residual_reachable(g, eng.store, ts.sources) & ts.sinks)
+    assert not (set(residual_reachable(g, eng.store, ts.sources)) & ts.sinks)
     assert res.value == oracle_value(g, ts.sources, ts.sinks)
 
 
@@ -379,6 +380,31 @@ def test_feasibility_audit_names_the_nodes_that_do_not_conserve(monkeypatch, aud
         msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(audit=audit, base_case=16))
 
 
+@pytest.mark.parametrize("audit", ["final", "full"])
+def test_feasibility_audit_names_the_keys_that_break_their_capacity(monkeypatch, audit):
+    """A flow that conserves but leaves one arc above its capacity, and
+    another with a residual pair that does not sum to it, both on arcs
+    between two terminals: the final check names both keys, sorted."""
+    g, ts = generate("grid", 30, 3).build()
+    terminals = ts.sources | ts.sinks
+    between = [a for a in range(g.m) if g.tails[a] in terminals and g.heads[a] in terminals]
+    assert len(between) == 2
+    real_solve = MsmsEngine._solve
+
+    def solve_then_break(self, level, sources, sinks, depth):
+        real_solve(self, level, sources, sinks, depth)
+        if depth == 0:
+            res, caps = self.store.res, self.store.caps
+            torn, over = between
+            res[2 * over + 1], res[2 * over] = caps[over] + 1, -1
+            res[2 * torn] += 1
+    monkeypatch.setattr(MsmsEngine, "_solve", solve_then_break)
+    with pytest.raises(AuditFailure) as err:
+        msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(audit=audit))
+    assert str(err.value) == ("final flow is not feasible on the input graph "
+                              f"(keys {sorted(between)} break their capacity)")
+
+
 @pytest.mark.parametrize("base_case", [10 ** 9, 8], ids=["direct", "recursive"])
 def test_terminal_ids_outside_the_graph_are_rejected(base_case):
     g, _ = generate("tri", 50, 1).build()
@@ -475,6 +501,60 @@ def test_walk_audit_is_exact_on_random_residual_states():
             assert eng.audits == 5 + ({1, -1} <= signs)
             outcomes.add("passes")
     assert outcomes == {"fails", "passes"}
+
+
+SEPARATION_CHECKS = ("source reaches a sink", "source reaches a boundary node",
+                     "boundary node reaches a sink")
+
+
+def separation_violations(g, store, sources, sinks, boundary):
+    """The no-walk separation predicates that fail, in the audit's order,
+    each with up to five sorted offending nodes, by separate searches."""
+    from_sources = reference_residual_reachable(g, store, sources)
+    from_boundary = reference_residual_reachable(g, store, boundary)
+    hits = (from_sources & set(sinks), from_sources & set(boundary),
+            from_boundary & set(sinks))
+    return [(what, sorted(hit)[:5]) for what, hit in zip(SEPARATION_CHECKS, hits) if hit]
+
+
+@pytest.mark.parametrize("form", ["apex pushes", "before the walk"])
+def test_separation_audit_is_exact_on_random_residual_states(form):
+    """The engine's one-array separation audit, in its two forms without a
+    walk, fails exactly where separate searches find a broken predicate,
+    names the first in check order with its nodes, and counts the checks
+    made up to it.  Each check is the first to fail somewhere."""
+    rng = random.Random(form)
+    outcomes = set()
+    for _ in range(600):
+        kind = rng.choice(["grid", "tri"])
+        g, _ = generate(kind, rng.randint(6, 40), rng.randrange(10 ** 6),
+                        cap_max=rng.choice((1, 2, 5))).build()
+        nodes = list(range(g.n))
+        rng.shuffle(nodes)
+        a, b = rng.randint(1, 2), rng.randint(1, 2)
+        k = rng.randint(1, min(8, g.n - a - b))
+        sources, sinks, boundary = set(nodes[:a]), set(nodes[a:a + b]), nodes[a + b:a + b + k]
+        eng = MsmsEngine(g, sources, sinks, EngineConfig(audit="full"))
+        set_flows(eng.store, [rng.randint(0, c) for c in eng.store.caps])
+        expected = separation_violations(g, eng.store, sources, sinks, boundary)
+        try:
+            if form == "apex pushes":
+                piece = SimpleNamespace(graph=g, boundary_local=boundary)
+                eng._audit_piece_complete(piece, sources, sinks, 1, 2)
+            else:
+                eng._audit_after_first_loop(g, sources, sinks, boundary, 2)
+        except AuditFailure as err:
+            what, hit = expected[0]
+            where = "depth 2 piece 1 apex pushes" if form == "apex pushes" \
+                else "depth 2 before the walk"
+            assert str(err) == f"{where}: {what} (nodes {hit})"
+            assert eng.audits == SEPARATION_CHECKS.index(what) + 1
+            outcomes.add(what)
+        else:
+            assert expected == []
+            assert eng.audits == 3
+            outcomes.add("passes")
+    assert outcomes == {*SEPARATION_CHECKS, "passes"}
 
 
 def cyclic_faces(walks):

@@ -117,10 +117,10 @@ def test_flow_value_two_sinks():
 
 def test_residual_reachability_before_and_after_saturation():
     g, store = single_arc(cap=4)
-    assert residual_reachable(g, store, {0}) == {0, 1}
+    assert set(residual_reachable(g, store, {0})) == {0, 1}
     store.apply([(0, 4)])
-    assert residual_reachable(g, store, {0}) == {0}
-    assert residual_reachable(g, store, {1}) == {0, 1}  # reverse dart now residual
+    assert set(residual_reachable(g, store, {0})) == {0}
+    assert set(residual_reachable(g, store, {1})) == {0, 1}  # reverse dart now residual
 
 
 def test_residual_searches_sharing_a_seen_array_visit_each_node_once():
@@ -129,12 +129,12 @@ def test_residual_searches_sharing_a_seen_array_visit_each_node_once():
     rng = random.Random(0)
     set_flows(store, [rng.randint(0, c) for c in store.caps])
     for a_start, b_start in [({2}, {9}), ({21}, {30}), ({2, 21}, {9, 30})]:
-        reach_a = residual_reachable(g, store, a_start)
-        reach_b = residual_reachable(g, store, b_start)
+        reach_a = set(residual_reachable(g, store, a_start))
+        reach_b = set(residual_reachable(g, store, b_start))
         assert reach_a & reach_b and reach_b - reach_a   # the searches overlap
         seen = bytearray(g.n)
-        assert residual_reachable(g, store, a_start, seen) == reach_a
-        assert residual_reachable(g, store, b_start, seen) == reach_b - reach_a
+        assert set(residual_reachable(g, store, a_start, seen)) == reach_a
+        assert set(residual_reachable(g, store, b_start, seen)) == reach_b - reach_a
         assert [v for v in range(g.n) if seen[v]] == sorted(reach_a | reach_b)
 
 
@@ -154,6 +154,47 @@ def audited_graphs(kind, n, seed):
     return [g, gt, gd] + pieces, store
 
 
+def residual_successors(h, store, u):
+    """The heads of u's darts with positive residual, over its rotation."""
+    res, keys = store.res, h.keys
+    out = set()
+    for d in h.rot[u]:
+        key = keys[d >> 1]
+        if key != NO_KEY and res[2 * key + (d & 1)] > 0:
+            out.add(h.dart_head(d))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["grid", "tri"])
+def test_residual_search_marks_only_its_own_nodes_and_lists_them_in_reach_order(kind):
+    """Searches that share a caller's seen array, each with its own mark:
+    a search leaves earlier marks alone, marks exactly the nodes it
+    returns, returns the reference's set, and lists its fresh start nodes
+    first, in start order, then every other node after the first listed
+    node with a residual dart to it, those nodes in breadth-first order."""
+    graphs, store = audited_graphs(kind, 120, 5)
+    rng = random.Random(kind)
+    for h in graphs:
+        for _ in range(3):
+            set_flows(store, [rng.randint(0, c) for c in store.caps])
+            seen, ref_seen = bytearray(h.n), bytearray(h.n)
+            for mark in (1, 2, 3, 4):
+                start = rng.sample(range(h.n), rng.randint(1, 4))
+                before = bytes(seen)
+                reached = residual_reachable(h, store, start, seen, mark)
+                assert set(reached) == reference_residual_reachable(h, store, start, ref_seen)
+                assert [v for v in range(h.n) if seen[v] == mark] == sorted(reached)
+                assert all(seen[v] == before[v] for v in range(h.n) if before[v])
+                fresh = [v for v in start if not before[v]]
+                assert reached[:len(fresh)] == fresh
+                position = {v: i for i, v in enumerate(reached)}
+                firsts = [min(position[u] for u in position
+                              if w in residual_successors(h, store, u))
+                          for w in reached[len(fresh):]]
+                assert all(i < len(fresh) + j for j, i in enumerate(firsts))
+                assert firsts == sorted(firsts)
+
+
 @pytest.mark.parametrize("kind", ["grid", "tri"])
 @pytest.mark.parametrize("n, seed", [(30, 1), (120, 2), (400, 3)])
 def test_residual_search_matches_the_dart_loop(kind, n, seed):
@@ -170,9 +211,9 @@ def test_residual_search_matches_the_dart_loop(kind, n, seed):
             seen, ref_seen = bytearray(h.n), bytearray(h.n)
             for _ in range(3):
                 start = rng.sample(range(h.n), rng.randint(1, 4))
-                assert residual_reachable(h, store, start) == \
+                assert set(residual_reachable(h, store, start)) == \
                     reference_residual_reachable(h, store, start)
-                assert residual_reachable(h, store, start, seen) == \
+                assert set(residual_reachable(h, store, start, seen)) == \
                     reference_residual_reachable(h, store, start, ref_seen)
                 assert seen == ref_seen
     assert all(h.keyed_adjacency() is h.keyed_adjacency() for h in graphs)

@@ -146,3 +146,57 @@ def test_a_wrong_given_face_is_named_before_the_euler_check():
         g.check_embedding()
     with pytest.raises(NonPlanarEmbedding, match="^Euler check failed"):
         reference_check_given_faces(h.tails, h.heads, rot, faces)
+
+
+def triangle_rejections(h):
+    """Given face lists of h (whose faces are all triangles), each with one
+    three-dart walk that no triangle check may accept, and the message the
+    dart-by-dart walk gives for it."""
+    faces = [list(w) for w in h.faces()]
+    f = len(faces) // 2
+    x, y, z = faces[f]
+    other = faces[f - 1][0]
+    ref = [x, y, z]
+    cases = []
+    for walk, why in (([x, z, y], "disagrees with the face walk %s" % ref),
+                      ([x, y, other], "disagrees with the face walk %s" % ref),
+                      ([x, x, y], "disagrees with the face walk %s" % ref),
+                      ([x, y, x], "disagrees with the face walk %s" % ref),
+                      ([x, y, 2 * h.m], "disagrees with the face walk %s" % ref),
+                      ([x, y, -1], "disagrees with the face walk %s" % ref),
+                      ([-1, y, z], "is not a face walk"),
+                      ([2 * h.m, y, z], "is not a face walk"),
+                      ([2 * h.m + 5, x, y], "is not a face walk")):
+        given = [list(w) for w in faces]
+        given[f] = walk
+        cases.append((given, f"given face {f} {walk} {why}"))
+    given = [list(w) for w in faces]         # the same triangle twice
+    given.insert(f + 1, [y, z, x])
+    cases.append((given, f"given face {f + 1} {[y, z, x]} is not a face walk"))
+    return cases
+
+
+@pytest.mark.parametrize("kind", ["grid", "tri"])
+def test_given_triangles_that_are_not_face_walks_are_named(kind):
+    """A three-dart walk out of order, with a dart of another face, with a
+    repeated dart, with an out-of-range dart, or claimed twice, is named
+    as the dart-by-dart walk names it, through check_embedding and
+    walk_faces."""
+    for h in graphs_of(kind, 120, 2)[1:]:      # triangulations: every face a triangle
+        assert all(len(w) == 3 for w in h.faces())
+        for given, message in triangle_rejections(h):
+            g = PlanarGraph(h.tails, h.heads, h.caps, h.rot, h.keys, faces=given)
+            with pytest.raises(EmbeddingInvalid) as err:
+                g.check_embedding()
+            assert str(err.value) == message
+            with pytest.raises(EmbeddingInvalid) as err:
+                walk_faces(h.tails, h.heads, h.rot, given)
+            assert str(err.value) == message
+
+
+def test_a_loop_s_one_dart_face_given_as_a_triangle_is_rejected():
+    """Dart 0 of a loop is its own successor, so [0, 0, 0] passes three
+    successor tests; it is no face walk."""
+    with pytest.raises(EmbeddingInvalid,
+                       match=r"^given face 0 \[0, 0, 0\] disagrees with the face walk \[0\]$"):
+        walk_faces([0], [0], [[1, 0]], [[0, 0, 0], [1]])

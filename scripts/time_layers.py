@@ -15,19 +15,25 @@ time is inclusive: everything inside its outermost call, the timers of
 the layers it calls included, so a name that only one tree calls often
 would tilt the comparison of the layers around it.
 
-One turn builds the instances generate(kind, n, seed, cap_max=10**6) for
-every seed in S..T (both ends included), untimed, then solves each with
+One turn writes the texts of the instances generate(kind, n, seed,
+cap_max=10**6) for every seed in S..T (both ends included), untimed, and
+sets each up as `planarflow solve` does, parse_instance_file(text).build(),
+each followed by one gc.collect().  It then solves each parsed graph with
 MsmsEngine(...).run() under the given audit level and base case, each
 after a gc.collect().  The script leaves the garbage collector on, so a
-tree whose run() pauses it is timed with the pause, and one that does
-not is timed with the collector's passes.  The trees take turns, A
-first on even turns and B first on odd ones.  The report gives, per
-layer and tree, the best total over the R turns and the calls in one
+tree that pauses it in set-up or in run() is timed with the pause, and
+one that does not is timed with the collector's passes.  The trees take
+turns, A first on even turns and B first on odd ones.  The report gives,
+per layer and tree, the best total over the R turns and the calls in one
 turn, and the ratio of the bests; "solve" is the engine's construction
-plus run().  A name a tree does not have is reported absent there.  A
-last line gives the solve ratio B/A of each turn's pair as a median and
-a min-max over the turns, so one run shows its own spread.  The exit
-status is 1 if any solve's value differs between the trees, else 0.
+plus run(), "setup" is parse plus build, and "collect" is the
+gc.collect() after each set-up, so a pause that only defers the
+collector's work shows as a smaller setup and a larger collect.  The
+layers count only the solves' calls.  A name a tree does not have is
+reported absent there.  A last line gives the solve ratio B/A of each
+turn's pair as a median and a min-max over the turns, so one run shows
+its own spread.  The exit status is 1 if any solve's value differs
+between the trees, else 0.
 """
 
 from __future__ import annotations
@@ -95,10 +101,20 @@ def serve(tree, kind, n, audit, base_case, seeds):
             continue
         seconds[name], calls[name] = 0.0, 0
         wrap(owner, attr, seconds, calls, name)
+    parse_instance_file = planarflow.instance.parse_instance_file
     cfg = planarflow.EngineConfig(audit=audit, base_case=base_case)
     for _ in sys.stdin:
-        built = [planarflow.generate(kind, n, seed, cap_max=CAP_MAX).build()
+        texts = [planarflow.generate(kind, n, seed, cap_max=CAP_MAX).text()
                  for seed in seeds]
+        built, setup_s, collect_s = [], 0.0, 0.0
+        gc.collect()
+        for text in texts:
+            start = perf_counter()
+            built.append(parse_instance_file(text).build())
+            setup_s += perf_counter() - start
+            start = perf_counter()
+            gc.collect()
+            collect_s += perf_counter() - start
         for name in seconds:
             seconds[name], calls[name] = 0.0, 0
         solve_s, values = 0.0, []
@@ -108,8 +124,10 @@ def serve(tree, kind, n, audit, base_case, seeds):
             res = planarflow.MsmsEngine(g, ts.sources, ts.sinks, cfg).run()
             solve_s += perf_counter() - start
             values.append(res.value)
-        print(json.dumps({"seconds": {"solve": solve_s, **seconds},
-                          "calls": {"solve": len(built), **calls},
+        print(json.dumps({"seconds": {"solve": solve_s, "setup": setup_s,
+                                      "collect": collect_s, **seconds},
+                          "calls": {"solve": len(built), "setup": len(built),
+                                    "collect": len(built), **calls},
                           "absent": absent, "values": values}), flush=True)
 
 
@@ -148,7 +166,7 @@ def main(argv=None):
     for side, tree in trees.items():
         print(f"tree {side}: {tree}")
     print(f"{'layer':44} {'A best':>9} {'B best':>9} {'B/A':>7} {'A calls':>9} {'B calls':>9}")
-    for name in ("solve",) + NAMES:
+    for name in ("solve", "setup", "collect") + NAMES:
         best, count = {}, {}
         for side in trees:
             first = turns[side][0]

@@ -18,11 +18,12 @@ net of its graph over the store, and every flow among them is one
 subroutine, solvers.terminal_set_flow.
 
 run() pauses the cyclic garbage collector for the solve, its audits and
-the flow value, and turns it back on afterwards if it was on.  The
-recursion builds no reference cycles: what each level allocates is freed
-by reference counting, and a collector pass over it would reclaim
-nothing.  Other threads of the caller get no cyclic collection during
-the call.
+the flow value, through graph.collector_paused, as parse_instance_file
+and build_graph do for the set-up before it, and turns it back on
+afterwards if it was on.  The recursion builds no reference cycles: what
+each level allocates is freed by reference counting, and a collector
+pass over it would reclaim nothing.  Other threads of the caller get no
+cyclic collection during the call.
 
 The input is triangulated once, at the root; every piece inherits its
 triangulation and its faces from the split (see separator.py).  A
@@ -49,7 +50,6 @@ conserve).
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 from math import sqrt
 
@@ -70,7 +70,13 @@ from .flow import (
     is_feasible,
     residual_reachable,
 )
-from .graph import NO_KEY, PlanarGraph, TerminalSets, is_triangulated_biconnected
+from .graph import (
+    NO_KEY,
+    PlanarGraph,
+    TerminalSets,
+    collector_paused,
+    is_triangulated_biconnected,
+)
 from .separator import BOUNDARY_CONSTANT, find_cycle_separator, split_into_pieces
 from .solvers import graph_arcs, input_net, terminal_set_flow
 from .surgery import detach_terminal_from_cycle, triangulate_and_biconnect
@@ -167,24 +173,18 @@ class MsmsEngine:
 
     # -- public entry --------------------------------------------------------
 
+    @collector_paused      # no cycles to collect: see the module docstring
     def run(self) -> MsmsResult:
         if self._ran:
             raise RuntimeError("MsmsEngine.run() may be called only once")
         self._ran = True
-        # no cycles to collect: see the module docstring
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            self._solve(self.root, self.sources, self.sinks, 0)
-            if self.cfg.audit != "none":
-                self._check_feasible(self.root, self.sources, self.sinks,
-                                     "final flow is not feasible on the input graph")
-                self._check_sources_blocked(self.root, self.sources, self.sinks,
-                                            "final flow")
-            value = flow_value(self.root, self.store, self.sinks)
-        finally:
-            if collecting:
-                gc.enable()
+        self._solve(self.root, self.sources, self.sinks, 0)
+        if self.cfg.audit != "none":
+            self._check_feasible(self.root, self.sources, self.sinks,
+                                 "final flow is not feasible on the input graph")
+            self._check_sources_blocked(self.root, self.sources, self.sinks,
+                                        "final flow")
+        value = flow_value(self.root, self.store, self.sinks)
         flows = self.store.res[1:2 * self.root.m:2]
         return MsmsResult(value, flows, self.stats, self.audits)
 

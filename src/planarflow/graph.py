@@ -23,8 +23,10 @@ of planarflow.flow.
 
 from __future__ import annotations
 
+import gc
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import wraps
 
 from .errors import (
     Disconnected,
@@ -35,6 +37,25 @@ from .errors import (
 )
 
 NO_KEY = -1
+
+
+def collector_paused(func):
+    """Run func with Python's cyclic garbage collector disabled, and turn
+    it back on afterwards, also when func raises, only if it was on at
+    entry, so that paused calls nest.  For code that makes no reference
+    cycles: reference counting frees what it drops, and a collector pass
+    over what it allocates would reclaim nothing.  The pause is global,
+    so other threads get no cyclic collection while func runs."""
+    @wraps(func)
+    def paused(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+    return paused
 
 
 def walk_faces(tails, heads, rot, given=None):
@@ -306,6 +327,7 @@ class TerminalSets:
             raise TerminalOverlap(f"nodes [{', '.join(ids)}] are both sources and sinks")
 
 
+@collector_paused
 def build_graph(n, arcs, rotations, labels=None) -> PlanarGraph:
     """Build and validate a PlanarGraph from raw instance data.
 
@@ -324,6 +346,11 @@ def build_graph(n, arcs, rotations, labels=None) -> PlanarGraph:
     every take finds its neighbor and no map is left holding one.  Only
     when that fails are the sorted neighbor lists compared node by node,
     to name the first node that is wrong.
+
+    The build and its check_embedding run with the cyclic collector
+    paused (collector_paused): the graph's lists and maps hold no
+    reference cycles, so a collector pass over them would reclaim
+    nothing.  Other threads get no cyclic collection during the build.
     """
     def name(v):
         return v if labels is None else labels[v]

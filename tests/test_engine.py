@@ -867,15 +867,6 @@ def test_a_solve_leaves_no_garbage_cycles(kind, n, audit, base_case):
     assert records and res.value == oracle_value(g, ts.sources, ts.sinks)
 
 
-@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
-def collecting(request):
-    """The collector's state at entry to run(), restored afterwards."""
-    was = gc.isenabled()
-    (gc.enable if request.param else gc.disable)()
-    yield request.param
-    (gc.enable if was else gc.disable)()
-
-
 def test_run_leaves_the_collector_as_it_found_it(collecting):
     g, ts = generate("tri", 120, 5).build()
     res = msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(base_case=16))

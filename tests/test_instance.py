@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from planarflow.errors import (
     Disconnected,
     EmbeddingInvalid,
+    ParallelArcOrLoop,
     ParseError,
     TerminalOverlap,
 )
@@ -208,3 +210,67 @@ def test_roundtrip_idempotent_on_generated_instances(kind, n, seed):
     inst = generate(kind, n, seed)
     once = serialize_instance(parse_instance_file(inst.text()))
     assert serialize_instance(parse_instance_file(once)) == once
+
+
+# parse and build pause the cyclic collector: they must leave no garbage
+# cycles for it, and the caller's collector state must come back
+MALFORMED = [
+    (MINIMAL.replace("a 1 2 7", "a 1 x 7"),
+     ParseError, "line 2: arc fields must be integers"),
+    ("p pmf 2 2\na 1 2 7\na 2 1 3\nr 1 2\nr 2 1\ns 1\nt 2\n",
+     ParallelArcOrLoop, "two arcs join nodes 1 and 2"),
+    ("p pmf 3 2\na 1 2 7\na 2 3 3\nr 1 3\nr 2 1 3\nr 3 2\ns 1\nt 3\n",
+     EmbeddingInvalid, r"node 1: rotation lists \[3\] but neighbors are \[2\]"),
+]
+MALFORMED_IDS = ["bad-arc-line", "parallel-arcs", "wrong-rotation"]
+
+
+def test_parse_and_build_leave_the_collector_as_they_found_it(collecting):
+    inst = parse_instance_file(generate("tri", 120, 5).text())
+    assert gc.isenabled() is collecting
+    g, _ = inst.build()
+    assert g.n == 120
+    assert gc.isenabled() is collecting
+
+
+@pytest.mark.parametrize("text, error, message", MALFORMED, ids=MALFORMED_IDS)
+def test_parse_and_build_leave_the_collector_as_they_found_it_when_they_raise(
+        text, error, message, collecting):
+    with pytest.raises(error, match=message):
+        parse_instance_file(text).build()
+    assert gc.isenabled() is collecting
+
+
+@pytest.mark.parametrize("kind", ["grid", "tri"])
+@pytest.mark.parametrize("n", [20, 300, 1600])
+def test_set_up_leaves_no_garbage_cycles(kind, n):
+    text = generate(kind, n, 1).text()
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        g, ts = parse_instance_file(text).build()
+        found = gc.collect()
+    finally:
+        if was:
+            gc.enable()
+    assert found == 0
+    assert g.n == n and ts.sources and ts.sinks
+
+
+@pytest.mark.parametrize("text, error", [case[:2] for case in MALFORMED], ids=MALFORMED_IDS)
+def test_a_malformed_text_leaves_no_garbage_cycles(text, error):
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    raised = False
+    try:
+        try:
+            parse_instance_file(text).build()
+        except error:
+            raised = True
+        found = gc.collect()
+    finally:
+        if was:
+            gc.enable()
+    assert raised and found == 0

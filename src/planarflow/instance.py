@@ -13,6 +13,10 @@ Rotation lines may list neighbor ids because the graph is simple.  The
 canonical form orders arcs, rotations, and terminals deterministically
 and drops comments, so serialize(parse(x)) is idempotent.
 
+lattice_rotations is the one description of the row-major lattice (each
+node's neighbors north, east, south, west); the grid generator and the
+DIMACS shim both build their rotations from it.
+
 parse_instance_file runs with the cyclic garbage collector paused, and
 so does build_graph (graph.collector_paused): the parse makes only
 lists, tuples and ints, which hold no reference cycles, so the
@@ -248,26 +252,10 @@ def import_dimacs_max(text: str) -> InstanceFile:
     # else the grid is one row
     nbrs0 = [h for (t, h) in line_of_pair if t == 0]
     cols = max(nbrs0) if len(nbrs0) == 2 else num_nodes
-    rows = num_nodes // cols
-    expected = set()
-    for i in range(rows):
-        for j in range(cols):
-            v = i * cols + j
-            if j + 1 < cols:
-                expected.add((v, v + 1))
-            if i + 1 < rows:
-                expected.add((v, v + cols))
+    rotations = lattice_rotations(num_nodes, cols)
+    expected = {(v, w) for v, nbrs in enumerate(rotations) for w in nbrs if v < w}
     if num_nodes % cols or line_of_pair.keys() != expected:
         raise ParseError(1, "arc set is not grid-recognizable; cannot synthesize an embedding")
-    rotations = []
-    for v in range(num_nodes):
-        i, j = divmod(v, cols)
-        order = []
-        for (di, dj) in ((-1, 0), (0, 1), (1, 0), (0, -1)):
-            ii, jj = i + di, j + dj
-            if 0 <= ii < rows and 0 <= jj < cols:
-                order.append(ii * cols + jj)
-        rotations.append(order)
     return InstanceFile(
         num_nodes=num_nodes,
         arcs=arcs,
@@ -276,6 +264,24 @@ def import_dimacs_max(text: str) -> InstanceFile:
         sinks=[ends["t"]],
         comments=["imported from DIMACS max"],
     )
+
+
+def lattice_rotations(n, cols):
+    """Rotations of the lattice on nodes 0..n-1 numbered row-major, cols
+    to a row, the last row possibly shorter: each node's neighbors
+    clockwise as north, east, south, west, those that exist."""
+    rotations = []
+    for v in range(n):
+        j = v % cols
+        nbrs = [v - cols] if v >= cols else []
+        if j + 1 < cols and v + 1 < n:
+            nbrs.append(v + 1)
+        if v + cols < n:
+            nbrs.append(v + cols)
+        if j:
+            nbrs.append(v - 1)
+        rotations.append(nbrs)
+    return rotations
 
 
 def _int_field(lineno, text):

@@ -1,11 +1,16 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from planarflow.bench import BALANCE_CONSTANT, BenchRow, fit_exponent, report
-from planarflow.cli import main
+from planarflow.cli import build_parser, main
 from planarflow.errors import CapacityViolation, SettlementStuck
 from planarflow.generate import generate
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_gen_then_solve(tmp_path, capsys):
@@ -373,3 +378,20 @@ def test_import_dimacs(tmp_path, capsys):
     assert main(["solve", str(out_path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("value ")
+
+
+def test_readme_synopsis_lists_every_option():
+    """Each command's line in the README's CLI block names every option
+    string its subparser defines, help aside."""
+    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+    synopsis = {}
+    for line in block.splitlines():
+        words = re.split(r"[\s\[\]|]+", line.strip())
+        if words[0] == "planarflow":
+            synopsis[words[1]] = {w for w in words if w.startswith("-")}
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert synopsis.keys() == commands.choices.keys()
+    for name, sub in commands.choices.items():
+        options = {o for a in sub._actions if a.dest != "help" for o in a.option_strings}
+        assert not options - synopsis[name], (name, sorted(options - synopsis[name]))

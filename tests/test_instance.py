@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given
@@ -15,6 +17,7 @@ from planarflow.errors import (
 from planarflow.generate import MIN_NODES, generate
 from planarflow.instance import (
     import_dimacs_max,
+    lattice_rotations,
     parse_instance,
     parse_instance_file,
     serialize_instance,
@@ -137,6 +140,36 @@ def test_generate_tiny():
         assert g.n == n
 
 
+# SHA-256 of generate(kind, n, seed, cap_max=cap_max).text(), the default
+# cap_max where it is None: small and ragged grids, each perfbench
+# workload's first two instances, and one default case.  A change to a
+# generator's draws, their order or its layout changes these.
+GENERATED_DIGESTS = [
+    ("grid", 2, 3, 100, "41dbf145e95fc242b9fb014878958f5378707d228c85099c350b5ad4be0075e0"),
+    ("grid", 3, 3, 100, "adf7e225f1aac3b1c208015a80820d3dfbbeb43146cb38d9ac93c1186724021f"),
+    ("grid", 5, 3, 100, "16e8dcc5ac7332190199328b96ba086736e2e611c7d60f9d072c935e914bc076"),
+    ("grid", 11, 3, 100, "dcba9046699dbd032abdd600fdaa834432070ab92ec884b59bf702ce4564fbd8"),
+    ("grid", 60, 3, 100, "62b7963ffe1b10658d460dc42e965d08be4fd7b83e6341449d711efba2ee9690"),
+    ("grid", 800, 1000, 10 ** 6, "eba7fe90f13747f8963c0afc044a6d515ad1f56ccd1e33567cb6e2f514958430"),
+    ("grid", 800, 1001, 10 ** 6, "61517fc9da76f2c17c68b96842e8b785d3843bfd9e758e8c55ea631b859ee84f"),
+    ("grid", 1600, 1000, 10 ** 6, "52cbc8c9870fc359db3849332384ca925a9fabf11afe47a86b76619a5f945cc0"),
+    ("grid", 1600, 1001, 10 ** 6, "c88dd47159153c62588dcd2879c69d73aee66a64bf629ae83475349116503e97"),
+    ("tri", 1600, 1000, 10 ** 6, "16dc3915874deee8b2377119213f8d919427825a9db3bc67e94cab7282cb5f21"),
+    ("tri", 1600, 1001, 10 ** 6, "e39f12668a15632f8b43b98cfddb01f2ea9135dc556d6bec5c63031cf74b6b62"),
+    ("tri", 6400, 1000, 10 ** 6, "d6f56fa98b46b1506102a916d36fd12f643a37f1a295475996b387e5c95b9bbb"),
+    ("tri", 6400, 1001, 10 ** 6, "2c9140cb00e521499e5f938023489069a2403f4165b101ad01da02c5aed44be2"),
+    ("tri", 50, 7, None, "f82d65579bdbd452d9a630b00af69edc6b6eb9407f9ba3b9bc4c6c4d0ba9dc54"),
+]
+
+
+@pytest.mark.parametrize("kind, n, seed, cap_max, digest", GENERATED_DIGESTS,
+                         ids=[f"{k}-{n}-{s}-{c}" for k, n, s, c, _ in GENERATED_DIGESTS])
+def test_generated_instances_are_pinned(kind, n, seed, cap_max, digest):
+    kwargs = {} if cap_max is None else {"cap_max": cap_max}
+    text = generate(kind, n, seed, **kwargs).text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_dimacs_import_grid():
     lines = ["p max 6 7", "n 1 s", "n 6 t"]
     # 2x3 grid arcs
@@ -202,6 +235,40 @@ def test_dimacs_import_matches_the_divisor_search_on_small_grids():
                     assert inst.rotations == want
                     assert inst.arcs == [(t, h, 5) for t, h in arcs]
                     assert (inst.sources, inst.sinks) == ([0], [n - 1])
+
+
+@pytest.mark.parametrize("n", [n for n in range(2, 121) if n % isqrt(n) == 0])
+def test_the_grid_generator_and_the_dimacs_shim_share_the_lattice(n):
+    """A full grid's arcs, read back through the shim with the corner
+    nodes as terminals, get the generator's rotations."""
+    for seed in range(3):
+        inst = generate("grid", n, seed)
+        text = "\n".join([f"p max {n} {len(inst.arcs)}", "n 1 s", f"n {n} t"]
+                         + [f"a {t + 1} {h + 1} {c}" for t, h, c in inst.arcs])
+        imported = import_dimacs_max(text)
+        assert imported.rotations == inst.rotations
+        assert imported.arcs == inst.arcs
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_the_dimacs_shim_reads_one_column_as_one_row(n):
+    """A one-column lattice has the arcs of a one-row one, and with at
+    most two neighbors a node's clockwise order is the same either way."""
+    column = lattice_rotations(n, 1)
+    text = "\n".join([f"p max {n} {n - 1}", "n 1 s", f"n {n} t"]
+                     + [f"a {v + 2} {v + 1} 4" for v in range(n - 1)])
+    imported = import_dimacs_max(text)
+    assert imported.rotations == lattice_rotations(n, n)
+    assert [sorted(r) for r in imported.rotations] == [sorted(r) for r in column]
+
+
+def test_lattice_rotations_are_symmetric_and_at_most_four_wide():
+    for n in range(2, 201):
+        rot = lattice_rotations(n, n // isqrt(n))
+        assert len(rot) == n
+        for v, nbrs in enumerate(rot):
+            assert len(nbrs) <= 4 and len(set(nbrs)) == len(nbrs)
+            assert all(0 <= w < n and w != v and v in rot[w] for w in nbrs)
 
 
 @given(st.sampled_from(["grid", "tri"]), st.integers(2, 80), st.integers(0, 10 ** 6))

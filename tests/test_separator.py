@@ -8,7 +8,11 @@ import pytest
 from planarflow import EngineConfig, engine, msms_max_flow, separator
 from planarflow.errors import PreconditionNotTriangulated
 from planarflow.flow import FlowStore
-from planarflow.generate import generate, grid_arrays, random_triangulation_arrays
+from planarflow.generate import (
+    generate,
+    grid_arcs_and_rotations,
+    triangulation_arcs_and_rotations,
+)
 from planarflow.graph import NO_KEY, build_graph
 from planarflow.separator import find_cycle_separator, split_into_pieces
 from planarflow.solvers import graph_arcs
@@ -23,20 +27,12 @@ from support import (
 )
 
 
-def build_from_arrays(arrays):
-    tails, heads, caps, rot = arrays
-    nbrs = []
-    for v, darts in enumerate(rot):
-        row = []
-        for d in darts:
-            a = d >> 1
-            row.append(heads[a] if (d & 1) == 0 else tails[a])
-        nbrs.append(row)
-    return build_graph(len(rot), list(zip(tails, heads, caps)), nbrs)
+def grid_graph(n, seed):
+    return build_graph(n, *grid_arcs_and_rotations(n, random.Random(seed)))
 
 
 def tri_graph(n, seed):
-    return build_from_arrays(random_triangulation_arrays(n, random.Random(seed)))
+    return build_graph(n, *triangulation_arcs_and_rotations(n, random.Random(seed)))
 
 
 def check_separator(g, sep):
@@ -132,7 +128,7 @@ def test_separator_is_the_best_fundamental_cycle(kind, n):
     face numbers come from the parent's."""
     for seed in range(5):
         if kind == "grid":
-            g = build_from_arrays(grid_arrays(n, random.Random(seed)))
+            g = grid_graph(n, seed)
         else:
             g = tri_graph(n, seed)
         gt = triangulate_and_biconnect(g)
@@ -160,7 +156,7 @@ def test_triangle_base_case():
 
 
 def test_grid_separator_bounds():
-    g0 = build_from_arrays(grid_arrays(100, random.Random(1)))
+    g0 = grid_graph(100, 1)
     g = triangulate_and_biconnect(g0)
     sep = find_cycle_separator(g)
     check_separator(g, sep)
@@ -177,7 +173,7 @@ def test_random_triangulations_many_seeds():
 
 
 def test_split_sizes_sum_to_n_plus_k():
-    g = triangulate_and_biconnect(build_from_arrays(grid_arrays(64, random.Random(3))))
+    g = triangulate_and_biconnect(grid_graph(64, 3))
     sep = find_cycle_separator(g)
     p1, p2 = split_into_pieces(g, sep)
     assert p1.graph.n + p2.graph.n == g.n + sep.k
@@ -252,7 +248,7 @@ def test_split_detached_level_graph(kind, n, seed):
     """Every boundary node carries a pendant terminal, as in a level graph
     whose cycle is all terminals: each lands with its arc in one piece."""
     if kind == "grid":
-        g = build_from_arrays(grid_arrays(n, random.Random(seed)))
+        g = grid_graph(n, seed)
     else:
         g = tri_graph(n, seed)
     store = FlowStore.for_graph(g)

@@ -9,7 +9,7 @@ from planarflow.config import EngineConfig
 from planarflow.engine import attach_apex, msms_max_flow
 from planarflow.errors import FaceNotIncident
 from planarflow.flow import FlowStore
-from planarflow.generate import generate
+from planarflow.generate import generate, triangulation_arcs_and_rotations
 from planarflow.graph import NO_KEY, build_graph, is_triangulated_biconnected
 from planarflow.oracle import oracle_max_flow
 from planarflow.solvers import graph_arcs, terminal_set_flow
@@ -39,10 +39,8 @@ def random_planar_connected(rng, n):
     """Random connected plane graph: a random triangulation cut down to a
     random spanning tree plus a random subset of its other arcs, so faces
     may be long and may visit a node more than once."""
-    from planarflow.generate import random_triangulation_arrays
-
-    tails, heads, caps, rot = random_triangulation_arrays(n, rng)
-    order = list(range(len(tails)))
+    arcs, rot = triangulation_arcs_and_rotations(n, rng)
+    order = list(range(len(arcs)))
     rng.shuffle(order)
     keep_frac = rng.random()
     comp = list(range(n))
@@ -54,26 +52,15 @@ def random_planar_connected(rng, n):
 
     kept = set()
     for a in order:
-        ru, rv = find(tails[a]), find(heads[a])
+        ru, rv = find(arcs[a][0]), find(arcs[a][1])
         if ru != rv:
             comp[ru] = rv
             kept.add(a)
         elif rng.random() < keep_frac:
             kept.add(a)
-    arcs = [(tails[a], heads[a], caps[a]) for a in sorted(kept)]
-    rot = [[d for d in darts if d >> 1 in kept] for darts in rot]
-    return build_graph(n, arcs, rot_to_neighbors(tails, heads, rot))
-
-
-def rot_to_neighbors(tails, heads, rot):
-    out = []
-    for v, darts in enumerate(rot):
-        nbrs = []
-        for d in darts:
-            a = d >> 1
-            nbrs.append(heads[a] if (d & 1) == 0 else tails[a])
-        out.append(nbrs)
-    return out
+    pairs = {frozenset(arcs[a][:2]) for a in kept}
+    rot = [[w for w in nbrs if frozenset((v, w)) in pairs] for v, nbrs in enumerate(rot)]
+    return build_graph(n, [arcs[a] for a in sorted(kept)], rot)
 
 
 def test_triangle_already_triangulated():

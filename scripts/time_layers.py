@@ -20,20 +20,24 @@ cap_max=10**6) for every seed in S..T (both ends included), untimed, and
 sets each up as `planarflow solve` does, parse_instance_file(text).build(),
 each followed by one gc.collect().  It then solves each parsed graph with
 MsmsEngine(...).run() under the given audit level and base case, each
-after a gc.collect().  The script leaves the garbage collector on, so a
-tree that pauses it in set-up or in run() is timed with the pause, and
-one that does not is timed with the collector's passes.  The trees take
-turns, A first on even turns and B first on odd ones.  The report gives,
-per layer and tree, the best total over the R turns and the calls in one
+after a gc.collect(), twice: once with the layer timers and once bare,
+with every timer removed, the bare solves first on even turns and last
+on odd ones.  The script leaves the garbage collector on, so a tree that
+pauses it in set-up or in run() is timed with the pause, and one that
+does not is timed with the collector's passes.  The trees take turns, A
+first on even turns and B first on odd ones.  The report gives, per
+layer and tree, the best total over the R turns and the calls in one
 turn, and the ratio of the bests; "solve" is the engine's construction
-plus run(), "setup" is parse plus build, and "collect" is the
+plus run() with the timers, "solve_bare" the same without them (a tree
+that calls a wrapped name more often pays for more timer calls in
+"solve" only), "setup" is parse plus build, and "collect" is the
 gc.collect() after each set-up, so a pause that only defers the
 collector's work shows as a smaller setup and a larger collect.  The
-layers count only the solves' calls.  A name a tree does not have is
-reported absent there.  A last line gives the solve ratio B/A of each
-turn's pair as a median and a min-max over the turns, so one run shows
-its own spread.  The exit status is 1 if any solve's value differs
-between the trees, else 0.
+layers count only the timed solves' calls.  A name a tree does not have
+is reported absent there.  A last line gives the ratio B/A of each
+turn's pair, for the solves and for the bare solves, as a median and a
+min-max over the turns, so one run shows its own spread.  The exit
+status is 1 if any solve's value differs between the trees, else 0.
 """
 
 from __future__ import annotations
@@ -67,7 +71,8 @@ NAMES = (
 
 def wrap(owner, attr, seconds, calls, name):
     """Replace owner.attr by a timer that adds the time of its outermost
-    calls to seconds[name] and counts every call."""
+    calls to seconds[name] and counts every call; return (owner, attr,
+    the original, the timer)."""
     inner = getattr(owner, attr)
     depth = 0
 
@@ -85,6 +90,20 @@ def wrap(owner, attr, seconds, calls, name):
             depth = 0
 
     setattr(owner, attr, timed)
+    return owner, attr, inner, timed
+
+
+def solve_all(planarflow, built, cfg):
+    """Solve every built (graph, terminals) pair, each after a
+    gc.collect(); return the seconds in the solves and their values."""
+    solve_s, values = 0.0, []
+    for g, ts in built:
+        gc.collect()
+        start = perf_counter()
+        res = planarflow.MsmsEngine(g, ts.sources, ts.sinks, cfg).run()
+        solve_s += perf_counter() - start
+        values.append(res.value)
+    return solve_s, values
 
 
 def serve(tree, kind, n, audit, base_case, seeds):
@@ -92,7 +111,7 @@ def serve(tree, kind, n, audit, base_case, seeds):
     calls and the solves' values as one JSON line."""
     planarflow = import_tree(tree)
     engine = planarflow.engine
-    seconds, calls, absent = {}, {}, []
+    seconds, calls, absent, sites = {}, {}, [], []
     for name in NAMES:
         owner_name, _, attr = name.rpartition(".")
         owner = getattr(engine, owner_name, None) if owner_name else engine
@@ -100,10 +119,10 @@ def serve(tree, kind, n, audit, base_case, seeds):
             absent.append(name)
             continue
         seconds[name], calls[name] = 0.0, 0
-        wrap(owner, attr, seconds, calls, name)
+        sites.append(wrap(owner, attr, seconds, calls, name))
     parse_instance_file = planarflow.instance.parse_instance_file
     cfg = planarflow.EngineConfig(audit=audit, base_case=base_case)
-    for _ in sys.stdin:
+    for turn, _ in enumerate(sys.stdin):
         texts = [planarflow.generate(kind, n, seed, cap_max=CAP_MAX).text()
                  for seed in seeds]
         built, setup_s, collect_s = [], 0.0, 0.0
@@ -117,17 +136,16 @@ def serve(tree, kind, n, audit, base_case, seeds):
             collect_s += perf_counter() - start
         for name in seconds:
             seconds[name], calls[name] = 0.0, 0
-        solve_s, values = 0.0, []
-        for g, ts in built:
-            gc.collect()
-            start = perf_counter()
-            res = planarflow.MsmsEngine(g, ts.sources, ts.sinks, cfg).run()
-            solve_s += perf_counter() - start
-            values.append(res.value)
-        print(json.dumps({"seconds": {"solve": solve_s, "setup": setup_s,
-                                      "collect": collect_s, **seconds},
-                          "calls": {"solve": len(built), "setup": len(built),
-                                    "collect": len(built), **calls},
+        solves = {}
+        for bare in ((True, False) if turn % 2 == 0 else (False, True)):
+            for owner, attr, inner, timed in sites:
+                setattr(owner, attr, inner if bare else timed)
+            solves[bare] = solve_all(planarflow, built, cfg)
+        solve_s, values = solves[False]
+        print(json.dumps({"seconds": {"solve": solve_s, "solve_bare": solves[True][0],
+                                      "setup": setup_s, "collect": collect_s, **seconds},
+                          "calls": {"solve": len(built), "solve_bare": len(built),
+                                    "setup": len(built), "collect": len(built), **calls},
                           "absent": absent, "values": values}), flush=True)
 
 
@@ -166,7 +184,7 @@ def main(argv=None):
     for side, tree in trees.items():
         print(f"tree {side}: {tree}")
     print(f"{'layer':44} {'A best':>9} {'B best':>9} {'B/A':>7} {'A calls':>9} {'B calls':>9}")
-    for name in ("solve", "setup", "collect") + NAMES:
+    for name in ("solve", "solve_bare", "setup", "collect") + NAMES:
         best, count = {}, {}
         for side in trees:
             first = turns[side][0]
@@ -183,10 +201,13 @@ def main(argv=None):
     values = {side: turns[side][0]["values"] for side in trees}
     differ = sum(a != b for a, b in zip(values["A"], values["B"]))
     print(f"values differ on {differ} of {len(args.seeds)} solves")
-    pairs = sorted(b["seconds"]["solve"] / a["seconds"]["solve"]
-                   for a, b in zip(turns["A"], turns["B"]))
-    print(f"solve B/A per turn: median {statistics.median(pairs):.3f}, "
-          f"min {pairs[0]:.3f}, max {pairs[-1]:.3f} over {len(pairs)} turns")
+    spreads = []
+    for row in ("solve", "solve_bare"):
+        pairs = sorted(b["seconds"][row] / a["seconds"][row]
+                       for a, b in zip(turns["A"], turns["B"]))
+        spreads.append(f"{row} B/A per turn: median {statistics.median(pairs):.3f}, "
+                       f"min {pairs[0]:.3f}, max {pairs[-1]:.3f}")
+    print(f"{'; '.join(spreads)} over {args.reps} turns")
     return 1 if differ else 0
 
 

@@ -103,9 +103,6 @@ def cmd_solve(args) -> int:
     try:
         results = [MsmsEngine(g, sources, sinks, cfg, trace=trace).run()
                    for g, sources, sinks, _ in problems]
-    except InvariantFailure as e:
-        print(f"{_failure_kind(e)}: {e}", file=sys.stderr)
-        return EXIT_AUDIT
     finally:
         if fh:
             fh.close()
@@ -204,17 +201,9 @@ def cmd_bench(args) -> int:
     for kind in kinds:
         for n in sizes:
             _check_gen_args(kind, n, args.cap_max, args.s_frac, args.t_frac)
-    rows = []
-    try:
-        for kind in kinds:
-            for n in sizes:
-                for r in range(args.repeats):
-                    rows.append(run_one(kind, n, args.seed + r, cap_max=args.cap_max,
-                                        config=cfg, s_frac=args.s_frac,
-                                        t_frac=args.t_frac))
-    except InvariantFailure as e:
-        print(f"{_failure_kind(e)}: {e}", file=sys.stderr)
-        return EXIT_AUDIT
+    rows = [run_one(kind, n, args.seed + r, cap_max=args.cap_max, config=cfg,
+                    s_frac=args.s_frac, t_frac=args.t_frac)
+            for kind in kinds for n in sizes for r in range(args.repeats)]
     sys.stdout.write(report(rows))
     return 0
 
@@ -297,6 +286,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except InvariantFailure as e:         # a bug, not bad input
+        print(f"{_failure_kind(e)}: {e}", file=sys.stderr)
+        return EXIT_AUDIT
     except (OSError, ConfigError) as e:   # files, config and option values
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -190,11 +190,6 @@ class MsmsEngine:
 
     # -- audit plumbing --------------------------------------------------------
 
-    def _check(self, ok: bool, message: str):
-        self.audits += 1
-        if not ok:
-            raise AuditFailure(message)
-
     def _check_feasible(self, g, sources, sinks, message):
         """One audit: is_feasible.  A failure names up to five sorted keys
         of g's arcs whose flow lies outside [0, cap] or whose residual
@@ -249,6 +244,7 @@ class MsmsEngine:
             self._base_solve(g, sources, sinks, depth, "base")
             return
 
+        full = self.cfg.audit == "full"
         # the input is triangulated here; pieces inherit it from there on
         gt = triangulate_and_biconnect(g) if depth == 0 else g.graph
         sep = find_cycle_separator(gt)
@@ -267,11 +263,10 @@ class MsmsEngine:
             depth, g.n, "split", sep.k, (piece1.n, piece2.n)))
         self._emit({"op": "separator", "depth": depth, "n": g.n, "k": sep.k,
                     "pieces": [piece1.n, piece2.n]})
-        if self.cfg.audit == "full":
-            keys1 = {k for k in piece1.keys if k != NO_KEY}
-            keys2 = {k for k in piece2.keys if k != NO_KEY}
-            self._check(not (keys1 & keys2),
-                        f"depth {depth}: sibling pieces share flow-carrying arcs")
+        if full:
+            self.audits += 1
+            if (set(piece1.keys) & set(piece2.keys)) - {NO_KEY}:
+                raise AuditFailure(f"depth {depth}: sibling pieces share flow-carrying arcs")
 
         parts = []
         for side, piece in enumerate((piece1, piece2)):
@@ -280,14 +275,18 @@ class MsmsEngine:
             sub_sinks = {local[v] for v in sinks if v in local}
             self._solve(piece, sub_sources, sub_sinks, depth + 1)
             parts.append((piece, sub_sources, sub_sinks))
-            self._audit_piece_recursed(*parts[-1], side, depth)
+            if full:
+                self._check_sources_blocked(piece.graph, sub_sources, sub_sinks,
+                                            f"depth {depth} piece {side} recursion")
 
         net = graph_arcs(gd, self.store)
         res = self.store.res
         snapshot = [res[2 * k + 1] for k in net.keys]
         boundary = sep.boundary
         self._push_boundary(net, gd, boundary, sources, sinks, parts, depth)
-        self._audit_after_first_loop(gd, sources, sinks, boundary, depth)
+        if full:        # both pieces done: the same separation, globally
+            self._audit_separated(gd, sources, sinks, boundary,
+                                  f"depth {depth} before the walk")
         self._redistribute_boundary(net, gd, boundary, sources, sinks, depth)
         self._settle_pseudoflow(net, snapshot, sources, sinks)
         self._audit_level_final(gd, sources, sinks, depth)
@@ -353,18 +352,26 @@ class MsmsEngine:
         one piece's interior and stays there.  With the set contracted to
         one node, the rest of gd falls apart into those interiors, so each
         push's value is the sum of the pieces'.  The per-piece invariants
-        hold afterwards, since the level-wide ones do."""
+        hold afterwards, since the level-wide ones do, and audit=full
+        checks them in each piece after each push."""
         store = self.store
+        full = self.cfg.audit == "full"
         boundary_set = attach_apex(gd, boundary)
         value, _ = msss_max_flow(store, net, sources, boundary_set)
         self._emit({"op": "push_sources_to_boundary", "depth": depth, "value": value})
-        for side, part in enumerate(parts):
-            self._audit_piece_sources_blocked(*part, side, depth)
+        if full:
+            for side, (piece, sub_sources, sub_sinks) in enumerate(parts):
+                where = f"depth {depth} piece {side} source push"
+                seen = self._check_sources_blocked(piece.graph, sub_sources, sub_sinks, where)
+                self._check_unreached(seen, (1,), piece.boundary_local, where,
+                                      "source reaches a boundary node")
 
         value, _ = ssms_max_flow(store, net, boundary_set, sinks)
         self._emit({"op": "push_boundary_to_sinks", "depth": depth, "value": value})
-        for side, part in enumerate(parts):
-            self._audit_piece_complete(*part, side, depth)
+        if full:
+            for side, (piece, sub_sources, sub_sinks) in enumerate(parts):
+                self._audit_separated(piece.graph, sub_sources, sub_sinks, piece.boundary_local,
+                                      f"depth {depth} piece {side} apex pushes")
 
     # -- boundary redistribution -------------------------------------------------
 
@@ -499,24 +506,6 @@ class MsmsEngine:
                 raise AuditFailure(
                     f"depth {depth} piece {side}: not a two-connected triangulation")
 
-    def _audit_piece_recursed(self, piece, sub_sources, sub_sinks, side, depth):
-        """After the recursive call: no residual source-to-sink path
-        inside the piece."""
-        if self.cfg.audit != "full":
-            return
-        self._check_sources_blocked(piece.graph, sub_sources, sub_sinks,
-                                    f"depth {depth} piece {side} recursion")
-
-    def _audit_piece_sources_blocked(self, piece, sub_sources, sub_sinks, side, depth):
-        """After the source push: within the piece there is no residual
-        path from the sources to the sinks, nor to the boundary."""
-        if self.cfg.audit != "full":
-            return
-        where = f"depth {depth} piece {side} source push"
-        seen = self._check_sources_blocked(piece.graph, sub_sources, sub_sinks, where)
-        self._check_unreached(seen, (1,), piece.boundary_local, where,
-                              "source reaches a boundary node")
-
     def _audit_separated(self, g, sources, sinks, boundary, where, walk=None):
         """Within g, along residual darts: sources reach neither sinks nor
         boundary, and the boundary does not reach the sinks.  After a walk
@@ -555,19 +544,6 @@ class MsmsEngine:
                                   "unprocessed node reaches a drained processed node")
         residual_reachable(g, store, boundary, seen, 4)
         self._check_unreached(seen, (2, 3, 4), sinks, where, "boundary node reaches a sink")
-
-    def _audit_piece_complete(self, piece, sub_sources, sub_sinks, side, depth):
-        """After both pushes, within the piece."""
-        if self.cfg.audit != "full":
-            return
-        self._audit_separated(piece.graph, sub_sources, sub_sinks, piece.boundary_local,
-                              f"depth {depth} piece {side} apex pushes")
-
-    def _audit_after_first_loop(self, gd, sources, sinks, boundary, depth):
-        """Both pieces done: the same separation, globally."""
-        if self.cfg.audit != "full":
-            return
-        self._audit_separated(gd, sources, sinks, boundary, f"depth {depth} before the walk")
 
     def _audit_redistribute_iteration(self, gd, boundary, sources, sinks, i, depth):
         """The separation and the three walk invariants, after step i.

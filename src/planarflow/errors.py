@@ -25,16 +25,20 @@ class TerminalOverlap(PlanarFlowError):
     """A node was declared both a source and a sink."""
 
 
-class FaceNotIncident(PlanarFlowError):
-    """The face chosen for a terminal detachment does not touch the terminal."""
-
-
-class PreconditionNotTriangulated(PlanarFlowError):
-    """The separator was asked for on a graph that is not a two-connected triangulation."""
-
-
 class InvariantFailure(PlanarFlowError):
-    """An invariant the algorithm relies on does not hold during an engine run."""
+    """An invariant the algorithm relies on does not hold: a failed
+    separator, triangulation, detach, flow-update or settlement check, or
+    an audit.  It signals a bug, not bad input; `planarflow` exits 3 on it."""
+
+
+class FaceNotIncident(InvariantFailure):
+    """The face chosen for a terminal detachment does not touch the terminal:
+    the detach anchor does not leave the terminal's node."""
+
+
+class PreconditionNotTriangulated(InvariantFailure):
+    """The separator was asked for on a graph that is not a two-connected
+    triangulation; the engine hands it only triangulated level graphs."""
 
 
 class CapacityViolation(InvariantFailure):

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import compress
 
-from .errors import PreconditionNotTriangulated
+from .errors import InvariantFailure, PreconditionNotTriangulated
 from .graph import NO_KEY, PlanarGraph, bfs_tree, dart_heads
 from .surgery import triangulated
 
@@ -192,7 +192,7 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
         k = depth[head[d]] + depth[head[d ^ 1]] - 2 * t + 1
         c = count[f]
         if (c - k) % 2:
-            raise AssertionError(
+            raise InvariantFailure(
                 f"arc {d >> 1}: {c} enclosed faces and {k} cycle nodes "
                 "differ in parity")
         enclosed = (c - k) // 2 + 1
@@ -240,7 +240,7 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
         if not on_cycle[v]:
             (outside if side[face_of[r[0]]] else inside).append(v)
     if not (len(inside) <= 2 * n / 3 and len(outside) <= 2 * n / 3):
-        raise AssertionError(
+        raise InvariantFailure(
             f"separator balance violated: {len(inside)}/{len(outside)} of {n}")
     return Separator(boundary, darts, frozenset(inside), frozenset(outside), n,
                      side)
@@ -249,7 +249,7 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
 def _check_orientation(side, face_of, cycle_darts):
     for d in cycle_darts:
         if side[face_of[d ^ 1]] or not side[face_of[d]]:
-            raise AssertionError(f"cycle dart {d} does not separate side 0 from side 1")
+            raise InvariantFailure(f"cycle dart {d} does not separate side 0 from side 1")
 
 
 def split_into_pieces(g: PlanarGraph, sep: Separator):

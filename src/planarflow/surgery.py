@@ -29,7 +29,7 @@ engine re-checks every piece under audit=full).
 
 from __future__ import annotations
 
-from .errors import FaceNotIncident
+from .errors import FaceNotIncident, InvariantFailure, PlanarFlowError
 from .flow import FlowStore
 from .graph import NO_KEY, PlanarGraph
 
@@ -145,7 +145,7 @@ def _triangulate(tails, heads, caps, keys, rot, stack):
             stack.append([dv] + ww[s + 1:s + 1 + (t - s) % n])
             break
         else:
-            raise AssertionError(f"face of length {len(walk)} has no addable chord")
+            raise InvariantFailure(f"face of length {len(walk)} has no addable chord")
     return done
 
 
@@ -175,13 +175,17 @@ def triangulate_and_biconnect(g: PlanarGraph) -> PlanarGraph:
 
     Added arcs have zero capacity in both dart directions and no flow
     key, so the maximum flow between any terminal sets is exactly that of
-    the input.  The result carries its faces.  Requires n >= 3.
+    the input.  The result carries its faces.  Requires n >= 3.  A result
+    that fails its embedding check raises InvariantFailure.
     """
     if g.n < 3:
         raise ValueError("triangulation requires at least 3 nodes")
     gt = triangulated(list(g.tails), list(g.heads), list(g.caps), list(g.keys),
                       [list(r) for r in g.rot], g.faces())
-    gt.check_embedding()
+    try:
+        gt.check_embedding()
+    except PlanarFlowError as err:     # EmbeddingInvalid, Disconnected, NonPlanarEmbedding
+        raise InvariantFailure(f"triangulated input: {type(err).__name__}: {err}") from err
     return gt
 
 

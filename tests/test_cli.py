@@ -1,10 +1,12 @@
 import argparse
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+from planarflow import engine, surgery
 from planarflow.bench import BALANCE_CONSTANT, BenchRow, fit_exponent, report
 from planarflow.cli import build_parser, main
 from planarflow.errors import CapacityViolation, SettlementStuck
@@ -118,6 +120,61 @@ def test_internal_invariant_failure_exits_3_with_one_line(tmp_path, capsys,
     text = trace_path.read_text()
     assert text.endswith("\n")
     assert any(json.loads(line)["op"] == "separator" for line in text.splitlines())
+
+
+def flip_a_cycle_dart(monkeypatch):
+    real = engine.split_into_pieces
+
+    def split(g, sep):
+        darts = list(sep.cycle_darts)
+        darts[0] ^= 1
+        return real(g, dataclasses.replace(sep, cycle_darts=darts))
+    monkeypatch.setattr(engine, "split_into_pieces", split)
+
+
+def detach_at_a_dart_that_does_not_leave_the_node(monkeypatch):
+    real = engine.detach_terminal_from_cycle
+
+    def detach(g, detaches, store):
+        (v, anchor, role, cap), *rest = detaches
+        return real(g, [(v, anchor ^ 1, role, cap), *rest], store)
+    monkeypatch.setattr(engine, "detach_terminal_from_cycle", detach)
+
+
+def reverse_a_rotation_of_the_triangulation(monkeypatch):
+    real = surgery.triangulated
+
+    def triangulated(*args):
+        gt = real(*args)
+        next(r for r in gt.rot if len(r) >= 3).reverse()
+        return gt
+    monkeypatch.setattr(surgery, "triangulated", triangulated)
+
+
+@pytest.mark.parametrize("fault", [
+    flip_a_cycle_dart,
+    detach_at_a_dart_that_does_not_leave_the_node,
+    reverse_a_rotation_of_the_triangulation,
+], ids=["split-orientation", "detach-anchor", "root-triangulation"])
+def test_a_broken_separator_surgery_or_triangulation_check_exits_3(tmp_path, capsys,
+                                                                   monkeypatch, fault):
+    """A check that the separator, a detach or the root triangulation
+    runs, failing in a real solve, ends solve, bench and check with exit 3
+    and one line, not a traceback."""
+    fault(monkeypatch)
+    path = tmp_path / "inst.txt"
+    path.write_text(generate("grid", 60, 2).text())
+    for argv in (["solve", str(path), "--base-case", "4"],
+                 ["bench", "--kinds", "grid", "--sizes", "60", "--seed", "2",
+                  "--base-case", "4"]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("invariant failure: ")
+    assert main(["check", "--kind", "grid", "--n", "60", "--count", "1", "--seed", "2",
+                 "--base-case", "4"]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("FAILED kind=grid n=60 seed=2 invariant failure: ")
+    assert len(out.splitlines()) == 1
 
 
 def test_check_command_passes(capsys):

@@ -279,15 +279,37 @@ def test_walk_that_pushes_nothing_fails_the_full_audit_at_a_named_step(monkeypat
         msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(audit="full", base_case=16))
 
 
-@pytest.mark.parametrize("push, message", [
-    ("msss_max_flow", r"^depth \d+ piece [01] source push: "),
-    ("ssms_max_flow", r"^depth \d+ piece [01] apex pushes: boundary node reaches a sink"),
+def run_full_audit_until_it_fails(g, ts):
+    """A full-audit solve of g that fails: its message and the audits made."""
+    eng = MsmsEngine(g, ts.sources, ts.sinks, EngineConfig(audit="full", base_case=16))
+    with pytest.raises(AuditFailure) as err:
+        eng.run()
+    return str(err.value), eng.audits
+
+
+@pytest.mark.parametrize("push, audits, message", [
+    ("msss_max_flow", 11,
+     "depth 4 piece 1 source push: source reaches a boundary node (nodes [5])"),
+    ("ssms_max_flow", 128,
+     "depth 4 piece 0 apex pushes: boundary node reaches a sink (nodes [10, 12])"),
 ], ids=["source-push", "sink-push"])
-def test_apex_push_that_pushes_nothing_fails_the_full_audit(monkeypatch, push, message):
+def test_apex_push_that_pushes_nothing_fails_the_full_audit(monkeypatch, push, audits,
+                                                            message):
     monkeypatch.setattr(engine, push, lambda store, net, sources, sinks: (0, []))
     g, ts = generate("grid", 200, 3).build()
-    with pytest.raises(AuditFailure, match=message):
-        msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(audit="full", base_case=16))
+    assert run_full_audit_until_it_fails(g, ts) == (message, audits)
+
+
+def test_piece_recursion_that_solves_nothing_fails_the_full_audit(monkeypatch):
+    real = MsmsEngine._solve
+
+    def solve_the_root_only(self, level, sources, sinks, depth):
+        if depth == 0:
+            real(self, level, sources, sinks, depth)
+    monkeypatch.setattr(MsmsEngine, "_solve", solve_the_root_only)
+    g, ts = generate("grid", 200, 3).build()
+    assert run_full_audit_until_it_fails(g, ts) == (
+        "depth 0 piece 0 recursion: source reaches a sink (nodes [35, 36, 48, 74, 80])", 2)
 
 
 def record_level_pushes(monkeypatch, around):
@@ -537,16 +559,12 @@ def test_separation_audit_is_exact_on_random_residual_states(form):
         eng = MsmsEngine(g, sources, sinks, EngineConfig(audit="full"))
         set_flows(eng.store, [rng.randint(0, c) for c in eng.store.caps])
         expected = separation_violations(g, eng.store, sources, sinks, boundary)
+        where = "depth 2 piece 1 apex pushes" if form == "apex pushes" \
+            else "depth 2 before the walk"
         try:
-            if form == "apex pushes":
-                piece = SimpleNamespace(graph=g, boundary_local=boundary)
-                eng._audit_piece_complete(piece, sources, sinks, 1, 2)
-            else:
-                eng._audit_after_first_loop(g, sources, sinks, boundary, 2)
+            eng._audit_separated(g, sources, sinks, boundary, where)
         except AuditFailure as err:
             what, hit = expected[0]
-            where = "depth 2 piece 1 apex pushes" if form == "apex pushes" \
-                else "depth 2 before the walk"
             assert str(err) == f"{where}: {what} (nodes {hit})"
             assert eng.audits == SEPARATION_CHECKS.index(what) + 1
             outcomes.add(what)

@@ -6,7 +6,7 @@ from collections import deque
 import pytest
 
 from planarflow import EngineConfig, engine, msms_max_flow, separator
-from planarflow.errors import PreconditionNotTriangulated
+from planarflow.errors import InvariantFailure, PreconditionNotTriangulated
 from planarflow.flow import FlowStore
 from planarflow.generate import (
     generate,
@@ -286,7 +286,7 @@ def test_split_rejects_a_mis_oriented_cycle(flipped):
     sep = find_cycle_separator(g)
     darts = list(sep.cycle_darts)
     darts[flipped] ^= 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantFailure):
         split_into_pieces(g, dataclasses.replace(sep, cycle_darts=darts))
 
 

@@ -26,6 +26,7 @@ def test_a_tree_timed_against_itself_agrees():
     assert "values differ on 0 of 2 solves" in out.stdout
     table = rows(out.stdout)
     assert table["solve"][3:] == ["2", "2"]
+    assert table["solve_bare"][3:] == ["2", "2"]
     assert {"setup", "collect"} <= table.keys()
     a_calls, b_calls = table["residual_reachable"][3:]
     assert a_calls == b_calls and int(a_calls) > 0

@@ -9,17 +9,23 @@ instances generate(kind, n, seed, cap_max=10**6) for every seed in S..T
 (both ends included) with the given base case, in a subprocess that
 imports planarflow only from TREE_A/src, and records every call of
 planarflow.solvers._search_trees: its adjacency, heads, residuals as
-they were before the call, terminal lists and limit.  A call is kept on
-compact arrays of its own (see compact), since the core's head and
-residual arrays are shared by every call and span the whole flow store.
+they were before the call, terminal lists, limit and budgets (a walk
+run's roots, as they were before the call; None for every other call).
+A call is kept on compact arrays of its own (see compact), since the
+core's head and residual arrays are shared by every call and span the
+whole flow store.
 
 Each tree then gets a subprocess of its own, again importing only its
 src/, that runs its _search_trees on fresh copies of the captured
-residuals.  The trees take turns, one replay of every call per turn, A
-first on even turns and B first on odd ones; only the core calls are
-timed.  The report gives each tree's best and every turn's total over
-the R turns, and the ratio of the bests.  The exit status is 1 if any
-call's value differs between the trees, else 0.
+residuals and budgets.  A call with budgets passes them as the core's
+budget argument, and one without calls the core as a tree before budgets
+did, so a core without that argument replays only captures that have no
+budgets (a worker that fails is reported as died).  The trees take
+turns, one replay of every call per turn, A first on even turns and B
+first on odd ones; only the core calls are timed.  The report gives
+each tree's best and every turn's total over the R turns, and the ratio
+of the bests.  The exit status is 1 if any call's value differs between
+the trees, else 0.
 """
 
 from __future__ import annotations
@@ -62,9 +68,12 @@ def capture(tree, kind, n, base_case, seeds, path):
     core = solvers._search_trees
     calls = []
 
-    def recording(adj, head, res, sources, sinks, limit=None):
-        calls.append((*compact(adj, head, res), list(sources), list(sinks), limit))
-        return core(adj, head, res, sources, sinks, limit)
+    def recording(adj, head, res, sources, sinks, limit=None, *budget):
+        # a core before budgets takes no seventh argument, so pass one on
+        # only when the caller gave it
+        calls.append((*compact(adj, head, res), list(sources), list(sinks), limit,
+                      dict(budget[0]) if budget and budget[0] else None))
+        return core(adj, head, res, sources, sinks, limit, *budget)
 
     solvers._search_trees = recording
     cfg = planarflow.EngineConfig(base_case=base_case)
@@ -86,10 +95,10 @@ def replay(tree, path):
         gc.collect()
         gc.disable()
         seconds, values = 0.0, []
-        for adj, head, res, sources, sinks, limit in calls:
-            res = list(res)
+        for adj, head, res, sources, sinks, limit, budget in calls:
+            res, budget = list(res), () if budget is None else (dict(budget),)
             start = perf_counter()
-            value, _ = core(adj, head, res, sources, sinks, limit)
+            value, _ = core(adj, head, res, sources, sinks, limit, *budget)
             seconds += perf_counter() - start
             values.append(value)
         gc.enable()

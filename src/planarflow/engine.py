@@ -5,12 +5,15 @@ separator, recurse into both pieces, push flow in the level graph from
 its sources into the boundary node set and from that set into its sinks
 (the set stands in for the paper's infinite-capacity apex, and one push
 does the work of both pieces' pushes), walk the boundary nodes in cyclic
-order moving each one's imbalance onto the still-unwalked suffix with
-limited flows, and finally settle the remaining boundary imbalance back
-onto the terminals.  The settle works on the level's change only: the
-arcs whose flow moved since the level built its net, when the pieces'
-flows conserved.  It cancels the change's cycles, then moves each
-imbalance back along the acyclic rest in the topological order the
+order by same-sign runs, moving each run's imbalance onto the
+still-unwalked suffix with one limited flow whose roots carry the run
+nodes' imbalances as budgets, and finally settle the remaining boundary
+imbalance back onto the terminals.  Each run leaves the walk invariants
+in place, by max-flow/min-cut with budgeted roots (see
+_redistribute_boundary).  The settle works on the level's change only:
+the arcs whose flow moved since the level built its net, when the
+pieces' flows conserved.  It cancels the change's cycles, then moves
+each imbalance back along the acyclic rest in the topological order the
 cancelling DFS returns, on lists indexed by level node.  All flow lives
 in one global store, a residual pair per arc, which every subroutine
 reads and writes in place.  A split level's pushes and walk share one
@@ -35,17 +38,17 @@ Instrumentation is config-gated.  Audit level "final" checks, after each
 level's settlement and once more on the input graph, that the flow
 conserves and leaves no residual source-to-sink path.  "full" adds the
 reachability invariants the correctness argument relies on, after every
-leaf solve, piece recursion, boundary push and walk step (README, "Audits"),
-with one shared residual search per step (see _audit_separated): its
+leaf solve, piece recursion, boundary push and walk run (README, "Audits"),
+with one shared residual search per check point (see _audit_separated): its
 searches mark what each start class reaches in one seen array, and each
 check reads its targets' marks.  The walk audit reads the processed
 nodes' balances over the level graph's keyed adjacency, the searches'
 own.  "full" also checks every piece's faces and triangulation.  "none"
 trusts the algorithm.  `audits` counts the checks made; an AuditFailure
-names the depth, the phase, the piece or walk step, and up to five
-offending nodes (for a feasibility check, the keys of the arcs that break
-their capacity, or when none does, the non-terminals that do not
-conserve).
+names the depth, the phase, the piece or walk step (a run's last index),
+and up to five offending nodes (for a feasibility check, the keys of the
+arcs that break their capacity, or when none does, the non-terminals
+that do not conserve).
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ from .surgery import detach_terminal_from_cycle, triangulate_and_biconnect
 # The benchmark's layer names.  perfbench wraps these module globals to
 # time each call site on its own, so the engine calls its one flow,
 # terminal_set_flow, under four names: a split level's source push into
-# its boundary node set, its sink push out of that set, each walk step
+# its boundary node set, its sink push out of that set, each walk run
 # and a leaf's direct solve.  attach_apex names the boundary node set
 # that stands in for the paper's apex.  No other module uses them.
 msss_max_flow = ssms_max_flow = limited_max_flow = solve_msms_residual = terminal_set_flow
@@ -211,7 +214,7 @@ class MsmsEngine:
 
     def _check_unreached(self, seen, marks, targets, where, what):
         """One audit: no node of targets carries one of marks in seen, the
-        array that the step's residual searches marked.  A failure names
+        array that the audit's residual searches marked.  A failure names
         where it happened and up to five offending nodes, sorted."""
         self.audits += 1
         for v in targets:
@@ -236,7 +239,10 @@ class MsmsEngine:
     def _solve(self, g, sources, sinks, depth):
         """Solve one level: g is the input graph at depth 0 and a Piece
         below, whose graph is read only if the level splits (or under
-        audit=full)."""
+        audit=full).  Below audit=full a level lets go of what it no
+        longer reads: its triangulated graph once a detach has copied
+        it, and each piece's graph once the piece's recursion returns,
+        so only one path of the recursion holds built graphs."""
         if not sources or not sinks:
             self.stats.record(LevelRecord(depth, g.n, "empty"))
             return
@@ -250,6 +256,11 @@ class MsmsEngine:
         sep = find_cycle_separator(gt)
         gd, lvl_sources, lvl_sinks = self._detach_boundary_terminals(
             gt, sep, sources, sinks)
+        if gd is not gt and not full:
+            # the detach copied gt's flat arrays, and nothing reads gt again
+            gt = None
+            if depth:
+                g.drop_graph()
         piece1, piece2 = split_into_pieces(gd, sep)
         self._audit_pieces_embedded(depth, (piece1, piece2))
         if max(piece1.n, piece2.n) >= g.n:
@@ -274,6 +285,8 @@ class MsmsEngine:
             sub_sources = {local[v] for v in sources if v in local}
             sub_sinks = {local[v] for v in sinks if v in local}
             self._solve(piece, sub_sources, sub_sinks, depth + 1)
+            if not full:
+                piece.drop_graph()      # not held through the sibling's recursion
             parts.append((piece, sub_sources, sub_sinks))
             if full:
                 self._check_sources_blocked(piece.graph, sub_sources, sub_sinks,
@@ -376,31 +389,58 @@ class MsmsEngine:
     # -- boundary redistribution -------------------------------------------------
 
     def _redistribute_boundary(self, net, gd, boundary, sources, sinks, depth):
-        """Walk the boundary in cyclic order; move each node's imbalance
-        onto the unwalked suffix, so conservation violations drain toward
-        the end.  Step i is one limited flow from boundary[i] into the
-        suffix boundary[i+1:] taken as a sink set (the other way round for
-        a deficit).  The paper chains the suffix with infinite-capacity
-        arcs instead; every finite cut keeps a chained suffix on one side,
-        so both flows have the same value.  Every step runs on the level's
-        net, over the flow the pushes left in the store."""
-        for i in range(len(boundary) - 1):
-            node = boundary[i]
-            imbalance = inflow(gd, self.store, node)
-            pushed = 0
-            if imbalance != 0:
-                src, dst = [node], boundary[i + 1:]
-                if imbalance < 0:
-                    src, dst = dst, src
-                pushed, _ = limited_max_flow(
-                    self.store, net, src, dst, abs(imbalance))
+        """Walk the boundary in cyclic order by same-sign runs; move each
+        run's imbalance onto the unwalked suffix, so conservation
+        violations drain toward the end.  A run is the maximal stretch
+        boundary[i..j], ending by boundary[k - 2], whose imbalances all
+        have one sign and are not all zero.  It is one limited flow from
+        its nonzero nodes, each a root with its imbalance as its budget,
+        into the suffix boundary[j + 1:] taken as a sink set (the other
+        way round for deficits), limited to the budgets' sum; its zero
+        nodes are plain nodes.  The paper walks one node at a time and
+        chains the suffix with infinite-capacity arcs instead; every
+        finite cut keeps a chained suffix on one side, so both flows have
+        the same value.
+
+        After the run, a run node left overfull reaches no suffix node,
+        by max-flow/min-cut with budgeted roots (it has budget left, so
+        such a path would have been augmented); no run node ends drained,
+        since each sends at most its budget and a zero node conserves;
+        and a node that reached no flow path before the run still
+        reaches none, since the run only adds reverse residuals along its
+        paths.  Those are the walk invariants, at run granularity.  Each
+        node's imbalance is read once, before its run, except a run's
+        break node: it opens the suffix, so the run may fill it, and it
+        is read again to open the next run.  Every run runs on the
+        level's net, over the flow the pushes left in the store."""
+        store = self.store
+        last = len(boundary) - 1
+        i = 0
+        while i < last:
+            budgets, sign, j = {}, 0, i
+            while j < last:
+                imbalance = inflow(gd, store, boundary[j])
+                if imbalance:
+                    if sign * imbalance < 0:
+                        break
+                    sign = imbalance
+                    budgets[boundary[j]] = abs(imbalance)
+                j += 1
+            if not budgets:
+                return
+            src, dst = budgets, boundary[j:]
+            if sign < 0:
+                src, dst = dst, src
+            pushed, _ = limited_max_flow(store, net, src, dst, sum(budgets.values()))
             if self.trace is not None:
                 self._emit({
-                    "op": "redistribute", "depth": depth, "index": i,
-                    "node": node, "imbalance": imbalance, "pushed": pushed,
-                    "boundary_inflow": [inflow(gd, self.store, b) for b in boundary],
+                    "op": "redistribute", "depth": depth, "index": j - 1,
+                    "nodes": list(budgets), "budgets": list(budgets.values()),
+                    "pushed": pushed,
+                    "boundary_inflow": [inflow(gd, store, b) for b in boundary],
                 })
-            self._audit_redistribute_iteration(gd, boundary, sources, sinks, i, depth)
+            self._audit_redistribute_iteration(gd, boundary, sources, sinks, j - 1, depth)
+            i = j
 
     # -- settlement ---------------------------------------------------------------
 
@@ -509,7 +549,7 @@ class MsmsEngine:
     def _audit_separated(self, g, sources, sinks, boundary, where, walk=None):
         """Within g, along residual darts: sources reach neither sinks nor
         boundary, and the boundary does not reach the sinks.  After a walk
-        step, walk = (pos, unprocessed, neg) adds the walk invariants: an
+        run, walk = (pos, unprocessed, neg) adds the walk invariants: an
         overfull processed node (pos) reaches neither an unprocessed node
         nor a drained processed one (neg), and an unprocessed node reaches
         no drained one.
@@ -524,9 +564,9 @@ class MsmsEngine:
         that hides no violation once the earlier checks pass: the sources'
         reach holds no boundary node and no sink, and pos's holds no
         unprocessed and no drained node, so a node reached earlier leads
-        to no node a later check looks for.  A run therefore fails at the
-        same step as with one search per class; when several invariants
-        break at once, the message may name another of them.
+        to no node a later check looks for.  A solve therefore fails at
+        the same check point as with one search per class; when several
+        invariants break at once, the message may name another of them.
         """
         store = self.store
         seen = self._check_sources_blocked(g, sources, sinks, where)
@@ -546,10 +586,16 @@ class MsmsEngine:
         self._check_unreached(seen, (2, 3, 4), sinks, where, "boundary node reaches a sink")
 
     def _audit_redistribute_iteration(self, gd, boundary, sources, sinks, i, depth):
-        """The separation and the three walk invariants, after step i.
-        Step i < len(boundary) - 1, so the unprocessed suffix is never empty.
+        """The separation and the three walk invariants once boundary[:i + 1]
+        is walked: the walk calls it after each run, with i the run's last
+        index, and names it walk step i.  i < len(boundary) - 1, so the
+        unprocessed suffix is never empty.  A run keeps the invariants
+        (see _redistribute_boundary): a run node left overfull has budget
+        left, so by max-flow/min-cut with budgeted roots it reaches no
+        suffix node; no run node ends drained; and the run's paths only add
+        reverse residuals, so no earlier class reaches more than before.
         Each processed node's balance is read afresh over gd's keyed
-        adjacency, which the step's searches use and which holds no chord."""
+        adjacency, which the run's searches use and which holds no chord."""
         if self.cfg.audit != "full":
             return
         res = self.store.res

@@ -143,7 +143,7 @@ class PlanarGraph:
 
     __slots__ = (
         "n", "m", "tails", "heads", "caps", "keys",
-        "rot", "_faces", "_face_of", "_adjacency",
+        "rot", "_faces", "_face_of", "_adjacency", "_tree",
     )
 
     def __init__(self, tails, heads, caps, rot, keys=None, faces=None, face_of=None):
@@ -157,6 +157,7 @@ class PlanarGraph:
         self._faces = faces
         self._face_of = face_of
         self._adjacency = None
+        self._tree = None
 
     # -- dart accessors ----------------------------------------------------
 
@@ -189,6 +190,11 @@ class PlanarGraph:
             self._face_of = face_of
         return self._face_of
 
+    def spanning_tree(self, head=None):
+        """bfs_tree(self, head): the one check_embedding built and kept,
+        else a fresh one, which is not kept."""
+        return self._tree or bfs_tree(self, head)
+
     @property
     def num_faces(self) -> int:
         return len(self.faces())
@@ -219,7 +225,8 @@ class PlanarGraph:
         One walk_faces call follows the given faces and walks the ones
         they leave out, so a wrong given face is named before Euler's
         check runs, and a missing one is counted after it.  The checked
-        dart-to-face index is kept as dart_faces().
+        dart-to-face index is kept as dart_faces(), and the connectivity
+        test's BFS tree as spanning_tree().
 
         Each of the 2m darts must be listed once, at the node it leaves.
         A dart id outside 0..2m - 1 is out of range: a negative one by its
@@ -247,7 +254,8 @@ class PlanarGraph:
         if counts.count(1) != num_darts:
             d = next(d for d, c in enumerate(counts) if c != 1)
             raise EmbeddingInvalid(f"dart {d} appears {counts[d]} times in the rotation system")
-        if -1 in bfs_tree(self)[1]:
+        tree = bfs_tree(self)
+        if -1 in tree[1]:
             raise Disconnected("graph is not connected")
         given = self._faces
         faces, face_of = walk_faces(tails, heads, rot, given)
@@ -260,6 +268,7 @@ class PlanarGraph:
             raise EmbeddingInvalid(
                 f"{len(given)} faces given but the rotation system has {len(faces)}")
         self._face_of = face_of
+        self._tree = tree
 
 
 def dart_heads(g: PlanarGraph):

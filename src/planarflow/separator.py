@@ -44,7 +44,7 @@ from functools import partial
 from itertools import compress
 
 from .errors import InvariantFailure, PreconditionNotTriangulated
-from .graph import NO_KEY, PlanarGraph, bfs_tree, dart_heads
+from .graph import NO_KEY, PlanarGraph, dart_heads
 from .surgery import triangulated
 
 # Documented boundary-size constant: every separator this module returns
@@ -76,6 +76,10 @@ class Separator:
         return len(self.boundary)
 
 
+def _dropped():
+    raise InvariantFailure("piece graph read after drop_graph let it go")
+
+
 class Piece:
     """One side of a split, with its map back to the parent graph.
 
@@ -86,7 +90,8 @@ class Piece:
     arcs, in parent arc order, then the stand-ins.  The graph itself,
     rotations, faces and triangulation chords, is built on the first
     read of graph, which then drops what it was built from; the build
-    appends the chords to those same arc arrays.
+    appends the chords to those same arc arrays.  drop_graph lets it go
+    again, after which graph may not be read.
 
     Arc i of the piece graph corresponds to parent arc parent_arcs[i],
     or None for a zero-capacity arc the split added: the stand-ins that
@@ -124,6 +129,13 @@ class Piece:
             self._build = None
         return self._graph
 
+    def drop_graph(self):
+        """Let the graph, or what it would be built from, go once nothing
+        will read it again: its level's recursion is done and no audit
+        reads the piece.  A later read of graph raises InvariantFailure."""
+        self._graph = None
+        self._build = _dropped
+
     @property
     def parent_arcs(self):
         """Piece-local arc id -> parent arc id, or None for an arc the
@@ -146,7 +158,7 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
     n = g.n
 
     head = dart_heads(g)
-    parent_dart, depth = bfs_tree(g, head)
+    parent_dart, depth = g.spanning_tree(head)
     in_tree = bytearray(g.m)
     for d in parent_dart[1:]:
         in_tree[d >> 1] = 1

@@ -2,8 +2,10 @@
 
 terminal_set_flow is a flow from a source set to a disjoint sink set,
 optionally under a limit.  Every flow call of the engine is a call of
-it: a split level's two boundary pushes, each step of its boundary walk
-and a leaf's direct solve.
+it: a split level's two boundary pushes, each run of its boundary walk
+and a leaf's direct solve.  A walk run gives its roots budgets, the
+finite terminal links of Boykov and Kolmogorov: a root sends or takes at
+most its budget, and a spent root becomes a plain node.
 
 It runs on a ResidualNet, one graph's adjacency over the store darts of
 its keyed arcs, and augments the store's residuals in place.  graph_arcs
@@ -23,11 +25,12 @@ that last found a node rooted ends each chain walk early, with the same
 choices as a walk to the root.  No node or arc is ever added: terminal
 sets stand in for the paper's supersource, supersink, per-piece apex
 and boundary-suffix chain, with the same values since every finite cut
-keeps each such set on one side, and since every terminal stays a root,
-a path holds exactly one source and one sink.  Values are those of any
-max flow; which maximum flow, hence arc_flows, depends on the paths
-taken, and so on the order of each node's darts.  The acceptance oracle
-(oracle.py) shares none of this code.
+keeps each such set on one side, and since every terminal stays a root
+until its budget, if it has one, is spent, a path holds exactly one
+source and one sink.  Values are those of any max flow; which maximum
+flow, hence arc_flows, depends on the paths taken, and so on the order
+of each node's darts.  The acceptance oracle (oracle.py) shares none of
+this code.
 """
 
 from __future__ import annotations
@@ -100,11 +103,13 @@ def input_net(g, store) -> ResidualNet:
 _ROOT, _ORPHAN = -1, -2     # parent marks of a terminal and of an orphan
 
 
-def _search_trees(adj, head, res, sources, sinks, limit=None):
+def _search_trees(adj, head, res, sources, sinks, limit=None, budget=None):
     """Boykov-Kolmogorov max flow from a source set to a disjoint sink
     set; returns (value, darts) and leaves the final residuals in res,
     where darts lists, with repeats, a dart of every arc that an
-    augmenting path used.
+    augmenting path used.  budget, when given, maps some roots to the
+    most they may still send (a source) or take (a sink), each above 0,
+    and is spent in place; a root not in it has no bound.
 
     Dart d runs into head[d] with residual res[d]; d ^ 1 is its reverse.
     The sources root a source tree of darts with residual away from them,
@@ -117,8 +122,14 @@ def _search_trees(adj, head, res, sources, sinks, limit=None):
     free neighbour it has residual toward (in the sink tree: from), and
     augmenting when the neighbour is in the other tree.  The path is the
     source chain, that meeting dart and the sink chain; it carries its
-    bottleneck, capped at what the limit leaves.  Each chain is walked
-    twice, once for the bottleneck and once to push it.
+    bottleneck, capped at what the limit leaves and at its two roots'
+    budgets.  Each chain is walked twice, once for the bottleneck and
+    once to push it, and once more to find its root when budgets are
+    given.  A root whose budget reaches 0 is a saturated terminal link:
+    it is marked an orphan before the push and goes through the same
+    adoption as the orphans the push makes, after which it is a plain
+    node.  A call without budgets pays one test per augmentation for
+    them.  The run returns as soon as the value reaches the limit.
 
     Every tree dart an augmentation saturates orphans its child.  An
     orphan takes the first same-tree neighbour, in dart order, with
@@ -135,9 +146,13 @@ def _search_trees(adj, head, res, sources, sinks, limit=None):
     So no residual dart leaves the source tree from a node outside its
     queue, and none enters the sink tree at such a node; the run stops as
     soon as either queue is empty, since that tree is then closed under
-    residual darts (in its direction).  Terminals stay roots, so a
-    path holds exactly one source and one sink.  Deterministic: the
-    queues start in the given order and every scan follows adj[v].
+    residual darts (in its direction).  Terminals stay roots until
+    their budgets are spent, so a path holds exactly one source and one
+    sink, and a run short of its limit leaves no residual path between
+    two roots with budget left: max-flow/min-cut with budgeted roots,
+    which a walk run's invariants rest on (engine._redistribute_boundary).
+    Deterministic: the queues start in the given order and every scan
+    follows adj[v].
     """
     n = len(adj)
     tree = bytearray(n)          # 0 free, 1 source tree, 2 sink tree
@@ -201,12 +216,26 @@ def _search_trees(adj, head, res, sources, sinks, limit=None):
                     d = parent[head[d ^ 1]]
                 if limit is not None and push > limit - total:
                     push = limit - total
+                orphans = []
+                if budget is not None:       # the roots' own t-links
+                    roots = []
+                    for x in (head[meet ^ 1], head[meet]):
+                        while parent[x] >= 0:
+                            x = head[parent[x] ^ 1]
+                        if x in budget:
+                            roots.append(x)
+                            if budget[x] < push:
+                                push = budget[x]
+                    for x in roots:          # a spent root becomes a plain node
+                        budget[x] -= push
+                        if not budget[x]:
+                            parent[x] = _ORPHAN
+                            orphans.append(x)
                 total += push
                 touched.append(meet)
                 res[meet] -= push
                 res[meet ^ 1] += push
                 # a saturated tree dart orphans its child
-                orphans = []
                 x = head[meet ^ 1]
                 d = parent[x]
                 while d >= 0:
@@ -229,6 +258,8 @@ def _search_trees(adj, head, res, sources, sinks, limit=None):
                         orphans.append(x)
                     x = head[d ^ 1]
                     d = parent[x]
+                if total == limit:
+                    return total, touched
                 now += 1
                 for x in orphans:        # grows while it is read
                     tx = tree[x]
@@ -266,8 +297,6 @@ def _search_trees(adj, head, res, sources, sinks, limit=None):
                             elif res[e2] and not in2[y]:
                                 in2[y] = 1
                                 q2.append(y)
-                if total == limit:
-                    return total, touched
                 if not res[meet] or tree[v] != side or tree[w] != tw:
                     break
             if tree[v] != side:
@@ -277,25 +306,40 @@ def _search_trees(adj, head, res, sources, sinks, limit=None):
 def terminal_set_flow(store, net, sources, sinks, limit=None):
     """Flow from a source set to a disjoint sink set on the net, which
     must be the last one built on the store; returns (value, darts).  The
-    terminals may come in any iterables; each is read once.
+    terminals may come in any iterables; each is read once.  Either set
+    may instead be a dict from node to budget, the most that root may send
+    (a source) or take (a sink): the finite terminal link of Boykov and
+    Kolmogorov, where a plain terminal's link is infinite.  A root with
+    budget 0 is a plain node.
 
-    The value is the max flow's, or min(limit, max flow) under a limit.
-    Whenever it falls short of the limit, no residual path from the
-    sources to the sinks remains.  Raises ValueError when the sets
-    overlap or the limit is negative.  The flow is written to store.res
-    in place; darts lists, with repeats, a dart of every arc an
-    augmenting path used, and each such arc's flow must lie in [0, cap],
-    else CapacityViolation.
+    The value is the max flow's, or min(limit, max flow) under a limit;
+    with budgets, the max flow's with every root's flow capped at its
+    budget.  Whenever it falls short of the limit, no residual path from
+    a source to a sink remains whose two ends both have budget left.
+    Raises ValueError when the sets overlap or the limit or a budget is
+    negative.  The flow is written to store.res in place; darts lists,
+    with repeats, a dart of every arc an augmenting path used, and each
+    such arc's flow must lie in [0, cap], else CapacityViolation.
     """
+    budget = {}
+    for terminals in (sources, sinks):
+        if isinstance(terminals, dict):
+            budget.update(terminals)
     sources, sinks = sorted(sources), sorted(sinks)
     if limit is not None and limit < 0:
         raise ValueError("flow limit must be non-negative")
     if set(sources) & set(sinks):
         raise ValueError("sources and sinks overlap")
+    if budget:
+        if min(budget.values()) < 0:
+            raise ValueError("root budgets must be non-negative")
+        sources = [v for v in sources if budget.get(v) != 0]
+        sinks = [v for v in sinks if budget.get(v) != 0]
     if not sources or not sinks or limit == 0:
         return 0, []
     res, caps = store.res, store.caps
-    value, darts = _search_trees(net.adj, store.head, res, sources, sinks, limit)
+    value, darts = _search_trees(net.adj, store.head, res, sources, sinks, limit,
+                                 budget or None)
     for d in darts:
         f = res[d | 1]
         if f < 0 or f > caps[d >> 1]:

@@ -456,8 +456,9 @@ def piece_pushes(store, piece, sub_sources, sub_sinks):
     """One piece's two boundary-set pushes on a net of its own, the
     reference for the level push: its sources into its boundary nodes,
     then those into its sinks.  Both write the store; returns their
-    values."""
-    net = graph_arcs(piece.graph, store)
+    values.  The net is built from the piece's arc arrays, which outlive
+    its graph."""
+    net = graph_arcs(piece, store)
     value_in, _ = terminal_set_flow(store, net, sub_sources, piece.boundary_local)
     value_out, _ = terminal_set_flow(store, net, piece.boundary_local, sub_sinks)
     return value_in, value_out

@@ -133,7 +133,11 @@ def test_trace_records_cover_all_phases():
     assert {"separator", "push_sources_to_boundary",
             "push_boundary_to_sinks", "redistribute", "solve_leaf"} <= ops
     redis = [r for r in records if r["op"] == "redistribute"]
-    assert all("boundary_inflow" in r and "pushed" in r for r in redis)
+    assert redis and all({"nodes", "budgets", "pushed", "boundary_inflow"} <= r.keys()
+                         for r in redis)
+    for r in redis:
+        assert len(r["nodes"]) == len(r["budgets"]) > 0 and min(r["budgets"]) > 0
+        assert 0 <= r["pushed"] <= sum(r["budgets"])
 
 
 def test_stats_shape_bound_holds():
@@ -268,7 +272,7 @@ def test_audit_mode_counts_checks():
     res_full = msms_max_flow(g, ts.sources, ts.sinks,
                              EngineConfig(audit="full", base_case=16))
     assert res_none.audits == 0
-    assert res_full.audits == 536
+    assert res_full.audits == 300       # the walk audits once per run
 
 
 def test_walk_that_pushes_nothing_fails_the_full_audit_at_a_named_step(monkeypatch):
@@ -290,7 +294,7 @@ def run_full_audit_until_it_fails(g, ts):
 @pytest.mark.parametrize("push, audits, message", [
     ("msss_max_flow", 11,
      "depth 4 piece 1 source push: source reaches a boundary node (nodes [5])"),
-    ("ssms_max_flow", 128,
+    ("ssms_max_flow", 63,
      "depth 4 piece 0 apex pushes: boundary node reaches a sink (nodes [10, 12])"),
 ], ids=["source-push", "sink-push"])
 def test_apex_push_that_pushes_nothing_fails_the_full_audit(monkeypatch, push, audits,
@@ -463,7 +467,8 @@ def test_terminals_may_arrive_as_one_shot_iterables(monkeypatch, base_case, shap
     """Both entry points read their terminals once: the engine given
     iterators or generators solves as it does given lists, value and
     arc_flows, and so does a solve whose every terminal_set_flow call
-    gets its terminals that way."""
+    gets its terminals that way, but for a walk run's budgeted roots,
+    which come as a dict from node to budget."""
     one_shot = ONE_SHOT[shape]
     cfg = EngineConfig(base_case=base_case, audit="full")
     built = [generate(*case).build() for case in (("grid", 100, 1), ("tri", 200, 2))]
@@ -481,8 +486,9 @@ def test_terminals_may_arrive_as_one_shot_iterables(monkeypatch, base_case, shap
 
     def flow(store, net, sources, sinks, *limit):
         calls.append(limit)
-        return solvers.terminal_set_flow(store, net, one_shot(sources), one_shot(sinks),
-                                         *limit)
+        sources, sinks = (ids if isinstance(ids, dict) else one_shot(ids)
+                          for ids in (sources, sinks))
+        return solvers.terminal_set_flow(store, net, sources, sinks, *limit)
 
     for name in SOLVER_NAMES:
         monkeypatch.setattr(engine, name, flow)
@@ -523,6 +529,64 @@ def test_walk_audit_is_exact_on_random_residual_states():
             assert eng.audits == 5 + ({1, -1} <= signs)
             outcomes.add("passes")
     assert outcomes == {"fails", "passes"}
+
+
+def test_walk_runs_keep_the_walk_invariants_on_random_residual_states(monkeypatch):
+    """From a random residual state, three pushes (sources to sinks, to
+    the boundary, boundary to sinks) give what a level hands its walk;
+    after every run of the walk, separate searches find no broken walk
+    predicate.  The runs follow each other along the boundary and end by
+    boundary[k - 2]; each is one limited flow between budgeted roots of
+    its own stretch and the rest of the boundary, limited to the
+    budgets' sum; the nodes after the last run, up to boundary[k - 2],
+    end the walk balanced."""
+    rng = random.Random(11)
+    after = []
+    calls = []
+
+    def checking(self, gd, boundary, sources, sinks, i, depth):
+        after.append((i, walk_violations(gd, self.store, sources, sinks, boundary, i)))
+
+    def flow(store, net, src, dst, limit):
+        calls.append((src, dst, limit))
+        return solvers.terminal_set_flow(store, net, src, dst, limit)
+
+    monkeypatch.setattr(MsmsEngine, "_audit_redistribute_iteration", checking)
+    monkeypatch.setattr(engine, "limited_max_flow", flow)
+    multi_root = 0
+    for _ in range(400):
+        kind = rng.choice(["grid", "tri"])
+        g, _ = generate(kind, rng.randint(6, 40), rng.randrange(10 ** 6),
+                        cap_max=rng.choice((1, 2, 5))).build()
+        nodes = list(range(g.n))
+        rng.shuffle(nodes)
+        a, b = rng.randint(1, 2), rng.randint(1, 2)
+        k = rng.randint(2, min(10, g.n - a - b))
+        sources, sinks, boundary = set(nodes[:a]), set(nodes[a:a + b]), nodes[a + b:a + b + k]
+        eng = MsmsEngine(g, sources, sinks, EngineConfig())
+        set_flows(eng.store, [rng.randint(0, c) for c in eng.store.caps])
+        net = graph_arcs(g, eng.store)
+        for src, dst in ((sources, sinks), (sources, boundary), (boundary, sinks)):
+            solvers.terminal_set_flow(eng.store, net, src, dst)
+        assert walk_violations(g, eng.store, sources, sinks, boundary, -1) == []
+        after.clear()
+        calls.clear()
+        eng._redistribute_boundary(net, g, boundary, sources, sinks, 0)
+        assert [hit for _, hit in after] == [[]] * len(calls)
+        ends = [i for i, _ in after]
+        assert ends == sorted(set(ends)) and all(i <= k - 2 for i in ends)
+        start = 0
+        for i, (src, dst, limit) in zip(ends, calls):
+            budgets = src if isinstance(src, dict) else dst
+            rest = dst if isinstance(src, dict) else src
+            assert list(rest) == boundary[i + 1:]
+            assert set(budgets) <= set(boundary[start:i + 1]) and limit == sum(budgets.values())
+            assert min(budgets.values()) > 0
+            multi_root += len(budgets) > 1
+            start = i + 1
+        balance = inflow_all(g, eng.store)
+        assert not any(balance[v] for v in boundary[start:k - 1])
+    assert multi_root > 0
 
 
 SEPARATION_CHECKS = ("source reaches a sink", "source reaches a boundary node",
@@ -604,8 +668,10 @@ def record_pieces(monkeypatch):
 def test_pieces_inherit_their_face_walks(monkeypatch, kind, n, base_case, seed):
     """Every piece carries exactly the face walks of its rotation, though
     a run walks none of them, and is a two-connected triangulation, so
-    the pieces that split need no check."""
+    the pieces that split need no check.  The pieces keep their graphs,
+    which are read after the solve."""
     g, ts = generate(kind, n, seed).build()
+    monkeypatch.setattr(separator.Piece, "drop_graph", lambda piece: None)
     pieces = record_pieces(monkeypatch)
     separated = []
     real_find = engine.find_cycle_separator
@@ -684,9 +750,18 @@ def record_level_kinds(monkeypatch):
 def test_only_the_pieces_that_split_are_built(monkeypatch, kind, n, base_case):
     """At audit=none a piece's graph is built only when its level splits
     or falls back to a guard-base solve; empty pieces and leaves are
-    solved from the arc arrays the split filled."""
+    solved from the arc arrays the split filled.  A piece's graph is let
+    go once its recursion returns, or before, once a detach copied it;
+    the first drop sees whether the graph was built."""
     builds = count_builds(monkeypatch)
     kinds = record_level_kinds(monkeypatch)
+    built = {}
+    drop = separator.Piece.drop_graph
+
+    def recording(piece):
+        built.setdefault(id(piece), piece._graph is not None)
+        drop(piece)
+    monkeypatch.setattr(separator.Piece, "drop_graph", recording)
     g, ts = generate(kind, n, 1).build()
     res = msms_max_flow(g, ts.sources, ts.sinks,
                         EngineConfig(base_case=base_case, audit="none"))
@@ -697,7 +772,8 @@ def test_only_the_pieces_that_split_are_built(monkeypatch, kind, n, base_case):
     found = {k for _, k in pieces}
     assert found >= {"split", "empty"} and found & {"base", "guard-base"}
     for piece, k in pieces:
-        assert (piece._graph is not None) == (k in ("split", "guard-base"))
+        assert built[id(piece)] == (k in ("split", "guard-base"))
+        assert piece._graph is None
 
 
 def test_every_piece_is_built_under_the_full_audit(monkeypatch):

@@ -110,6 +110,22 @@ def test_bfs_tree_parent_darts(kind):
         assert (g.dart_tail(d), g.dart_head(d)) == (parent[w], w)
 
 
+@pytest.mark.parametrize("kind, n, seed", [("grid", 60, 4), ("tri", 60, 5), ("grid", 800, 1),
+                                          ("tri", 400, 2)])
+def test_check_embedding_keeps_its_bfs_tree(kind, n, seed):
+    """The embedding check keeps the BFS tree of its connectivity test, on
+    the input and on its triangulation: spanning_tree() is that tree,
+    equal to bfs_tree's.  An unchecked graph gets a fresh tree each time."""
+    g, ts = generate(kind, n, seed).build()
+    gt = triangulate_and_biconnect(g)
+    for h in (g, gt):
+        assert h.spanning_tree() is h.spanning_tree() == bfs_tree(h)
+    unchecked = PlanarGraph(list(gt.tails), list(gt.heads), list(gt.caps),
+                            [list(r) for r in gt.rot], list(gt.keys))
+    assert unchecked.spanning_tree() is not unchecked.spanning_tree()
+    assert unchecked.spanning_tree() == bfs_tree(gt)
+
+
 def test_empty_graph_fails_euler():
     with pytest.raises(NonPlanarEmbedding):
         build_graph(0, [], [])

@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from planarflow import EngineConfig, engine, msms_max_flow, separator
+from planarflow import EngineConfig, engine, graph, msms_max_flow, separator
 from planarflow.errors import InvariantFailure, PreconditionNotTriangulated
 from planarflow.flow import FlowStore
 from planarflow.generate import (
@@ -316,6 +316,43 @@ def test_a_piece_is_built_on_the_first_read_of_its_graph(monkeypatch, kind):
         assert (net.adj, heads, net.keys) == (built.adj, net_heads(built, store), built.keys)
     assert all(map(same_piece, pieces, reference_split_into_pieces(gt, sep)))
     assert len(builds) == 2
+
+
+def test_a_dropped_piece_graph_cannot_be_read():
+    """drop_graph lets a piece's graph go, built or not; a later read of
+    graph names the drop, and the arc arrays still give the piece's net."""
+    g, _ = generate("grid", 300, 5).build()
+    gt = triangulate_and_biconnect(g)
+    store = FlowStore.for_graph(g)
+    built, unbuilt = split_into_pieces(gt, find_cycle_separator(gt))
+    net = graph_arcs(built.graph, store)
+    for piece in (built, unbuilt):
+        piece.drop_graph()
+        with pytest.raises(InvariantFailure,
+                           match="^piece graph read after drop_graph let it go$"):
+            piece.graph
+    assert graph_arcs(built, store).adj == net.adj
+
+
+@pytest.mark.parametrize("audit", ["none", "full"])
+def test_the_separator_reuses_the_embedding_checks_bfs_tree(monkeypatch, audit):
+    """Every graph a separator runs on was checked, so its BFS tree is the
+    check's: at audit=full every split level's graph is checked and no
+    separator runs a BFS of its own; at audit=none only the root's
+    triangulation is checked, so the root's separator runs none and each
+    piece that splits runs one."""
+    g, ts = generate("grid", 800, 1).build()
+    calls = []
+    real = graph.bfs_tree
+    monkeypatch.setattr(graph, "bfs_tree", lambda *args: calls.append(1) or real(*args))
+    checks = []
+    check = graph.PlanarGraph.check_embedding
+    monkeypatch.setattr(graph.PlanarGraph, "check_embedding",
+                        lambda g: checks.append(1) or check(g))
+    res = msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(audit=audit))
+    splits = [rec.kind for rec in res.stats.levels].count("split")
+    assert splits > 10
+    assert len(calls) == (len(checks) if audit == "full" else splits)
 
 
 @pytest.mark.parametrize("kind", ["grid", "tri"])

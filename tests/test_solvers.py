@@ -2,6 +2,7 @@ import copy
 import random
 
 import pytest
+import support
 from support import (
     apex_arcs,
     check_pushes_against_apex,
@@ -163,8 +164,8 @@ def test_a_core_that_leaves_an_arc_outside_its_capacity_raises(monkeypatch, flow
     g = build_graph(4, arcs, [[1], [0, 2], [1, 3], [2]])
     core = solvers._search_trees
 
-    def broken(adj, head, res, sources, sinks, limit=None):
-        value, darts = core(adj, head, res, sources, sinks, limit)
+    def broken(adj, head, res, sources, sinks, limit=None, budget=None):
+        value, darts = core(adj, head, res, sources, sinks, limit, budget)
         res[2], res[3] = 5 - flow, flow
         return value, darts
 
@@ -639,6 +640,80 @@ def test_limited_flow_meets_every_limit_on_random_digraphs():
             _assert_pseudoflow_of_value(store, keyed, before, sources, sinks, value)
             if value < limit:
                 assert not (_reach(n, keyed, store, sources) & set(sinks))
+
+
+@pytest.mark.parametrize("budgeted", ["sources", "sinks"])
+def test_budgeted_roots_match_edmonds_karp_with_budget_arcs(budgeted):
+    """1-4 roots on one side, passed as a dict from node to budget, and
+    1-4 plain terminals on the other, on support.random_digraph instances
+    (half of them under a random pseudoflow), with no limit and with the
+    budgets' sum as the limit, as a walk run has it.  The value is
+    edmonds_karp's on the same residual digraph plus a supersource (for
+    budgeted sinks: a supersink) with one arc of each root's budget; no
+    root moves more than its budget; and when the value falls short of
+    the budgets' sum, no root with budget left reaches the other side."""
+    rng = random.Random(budgeted)
+    short = 0
+    for _ in range(150):
+        n = rng.randint(4, 24)
+        arcs = support.random_digraph(rng, n, density=rng.uniform(1.5, 4.0) / n)
+        flows = [0] * len(arcs)
+        if rng.random() < 0.5:
+            flows = [rng.randint(0, c) for (_, _, c) in arcs]
+        nodes = list(range(n))
+        rng.shuffle(nodes)
+        k, l = rng.randint(1, min(4, n - 1)), rng.randint(1, 4)
+        budgets = {v: rng.randint(1, 12) for v in nodes[:k]}
+        plain = sorted(nodes[k:k + l])
+        residual = [arc for (t, h, c), f in zip(arcs, flows)
+                    for arc in ((t, h, c - f), (h, t, f))]
+        if budgeted == "sources":
+            links = [(n, v, b) for v, b in budgets.items()]
+            want = edmonds_karp(n + 1, residual + links, [n], plain)
+        else:
+            links = [(v, n, b) for v, b in budgets.items()]
+            want = edmonds_karp(n + 1, residual + links, plain, [n])
+        for limit in (None, sum(budgets.values())):
+            store = FlowStore()
+            keyed = [(t, h, c, store.new_key(c)) for (t, h, c) in arcs]
+            store.apply([(key, f) for (_, _, _, key), f in zip(keyed, flows) if f])
+            before = store.vals
+            terminals = (budgets, plain) if budgeted == "sources" else (plain, budgets)
+            value, _ = terminal_set_flow(store, residual_net(n, keyed, store),
+                                        *terminals, limit)
+            assert value == want
+            sources, sinks = (set(t) for t in terminals)
+            _assert_pseudoflow_of_value(store, keyed, before, sources, sinks, value)
+            moved = dict.fromkeys(budgets, 0)     # out of a source, into a sink
+            for (t, h, _, key), d in zip(keyed, (a - b for a, b in
+                                                 zip(store.vals, before))):
+                for v, sign in ((t, 1), (h, -1)):
+                    if v in moved:
+                        moved[v] += sign * d if budgeted == "sources" else -sign * d
+            assert all(0 <= moved[v] <= b for v, b in budgets.items())
+            if value < sum(budgets.values()):
+                short += 1
+                left = {v for v, b in budgets.items() if moved[v] < b}
+                if budgeted == "sources":
+                    assert not (support.reach(n, keyed, store, left) & set(plain))
+                else:
+                    assert not (support.reach(n, keyed, store, plain) & left)
+    assert short > 0
+
+
+def test_a_spent_or_empty_budget_leaves_a_plain_node():
+    """On the path 0-1-2, a root with budget 0 is no root at all, and a
+    root that spends its budget stays on a path as a plain node; a
+    negative budget is rejected."""
+    arcs = [(0, 1, 5), (1, 2, 5)]
+    g = build_graph(3, arcs, [[1], [0, 2], [1]])
+    for sources, want in (({0: 0, 1: 4}, 4), ({0: 2, 1: 0}, 2), ({0: 3, 1: 1}, 4)):
+        store = FlowStore.for_graph(g)
+        value, _ = terminal_set_flow(store, graph_arcs(g, store), sources, [2])
+        assert value == want
+    store = FlowStore.for_graph(g)
+    with pytest.raises(ValueError, match="^root budgets must be non-negative$"):
+        terminal_set_flow(store, graph_arcs(g, store), {0: -1}, [2])
 
 
 def test_solver_runs_are_deterministic():

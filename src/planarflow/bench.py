@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .config import EngineConfig, with_overrides
+from .config import EngineConfig
 from .engine import MsmsEngine
 from .errors import InvariantFailure
 from .generate import generate
@@ -69,7 +69,7 @@ def run_one(kind, n, seed, cap_max=10 ** 6, config: EngineConfig | None = None,
     config = config or EngineConfig()
     res, elapsed = _timed_solve(inst, config)
     direct, direct_elapsed = _timed_solve(
-        inst, with_overrides(config, base_case=DIRECT_BASE_CASE))
+        inst, replace(config, base_case=DIRECT_BASE_CASE))
     if direct.value != res.value:
         raise InvariantFailure(f"{kind} n={n} seed={seed}: recursive value "
                                f"{res.value} != direct value {direct.value}")
@@ -91,8 +91,6 @@ class RunReport:
     value: int
     oracle_value: int
     seconds: float
-    depth: int
-    max_boundary: int
     audits: int
     shape_ok: bool
 
@@ -110,9 +108,7 @@ def check_one(kind, n, seed, cap_max=10 ** 6,
     want = oracle_max_flow(inst.num_nodes, inst.arcs, inst.sources, inst.sinks).value
     return RunReport(
         kind=kind, n=inst.num_nodes, seed=seed, value=res.value, oracle_value=want,
-        seconds=elapsed, depth=res.stats.max_depth,
-        max_boundary=res.stats.max_boundary, audits=res.audits,
-        shape_ok=not res.stats.shape_violations(),
+        seconds=elapsed, audits=res.audits, shape_ok=not res.stats.shape_violations(),
     )
 
 

@@ -5,10 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import check_one, report, run_one
-from .config import AUDIT_LEVELS, EngineConfig, parse_config_file, with_overrides
+from .config import AUDIT_LEVELS, EngineConfig
 from .engine import MsmsEngine
 from .errors import AuditFailure, ConfigError, InvariantFailure, PlanarFlowError
 from .generate import MIN_NODES, generate
@@ -32,15 +33,8 @@ def _read_text(path) -> str:
         raise ConfigError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
-def _load_config(args) -> EngineConfig:
-    cfg = EngineConfig()
-    if getattr(args, "config", None):
-        cfg = parse_config_file(_read_text(args.config))
-    return with_overrides(
-        cfg,
-        audit=getattr(args, "audit", None),
-        base_case=getattr(args, "base_case", None),
-    )
+def _engine_config(args) -> EngineConfig:
+    return EngineConfig(audit=args.audit, base_case=args.base_case)
 
 
 def _check_gen_args(kind, n, cap_max, s_frac=0.0, t_frac=0.0):
@@ -87,7 +81,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = _load_config(args)
+    cfg = _engine_config(args)
     text = _read_text(args.file)
     try:
         inst = parse_instance_file(text)
@@ -162,9 +156,9 @@ def _build_components(inst):
 def cmd_check(args) -> int:
     _check_gen_args(args.kind, args.n, args.cap_max)
     _check_runs("--count", args.count)
-    cfg = _load_config(args)
+    cfg = _engine_config(args)
     if cfg.audit == "none":
-        cfg = with_overrides(cfg, audit="full")
+        cfg = replace(cfg, audit="full")
     failures = 0
     audit_failures = 0
     for i in range(args.count):
@@ -191,7 +185,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _load_config(args)
+    cfg = _engine_config(args)
     try:
         sizes = [int(x) for x in args.sizes.split(",")]
     except ValueError:
@@ -229,6 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="max flow in directed planar graphs with many sources and sinks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    engine_options = argparse.ArgumentParser(add_help=False)    # solve, check, bench
+    engine_options.add_argument("--audit", choices=AUDIT_LEVELS, default=EngineConfig.audit)
+    engine_options.add_argument("--base-case", type=int, default=EngineConfig.base_case,
+                                dest="base_case")
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--kind", choices=list(MIN_NODES), required=True)
@@ -240,28 +238,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("solve", help="solve an instance file")
+    p = sub.add_parser("solve", parents=[engine_options], help="solve an instance file")
     p.add_argument("file")
     p.add_argument("--dump-flow", action="store_true", dest="dump_flow")
     p.add_argument("--per-component", action="store_true", dest="per_component")
-    p.add_argument("--config")
     p.add_argument("--trace")
-    p.add_argument("--audit", choices=AUDIT_LEVELS)
-    p.add_argument("--base-case", type=int, dest="base_case")
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("check", help="solve seeded instances and verify against the oracle")
+    p = sub.add_parser("check", parents=[engine_options],
+                       help="solve seeded instances and verify against the oracle")
     p.add_argument("--kind", choices=list(MIN_NODES), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap-max", type=int, default=10 ** 6, dest="cap_max")
-    p.add_argument("--config")
-    p.add_argument("--audit", choices=AUDIT_LEVELS)
-    p.add_argument("--base-case", type=int, dest="base_case")
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("bench", help="timing rows plus recursion-shape report (CSV)")
+    p = sub.add_parser("bench", parents=[engine_options],
+                       help="timing rows plus recursion-shape report (CSV)")
     p.add_argument("--kinds", default="grid,tri")
     p.add_argument("--sizes", default="100,200,400,800")
     p.add_argument("--repeats", type=int, default=1)
@@ -269,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap-max", type=int, default=10 ** 6, dest="cap_max")
     p.add_argument("--s-frac", type=float, default=0.1, dest="s_frac")
     p.add_argument("--t-frac", type=float, default=0.1, dest="t_frac")
-    p.add_argument("--config")
-    p.add_argument("--audit", choices=AUDIT_LEVELS)
-    p.add_argument("--base-case", type=int, dest="base_case")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("import-dimacs", help="convert a grid-recognizable DIMACS max file")
@@ -289,7 +280,7 @@ def main(argv=None) -> int:
     except InvariantFailure as e:         # a bug, not bad input
         print(f"{_failure_kind(e)}: {e}", file=sys.stderr)
         return EXIT_AUDIT
-    except (OSError, ConfigError) as e:   # files, config and option values
+    except (OSError, ConfigError) as e:   # files and option values
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

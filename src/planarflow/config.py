@@ -1,8 +1,9 @@
-"""Run configuration: base case size and audit level."""
+"""Run configuration: base case size and audit level, each checked here,
+for library callers and the command line alike."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -21,30 +22,3 @@ class EngineConfig:
             raise ConfigError(f"base_case must be an integer, got {self.base_case!r}")
         if self.base_case < 2:
             raise ConfigError("base_case must be at least 2")
-
-
-def parse_config_file(text: str) -> EngineConfig:
-    """key=value lines; '#' starts a comment."""
-    fields = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"bad config line: {raw!r}")
-        key, value = (x.strip() for x in line.split("=", 1))
-        if key == "base_case":
-            try:
-                fields[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"base_case must be an integer, got {value!r}") from None
-        elif key == "audit":
-            fields[key] = value
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    return EngineConfig(**fields)
-
-
-def with_overrides(cfg: EngineConfig, **kwargs) -> EngineConfig:
-    kwargs = {k: v for k, v in kwargs.items() if v is not None}
-    return replace(cfg, **kwargs) if kwargs else cfg

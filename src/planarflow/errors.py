@@ -54,7 +54,7 @@ class AuditFailure(InvariantFailure):
 
 
 class ConfigError(PlanarFlowError, ValueError):
-    """A config file line, key or value is invalid."""
+    """A bad option value, or an input file that is not UTF-8."""
 
 
 class ParseError(PlanarFlowError):

@@ -225,8 +225,10 @@ class PlanarGraph:
         One walk_faces call follows the given faces and walks the ones
         they leave out, so a wrong given face is named before Euler's
         check runs, and a missing one is counted after it.  The checked
-        dart-to-face index is kept as dart_faces(), and the connectivity
-        test's BFS tree as spanning_tree().
+        dart-to-face index is kept as dart_faces().  A graph given its
+        faces by surgery, a leaf piece checked at audit=full too, keeps the
+        connectivity test's BFS tree as spanning_tree() for the separator;
+        the input, triangulated before any split, keeps none.
 
         Each of the 2m darts must be listed once, at the node it leaves.
         A dart id outside 0..2m - 1 is out of range: a negative one by its
@@ -267,8 +269,9 @@ class PlanarGraph:
         elif len(given) != len(faces):
             raise EmbeddingInvalid(
                 f"{len(given)} faces given but the rotation system has {len(faces)}")
+        else:
+            self._tree = tree
         self._face_of = face_of
-        self._tree = tree
 
 
 def dart_heads(g: PlanarGraph):

@@ -66,8 +66,8 @@ class Separator:
 
     boundary: list            # node ids in cycle order
     cycle_darts: list         # dart i runs boundary[i] -> boundary[i+1]
-    inside: frozenset         # nodes strictly on side 0
-    outside: frozenset        # nodes strictly on side 1
+    inside: list              # nodes strictly on side 0, in id order
+    outside: list             # nodes strictly on side 1, in id order
     n: int
     face_side: list           # side (0 or 1) of every face of the graph
 
@@ -91,7 +91,7 @@ class Piece:
     rotations, faces and triangulation chords, is built on the first
     read of graph, which then drops what it was built from; the build
     appends the chords to those same arc arrays.  drop_graph lets it go
-    again, after which graph may not be read.
+    again, with parent_arcs, after which neither may be read.
 
     Arc i of the piece graph corresponds to parent arc parent_arcs[i],
     or None for a zero-capacity arc the split added: the stand-ins that
@@ -130,16 +130,18 @@ class Piece:
         return self._graph
 
     def drop_graph(self):
-        """Let the graph, or what it would be built from, go once nothing
-        will read it again: its level's recursion is done and no audit
-        reads the piece.  A later read of graph raises InvariantFailure."""
+        """Let the graph, or what it would be built from, and the
+        parent_arcs list go once nothing will read them again: its level's
+        recursion is done and no audit reads the piece.  A later read of
+        graph or parent_arcs raises InvariantFailure."""
         self._graph = None
         self._build = _dropped
+        self._own = None
 
     @property
     def parent_arcs(self):
         """Piece-local arc id -> parent arc id, or None for an arc the
-        split added; reads graph."""
+        split added; reads graph first, so it too raises once dropped."""
         return self._own + [None] * (self.graph.m - len(self._own))
 
 
@@ -254,8 +256,7 @@ def find_cycle_separator(g: PlanarGraph) -> Separator:
     if not (len(inside) <= 2 * n / 3 and len(outside) <= 2 * n / 3):
         raise InvariantFailure(
             f"separator balance violated: {len(inside)}/{len(outside)} of {n}")
-    return Separator(boundary, darts, frozenset(inside), frozenset(outside), n,
-                     side)
+    return Separator(boundary, darts, inside, outside, n, side)
 
 
 def _check_orientation(side, face_of, cycle_darts):
@@ -291,7 +292,7 @@ def split_into_pieces(g: PlanarGraph, sep: Separator):
     arc_sides = bytearray(map(side.__getitem__, face_of[::2]))
     for d in sep.cycle_darts:
         arc_sides[d >> 1] = 0
-    strict = (sorted(sep.inside), sorted(sep.outside))
+    strict = (list(sep.inside), list(sep.outside))
     for v in range(sep.n, g.n):   # detached terminals, numbered after sep's graph
         strict[side[face_of[g_rot[v][0]]]].append(v)
     stand_ins = [d >> 1 for d in sep.cycle_darts]

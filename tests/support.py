@@ -515,8 +515,8 @@ def reference_find_cycle_separator(g):
             + [parent_arc[x] for x in up_v[-2::-1]] + [a_star])
     darts = [2 * a + (tails[a] != x) for x, a in zip(boundary, arcs)]
     face_side, inside, outside = reference_sides(g, darts)
-    return separator.Separator(boundary, darts, frozenset(inside),
-                               frozenset(outside), n, face_side)
+    return separator.Separator(boundary, darts, sorted(inside), sorted(outside), n,
+                               face_side)
 
 
 def reference_sides(g, cycle_darts):

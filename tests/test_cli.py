@@ -270,20 +270,34 @@ def test_bench_exits_3_when_the_direct_value_differs(monkeypatch, capsys):
     assert len(err.splitlines()) == 1 and "!= direct value" in err
 
 
-def test_config_file(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("base_case = 16\naudit = final\n# comment\n")
+def test_solve_takes_the_engine_options_as_flags(tmp_path, capsys):
+    """--audit and --base-case set the solve's EngineConfig."""
+    from planarflow import EngineConfig, msms_max_flow
     inst = generate("tri", 50, 1)
     path = tmp_path / "inst.txt"
     path.write_text(inst.text())
-    assert main(["solve", str(path), "--config", str(cfg)]) == 0
+    assert main(["solve", str(path), "--audit", "final", "--base-case", "16"]) == 0
+    g, ts = inst.build()
+    want = msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(audit="final", base_case=16))
+    assert capsys.readouterr().out == f"value {want.value}\n"
 
 
-def test_config_rejects_unknown_key(tmp_path):
-    from planarflow.config import parse_config_file
-    for key in ("bogus", "seed", "msss_backend", "limited_backend"):
-        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
-            parse_config_file(f"{key} = 1\n")
+def test_solve_has_no_config_file_option(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text(generate("tri", 20, 1).text())
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", str(path), "--config", str(tmp_path / "run.cfg")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("audit", [[], ["--audit", "none"]])
+def test_check_runs_full_audits_unless_told_a_level(capsys, audit):
+    assert main(["check", "--kind", "grid", "--n", "60", "--count", "3", *audit]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[-1] == "all 3 runs verified"
+    for line in lines[:-1]:
+        assert int(re.search(r" audits=(\d+) ", line).group(1)) > 0
 
 
 @pytest.mark.parametrize("value", ["5", None, 2.5, 32.0, True, False])
@@ -323,8 +337,6 @@ def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, linen
 @pytest.mark.parametrize("argv", [
     ["solve", "{tmp}/missing.txt"],
     ["import-dimacs", "{tmp}/missing.max"],
-    ["solve", "{inst}", "--config", "{tmp}/unknown-key.cfg"],
-    ["solve", "{inst}", "--config", "{tmp}/bad-base-case.cfg"],
     ["solve", "{inst}", "--base-case", "1"],
     ["solve", "{inst}", "--trace", "{tmp}/no-such-dir/trace.jsonl"],
     ["bench", "--kinds", "foo"],
@@ -360,9 +372,7 @@ def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, linen
     ["import-dimacs", "{tmp}/unknown-tag.max"],
     ["import-dimacs", "{tmp}/nodes-10-to-the-12.max"],
     ["solve", "{tmp}/nodes-10-to-the-12.txt"],
-    ["solve", "{inst}", "--config", "{tmp}/not-utf8.bin"],
-], ids=["missing-instance", "missing-dimacs", "unknown-config-key",
-        "non-integer-base-case", "base-case-1", "trace-in-missing-dir",
+], ids=["missing-instance", "missing-dimacs", "base-case-1", "trace-in-missing-dir",
         "bench-unknown-kind", "bench-non-integer-size", "bench-grid-size-0",
         "gen-grid-n-1", "check-grid-n-1", "gen-tri-n-minus-5", "gen-tri-n-2",
         "check-tri-n-2", "bench-tri-sizes-0-minus-5", "gen-negative-cap-max",
@@ -375,10 +385,8 @@ def test_import_dimacs_rejects_malformed_lines(tmp_path, capsys, bad_line, linen
         "import-dimacs-arc-count-7", "import-dimacs-arc-count-x",
         "import-dimacs-arc-count-minus-1", "import-dimacs-nodes-0",
         "import-dimacs-unknown-tag", "import-dimacs-nodes-10-to-the-12",
-        "solve-nodes-10-to-the-12", "config-not-utf8"])
+        "solve-nodes-10-to-the-12"])
 def test_bad_outside_input_exits_2_with_one_line(tmp_path, capsys, argv):
-    (tmp_path / "unknown-key.cfg").write_text("bogus = 1\n")
-    (tmp_path / "bad-base-case.cfg").write_text("base_case = x\n")
     (tmp_path / "not-utf8.bin").write_bytes(b"\xff")
     head = "n 1 s\nn 2 t\na 1 2 3\n"
     bad_dimacs = {  # file -> (text, the error it must get, at the line that holds it)

@@ -113,13 +113,15 @@ def test_bfs_tree_parent_darts(kind):
 @pytest.mark.parametrize("kind, n, seed", [("grid", 60, 4), ("tri", 60, 5), ("grid", 800, 1),
                                           ("tri", 400, 2)])
 def test_check_embedding_keeps_its_bfs_tree(kind, n, seed):
-    """The embedding check keeps the BFS tree of its connectivity test, on
-    the input and on its triangulation: spanning_tree() is that tree,
-    equal to bfs_tree's.  An unchecked graph gets a fresh tree each time."""
+    """The embedding check keeps the BFS tree of its connectivity test on
+    the triangulation, which was given its faces: spanning_tree() is that
+    tree, equal to bfs_tree's.  The input walked its own faces and keeps
+    none, nor does an unchecked graph: each gets a fresh tree per call."""
     g, ts = generate(kind, n, seed).build()
     gt = triangulate_and_biconnect(g)
-    for h in (g, gt):
-        assert h.spanning_tree() is h.spanning_tree() == bfs_tree(h)
+    assert gt.spanning_tree() is gt.spanning_tree() == bfs_tree(gt)
+    assert g.spanning_tree() is not g.spanning_tree()
+    assert g.spanning_tree() == bfs_tree(g)
     unchecked = PlanarGraph(list(gt.tails), list(gt.heads), list(gt.caps),
                             [list(r) for r in gt.rot], list(gt.keys))
     assert unchecked.spanning_tree() is not unchecked.spanning_tree()

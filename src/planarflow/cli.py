@@ -85,11 +85,13 @@ def cmd_solve(args) -> int:
     text = _read_text(args.file)
     try:
         inst = parse_instance_file(text)
+        del text        # the build reads only the parsed file
         if args.per_component:
             problems = _build_components(inst)
         else:
             g, ts = inst.build()
             problems = [(g, ts.sources, ts.sinks, range(g.n))]
+        del inst        # the solves read only the graphs, terminals and node maps
     except PlanarFlowError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

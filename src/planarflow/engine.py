@@ -239,10 +239,11 @@ class MsmsEngine:
     def _solve(self, g, sources, sinks, depth):
         """Solve one level: g is the input graph at depth 0 and a Piece
         below, whose graph is read only if the level splits (or under
-        audit=full).  Below audit=full a level lets go of what it no
-        longer reads: its triangulated graph once a detach has copied
-        it, and each piece's graph once the piece's recursion returns,
-        so only one path of the recursion holds built graphs."""
+        audit=full).  A level lets go of its separator once the split
+        has copied what the pieces read of it.  Below audit=full it also
+        lets go of its triangulated graph once a detach has copied it,
+        and of each piece's graph once the piece's recursion returns, so
+        only one path of the recursion holds built graphs."""
         if not sources or not sinks:
             self.stats.record(LevelRecord(depth, g.n, "empty"))
             return
@@ -269,10 +270,13 @@ class MsmsEngine:
             self._base_solve(g, sources, sinks, depth, "guard-base")
             return
         sources, sinks = lvl_sources, lvl_sinks
+        # the pieces copied what they read of sep: not held down the recursion
+        boundary = sep.boundary
+        sep = None
 
         self.stats.record(LevelRecord(
-            depth, g.n, "split", sep.k, (piece1.n, piece2.n)))
-        self._emit({"op": "separator", "depth": depth, "n": g.n, "k": sep.k,
+            depth, g.n, "split", len(boundary), (piece1.n, piece2.n)))
+        self._emit({"op": "separator", "depth": depth, "n": g.n, "k": len(boundary),
                     "pieces": [piece1.n, piece2.n]})
         if full:
             self.audits += 1
@@ -295,7 +299,6 @@ class MsmsEngine:
         net = graph_arcs(gd, self.store)
         res = self.store.res
         snapshot = [res[2 * k + 1] for k in net.keys]
-        boundary = sep.boundary
         self._push_boundary(net, gd, boundary, sources, sinks, parts, depth)
         if full:        # both pieces done: the same separation, globally
             self._audit_separated(gd, sources, sinks, boundary,

@@ -224,11 +224,12 @@ class PlanarGraph:
 
         One walk_faces call follows the given faces and walks the ones
         they leave out, so a wrong given face is named before Euler's
-        check runs, and a missing one is counted after it.  The checked
-        dart-to-face index is kept as dart_faces().  A graph given its
-        faces by surgery, a leaf piece checked at audit=full too, keeps the
+        check runs, and a missing one is counted after it.  A graph given
+        its faces by surgery, a leaf piece checked at audit=full too, keeps
+        the checked dart-to-face index as dart_faces() and the
         connectivity test's BFS tree as spanning_tree() for the separator;
-        the input, triangulated before any split, keeps none.
+        the input, triangulated before any split, keeps neither (its
+        dart_faces() is rebuilt from its faces if read).
 
         Each of the 2m darts must be listed once, at the node it leaves.
         A dart id outside 0..2m - 1 is out of range: a negative one by its
@@ -256,6 +257,7 @@ class PlanarGraph:
         if counts.count(1) != num_darts:
             d = next(d for d, c in enumerate(counts) if c != 1)
             raise EmbeddingInvalid(f"dart {d} appears {counts[d]} times in the rotation system")
+        del tail, counts        # not held through the search and the walk
         tree = bfs_tree(self)
         if -1 in tree[1]:
             raise Disconnected("graph is not connected")
@@ -271,7 +273,7 @@ class PlanarGraph:
                 f"{len(given)} faces given but the rotation system has {len(faces)}")
         else:
             self._tree = tree
-        self._face_of = face_of
+            self._face_of = face_of
 
 
 def dart_heads(g: PlanarGraph):
@@ -357,7 +359,8 @@ def build_graph(n, arcs, rotations, labels=None) -> PlanarGraph:
     node's map: every node lists each of its neighbors exactly once when
     every take finds its neighbor and no map is left holding one.  Only
     when that fails are the sorted neighbor lists compared node by node,
-    to name the first node that is wrong.
+    to name the first node that is wrong.  The maps are let go before
+    check_embedding runs.
 
     The build and its check_embedding run with the cyclic collector
     paused (collector_paused): the graph's lists and maps hold no
@@ -397,6 +400,7 @@ def build_graph(n, arcs, rotations, labels=None) -> PlanarGraph:
         ok = not any(incident)
     except KeyError:
         ok = False
+    del incident    # emptied maps keep their tables; not held through the check
     if not ok:
         neighbors = [[] for _ in range(n)]
         for t, h in zip(tails, heads):

@@ -17,6 +17,15 @@ lattice_rotations is the one description of the row-major lattice (each
 node's neighbors north, east, south, west); the grid generator and the
 DIMACS shim both build their rotations from it.
 
+parse_instance_file gives each node id one int object, shared by every
+arc, rotation and terminal that names the node: it maps each checked
+1-based number through a table of 0-based ids built at the problem line.
+The table is built only for a node count whose rotation lines the text
+could hold (each takes at least ROTATION_LINE_CHARS characters, its line
+break included); a larger count maps through a range instead, whose ids
+have the same values, unshared, and the file fails at line 1 for its
+missing rotation lines as it would anyway.
+
 parse_instance_file runs with the cyclic garbage collector paused, and
 so does build_graph (graph.collector_paused): the parse makes only
 lists, tuples and ints, which hold no reference cycles, so the
@@ -33,6 +42,8 @@ from itertools import islice
 
 from .errors import ParseError, TerminalOverlap
 from .graph import TerminalSets, build_graph, collector_paused
+
+ROTATION_LINE_CHARS = 4     # "r 1" and its line break
 
 
 @dataclass
@@ -84,6 +95,7 @@ def parse_instance_file(text: str) -> InstanceFile:
     """
     num_nodes = None
     num_arcs = None
+    node_id = None      # 1-based number -> the node's one 0-based id object
     arcs = []
     rotations = {}
     sources = []
@@ -106,20 +118,20 @@ def parse_instance_file(text: str) -> InstanceFile:
                 raise ParseError(lineno, f"arc endpoint out of range 1..{num_nodes}")
             if c < 0:
                 raise ParseError(lineno, "capacity must be non-negative")
-            arcs.append((t - 1, h - 1, c))
+            arcs.append((node_id[t], node_id[h], c))
         elif tag == "r" and num_nodes is not None:
             if len(parts) < 2:
                 raise ParseError(lineno, "expected 'r <node> <neighbors...>'")
             try:
-                ids = [int(x) - 1 for x in parts[1:]]      # 0-based
+                ids = list(map(int, parts[1:]))     # 1-based
             except ValueError:
                 raise ParseError(lineno, "rotation fields must be integers")
-            if min(ids) < 0 or max(ids) >= num_nodes:
+            if min(ids) < 1 or max(ids) > num_nodes:
                 raise ParseError(lineno, f"node id out of range 1..{num_nodes}")
-            v = ids[0]
+            v = node_id[ids[0]]
             if v in rotations:
                 raise ParseError(lineno, f"duplicate rotation line for node {v + 1}")
-            rotations[v] = ids[1:]
+            rotations[v] = list(map(node_id.__getitem__, ids[1:]))
         elif tag == "c":
             line = raw.strip()
             comments.append(line[2:] if len(line) > 2 else "")
@@ -134,6 +146,10 @@ def parse_instance_file(text: str) -> InstanceFile:
                 raise ParseError(lineno, "node and arc counts must be integers")
             if num_nodes < 1 or num_arcs < 0:
                 raise ParseError(lineno, "counts out of range")
+            if ROTATION_LINE_CHARS * num_nodes <= len(text) + 1:
+                node_id = list(range(-1, num_nodes))
+            else:       # too few characters for its rotation lines
+                node_id = range(-1, num_nodes)
         elif num_nodes is None:
             raise ParseError(lineno, "data line before problem line")
         elif tag in ("s", "t"):
@@ -145,7 +161,7 @@ def parse_instance_file(text: str) -> InstanceFile:
                 raise ParseError(lineno, "terminal must be an integer node id")
             if not (1 <= node <= num_nodes):
                 raise ParseError(lineno, f"terminal out of range 1..{num_nodes}")
-            (sources if tag == "s" else sinks).append(node - 1)
+            (sources if tag == "s" else sinks).append(node_id[node])
         else:
             raise ParseError(lineno, f"unknown line tag {tag!r}")
 

@@ -297,6 +297,7 @@ def split_into_pieces(g: PlanarGraph, sep: Separator):
         strict[side[face_of[g_rot[v][0]]]].append(v)
     stand_ins = [d >> 1 for d in sep.cycle_darts]
 
+    k = sep.k
     pieces = []
     for side_id in (0, 1):
         nodes = list(sep.boundary) + strict[side_id]     # the boundary first
@@ -307,20 +308,23 @@ def split_into_pieces(g: PlanarGraph, sep: Separator):
         heads = list(map(local.__getitem__, map(g_heads.__getitem__, arcs)))
         keys = list(map(g_keys.__getitem__, own))
         keys += [NO_KEY] * (len(arcs) - len(own))
-        pieces.append(Piece(list(range(len(sep.boundary))), nodes, local, tails, heads,
-                            keys, own, partial(_build_piece, g, sep, side_id, nodes, arcs,
-                                               len(own), tails, heads, keys)))
+        pieces.append(Piece(list(range(k)), nodes, local, tails, heads, keys, own,
+                            partial(_build_piece, g, k, sep.n, sep.cycle_darts, side,
+                                    side_id, nodes, arcs, len(own), tails, heads, keys)))
     return pieces[0], pieces[1]
 
 
-def _build_piece(g, sep, side_id, nodes, arcs, owned, tails, heads, keys):
-    """The graph of one side of split_into_pieces: its nodes, the
-    boundary first, and its arcs (the first owned of them its own, the
-    rest stand-ins) with the arc arrays the split made for them, plus
-    its rotations and faces, chorded."""
+def _build_piece(g, k, sep_n, cycle_darts, side, side_id, nodes, arcs, owned,
+                 tails, heads, keys):
+    """The graph of one side of split_into_pieces: its nodes, the k
+    boundary nodes first, and its arcs (the first owned of them its own,
+    the rest stand-ins) with the arc arrays the split made for them, plus
+    its rotations and faces, chorded.  sep_n, cycle_darts and side are
+    the separator's n, cycle_darts and face_side; the piece holds them
+    and not the separator, whose strict sides the split has copied."""
     faces = g.faces()
     face_of = g.dart_faces()
-    g_caps, g_rot, side = g.caps, g.rot, sep.face_side
+    g_caps, g_rot = g.caps, g.rot
     dart = [-1] * (2 * g.m)      # parent dart -> piece dart
     for i, a in enumerate(arcs):
         dart[2 * a] = 2 * i
@@ -328,21 +332,20 @@ def _build_piece(g, sep, side_id, nodes, arcs, owned, tails, heads, keys):
     caps = list(map(g_caps.__getitem__, arcs[:owned])) + [0] * (len(arcs) - owned)
     # a boundary node keeps the darts on this side; a strict node's darts
     # all lie on its side
-    k = len(sep.boundary)
     rot = [[dart[d] for d in g_rot[p] if dart[d] >= 0] for p in nodes[:k]]
     rot += [[dart[d] for d in g_rot[p]] for p in nodes[k:]]
     # Every face is a triangle but the ones a detach grew, each holding
     # its terminal's dart.  Triangles are copied by unpacking; the grown
     # faces, marked 2 so neither side picks them there, go after them,
     # which changes nothing, since triangulated sorts the faces it chords.
-    grown = {face_of[g_rot[v][0]] for v in range(sep.n, g.n)}
+    grown = {face_of[g_rot[v][0]] for v in range(sep_n, g.n)}
     face_sides = bytearray(side)
     for f in grown:
         face_sides[f] = 2
     piece_faces = [[dart[x], dart[y], dart[z]]
                    for x, y, z in compress(faces, face_sides.translate(_PICK[side_id]))]
     piece_faces += [[dart[d] for d in faces[f]] for f in grown if side[f] == side_id]
-    hole = (sep.cycle_darts if side_id == 0
-            else [d ^ 1 for d in reversed(sep.cycle_darts)])
+    hole = (cycle_darts if side_id == 0
+            else [d ^ 1 for d in reversed(cycle_darts)])
     piece_faces.append([dart[d] for d in hole])
     return triangulated(tails, heads, caps, keys, rot, piece_faces)

@@ -2,11 +2,12 @@ import argparse
 import dataclasses
 import json
 import re
+import weakref
 from pathlib import Path
 
 import pytest
 
-from planarflow import engine, surgery
+from planarflow import cli, engine, surgery
 from planarflow.bench import BALANCE_CONSTANT, BenchRow, fit_exponent, report
 from planarflow.cli import build_parser, main
 from planarflow.errors import CapacityViolation, SettlementStuck
@@ -86,6 +87,31 @@ def test_solve_per_component_rejects_an_invalid_component(tmp_path, capsys,
     assert main(["solve", str(path), "--per-component"]) == 2
     err = capsys.readouterr().err
     assert "parse error" in err and message in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--per-component"]])
+def test_solve_lets_go_of_the_parsed_file_before_it_solves(tmp_path, capsys, monkeypatch,
+                                                         extra):
+    path = tmp_path / "inst.txt"
+    path.write_text(generate("grid", 60, 2).text())
+    parsed = []
+    parse = cli.parse_instance_file
+
+    def recording(text):
+        inst = parse(text)
+        parsed.append(weakref.ref(inst))
+        return inst
+    monkeypatch.setattr(cli, "parse_instance_file", recording)
+    alive = []
+    run = engine.MsmsEngine.run
+
+    def checking(self):
+        alive.append(parsed[0]() is not None)
+        return run(self)
+    monkeypatch.setattr(engine.MsmsEngine, "run", checking)
+    assert main(["solve", str(path)] + extra) == 0
+    assert capsys.readouterr().out.startswith("value ")
+    assert alive == [False]
 
 
 def test_solve_with_trace(tmp_path):

@@ -2,6 +2,7 @@ import ast
 import gc
 import random
 import re
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -774,6 +775,33 @@ def test_only_the_pieces_that_split_are_built(monkeypatch, kind, n, base_case):
     for piece, k in pieces:
         assert built[id(piece)] == (k in ("split", "guard-base"))
         assert piece._graph is None
+
+
+@pytest.mark.parametrize("audit", ["none", "full"])
+def test_no_separator_is_held_down_the_recursion(monkeypatch, audit):
+    """A level lets go of its separator once the split has copied it, so
+    at every leaf solve no separator the solve found is still alive."""
+    found = []
+    find = engine.find_cycle_separator
+
+    def recording(g):
+        sep = find(g)
+        found.append(weakref.ref(sep))
+        return sep
+    monkeypatch.setattr(engine, "find_cycle_separator", recording)
+    alive = []
+    base_solve = MsmsEngine._base_solve
+
+    def checking(self, g, sources, sinks, depth, kind):
+        if kind == "base":
+            alive.append(sum(ref() is not None for ref in found))
+        base_solve(self, g, sources, sinks, depth, kind)
+    monkeypatch.setattr(MsmsEngine, "_base_solve", checking)
+    g, ts = generate("grid", 400, 3, s_frac=0.3, t_frac=0.3).build()
+    res = msms_max_flow(g, ts.sources, ts.sinks, EngineConfig(base_case=8, audit=audit))
+    assert res.value == oracle_value(g, ts.sources, ts.sinks)
+    assert len(found) > 10 and len(alive) > 10
+    assert alive == [0] * len(alive)
 
 
 def test_every_piece_is_built_under_the_full_audit(monkeypatch):

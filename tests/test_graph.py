@@ -128,6 +128,21 @@ def test_check_embedding_keeps_its_bfs_tree(kind, n, seed):
     assert unchecked.spanning_tree() == bfs_tree(gt)
 
 
+@pytest.mark.parametrize("kind, n, seed", [("grid", 60, 4), ("tri", 60, 5), ("grid", 800, 1),
+                                          ("tri", 400, 2)])
+def test_only_a_graph_given_its_faces_keeps_its_dart_to_face_index(kind, n, seed):
+    """The input walked its own faces and keeps no dart-to-face list;
+    dart_faces() rebuilds the walk's.  The triangulation, given its
+    faces, keeps the one its embedding check made."""
+    g, _ = generate(kind, n, seed).build()
+    assert g._face_of is None
+    assert g.dart_faces() == walk_faces(g.tails, g.heads, g.rot)[1]
+    gt = triangulate_and_biconnect(g)
+    kept = gt._face_of
+    assert kept is not None and gt.dart_faces() is kept
+    assert kept == walk_faces(gt.tails, gt.heads, gt.rot, gt.faces())[1]
+
+
 def test_empty_graph_fails_euler():
     with pytest.raises(NonPlanarEmbedding):
         build_graph(0, [], [])

@@ -16,6 +16,7 @@ from planarflow.errors import (
 )
 from planarflow.generate import MIN_NODES, generate
 from planarflow.instance import (
+    ROTATION_LINE_CHARS,
     import_dimacs_max,
     lattice_rotations,
     parse_instance,
@@ -38,6 +39,37 @@ def test_parse_minimal_instance():
     assert g.n == 2 and g.m == 1 and g.caps == [7]
     assert ts.sources == {0} and ts.sinks == {1}
     assert oracle_value_for_graph(g, ts.sources, ts.sinks) == 7
+
+
+@pytest.mark.parametrize("kind", ["grid", "tri"])
+def test_each_node_id_is_one_int_object(kind):
+    """Every arc end, rotation entry and terminal that names a node holds
+    the same int object for it."""
+    inst = parse_instance_file(generate(kind, 900, 3).text())
+    named = [v for t, h, _ in inst.arcs for v in (t, h)]
+    named += [v for r in inst.rotations for v in r]
+    named += inst.sources + inst.sinks
+    first = {}
+    for v in named:
+        assert first.setdefault(v, v) is v
+    assert sorted(first) == list(range(inst.num_nodes))
+
+
+def test_a_count_above_the_id_table_bound_still_fails_at_line_1():
+    """The last count that gets an id table and the first that does not,
+    each promised by a two-node file, fail alike: at line 1, for the
+    rotation lines the file lacks."""
+    body = MINIMAL.split("\n", 1)[1]
+    n = 2
+    while ROTATION_LINE_CHARS * (n + 1) <= len(f"p pmf {n + 1} 1\n" + body) + 1:
+        n += 1
+    for count in (n, n + 1):
+        with pytest.raises(ParseError) as exc:
+            parse_instance_file(f"p pmf {count} 1\n" + body)
+        assert exc.value.line == 1
+        assert str(exc.value) == (f"line 1: missing rotation lines for {count - 2} "
+                                  f"nodes: {list(range(3, min(count, 7) + 1))}"
+                                  f"{' and more' if count > 7 else ''}")
 
 
 def test_parse_rejects_terminal_overlap():
